@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .depth import depth_quotient
+from .depth import depth_quotient, max_ideal_associated
 from .families import cycle_ideal, path_ideal, phi, t0_alpha, u_ideal, witness_w, witness_l1
 from .monomials import Monomial, MonomialIdeal, parse_ideal
 from .sdepth import (
@@ -281,8 +281,6 @@ def check_lemma_1_4(samples=50, seed=0, node_budget=2_000_000):
         I = _random_ideal(rng)
         u = _random_monomial_outside(rng, I)
         C = I.colon(u)
-        if C.is_whole_ring():
-            continue  # u not in I guarantees properness; defensive only
         checks.expect("depth #%d" % i, _depth(C) >= _depth(I))
         s_i = _sdepth_or_skip(checks, "sdepth I #%d" % i, I, node_budget)
         s_c = _sdepth_or_skip(checks, "sdepth C #%d" % i, C, node_budget)
@@ -351,9 +349,9 @@ def check_lemma_1_7(samples=30, seed=0, node_budget=2_000_000):
         s = _sdepth_or_skip(checks, "sdepth #%d" % i, I, node_budget)
         if s is not None:
             checks.expect("depth=0 iff sdepth=0 #%d" % i, (d == 0) == (s == 0))
-        assoc, witness = _m_associated(I)
+        assoc, witness = max_ideal_associated(I)
         checks.expect("depth=0 iff m associated #%d" % i, (d == 0) == assoc)
-        if witness is not None:
+        if assoc:
             n = I.n_vars
             ok = not I.contains(witness) and all(
                 I.contains(witness * Monomial.variable(j, n)) for j in range(1, n + 1)
@@ -477,38 +475,28 @@ def check_lucky(n, m, t):
     )
 
 
-def _m_associated(ideal):
-    """Membership of the maximal ideal in Ass(S/I), via depth = 0."""
-    from .depth import max_ideal_associated
-
-    return max_ideal_associated(ideal)
-
-
 def check_l1(n, t):
     """Associated-prime membership for J(n,n-1)^t and J(n,n-2)^t."""
     checks = _Checks()
     values = {}
     if n >= 2 and t >= n - 1:
         Jt = cycle_ideal(n, n - 1).power(t)
-        assoc, witness = _m_associated(Jt)
+        assoc, witness = max_ideal_associated(Jt)
         values["m_in_ass_J_n_n-1"] = assoc
-        values["witness"] = str(witness) if witness else None
+        values["witness"] = str(witness) if assoc else None
         checks.expect("m in Ass(S/J(n,n-1)^t)", assoc)
-        if t >= n - 1:
-            w = witness_l1(n, t)
-            checks.expect("w_t not in J^t", not Jt.contains(w))
-            checks.expect(
-                "(J^t : w_t) = m", Jt.colon(w) == MonomialIdeal.maximal(n)
-            )
-            checks.expect("deg w_t = (n-1)t - 1", w.degree() == (n - 1) * t - 1)
+        w = witness_l1(n, t)
+        checks.expect("w_t not in J^t", not Jt.contains(w))
+        checks.expect("(J^t : w_t) = m", Jt.colon(w) == MonomialIdeal.maximal(n))
+        checks.expect("deg w_t = (n-1)t - 1", w.degree() == (n - 1) * t - 1)
     if n >= 3 and n % 2 == 1 and t >= (n - 1) // 2:
         Jt = cycle_ideal(n, n - 2).power(t)
-        assoc, _ = _m_associated(Jt)
+        assoc, _ = max_ideal_associated(Jt)
         values["m_in_ass_J_n_n-2_odd"] = assoc
         checks.expect("m in Ass(S/J(n,n-2)^t), n odd", assoc)
     if n >= 4 and n % 2 == 0:
         Jt = cycle_ideal(n, n - 2).power(t)
-        assoc, _ = _m_associated(Jt)
+        assoc, _ = max_ideal_associated(Jt)
         values["m_in_ass_J_n_n-2_even"] = assoc
         checks.expect("m not in Ass(S/J(n,n-2)^t), n even", not assoc)
     return checks.report(
@@ -519,7 +507,7 @@ def check_l1(n, t):
     )
 
 
-def check_t1(n, t, node_budget=2_000_000, allow_sdepth_skip=False):
+def check_t1(n, t, node_budget=2_000_000):
     """Theorem on depth/sdepth of J(n,n-1)^t and J(n,n-2)^t at t >= n-1."""
     checks = _Checks()
     values = {}
@@ -532,8 +520,6 @@ def check_t1(n, t, node_budget=2_000_000, allow_sdepth_skip=False):
         if s is not None:
             values["sdepth_J_n_n-1"] = s
             checks.expect("sdepth(S/J(n,n-1)^t) = 0", s == 0)
-        elif not allow_sdepth_skip:
-            checks.expect("sdepth J(n,n-1)^t computed", False)
     if n >= 3 and n - 2 >= 2:
         Jt = cycle_ideal(n, n - 2).power(t)
         if n % 2 == 1 and t >= (n - 1) // 2:
@@ -544,8 +530,6 @@ def check_t1(n, t, node_budget=2_000_000, allow_sdepth_skip=False):
             if s is not None:
                 values["sdepth_J_n_n-2"] = s
                 checks.expect("sdepth = 0 (n odd)", s == 0)
-            elif not allow_sdepth_skip:
-                checks.expect("sdepth J(n,n-2)^t computed", False)
         if n % 2 == 0 and t >= n - 1:
             d = _depth(Jt)
             values["depth_J_n_n-2"] = d
@@ -554,8 +538,6 @@ def check_t1(n, t, node_budget=2_000_000, allow_sdepth_skip=False):
             if s is not None:
                 values["sdepth_J_n_n-2"] = s
                 checks.expect("1 <= sdepth <= n/2 (n even)", 1 <= s <= n // 2)
-            elif not allow_sdepth_skip:
-                checks.expect("sdepth J(n,n-2)^t computed", False)
     return checks.report(
         "theorem-2.2",
         {"n": n, "t": t},
@@ -647,7 +629,7 @@ def check_t212(n, m, t):
     )
 
 
-def check_teo_iran(I_small, L, t, include_sdepth=True, node_budget=2_000_000):
+def check_teo_iran(I_small, L, t, node_budget=2_000_000):
     """Depth of powers of I + L for a complete-intersection L in fresh variables."""
     if not L.is_complete_intersection():
         raise ValueError("L must be a complete intersection")
@@ -663,17 +645,14 @@ def check_teo_iran(I_small, L, t, include_sdepth=True, node_budget=2_000_000):
     rhs = min(depths) + dim_l
     checks.expect("depth equality", lhs == rhs)
     values = {"depth": lhs, "min_depth_powers": min(depths), "dim_l": dim_l}
-    if include_sdepth:
-        s = _sdepth_or_skip(checks, "sdepth(S/(I+L)^t)", combined.power(t), node_budget)
-        small = [
-            _sdepth_or_skip(checks, "sdepth(S'/I^%d)" % i, I_small.power(i), node_budget)
-            for i in range(1, t + 1)
-        ]
-        if s is not None and all(v is not None for v in small):
-            values["sdepth"] = s
-            checks.expect(
-                "sdepth chain", min(small) + dim_l <= s <= p + dim_l
-            )
+    s = _sdepth_or_skip(checks, "sdepth(S/(I+L)^t)", combined.power(t), node_budget)
+    small = [
+        _sdepth_or_skip(checks, "sdepth(S'/I^%d)" % i, I_small.power(i), node_budget)
+        for i in range(1, t + 1)
+    ]
+    if s is not None and all(v is not None for v in small):
+        values["sdepth"] = s
+        checks.expect("sdepth chain", min(small) + dim_l <= s <= p + dim_l)
     return checks.report(
         "theorem-1.8",
         {"I": str(I_small), "L": str(L), "t": t},
@@ -735,7 +714,7 @@ def check_inmt(n, m, t, k, include_sdepth=False, node_budget=2_000_000):
     )
 
 
-def check_obsy(n, m, t, include_sdepth=False, node_budget=2_000_000):
+def check_obsy(n, m, t, node_budget=2_000_000):
     """The d_k / s_k inequalities from the colon short exact sequences."""
     checks = _Checks()
     J, Jprime, I, xn = _cycle_reduction(n, m)
@@ -757,35 +736,31 @@ def check_obsy(n, m, t, include_sdepth=False, node_budget=2_000_000):
                 d[k] == colon_depth[k - 1],
             )
     checks.expect("d_1 = phi(n-1,m,t)", d[1] == phi(n - 1, m, t))
-    if include_sdepth:
-        colon_sdepth = [
-            _sdepth_or_skip(checks, "sdepth colon k=%d" % k, Jt.colon(xn ** k), node_budget)
-            for k in range(0, t + 1)
-        ]
-        s = {
-            k: _sdepth_or_skip(
-                checks,
-                "s_%d" % k,
-                I.power(t + 1 - k) * Jprime.power(k - 1),
-                node_budget,
+    colon_sdepth = [
+        _sdepth_or_skip(checks, "sdepth colon k=%d" % k, Jt.colon(xn ** k), node_budget)
+        for k in range(0, t + 1)
+    ]
+    s = {
+        k: _sdepth_or_skip(
+            checks, "s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1), node_budget
+        )
+        for k in range(1, t + 1)
+    }
+    values["s_k"] = s
+    values["colon_sdepth"] = colon_sdepth
+    for k in range(1, t + 1):
+        if (
+            colon_sdepth[k] is not None
+            and colon_sdepth[k - 1] is not None
+            and s[k] is not None
+            and colon_sdepth[k] > colon_sdepth[k - 1]
+        ):
+            checks.expect(
+                "conditional: s_%d <= sdepth(S/(J^t : x_n^%d))" % (k, k - 1),
+                s[k] <= colon_sdepth[k - 1],
             )
-            for k in range(1, t + 1)
-        }
-        values["s_k"] = s
-        values["colon_sdepth"] = colon_sdepth
-        for k in range(1, t + 1):
-            if (
-                colon_sdepth[k] is not None
-                and colon_sdepth[k - 1] is not None
-                and s[k] is not None
-                and colon_sdepth[k] > colon_sdepth[k - 1]
-            ):
-                checks.expect(
-                    "conditional: s_%d <= sdepth(S/(J^t : x_n^%d))" % (k, k - 1),
-                    s[k] <= colon_sdepth[k - 1],
-                )
-        if s.get(1) is not None:
-            checks.expect("s_1 >= d_1", s[1] >= d[1])
+    if s.get(1) is not None:
+        checks.expect("s_1 >= d_1", s[1] >= d[1])
     return checks.report(
         "prop-3.2",
         {"n": n, "m": m, "t": t},
@@ -794,7 +769,7 @@ def check_obsy(n, m, t, include_sdepth=False, node_budget=2_000_000):
     )
 
 
-def check_obsy2(n, m, t, include_sdepth=False, node_budget=2_000_000):
+def check_obsy2(n, m, t, node_budget=2_000_000):
     """Bounds tying depth(S/J^t) to (J^t, x_n^t) and the d_k ladder."""
     checks = _Checks()
     J, Jprime, I, xn = _cycle_reduction(n, m)
@@ -822,28 +797,27 @@ def check_obsy2(n, m, t, include_sdepth=False, node_budget=2_000_000):
     }
     if hypothesis:
         checks.expect("conditional: depth(S/J^t) >= depth(S/(J^t,x_n^t))", d_full >= d_sum)
-    if include_sdepth:
-        s_sum = _sdepth_or_skip(checks, "sdepth sum", sum_ideal, node_budget)
-        s = {
-            k: _sdepth_or_skip(
-                checks, "s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1), node_budget
-            )
-            for k in range(2, t + 1)
-        }
-        if s_sum is not None and all(v is not None for v in s.values()):
-            s_lower = min([phi(n - 1, m, t)] + list(s.values()))
-            values["sdepth_sum"] = s_sum
-            checks.expect(
-                "sdepth(S/(J^t,x_n^t)) >= min{phi(n-1,m,t), s_2..s_t}",
-                s_sum >= s_lower,
-            )
-        s_full = _sdepth_or_skip(checks, "sdepth full", Jt, node_budget)
-        s_colon = _sdepth_or_skip(checks, "sdepth colon", Jt.colon(xn ** t), node_budget)
-        if None not in (s_full, s_colon, s_sum) and s_colon > s_full:
-            checks.expect(
-                "conditional: sdepth(S/J^t) >= sdepth(S/(J^t,x_n^t))",
-                s_full >= s_sum,
-            )
+    s_sum = _sdepth_or_skip(checks, "sdepth sum", sum_ideal, node_budget)
+    s = {
+        k: _sdepth_or_skip(
+            checks, "s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1), node_budget
+        )
+        for k in range(2, t + 1)
+    }
+    if s_sum is not None and all(v is not None for v in s.values()):
+        s_lower = min([phi(n - 1, m, t)] + list(s.values()))
+        values["sdepth_sum"] = s_sum
+        checks.expect(
+            "sdepth(S/(J^t,x_n^t)) >= min{phi(n-1,m,t), s_2..s_t}",
+            s_sum >= s_lower,
+        )
+    s_full = _sdepth_or_skip(checks, "sdepth full", Jt, node_budget)
+    s_colon = _sdepth_or_skip(checks, "sdepth colon", Jt.colon(xn ** t), node_budget)
+    if None not in (s_full, s_colon, s_sum) and s_colon > s_full:
+        checks.expect(
+            "conditional: sdepth(S/J^t) >= sdepth(S/(J^t,x_n^t))",
+            s_full >= s_sum,
+        )
     return checks.report(
         "prop-3.3",
         {"n": n, "m": m, "t": t},
@@ -856,7 +830,7 @@ def check_obsy2(n, m, t, include_sdepth=False, node_budget=2_000_000):
 # worked-example replays
 
 
-def run_example_1(node_budget=5_000_000, final_sdepth=True):
+def run_example_1(node_budget=5_000_000):
     """Replay of the J(6,3)^2 computation, every printed intermediate included."""
     checks = _Checks()
     values = {}
@@ -967,11 +941,10 @@ def run_example_1(node_budget=5_000_000, final_sdepth=True):
     values["depth_final"] = d_final
     checks.expect("depth(S/J^2) >= 2 (chain)", d_final >= 2)
     checks.expect("depth(S/J^2) = 3", d_final == 3)
-    if final_sdepth:
-        s_final = _sdepth_or_skip(checks, "sdepth(S/J^2)", J2, node_budget)
-        if s_final is not None:
-            values["sdepth_final"] = s_final
-            checks.expect("sdepth(S/J^2) = 3", s_final == 3)
+    s_final = _sdepth_or_skip(checks, "sdepth(S/J^2)", J2, node_budget)
+    if s_final is not None:
+        values["sdepth_final"] = s_final
+        checks.expect("sdepth(S/J^2) = 3", s_final == 3)
     return checks.report(
         "example-3.4",
         {"n": 6, "m": 3, "t": 2},
@@ -1059,6 +1032,10 @@ def run_example_2(node_budget=5_000_000):
 # registry
 
 
+def _budget(config, default=2_000_000):
+    return config.get("node_budget", default)
+
+
 def _grid_theorem_1_9(config):
     n_max = config.get("n_max", 7)
     sdepth_n_max = config.get("sdepth_n_max", 5)
@@ -1072,7 +1049,7 @@ def _grid_theorem_1_9(config):
                     m,
                     t_max,
                     with_sdepth=(n <= sdepth_n_max),
-                    node_budget=config.get("node_budget", 2_000_000),
+                    node_budget=_budget(config),
                 )
             )
     return out
@@ -1115,10 +1092,18 @@ def _grid_upper_bounds(check, config):
 
 CLAIM_IDS = {
     "lemma-1.2": lambda config: [check_lemma_1_2(seed=config.get("seed", 0))],
-    "lemma-1.4": lambda config: [check_lemma_1_4(seed=config.get("seed", 0))],
-    "lemma-1.5": lambda config: [check_lemma_1_5(seed=config.get("seed", 0))],
-    "lemma-1.6": lambda config: [check_lemma_1_6(seed=config.get("seed", 0))],
-    "lemma-1.7": lambda config: [check_lemma_1_7(seed=config.get("seed", 0))],
+    "lemma-1.4": lambda config: [
+        check_lemma_1_4(seed=config.get("seed", 0), node_budget=_budget(config))
+    ],
+    "lemma-1.5": lambda config: [
+        check_lemma_1_5(seed=config.get("seed", 0), node_budget=_budget(config))
+    ],
+    "lemma-1.6": lambda config: [
+        check_lemma_1_6(seed=config.get("seed", 0), node_budget=_budget(config))
+    ],
+    "lemma-1.7": lambda config: [
+        check_lemma_1_7(seed=config.get("seed", 0), node_budget=_budget(config))
+    ],
     "engine-agreement": lambda config: [
         check_engine_agreement(seed=config.get("seed", 0))
     ],
@@ -1126,30 +1111,25 @@ CLAIM_IDS = {
     "lemma-1.10": _grid_lucky,
     "lemma-2.1": lambda config: [check_l1(4, 3), check_l1(5, 2), check_l1(6, 1), check_l1(6, 2)],
     "theorem-2.2": lambda config: [
-        check_t1(4, 3),
-        check_t1(5, 4),
-        check_t1(5, 2),
-        check_t1(
-            6,
-            5,
-            node_budget=config.get("node_budget", 2_000_000),
-            allow_sdepth_skip=True,
-        ),
+        check_t1(4, 3, node_budget=_budget(config)),
+        check_t1(5, 4, node_budget=_budget(config)),
+        check_t1(5, 2, node_budget=_budget(config)),
+        check_t1(6, 5, node_budget=_budget(config)),
     ],
     "lemma-2.3": _grid_lemma_2_3,
     "lemma-2.4": lambda config: [
-        check_intermed(7, 3, 1),
-        check_intermed(7, 3, 2),
-        check_intermed(8, 3, 1),
-        check_intermed(7, 2, 2),
-        check_intermed(7, 2, 3),
+        check_intermed(n, m, t, node_budget=_budget(config))
+        for (n, m, t) in ((7, 3, 1), (7, 3, 2), (8, 3, 1), (7, 2, 2), (7, 2, 3))
     ],
     "theorem-2.5": lambda config: _grid_upper_bounds(check_t3, config),
     "theorem-1.11": lambda config: _grid_upper_bounds(check_t212, config),
     "theorem-1.8": lambda config: [
-        check_teo_iran(parse_ideal("x1*x2", 2), parse_ideal("x1", 1), 2),
-        check_teo_iran(path_ideal(3, 2), MonomialIdeal.variable_prime((1, 2), 2), 2),
-        check_teo_iran(parse_ideal("x1", 1), MonomialIdeal.variable_prime((1,), 2), 1),
+        check_teo_iran(I, L, t, node_budget=_budget(config))
+        for (I, L, t) in (
+            (parse_ideal("x1*x2", 2), parse_ideal("x1", 1), 2),
+            (path_ideal(3, 2), MonomialIdeal.variable_prime((1, 2), 2), 2),
+            (parse_ideal("x1", 1), MonomialIdeal.variable_prime((1,), 2), 1),
+        )
     ],
     "lemma-3.1": lambda config: [
         check_inmt(n, m, 2, k)
@@ -1157,19 +1137,15 @@ CLAIM_IDS = {
         for k in (1, 2)
     ],
     "prop-3.2": lambda config: [
-        check_obsy(6, 3, 2, include_sdepth=True),
-        check_obsy(6, 4, 2, include_sdepth=True),
+        check_obsy(6, 3, 2, node_budget=_budget(config)),
+        check_obsy(6, 4, 2, node_budget=_budget(config)),
     ],
     "prop-3.3": lambda config: [
-        check_obsy2(6, 3, 2, include_sdepth=True),
-        check_obsy2(6, 4, 2, include_sdepth=True),
+        check_obsy2(6, 3, 2, node_budget=_budget(config)),
+        check_obsy2(6, 4, 2, node_budget=_budget(config)),
     ],
-    "example-3.4": lambda config: [
-        run_example_1(node_budget=config.get("node_budget", 5_000_000))
-    ],
-    "example-3.5": lambda config: [
-        run_example_2(node_budget=config.get("node_budget", 5_000_000))
-    ],
+    "example-3.4": lambda config: [run_example_1(node_budget=_budget(config, 5_000_000))],
+    "example-3.5": lambda config: [run_example_2(node_budget=_budget(config, 5_000_000))],
 }
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
 
 from .monomials import Monomial, MonomialIdeal
 
@@ -223,9 +222,6 @@ class BettiTable:
     def projective_dimension(self):
         return max(i for (i, _) in self.entries)
 
-    def total_sum(self):
-        return sum(self.entries.values())
-
 
 def _koszul_faces(exponents, member):
     """Faces of the Koszul strand complex at multidegree `exponents`.
@@ -299,8 +295,12 @@ class DepthResult:
     method: str
 
     def __post_init__(self):
-        assert self.depth + self.pd == self.n_vars
-        assert 0 <= self.depth <= self.n_vars
+        if self.depth + self.pd != self.n_vars:
+            raise ValueError(
+                "depth %d + pd %d != n_vars %d" % (self.depth, self.pd, self.n_vars)
+            )
+        if not 0 <= self.depth <= self.n_vars:
+            raise ValueError("depth %d outside [0, %d]" % (self.depth, self.n_vars))
 
     def as_dict(self):
         return {
@@ -342,35 +342,22 @@ def depth_via_polarization(ideal, cap=14):
     return DepthResult(n - pd, pd, n, "polarization")
 
 
-def max_ideal_associated(ideal, box_cap=300000):
-    """Whether the maximal ideal is associated to S/I, i.e. depth(S/I) = 0.
+def max_ideal_associated(ideal):
+    """Whether the maximal ideal is associated to S/I (depth 0), with a witness.
 
-    When true, also searches the exponent box below lcm(G(I)) - (1,...,1)
-    for an explicit witness w with w not in I and x_j*w in I for all j.
-    The boolean derives from the depth; the witness is best-effort and may
-    be None if the box is exhausted or exceeds box_cap.
+    beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
+    so the top row of the Betti table lists every monomial w with w not
+    in I and x_j*w in I for all j: the answer is (False, None) when the
+    row is empty, and otherwise (True, w) for the w of largest degree,
+    ties going to the smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
-    if depth_quotient(ideal).depth != 0:
+    socle = [
+        tuple(e - 1 for e in a.exponents)
+        for (i, a) in betti(ideal).entries
+        if i == ideal.n_vars
+    ]
+    if not socle:
         return False, None
-    top = ideal.lcm_of_gens().exponents
-    size = 1
-    for e in top:
-        size *= max(e, 1)
-    if size > box_cap:
-        return True, None
-    n = ideal.n_vars
-    candidates = sorted(
-        _cartesian(*(range(max(e, 1)) for e in top)),
-        key=lambda a: -sum(a),
-    )
-    for exps in candidates:
-        w = Monomial(exps)
-        if ideal.contains(w):
-            continue
-        if all(
-            ideal.contains(w * Monomial.variable(j, n)) for j in range(1, n + 1)
-        ):
-            return True, w
-    return True, None
+    return True, Monomial(min(socle, key=lambda w: (-sum(w), w)))

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 __all__ = [
     "AmbientMismatchError",
     "Monomial",
     "MonomialIdeal",
-    "lcm_mono",
-    "divides",
     "minimalize",
     "parse_monomial",
     "parse_ideal",
@@ -119,16 +116,6 @@ class Monomial:
 
     def __repr__(self):
         return "Monomial(%r)" % (self.exponents,)
-
-
-def lcm_mono(a, b):
-    """Componentwise max of exponent vectors."""
-    return a.lcm(b)
-
-
-def divides(a, b):
-    """True iff a_i <= b_i for all i."""
-    return a.divides(b)
 
 
 def _minimal_monomials(raw):
@@ -340,15 +327,6 @@ class MonomialIdeal:
         for g in self.gens:
             top = top.lcm(g)
         return top
-
-    def monomials_below(self, cap):
-        """All monomials m <= cap (componentwise) lying in the ideal."""
-        out = []
-        for exps in _cartesian(*(range(e + 1) for e in cap.exponents)):
-            m = Monomial(exps)
-            if self.contains(m):
-                out.append(m)
-        return out
 
     def __str__(self):
         if self.is_zero():

@@ -116,7 +116,11 @@ def _interval_mask(poset, index, a, b):
     return mask, cells
 
 
-def has_partition_min_label(poset, k, node_budget=2_000_000, memo_cap=500_000):
+# most refuted coverings the search remembers; past it, states are re-searched
+_MEMO_CAP = 500_000
+
+
+def has_partition_min_label(poset, k, node_budget=2_000_000):
     """A StanleyPartition with every interval label >= k, or None.
 
     Canonical exact-cover search: points are scanned in a fixed linear
@@ -192,7 +196,7 @@ def has_partition_min_label(poset, k, node_budget=2_000_000, memo_cap=500_000):
             if search(covered | mask, chosen):
                 return True
             chosen.pop()
-        if len(dead) < memo_cap:
+        if len(dead) < _MEMO_CAP:
             dead.add(covered)
         return False
 

@@ -109,7 +109,7 @@ def test_criterion_3_path_grid_depth_formula(capsys):
 
 def test_criterion_4_near_maximal_cycle_powers(capsys):
     small = [check_t1(4, 3), check_t1(5, 4), check_t1(5, 2)]
-    big = check_t1(6, 5, allow_sdepth_skip=True)
+    big = check_t1(6, 5)
     values_ok = (
         small[0].values.get("depth_J_n_n-1") == 0
         and small[0].values.get("sdepth_J_n_n-1") == 0

@@ -157,3 +157,29 @@ def test_registry_covers_expected_claims():
         "engine-agreement",
     }
     assert expected == set(claims.CLAIM_IDS)
+
+
+def test_verify_budget_reaches_lemma_2_4(monkeypatch):
+    # an empty cache keeps sdepth values decided by earlier tests from
+    # bypassing the small budget
+    monkeypatch.setattr(claims, "_SDEPTH_CACHE", {})
+    reports = run_claims(["lemma-2.4"], config={"node_budget": 1000})
+    (report,) = [r for r in reports if r.params == {"n": 7, "m": 2, "t": 3}]
+    assert report.values["skipped"]
+    assert "2000000" not in report.reason
+
+
+def test_small_budget_skips_theorem_2_2_without_failing(monkeypatch):
+    monkeypatch.setattr(claims, "_SDEPTH_CACHE", {})
+    reports = [check_t1(n, t, node_budget=1000) for (n, t) in ((4, 3), (5, 4), (5, 2))]
+    assert all(r.verdict == "pass" for r in reports), [r.reason for r in reports]
+    assert any(r.values.get("skipped") for r in reports)
+
+
+def test_verify_budget_reaches_theorem_2_2(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        claims, "check_t1", lambda n, t, node_budget: seen.append(node_budget)
+    )
+    run_claims(["theorem-2.2"], config={"node_budget": 1000})
+    assert seen == [1000] * 4

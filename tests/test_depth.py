@@ -1,6 +1,6 @@
 """Exact homology, Betti numbers, and depth."""
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathdepth.depth import (
+    DepthResult,
     PolarizationCapError,
     UnitIdealError,
     betti,
@@ -213,6 +214,14 @@ def test_depth_rejects_unit_ideal():
         depth_quotient(MonomialIdeal.whole_ring(2))
 
 
+def test_depth_result_rejects_broken_invariant():
+    # a raised error, not an assert, so the check survives python -O
+    with pytest.raises(ValueError):
+        DepthResult(2, 2, 3, "x")
+    with pytest.raises(ValueError):
+        DepthResult(-1, 4, 3, "x")
+
+
 # polarization cross-check --------------------------------------------
 
 
@@ -249,6 +258,24 @@ def test_polarization_agreement_random(data):
 # associated maximal ideal --------------------------------------------
 
 
+def box_scan_witness(ideal):
+    """Reference oracle: scan the box below lcm(G(I)) - (1,...,1).
+
+    Candidates go by descending degree, then ascending exponent tuple; the
+    first w with w not in I and x_j*w in I for every j is returned, or None.
+    """
+    n = ideal.n_vars
+    top = ideal.lcm_of_gens().exponents
+    candidates = sorted(product(*(range(max(e, 1)) for e in top)), key=lambda a: -sum(a))
+    for exps in candidates:
+        w = Monomial(exps)
+        if ideal.contains(w):
+            continue
+        if all(ideal.contains(w * Monomial.variable(j, n)) for j in range(1, n + 1)):
+            return w
+    return None
+
+
 def test_max_ideal_associated_with_witness():
     assoc, witness = max_ideal_associated(MonomialIdeal.maximal(2))
     assert assoc
@@ -265,3 +292,27 @@ def test_max_ideal_associated_witness_certifies():
     assert not I.contains(w)
     for j in range(1, 5):
         assert I.contains(w * Monomial.variable(j, 4))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_max_ideal_associated_matches_box_scan(data):
+    n = data.draw(st.integers(1, 4))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        exps = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
+        if any(exps):
+            gens.append(Monomial(exps))
+    if not gens:
+        gens = [Monomial.variable(1, n)]
+    I = MonomialIdeal(n, gens)
+    w = box_scan_witness(I)
+    assert max_ideal_associated(I) == (w is not None, w)
+    assert (w is not None) == (depth_quotient(I).depth == 0)
+
+
+def test_max_ideal_associated_witness_beyond_any_box_cap():
+    # the box below the lcm has 10^6 points; the lcm lattice has 7
+    assoc, w = max_ideal_associated(parse_ideal("x1^100, x2^100, x3^100", 3))
+    assert assoc
+    assert str(w) == "x1^99*x2^99*x3^99"
