@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .depth import depth_quotient, max_ideal_associated
+from .depth import depth_quotient, depth_via_polarization, max_ideal_associated
 from .families import cycle_ideal, path_ideal, phi, t0_alpha, u_ideal, witness_w, witness_l1
 from .monomials import Monomial, MonomialIdeal, parse_ideal
 from .sdepth import (
+    DEFAULT_BUDGET,
     PosetCapError,
     SearchBudgetError,
     build_poset,
@@ -50,8 +51,6 @@ __all__ = [
     "run_example_2",
     "CLAIM_IDS",
     "run_claims",
-    "observed_quotients",
-    "reset_observations",
 ]
 
 
@@ -65,6 +64,8 @@ class ClaimReport:
     relation: str
     verdict: str  # pass | fail | skipped
     reason: str = ""
+    # (ideal text, depth, sdepth) whenever the claim computed both
+    observed: list = field(default_factory=list, compare=False)
 
     def as_dict(self):
         return {
@@ -78,19 +79,10 @@ class ClaimReport:
 
 
 # ---------------------------------------------------------------------
-# shared plumbing: engine caches and the global Stanley-inequality log
+# shared plumbing: engine caches and the per-report check accumulator
 
 _DEPTH_CACHE = {}
 _SDEPTH_CACHE = {}
-_OBSERVED = []  # (ideal text, depth, sdepth) whenever both were computed
-
-
-def reset_observations():
-    _OBSERVED.clear()
-
-
-def observed_quotients():
-    return list(_OBSERVED)
 
 
 def _depth(ideal):
@@ -100,26 +92,15 @@ def _depth(ideal):
     return _DEPTH_CACHE[key]
 
 
-def _sdepth(ideal, node_budget=2_000_000, cap=100000):
-    """Exact sdepth with certificate verification; raises on budget."""
-    key = (ideal.n_vars, ideal.gens)
-    if key not in _SDEPTH_CACHE:
-        result = sdepth_quotient(ideal, cap=cap, node_budget=node_budget)
-        ok, why = verify_partition(build_poset(ideal, cap=cap), result.partition)
-        if not ok:
-            raise AssertionError("invalid sdepth certificate: %s" % why)
-        _SDEPTH_CACHE[key] = result.sdepth
-    value = _SDEPTH_CACHE[key]
-    _OBSERVED.append((str(ideal), _depth(ideal), value))
-    return value
-
-
 class _Checks:
-    """Accumulates named boolean checks and budget skips for one report."""
+    """Checks, budget skips and sdepth observations for one report; the only
+    route from a claim to the Stanley-depth engine."""
 
-    def __init__(self):
+    def __init__(self, node_budget=DEFAULT_BUDGET):
+        self.node_budget = node_budget
         self.failed = []
         self.skipped = []
+        self.observed = []
         self.count = 0
 
     def expect(self, name, ok):
@@ -130,6 +111,30 @@ class _Checks:
 
     def skip(self, name, why):
         self.skipped.append("%s (%s)" % (name, why))
+
+    def sdepth(self, name, ideal):
+        """Exact sdepth(S/I) with a verified certificate, or None after a skip."""
+        key = (ideal.n_vars, ideal.gens)
+        if key not in _SDEPTH_CACHE:
+            try:
+                result = sdepth_quotient(ideal, node_budget=self.node_budget)
+            except (SearchBudgetError, PosetCapError) as e:
+                self.skip(name, str(e))
+                return None
+            ok, why = verify_partition(build_poset(ideal), result.partition)
+            if not ok:
+                raise AssertionError("invalid sdepth certificate: %s" % why)
+            _SDEPTH_CACHE[key] = result.sdepth
+        value = _SDEPTH_CACHE[key]
+        self.observed.append((str(ideal), _depth(ideal), value))
+        return value
+
+    def expect_sdepth(self, name, ideal, value):
+        """Check sdepth(S/I) = value unless the search is skipped; the sdepth or None."""
+        s = self.sdepth(name, ideal)
+        if s is not None:
+            self.expect(name, s == value)
+        return s
 
     def report(self, claim_id, params, values, relation):
         if self.failed:
@@ -142,15 +147,7 @@ class _Checks:
         values = dict(values)
         if self.skipped:
             values["skipped"] = self.skipped
-        return ClaimReport(claim_id, params, values, relation, verdict, reason)
-
-
-def _sdepth_or_skip(checks, name, ideal, node_budget=2_000_000, cap=100000):
-    try:
-        return _sdepth(ideal, node_budget=node_budget, cap=cap)
-    except (SearchBudgetError, PosetCapError) as e:
-        checks.skip(name, str(e))
-        return None
+        return ClaimReport(claim_id, params, values, relation, verdict, reason, self.observed)
 
 
 # ---------------------------------------------------------------------
@@ -273,17 +270,17 @@ def _random_monomial_outside(rng, ideal, max_exp=2, tries=50):
     return Monomial.unit(ideal.n_vars)
 
 
-def check_lemma_1_4(samples=50, seed=0, node_budget=2_000_000):
+def check_lemma_1_4(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
     """Colon monotonicity: depth and sdepth never drop under (I : u), u not in I."""
     rng = random.Random(seed)
-    checks = _Checks()
+    checks = _Checks(node_budget)
     for i in range(samples):
         I = _random_ideal(rng)
         u = _random_monomial_outside(rng, I)
         C = I.colon(u)
         checks.expect("depth #%d" % i, _depth(C) >= _depth(I))
-        s_i = _sdepth_or_skip(checks, "sdepth I #%d" % i, I, node_budget)
-        s_c = _sdepth_or_skip(checks, "sdepth C #%d" % i, C, node_budget)
+        s_i = checks.sdepth("sdepth I #%d" % i, I)
+        s_c = checks.sdepth("sdepth C #%d" % i, C)
         if s_i is not None and s_c is not None:
             checks.expect("sdepth #%d" % i, s_c >= s_i)
     return checks.report(
@@ -294,10 +291,10 @@ def check_lemma_1_4(samples=50, seed=0, node_budget=2_000_000):
     )
 
 
-def check_lemma_1_5(samples=50, seed=0, node_budget=2_000_000):
+def check_lemma_1_5(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
     """Colon equality under the certified hypothesis I = u*(I : u)."""
     rng = random.Random(seed)
-    checks = _Checks()
+    checks = _Checks(node_budget)
     for i in range(samples):
         base = _random_ideal(rng)
         exps = tuple(rng.randint(0, 2) for _ in range(base.n_vars))
@@ -306,8 +303,8 @@ def check_lemma_1_5(samples=50, seed=0, node_budget=2_000_000):
         checks.expect("guard #%d" % i, I == I.colon(u).scale(u))
         C = I.colon(u)
         checks.expect("depth #%d" % i, _depth(C) == _depth(I))
-        s_i = _sdepth_or_skip(checks, "sdepth I #%d" % i, I, node_budget)
-        s_c = _sdepth_or_skip(checks, "sdepth C #%d" % i, C, node_budget)
+        s_i = checks.sdepth("sdepth I #%d" % i, I)
+        s_c = checks.sdepth("sdepth C #%d" % i, C)
         if s_i is not None and s_c is not None:
             checks.expect("sdepth #%d" % i, s_c == s_i)
     return checks.report(
@@ -318,16 +315,16 @@ def check_lemma_1_5(samples=50, seed=0, node_budget=2_000_000):
     )
 
 
-def check_lemma_1_6(samples=50, seed=0, node_budget=2_000_000):
+def check_lemma_1_6(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
     """A fresh variable raises depth and sdepth by exactly one."""
     rng = random.Random(seed)
-    checks = _Checks()
+    checks = _Checks(node_budget)
     for i in range(samples):
         I = _random_ideal(rng)
         E = I.extend(1)
         checks.expect("depth #%d" % i, _depth(E) == _depth(I) + 1)
-        s_i = _sdepth_or_skip(checks, "sdepth I #%d" % i, I, node_budget)
-        s_e = _sdepth_or_skip(checks, "sdepth E #%d" % i, E, node_budget)
+        s_i = checks.sdepth("sdepth I #%d" % i, I)
+        s_e = checks.sdepth("sdepth E #%d" % i, E)
         if s_i is not None and s_e is not None:
             checks.expect("sdepth #%d" % i, s_e == s_i + 1)
     return checks.report(
@@ -338,15 +335,15 @@ def check_lemma_1_6(samples=50, seed=0, node_budget=2_000_000):
     )
 
 
-def check_lemma_1_7(samples=30, seed=0, node_budget=2_000_000):
+def check_lemma_1_7(samples=30, seed=0, node_budget=DEFAULT_BUDGET):
     """depth = 0, sdepth = 0 and maximal-ideal association are equivalent."""
     rng = random.Random(seed)
-    checks = _Checks()
+    checks = _Checks(node_budget)
     zeros = 0
     for i in range(samples):
         I = _random_ideal(rng)
         d = _depth(I)
-        s = _sdepth_or_skip(checks, "sdepth #%d" % i, I, node_budget)
+        s = checks.sdepth("sdepth #%d" % i, I)
         if s is not None:
             checks.expect("depth=0 iff sdepth=0 #%d" % i, (d == 0) == (s == 0))
         assoc, witness = max_ideal_associated(I)
@@ -368,8 +365,6 @@ def check_lemma_1_7(samples=30, seed=0, node_budget=2_000_000):
 
 def check_engine_agreement(samples=50, seed=0, cap=14):
     """depth via the Betti table equals depth via polarization."""
-    from .depth import depth_via_polarization as _dvp
-
     rng = random.Random(seed)
     checks = _Checks()
     instances = [_random_ideal(rng) for _ in range(samples)]
@@ -394,7 +389,7 @@ def check_engine_agreement(samples=50, seed=0, cap=14):
             checks.skip("instance #%d" % i, "polarized to %d vars" % polarized.n_vars)
             continue
         checks.expect(
-            "instance #%d" % i, _depth(I) == _dvp(I, cap=cap).depth
+            "instance #%d" % i, _depth(I) == depth_via_polarization(I, cap=cap).depth
         )
     return checks.report(
         "engine-agreement",
@@ -404,7 +399,7 @@ def check_engine_agreement(samples=50, seed=0, cap=14):
     )
 
 
-def check_phi(n, m, t_max, with_sdepth=False, node_budget=2_000_000):
+def check_phi(n, m, t_max, with_sdepth=False, node_budget=DEFAULT_BUDGET):
     """depth(S/I(n,m)^t) equals the closed form; sdepth within its bracket.
 
     The bracket phi(n,m,t) <= sdepth <= phi(n,m,1) is decided directly: a
@@ -507,16 +502,16 @@ def check_l1(n, t):
     )
 
 
-def check_t1(n, t, node_budget=2_000_000):
+def check_t1(n, t, node_budget=DEFAULT_BUDGET):
     """Theorem on depth/sdepth of J(n,n-1)^t and J(n,n-2)^t at t >= n-1."""
-    checks = _Checks()
+    checks = _Checks(node_budget)
     values = {}
     if n >= 2 and t >= n - 1:
         Jt = cycle_ideal(n, n - 1).power(t)
         d = _depth(Jt)
         values["depth_J_n_n-1"] = d
         checks.expect("depth(S/J(n,n-1)^t) = 0", d == 0)
-        s = _sdepth_or_skip(checks, "sdepth J(n,n-1)^t", Jt, node_budget)
+        s = checks.sdepth("sdepth J(n,n-1)^t", Jt)
         if s is not None:
             values["sdepth_J_n_n-1"] = s
             checks.expect("sdepth(S/J(n,n-1)^t) = 0", s == 0)
@@ -526,7 +521,7 @@ def check_t1(n, t, node_budget=2_000_000):
             d = _depth(Jt)
             values["depth_J_n_n-2"] = d
             checks.expect("depth = 0 (n odd)", d == 0)
-            s = _sdepth_or_skip(checks, "sdepth J(n,n-2)^t", Jt, node_budget)
+            s = checks.sdepth("sdepth J(n,n-2)^t", Jt)
             if s is not None:
                 values["sdepth_J_n_n-2"] = s
                 checks.expect("sdepth = 0 (n odd)", s == 0)
@@ -534,7 +529,7 @@ def check_t1(n, t, node_budget=2_000_000):
             d = _depth(Jt)
             values["depth_J_n_n-2"] = d
             checks.expect("depth = 1 (n even)", d == 1)
-            s = _sdepth_or_skip(checks, "sdepth J(n,n-2)^t", Jt, node_budget)
+            s = checks.sdepth("sdepth J(n,n-2)^t", Jt)
             if s is not None:
                 values["sdepth_J_n_n-2"] = s
                 checks.expect("1 <= sdepth <= n/2 (n even)", 1 <= s <= n // 2)
@@ -569,18 +564,18 @@ def check_inmt2(n, m, t):
     )
 
 
-def check_intermed(n, m, t, node_budget=2_000_000):
+def check_intermed(n, m, t, node_budget=DEFAULT_BUDGET):
     """Depth of S/V for the Lemma-2.3 colon V, against the two-branch value."""
     if not (n >= 2 * m + 1 and m >= 2 and t >= 1):
         raise ValueError("requires n >= 2m+1, m >= 2, t >= 1")
-    checks = _Checks()
+    checks = _Checks(node_budget)
     u = Monomial.from_support(range(n - m + 1, n), n) ** t
     V = cycle_ideal(n, m).power(t).colon(u)
     d = _depth(V)
     expected = phi(n, m, t) if t <= n - 2 * m else 2 * (m - 1)
     checks.expect("depth(S/V) = branch value", d == expected)
     values = {"depth": d, "expected": expected}
-    s = _sdepth_or_skip(checks, "sdepth(S/V)", V, node_budget)
+    s = checks.sdepth("sdepth(S/V)", V)
     if s is not None:
         values["sdepth"] = s
         checks.expect("sdepth >= depth", s >= d)
@@ -629,11 +624,11 @@ def check_t212(n, m, t):
     )
 
 
-def check_teo_iran(I_small, L, t, node_budget=2_000_000):
+def check_teo_iran(I_small, L, t, node_budget=DEFAULT_BUDGET):
     """Depth of powers of I + L for a complete-intersection L in fresh variables."""
     if not L.is_complete_intersection():
         raise ValueError("L must be a complete intersection")
-    checks = _Checks()
+    checks = _Checks(node_budget)
     p = I_small.n_vars
     n2 = L.n_vars
     dim_l = n2 - len(L.gens) if not L.is_zero() else n2
@@ -645,9 +640,9 @@ def check_teo_iran(I_small, L, t, node_budget=2_000_000):
     rhs = min(depths) + dim_l
     checks.expect("depth equality", lhs == rhs)
     values = {"depth": lhs, "min_depth_powers": min(depths), "dim_l": dim_l}
-    s = _sdepth_or_skip(checks, "sdepth(S/(I+L)^t)", combined.power(t), node_budget)
+    s = checks.sdepth("sdepth(S/(I+L)^t)", combined.power(t))
     small = [
-        _sdepth_or_skip(checks, "sdepth(S'/I^%d)" % i, I_small.power(i), node_budget)
+        checks.sdepth("sdepth(S'/I^%d)" % i, I_small.power(i))
         for i in range(1, t + 1)
     ]
     if s is not None and all(v is not None for v in small):
@@ -670,11 +665,11 @@ def _cycle_reduction(n, m):
     return J, Jprime, I, xn
 
 
-def check_inmt(n, m, t, k, include_sdepth=False, node_budget=2_000_000):
+def check_inmt(n, m, t, k, include_sdepth=False, node_budget=DEFAULT_BUDGET):
     """The four colon/sum identities relating J^t to I and J' = (J : x_n)."""
     if not 1 <= k <= t:
         raise ValueError("requires 1 <= k <= t")
-    checks = _Checks()
+    checks = _Checks(node_budget)
     J, Jprime, I, xn = _cycle_reduction(n, m)
     Jt = J.power(t)
     xn_pow_k = MonomialIdeal.principal(xn ** k)
@@ -698,10 +693,8 @@ def check_inmt(n, m, t, k, include_sdepth=False, node_budget=2_000_000):
     checks.expect("depth(S/J^t) <= depth(S'/J'^t) + 1", d_big <= d_small + 1)
     values = {"depth_J": d_big, "depth_Jprime": d_small}
     if include_sdepth:
-        s_big = _sdepth_or_skip(checks, "sdepth(S/J^t)", Jt, node_budget)
-        s_small = _sdepth_or_skip(
-            checks, "sdepth(S'/J'^t)", Jprime.power(t), node_budget
-        )
+        s_big = checks.sdepth("sdepth(S/J^t)", Jt)
+        s_small = checks.sdepth("sdepth(S'/J'^t)", Jprime.power(t))
         if s_big is not None and s_small is not None:
             values["sdepth_J"] = s_big
             values["sdepth_Jprime"] = s_small
@@ -714,9 +707,9 @@ def check_inmt(n, m, t, k, include_sdepth=False, node_budget=2_000_000):
     )
 
 
-def check_obsy(n, m, t, node_budget=2_000_000):
+def check_obsy(n, m, t, node_budget=DEFAULT_BUDGET):
     """The d_k / s_k inequalities from the colon short exact sequences."""
-    checks = _Checks()
+    checks = _Checks(node_budget)
     J, Jprime, I, xn = _cycle_reduction(n, m)
     Jt = J.power(t)
     colon_depth = [_depth(Jt.colon(xn ** k)) for k in range(0, t + 1)]
@@ -737,13 +730,11 @@ def check_obsy(n, m, t, node_budget=2_000_000):
             )
     checks.expect("d_1 = phi(n-1,m,t)", d[1] == phi(n - 1, m, t))
     colon_sdepth = [
-        _sdepth_or_skip(checks, "sdepth colon k=%d" % k, Jt.colon(xn ** k), node_budget)
+        checks.sdepth("sdepth colon k=%d" % k, Jt.colon(xn ** k))
         for k in range(0, t + 1)
     ]
     s = {
-        k: _sdepth_or_skip(
-            checks, "s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1), node_budget
-        )
+        k: checks.sdepth("s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1))
         for k in range(1, t + 1)
     }
     values["s_k"] = s
@@ -769,9 +760,9 @@ def check_obsy(n, m, t, node_budget=2_000_000):
     )
 
 
-def check_obsy2(n, m, t, node_budget=2_000_000):
+def check_obsy2(n, m, t, node_budget=DEFAULT_BUDGET):
     """Bounds tying depth(S/J^t) to (J^t, x_n^t) and the d_k ladder."""
-    checks = _Checks()
+    checks = _Checks(node_budget)
     J, Jprime, I, xn = _cycle_reduction(n, m)
     Jt = J.power(t)
     sum_ideal = Jt + MonomialIdeal.principal(xn ** t)
@@ -797,11 +788,9 @@ def check_obsy2(n, m, t, node_budget=2_000_000):
     }
     if hypothesis:
         checks.expect("conditional: depth(S/J^t) >= depth(S/(J^t,x_n^t))", d_full >= d_sum)
-    s_sum = _sdepth_or_skip(checks, "sdepth sum", sum_ideal, node_budget)
+    s_sum = checks.sdepth("sdepth sum", sum_ideal)
     s = {
-        k: _sdepth_or_skip(
-            checks, "s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1), node_budget
-        )
+        k: checks.sdepth("s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1))
         for k in range(2, t + 1)
     }
     if s_sum is not None and all(v is not None for v in s.values()):
@@ -811,8 +800,8 @@ def check_obsy2(n, m, t, node_budget=2_000_000):
             "sdepth(S/(J^t,x_n^t)) >= min{phi(n-1,m,t), s_2..s_t}",
             s_sum >= s_lower,
         )
-    s_full = _sdepth_or_skip(checks, "sdepth full", Jt, node_budget)
-    s_colon = _sdepth_or_skip(checks, "sdepth colon", Jt.colon(xn ** t), node_budget)
+    s_full = checks.sdepth("sdepth full", Jt)
+    s_colon = checks.sdepth("sdepth colon", Jt.colon(xn ** t))
     if None not in (s_full, s_colon, s_sum) and s_colon > s_full:
         checks.expect(
             "conditional: sdepth(S/J^t) >= sdepth(S/(J^t,x_n^t))",
@@ -830,9 +819,9 @@ def check_obsy2(n, m, t, node_budget=2_000_000):
 # worked-example replays
 
 
-def run_example_1(node_budget=5_000_000):
+def run_example_1(node_budget=DEFAULT_BUDGET):
     """Replay of the J(6,3)^2 computation, every printed intermediate included."""
-    checks = _Checks()
+    checks = _Checks(node_budget)
     values = {}
     J, Jprime, I, x6 = _cycle_reduction(6, 3)
     J2 = J.power(2)
@@ -862,7 +851,7 @@ def run_example_1(node_budget=5_000_000):
     )
     checks.expect("(L : x2x3x4) = (x1,x4) cap (x2,x5)", Lc == expected_lc)
     checks.expect("depth(S'/(L:x2x3x4)) = 2", _depth(Lc) == 2)
-    checks.expect("sdepth(S'/(L:x2x3x4)) = 2", _sdepth(Lc, node_budget) == 2)
+    checks.expect_sdepth("sdepth(S'/(L:x2x3x4)) = 2", Lc, 2)
     W = L + MonomialIdeal.principal(u234)
     checks.expect(
         "W printed generators",
@@ -877,7 +866,7 @@ def run_example_1(node_budget=5_000_000):
     Wc = W.colon(u245)
     checks.expect("(W : x2x4x5) = (x3,x4,x1)", Wc == MonomialIdeal.variable_prime((1, 3, 4), 5))
     checks.expect("depth(S'/(W:x2x4x5)) = 2", _depth(Wc) == 2)
-    checks.expect("sdepth(S'/(W:x2x4x5)) = 2", _sdepth(Wc, node_budget) == 2)
+    s_wc = checks.expect_sdepth("sdepth(S'/(W:x2x4x5)) = 2", Wc, 2)
     # the sum ideal pairs with the colon by the same monomial x2x4x5
     Ws = W + MonomialIdeal.principal(u245)
     checks.expect(
@@ -890,21 +879,24 @@ def run_example_1(node_budget=5_000_000):
         ),
     )
     checks.expect("depth(S'/(W,x2x4x5)) = 2", _depth(Ws) == 2)
-    checks.expect("sdepth(S'/(W,x2x4x5)) = 2", _sdepth(Ws, node_budget) == 2)
+    s_ws = checks.expect_sdepth("sdepth(S'/(W,x2x4x5)) = 2", Ws, 2)
     # SES bound replay (0 -> S'/(W:u) -> S'/W -> S'/(W,u) -> 0 with
-    # u = x2x4x5): depth/sdepth of S'/W and then S'/L are >= 2
+    # u = x2x4x5): depth/sdepth of S'/W and then S'/L are >= 2; the sdepth
+    # bound exists only when both outer sdepths were decided
     triple = ses_depth_bounds(
-        SesTriple(depth_u=_depth(Wc), depth_n=_depth(Ws), sdepth_u=2, sdepth_n=2)
+        SesTriple(depth_u=_depth(Wc), depth_n=_depth(Ws), sdepth_u=s_wc, sdepth_n=s_ws)
     )
     checks.expect("depth(S'/W) >= 2 (replayed)", triple.bounds["depth_m"] >= 2)
-    checks.expect("sdepth(S'/W) >= 2 (replayed)", triple.bounds["sdepth_m"] >= 2)
+    if "sdepth_m" in triple.bounds:
+        checks.expect("sdepth(S'/W) >= 2 (replayed)", triple.bounds["sdepth_m"] >= 2)
     checks.expect("depth(S'/W) >= 2 (engine)", _depth(W) >= 2)
     d1 = _depth(IJp)
-    s1 = _sdepth(IJp, node_budget)
+    s1 = checks.sdepth("s_1 >= 2", IJp)
     values["d_1"] = d1
-    values["s_1"] = s1
     checks.expect("d_1 >= 2", d1 >= 2)
-    checks.expect("s_1 >= 2", s1 >= 2)
+    if s1 is not None:
+        values["s_1"] = s1
+        checks.expect("s_1 >= 2", s1 >= 2)
     d2 = _depth(Jprime.power(2))
     values["d_2"] = d2
     checks.expect("d_2 = depth(S'/J'^2) >= 2", d2 >= 2)
@@ -916,7 +908,7 @@ def run_example_1(node_budget=5_000_000):
         Lx4 == parse_ideal("x1^2*x2^2, x1^2*x2*x5, x4", 5),
     )
     checks.expect("depth(S'/(L,x4)) = 2", _depth(Lx4) == 2)
-    checks.expect("sdepth(S'/(L,x4)) = 2", _sdepth(Lx4, node_budget) == 2)
+    checks.expect_sdepth("sdepth(S'/(L,x4)) = 2", Lx4, 2)
     K = L.colon(x4)
     Kc = K.colon(x3)
     checks.expect(
@@ -932,16 +924,16 @@ def run_example_1(node_budget=5_000_000):
         Ks == parse_ideal("x3, x1*x2^2, x1*x2*x5, x1*x5^2, x2*x4*x5, x4*x5^2", 5),
     )
     checks.expect("depth(S'/(K:x3)) = 2", _depth(Kc) == 2)
-    checks.expect("sdepth(S'/(K:x3)) = 2", _sdepth(Kc, node_budget) == 2)
+    checks.expect_sdepth("sdepth(S'/(K:x3)) = 2", Kc, 2)
     checks.expect("depth(S'/(K,x3)) = 1", _depth(Ks) == 1)
-    checks.expect("sdepth(S'/(K,x3)) = 1", _sdepth(Ks, node_budget) == 1)
+    checks.expect_sdepth("sdepth(S'/(K,x3)) = 1", Ks, 1)
     checks.expect("depth(S'/K) >= 1", _depth(K) >= 1)
     # final values
     d_final = _depth(J2)
     values["depth_final"] = d_final
     checks.expect("depth(S/J^2) >= 2 (chain)", d_final >= 2)
     checks.expect("depth(S/J^2) = 3", d_final == 3)
-    s_final = _sdepth_or_skip(checks, "sdepth(S/J^2)", J2, node_budget)
+    s_final = checks.sdepth("sdepth(S/J^2)", J2)
     if s_final is not None:
         values["sdepth_final"] = s_final
         checks.expect("sdepth(S/J^2) = 3", s_final == 3)
@@ -953,9 +945,9 @@ def run_example_1(node_budget=5_000_000):
     )
 
 
-def run_example_2(node_budget=5_000_000):
+def run_example_2(node_budget=DEFAULT_BUDGET):
     """Replay of the J(6,4)^2 computation down to depth(S/J^2) = 1."""
-    checks = _Checks()
+    checks = _Checks(node_budget)
     values = {}
     J, Jprime, I, x6 = _cycle_reduction(6, 4)
     J2 = J.power(2)
@@ -994,14 +986,14 @@ def run_example_2(node_budget=5_000_000):
     # the two 4-variable model computations (variables x1, x2, x4, x5)
     A = MonomialIdeal.variable_prime((1, 4), 4) * MonomialIdeal.variable_prime((2, 3), 4)
     checks.expect("model depth (x1,x5)(x2,x4) = 1", _depth(A) == 1)
-    checks.expect("model sdepth (x1,x5)(x2,x4) = 1", _sdepth(A, node_budget) == 1)
+    checks.expect_sdepth("model sdepth (x1,x5)(x2,x4) = 1", A, 1)
     B = MonomialIdeal.variable_prime((1, 4), 4) * parse_ideal("x1*x2, x3*x4", 4)
     checks.expect("model depth (x1,x5)(x1x2,x4x5) = 2", _depth(B) == 2)
-    checks.expect("model sdepth (x1,x5)(x1x2,x4x5) = 2", _sdepth(B, node_budget) == 2)
+    checks.expect_sdepth("model sdepth (x1,x5)(x1x2,x4x5) = 2", B, 2)
     checks.expect("depth(S'/(L,x3)) = 1", _depth(Ls) == 1)
-    checks.expect("sdepth(S'/(L,x3)) = 1", _sdepth(Ls, node_budget) == 1)
+    checks.expect_sdepth("sdepth(S'/(L,x3)) = 1", Ls, 1)
     checks.expect("depth(S'/(L:x3)) = 3", _depth(Lc) == 3)
-    checks.expect("sdepth(S'/(L:x3)) = 3", _sdepth(Lc, node_budget) == 3)
+    checks.expect_sdepth("sdepth(S'/(L:x3)) = 3", Lc, 3)
     checks.expect("depth(S'/L) >= 1", _depth(L) >= 1)
     d2 = _depth(Jprime.power(2))
     values["depth_Jprime2"] = d2
@@ -1016,7 +1008,7 @@ def run_example_2(node_budget=5_000_000):
     d_final = _depth(J2)
     values["depth_final"] = d_final
     checks.expect("depth(S/J^2) = 1", d_final == 1)
-    s_final = _sdepth_or_skip(checks, "sdepth(S/J^2)", J2, node_budget)
+    s_final = checks.sdepth("sdepth(S/J^2)", J2)
     if s_final is not None:
         values["sdepth_final_computed"] = s_final  # reported, not claimed
         checks.expect("sdepth >= depth", s_final >= d_final)
@@ -1032,8 +1024,8 @@ def run_example_2(node_budget=5_000_000):
 # registry
 
 
-def _budget(config, default=2_000_000):
-    return config.get("node_budget", default)
+def _budget(config):
+    return config.get("node_budget", DEFAULT_BUDGET)
 
 
 def _grid_theorem_1_9(config):
@@ -1144,13 +1136,13 @@ CLAIM_IDS = {
         check_obsy2(6, 3, 2, node_budget=_budget(config)),
         check_obsy2(6, 4, 2, node_budget=_budget(config)),
     ],
-    "example-3.4": lambda config: [run_example_1(node_budget=_budget(config, 5_000_000))],
-    "example-3.5": lambda config: [run_example_2(node_budget=_budget(config, 5_000_000))],
+    "example-3.4": lambda config: [run_example_1(node_budget=_budget(config))],
+    "example-3.5": lambda config: [run_example_2(node_budget=_budget(config))],
 }
 
 
 def run_claims(claim_ids, config=None, jobs=1):
-    """Run the requested claims and append the global Stanley-inequality report.
+    """Run the requested claims and append the Stanley-inequality report.
 
     Reports are aggregated deterministically by claim id regardless of the
     execution schedule.
@@ -1159,7 +1151,6 @@ def run_claims(claim_ids, config=None, jobs=1):
     unknown = [c for c in claim_ids if c not in CLAIM_IDS]
     if unknown:
         raise KeyError("unknown claim ids: %s" % ", ".join(unknown))
-    reset_observations()
     ordered = sorted(set(claim_ids))
     results = {}
     if jobs > 1:
@@ -1173,16 +1164,15 @@ def run_claims(claim_ids, config=None, jobs=1):
         for c in ordered:
             results[c] = CLAIM_IDS[c](config)
     reports = [r for c in ordered for r in results[c]]
+    observed = [o for r in reports for o in r.observed]
     violations = [
-        {"ideal": text, "depth": d, "sdepth": s}
-        for (text, d, s) in observed_quotients()
-        if s < d
+        {"ideal": text, "depth": d, "sdepth": s} for (text, d, s) in observed if s < d
     ]
     reports.append(
         ClaimReport(
             "stanley-inequality",
             {"claims": ordered},
-            {"quotients_checked": len(observed_quotients()), "violations": violations},
+            {"quotients_checked": len(observed), "violations": violations},
             "sdepth >= depth on every quotient computed in this run",
             "pass" if not violations else "fail",
             "" if not violations else "counterexample to the verified cases",

@@ -4,8 +4,8 @@ Subcommands construct the ideal families, evaluate the closed forms,
 run the exact depth/sdepth engines, tabulate grids, verify the claim
 registry, and export ideals to computer-algebra systems.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
-3 budget or cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
+or cap exceeded.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .depth import PolarizationCapError, depth_quotient, depth_via_polarization
 from .families import cycle_ideal, path_ideal, phi, t0_alpha
 from .monomials import Monomial, MonomialIdeal, parse_ideal
 from .sdepth import (
+    DEFAULT_BUDGET,
     PosetCapError,
     SearchBudgetError,
     build_poset,
@@ -35,21 +36,26 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DEFAULT_BUDGET = 2_000_000
 BUDGET_ENV = "PATHDEPTH_NODE_BUDGET"
+
+
+def _positive_int(text):
+    """The value of --budget or of PATHDEPTH_NODE_BUDGET."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+    return value
 
 
 def _env_budget():
     raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
     try:
-        value = int(raw)
-        if value <= 0:
-            raise ValueError
-    except ValueError:
-        raise SystemExit("%s must be a positive integer, got %r" % (BUDGET_ENV, raw))
-    return value
+        return DEFAULT_BUDGET if raw is None else _positive_int(raw)
+    except argparse.ArgumentTypeError as e:
+        raise ValueError("%s %s" % (BUDGET_ENV, e))
 
 
 # ---------------------------------------------------------------------
@@ -89,11 +95,11 @@ def render_rows(rows, fmt, out):
 def _ideal_from_args(args):
     if args.family is not None:
         if args.n is None or args.m is None:
-            raise SystemExit("--family requires --n and --m")
+            raise ValueError("--family requires --n and --m")
         base = path_ideal(args.n, args.m) if args.family == "ipath" else cycle_ideal(args.n, args.m)
         return base.power(args.power)
     if args.ideal is None or args.nvars is None:
-        raise SystemExit("provide either --family with --n/--m, or --ideal with --nvars")
+        raise ValueError("provide either --family with --n/--m, or --ideal with --nvars")
     return parse_ideal(args.ideal, args.nvars).power(args.power)
 
 
@@ -386,7 +392,7 @@ def build_parser():
 
     p = sub.add_parser("sdepth", help="exact Stanley depth of S/I")
     _add_ideal_args(p)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--poset-cap", type=int, default=100000)
     p.add_argument("--certificate", action="store_true")
     fmt_arg(p)
@@ -397,7 +403,7 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--t-max", type=int, default=2)
     p.add_argument("--sdepth", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--poset-cap", type=int, default=100000)
     fmt_arg(p, default="csv")
     p.set_defaults(func=_cmd_table)
@@ -406,7 +412,7 @@ def build_parser():
     p.add_argument("claims", nargs="*", metavar="CLAIM_ID")
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--t-max", type=int, default=3)
@@ -423,11 +429,10 @@ def build_parser():
 
 
 def main(argv=None, out=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = _env_budget()
+    args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "budget") and args.budget is None:
+            args.budget = _env_budget()
         return args.func(args, out or sys.stdout)
     except (ValueError, KeyError) as e:
         sys.stderr.write("error: %s\n" % e)

@@ -16,6 +16,7 @@ from itertools import product as _cartesian
 from .monomials import Monomial
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "PosetCapError",
     "SearchBudgetError",
     "CharacteristicPoset",
@@ -28,6 +29,11 @@ __all__ = [
     "verify_partition",
     "partition_to_decomposition",
 ]
+
+
+# node budget of every search unless the caller passes another one: library
+# calls, the claim registry and the command line alike
+DEFAULT_BUDGET = 2_000_000
 
 
 class PosetCapError(RuntimeError):
@@ -120,7 +126,7 @@ def _interval_mask(poset, index, a, b):
 _MEMO_CAP = 500_000
 
 
-def has_partition_min_label(poset, k, node_budget=2_000_000):
+def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     """A StanleyPartition with every interval label >= k, or None.
 
     Canonical exact-cover search: points are scanned in a fixed linear
@@ -206,7 +212,7 @@ def has_partition_min_label(poset, k, node_budget=2_000_000):
     return None
 
 
-def sdepth_quotient(ideal, g=None, cap=100000, node_budget=2_000_000):
+def sdepth_quotient(ideal, g=None, cap=100000, node_budget=DEFAULT_BUDGET):
     """Exact sdepth(S/I): largest k admitting an interval partition."""
     poset = build_poset(ideal, g=g, cap=cap)
     k_hi = max(poset.label(a) for a in poset.points)

@@ -7,7 +7,6 @@ integers -- no tolerances anywhere.
 
 import pytest
 
-from pathdepth import claims
 from pathdepth.claims import (
     check_engine_agreement,
     check_inmt,
@@ -173,7 +172,6 @@ def test_criterion_6_upper_bounds_on_cycle_grid(capsys):
 
 
 def test_criterion_7_property_suites(capsys):
-    claims.reset_observations()
     reports = [
         check_lemma_1_2(n_max=5, samples=15, seed=0),
         check_engine_agreement(samples=50, seed=0),
@@ -182,14 +180,13 @@ def test_criterion_7_property_suites(capsys):
         check_lemma_1_6(samples=50, seed=0),
     ]
     failed = [r for r in reports if r.verdict != "pass"]
-    violations = [
-        (text, d, s) for (text, d, s) in claims.observed_quotients() if s < d
-    ]
-    ok = not failed and not violations and claims.observed_quotients()
+    observed = [o for r in reports for o in r.observed]
+    violations = [(text, d, s) for (text, d, s) in observed if s < d]
+    ok = not failed and not violations and observed
     announce(
         capsys, 7, "property suites and the Stanley inequality on all instances",
         bool(ok),
     )
     assert not failed, [(r.claim_id, r.reason) for r in failed]
-    assert claims.observed_quotients(), "no quotient had both invariants computed"
+    assert observed, "no quotient had both invariants computed"
     assert not violations, violations

@@ -1,6 +1,8 @@
-"""Every exported name resolves."""
+"""Every exported name resolves; the library holds no assert statement."""
 
+import ast
 import importlib
+import pathlib
 
 import pytest
 
@@ -19,3 +21,15 @@ def test_submodule_exports_resolve(name):
     module = importlib.import_module("pathdepth." + name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_no_assert_statement_in_library():
+    # assert statements vanish under python -O; invariants must raise instead
+    root = pathlib.Path(pathdepth.__file__).parent
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

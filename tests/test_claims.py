@@ -1,5 +1,7 @@
 """Claim registry: reports, exact-sequence bounds, and spot checks."""
 
+import io
+
 import pytest
 
 from pathdepth import claims
@@ -19,6 +21,7 @@ from pathdepth.claims import (
     run_claims,
     ses_depth_bounds,
 )
+from pathdepth.cli import EXIT_OK, main
 from pathdepth.monomials import MonomialIdeal, parse_ideal
 
 
@@ -178,8 +181,38 @@ def test_small_budget_skips_theorem_2_2_without_failing(monkeypatch):
 
 def test_verify_budget_reaches_theorem_2_2(monkeypatch):
     seen = []
-    monkeypatch.setattr(
-        claims, "check_t1", lambda n, t, node_budget: seen.append(node_budget)
-    )
+
+    def fake_check_t1(n, t, node_budget):
+        seen.append(node_budget)
+        return ClaimReport("theorem-2.2", {"n": n, "t": t}, {}, "", "pass")
+
+    monkeypatch.setattr(claims, "check_t1", fake_check_t1)
     run_claims(["theorem-2.2"], config={"node_budget": 1000})
     assert seen == [1000] * 4
+
+
+def test_worked_examples_skip_within_tiny_budget(monkeypatch):
+    monkeypatch.setattr(claims, "_SDEPTH_CACHE", {})
+    ran = []
+    record = claims._Checks.expect
+    monkeypatch.setattr(
+        claims._Checks,
+        "expect",
+        lambda self, name, ok: ran.append(name) or record(self, name, ok),
+    )
+    reports = run_claims(["example-3.4", "example-3.5"], config={"node_budget": 10})
+    examples = [r for r in reports if r.claim_id.startswith("example-")]
+    assert [r.verdict for r in examples] == ["pass", "pass"], [r.reason for r in examples]
+    assert all(r.values["skipped"] for r in examples)
+    # the replayed sdepth bound needs both outer sdepths, and one is skipped
+    assert "depth(S'/W) >= 2 (replayed)" in ran
+    assert "sdepth(S'/W) >= 2 (replayed)" not in ran
+    assert main(["verify", "example-3.4", "--budget", "10"], out=io.StringIO()) == EXIT_OK
+
+
+def test_stanley_inequality_report_counts_every_observation():
+    reports = run_claims(["lemma-1.7"], config={"node_budget": 1000})
+    (lemma, stanley) = reports
+    assert lemma.observed
+    assert stanley.values["quotients_checked"] == len(lemma.observed)
+    assert "observed" not in lemma.as_dict()

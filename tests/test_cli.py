@@ -91,9 +91,17 @@ def test_exit_codes_are_distinguishable():
     # usage: unknown claim id
     code, _ = run_cli("verify", "no-such-claim")
     assert code == EXIT_USAGE
-    # usage: missing ideal specification
-    with pytest.raises(SystemExit):
-        run_cli("depth")
+    # usage: missing or incomplete ideal specification
+    for argv in (("depth",), ("depth", "--family", "jcycle", "--m", "3"),
+                 ("depth", "--ideal", "x1")):
+        code, _ = run_cli(*argv)
+        assert code == EXIT_USAGE, argv
+    # usage: a budget that is not a positive integer
+    for budget in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sdepth", "--family", "ipath", "--n", "4", "--m", "2",
+                    "--budget", budget)
+        assert exc.value.code == EXIT_USAGE, budget
     assert EXIT_OK != EXIT_FAIL != EXIT_BUDGET != EXIT_USAGE
 
 
@@ -133,9 +141,10 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("PATHDEPTH_NODE_BUDGET", "2")
     code, _ = run_cli("sdepth", "--family", "ipath", "--n", "5", "--m", "2")
     assert code == EXIT_BUDGET
-    monkeypatch.setenv("PATHDEPTH_NODE_BUDGET", "nonsense")
-    with pytest.raises(SystemExit):
-        run_cli("sdepth", "--family", "ipath", "--n", "4", "--m", "2")
+    for raw in ("nonsense", "0"):
+        monkeypatch.setenv("PATHDEPTH_NODE_BUDGET", raw)
+        code, _ = run_cli("sdepth", "--family", "ipath", "--n", "4", "--m", "2")
+        assert code == EXIT_USAGE, raw
 
 
 def test_export_round_trip_both_dialects():
