@@ -9,6 +9,7 @@ a reason, never passed or failed.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -79,22 +80,30 @@ class ClaimReport:
 
 
 # ---------------------------------------------------------------------
-# shared plumbing: engine caches and the per-report check accumulator
-
-_DEPTH_CACHE = {}
-_SDEPTH_CACHE = {}
+# shared plumbing: engine memos and the per-report check accumulator
 
 
+@functools.cache
 def _depth(ideal):
-    key = (ideal.n_vars, ideal.gens)
-    if key not in _DEPTH_CACHE:
-        _DEPTH_CACHE[key] = depth_quotient(ideal).depth
-    return _DEPTH_CACHE[key]
+    return depth_quotient(ideal).depth
+
+
+@functools.cache
+def _sdepth(ideal, node_budget):
+    """(sdepth, None) once its certificate verifies, or (None, skip reason)."""
+    try:
+        result = sdepth_quotient(ideal, node_budget=node_budget)
+    except (SearchBudgetError, PosetCapError) as e:
+        return None, str(e)
+    ok, why = verify_partition(build_poset(ideal), result.partition)
+    if not ok:
+        raise AssertionError("invalid sdepth certificate: %s" % why)
+    return result.sdepth, None
 
 
 class _Checks:
-    """Checks, budget skips and sdepth observations for one report; the only
-    route from a claim to the Stanley-depth engine."""
+    """Checks, budget skips and sdepth observations for one report; the route from a
+    claim to sdepth_quotient (check_phi's bracket calls has_partition_min_label)."""
 
     def __init__(self, node_budget=DEFAULT_BUDGET):
         self.node_budget = node_budget
@@ -114,19 +123,11 @@ class _Checks:
 
     def sdepth(self, name, ideal):
         """Exact sdepth(S/I) with a verified certificate, or None after a skip."""
-        key = (ideal.n_vars, ideal.gens)
-        if key not in _SDEPTH_CACHE:
-            try:
-                result = sdepth_quotient(ideal, node_budget=self.node_budget)
-            except (SearchBudgetError, PosetCapError) as e:
-                self.skip(name, str(e))
-                return None
-            ok, why = verify_partition(build_poset(ideal), result.partition)
-            if not ok:
-                raise AssertionError("invalid sdepth certificate: %s" % why)
-            _SDEPTH_CACHE[key] = result.sdepth
-        value = _SDEPTH_CACHE[key]
-        self.observed.append((str(ideal), _depth(ideal), value))
+        value, why = _sdepth(ideal, self.node_budget)
+        if value is None:
+            self.skip(name, why)
+        else:
+            self.observed.append((str(ideal), _depth(ideal), value))
         return value
 
     def expect_sdepth(self, name, ideal, value):
@@ -1032,19 +1033,11 @@ def _grid_theorem_1_9(config):
     n_max = config.get("n_max", 7)
     sdepth_n_max = config.get("sdepth_n_max", 5)
     t_max = config.get("t_max", 3)
-    out = []
-    for n in range(1, n_max + 1):
-        for m in range(1, n + 1):
-            out.append(
-                check_phi(
-                    n,
-                    m,
-                    t_max,
-                    with_sdepth=(n <= sdepth_n_max),
-                    node_budget=_budget(config),
-                )
-            )
-    return out
+    return [
+        check_phi(n, m, t_max, with_sdepth=(n <= sdepth_n_max), node_budget=_budget(config))
+        for n in range(1, n_max + 1)
+        for m in range(1, n + 1)
+    ]
 
 
 def _grid_lucky(config):
@@ -1163,7 +1156,14 @@ def run_claims(claim_ids, config=None, jobs=1):
     else:
         for c in ordered:
             results[c] = CLAIM_IDS[c](config)
-    reports = [r for c in ordered for r in results[c]]
+    # a grid that the options leave empty still reports the claim
+    grid = {k: config[k] for k in ("n_max", "t_max") if k in config}
+    empty = "no instance in the grid for " + ", ".join("%s=%s" % kv for kv in grid.items())
+    reports = [
+        r
+        for c in ordered
+        for r in results[c] or [ClaimReport(c, grid, {}, "", "skipped", empty)]
+    ]
     observed = [o for r in reports for o in r.observed]
     violations = [
         {"ideal": text, "depth": d, "sdepth": s} for (text, d, s) in observed if s < d

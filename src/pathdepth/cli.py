@@ -40,7 +40,7 @@ BUDGET_ENV = "PATHDEPTH_NODE_BUDGET"
 
 
 def _positive_int(text):
-    """The value of --budget or of PATHDEPTH_NODE_BUDGET."""
+    """--budget, PATHDEPTH_NODE_BUDGET, and verify's --n-max, --t-max and --jobs."""
     try:
         value = int(text)
     except ValueError:
@@ -413,9 +413,9 @@ def build_parser():
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--t-max", type=int, default=3)
+    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--n-max", type=_positive_int, default=7)
+    p.add_argument("--t-max", type=_positive_int, default=3)
     p.add_argument("--sdepth-n-max", type=int, default=5)
     fmt_arg(p)
     p.set_defaults(func=_cmd_verify)

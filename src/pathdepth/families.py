@@ -53,8 +53,10 @@ def cycle_ideal(n, m):
 
 def phi(n, m, t):
     """Closed-form depth of S/I(n,m)^t; exact integer arithmetic only."""
-    if n < 1 or m < 1 or t < 1:
-        raise ValueError("phi requires positive arguments")
+    if not (1 <= m <= n and t >= 1):
+        raise ValueError(
+            "phi requires 1 <= m <= n and t >= 1, got (%d, %d, %d)" % (n, m, t)
+        )
     if t > n + 1 - m:
         return m - 1
     q = n - t + 2

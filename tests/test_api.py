@@ -1,4 +1,5 @@
-"""Every exported name resolves; the library holds no assert statement."""
+"""Every exported name resolves; the library holds no assert statement and no
+module-level mutable container."""
 
 import ast
 import importlib
@@ -23,13 +24,45 @@ def test_submodule_exports_resolve(name):
     assert missing == []
 
 
+def _library_trees():
+    root = pathlib.Path(pathdepth.__file__).parent
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(root.rglob("*.py"))]
+
+
 def test_no_assert_statement_in_library():
     # assert statements vanish under python -O; invariants must raise instead
-    root = pathlib.Path(pathdepth.__file__).parent
     found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in sorted(root.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _library_trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def _is_mutable_container(value):
+    if isinstance(value, (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)):
+        return True
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in ("dict", "set", "list")
+    )
+
+
+def test_no_module_level_mutable_container_in_library():
+    # module state that a call can fill makes answers depend on call order;
+    # memos key on their arguments through functools.cache instead
+    allowed = {"__all__", "CLAIM_IDS"}
+    found = []
+    for name, tree in _library_trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = {ast.unparse(t) for t in node.targets}
+            elif isinstance(node, ast.AnnAssign):
+                targets = {ast.unparse(node.target)}
+            else:
+                continue
+            if _is_mutable_container(node.value) and not targets <= allowed:
+                found.append("%s:%d %s" % (name, node.lineno, ", ".join(sorted(targets))))
     assert found == []

@@ -22,6 +22,7 @@ from pathdepth.claims import (
     ses_depth_bounds,
 )
 from pathdepth.cli import EXIT_OK, main
+from pathdepth.families import cycle_ideal
 from pathdepth.monomials import MonomialIdeal, parse_ideal
 
 
@@ -162,18 +163,14 @@ def test_registry_covers_expected_claims():
     assert expected == set(claims.CLAIM_IDS)
 
 
-def test_verify_budget_reaches_lemma_2_4(monkeypatch):
-    # an empty cache keeps sdepth values decided by earlier tests from
-    # bypassing the small budget
-    monkeypatch.setattr(claims, "_SDEPTH_CACHE", {})
+def test_verify_budget_reaches_lemma_2_4():
     reports = run_claims(["lemma-2.4"], config={"node_budget": 1000})
     (report,) = [r for r in reports if r.params == {"n": 7, "m": 2, "t": 3}]
     assert report.values["skipped"]
     assert "2000000" not in report.reason
 
 
-def test_small_budget_skips_theorem_2_2_without_failing(monkeypatch):
-    monkeypatch.setattr(claims, "_SDEPTH_CACHE", {})
+def test_small_budget_skips_theorem_2_2_without_failing():
     reports = [check_t1(n, t, node_budget=1000) for (n, t) in ((4, 3), (5, 4), (5, 2))]
     assert all(r.verdict == "pass" for r in reports), [r.reason for r in reports]
     assert any(r.values.get("skipped") for r in reports)
@@ -192,7 +189,6 @@ def test_verify_budget_reaches_theorem_2_2(monkeypatch):
 
 
 def test_worked_examples_skip_within_tiny_budget(monkeypatch):
-    monkeypatch.setattr(claims, "_SDEPTH_CACHE", {})
     ran = []
     record = claims._Checks.expect
     monkeypatch.setattr(
@@ -216,3 +212,30 @@ def test_stanley_inequality_report_counts_every_observation():
     assert lemma.observed
     assert stanley.values["quotients_checked"] == len(lemma.observed)
     assert "observed" not in lemma.as_dict()
+
+
+def test_sdepth_skip_runs_the_engine_once(monkeypatch):
+    calls = []
+    search = claims.sdepth_quotient
+
+    def counted(ideal, node_budget):
+        calls.append(node_budget)
+        return search(ideal, node_budget=node_budget)
+
+    monkeypatch.setattr(claims, "sdepth_quotient", counted)
+    checks = claims._Checks(777)
+    J2 = cycle_ideal(6, 4).power(2)
+    assert checks.sdepth("J(6,4)^2", J2) is None
+    assert checks.sdepth("J(6,4)^2", J2) is None
+    assert calls == [777]
+    assert len(checks.skipped) == 2
+    assert checks.skipped[0] == checks.skipped[1]
+
+
+def test_sdepth_memo_is_keyed_by_budget():
+    J2 = cycle_ideal(6, 3).power(2)
+    decided = claims._Checks()
+    assert decided.sdepth("J(6,3)^2", J2) == 3
+    tiny = claims._Checks(10)
+    assert tiny.sdepth("J(6,3)^2", J2) is None
+    assert tiny.skipped and not tiny.observed

@@ -102,6 +102,23 @@ def test_exit_codes_are_distinguishable():
             run_cli("sdepth", "--family", "ipath", "--n", "4", "--m", "2",
                     "--budget", budget)
         assert exc.value.code == EXIT_USAGE, budget
+    # usage: phi outside 1 <= m <= n
+    code, _ = run_cli("phi", "3", "5", "1")
+    assert code == EXIT_USAGE
+    # usage: verify grid options and job counts that are not positive
+    for option, value in (("--n-max", "-1"), ("--t-max", "0"), ("--jobs", "0")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "lemma-2.3", option, value)
+        assert exc.value.code == EXIT_USAGE, option
+    # valid options whose grid is empty: the claim is reported as skipped
+    code, text = run_cli("verify", "theorem-2.5", "--n-max", "4")
+    assert code == EXIT_OK
+    run = json.loads(text)
+    assert run["run"]["skipped"] == 1
+    (report, _) = run["reports"]
+    assert report["claim_id"] == "theorem-2.5"
+    assert report["verdict"] == "skipped"
+    assert "n_max=4" in report["reason"]
     assert EXIT_OK != EXIT_FAIL != EXIT_BUDGET != EXIT_USAGE
 
 

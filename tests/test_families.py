@@ -51,6 +51,9 @@ def test_phi_closed_form_values():
     # stable regime: t > n + 1 - m
     assert phi(5, 3, 4) == 2
     assert phi(4, 2, 100) == 1
+    # outside the domain: I(3,5) has no generator and S/I(3,5) is all of S
+    with pytest.raises(ValueError):
+        phi(3, 5, 1)
 
 
 @given(
