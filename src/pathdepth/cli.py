@@ -40,7 +40,11 @@ BUDGET_ENV = "PATHDEPTH_NODE_BUDGET"
 
 
 def _positive_int(text):
-    """--budget, PATHDEPTH_NODE_BUDGET, and verify's --n-max, --t-max and --jobs."""
+    """A positive integer, or an argparse error (exit 2).
+
+    Reads --budget, PATHDEPTH_NODE_BUDGET, --jobs, the --n-max/--t-max grid
+    bounds of verify and table, --polarization-cap and --poset-cap.
+    """
     try:
         value = int(text)
     except ValueError:
@@ -281,6 +285,8 @@ def _cmd_table(args, out):
                         row["sdepth"] = "budget"
                         budget_hit = True
                 rows.append(row)
+    if not rows:
+        raise ValueError("no instance in the grid for n_max=%d" % args.n_max)
     render_rows(rows, args.format, out)
     return EXIT_BUDGET if budget_hit else EXIT_OK
 
@@ -386,25 +392,25 @@ def build_parser():
     p = sub.add_parser("depth", help="exact depth of S/I")
     _add_ideal_args(p)
     p.add_argument("--method", choices=("lattice", "polarization"), default="lattice")
-    p.add_argument("--polarization-cap", type=int, default=14)
+    p.add_argument("--polarization-cap", type=_positive_int, default=14)
     fmt_arg(p)
     p.set_defaults(func=_cmd_depth)
 
     p = sub.add_parser("sdepth", help="exact Stanley depth of S/I")
     _add_ideal_args(p)
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--poset-cap", type=int, default=100000)
+    p.add_argument("--poset-cap", type=_positive_int, default=100000)
     p.add_argument("--certificate", action="store_true")
     fmt_arg(p)
     p.set_defaults(func=_cmd_sdepth)
 
     p = sub.add_parser("table", help="grid of depth/phi (optionally sdepth)")
     p.add_argument("--family", choices=("ipath", "jcycle"), required=True)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--t-max", type=int, default=2)
+    p.add_argument("--n-max", type=_positive_int, default=6)
+    p.add_argument("--t-max", type=_positive_int, default=2)
     p.add_argument("--sdepth", action="store_true")
     p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--poset-cap", type=int, default=100000)
+    p.add_argument("--poset-cap", type=_positive_int, default=100000)
     fmt_arg(p, default="csv")
     p.set_defaults(func=_cmd_table)
 

@@ -8,6 +8,11 @@ the Koszul strand complex at a.  That complex is homotopy equivalent to
 the order complex of the open interval below a in the lcm lattice, which
 is also implemented directly (and cross-checked in the tests) for small
 inputs.  depth = n - pd by Auslander-Buchsbaum.
+
+The two hot loops run on flat data: the lattice is closed over exponent
+tuples packed into one int each (`_lcm_closure`), and the Koszul strand
+faces are read off bitsets of generators (`_koszul_faces`).  Monomials
+appear only in what the public functions take and return.
 """
 
 from __future__ import annotations
@@ -158,23 +163,44 @@ class LcmLattice:
         return best
 
 
+def _lcm_closure(exponent_tuples):
+    """Closure of exponent tuples under componentwise max, in lex order.
+
+    Each tuple is packed into one int, x_1 in the highest field; a field
+    holds w = max_exponent.bit_length() value bits under one guard bit G.
+    Per field, (a | G) - b keeps its guard bit iff a_i >= b_i and never
+    borrows from the next field, so one subtraction compares every pair
+    of exponents and the guards, spread over the value bits, select the
+    larger of each.  Integer order on the packed words is lex order on the
+    tuples.
+    """
+    n = len(exponent_tuples[0])
+    w = max(max(t) for t in exponent_tuples).bit_length()
+    shifts = [(n - 1 - i) * (w + 1) for i in range(n)]
+    guard = sum(1 << (s + w) for s in shifts)
+    gens = {sum(e << s for e, s in zip(t, shifts)) for t in exponent_tuples}
+    elements = set(gens)
+    frontier = gens
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            ag = a | guard
+            for b in gens:
+                ge = (ag - b) & guard
+                keep = ge - (ge >> w)
+                fresh.add((a & keep) | (b & ~keep))
+        frontier = fresh - elements
+        elements |= frontier
+    mask = (1 << w) - 1
+    return [tuple((m >> s) & mask for s in shifts) for m in sorted(elements)]
+
+
 def build_lcm_lattice(ideal):
     """Closure of the minimal generators under pairwise lcm."""
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("lcm lattice needs a proper nonzero ideal")
-    gens = ideal.gens
-    elements = set(gens)
-    frontier = set(gens)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for g in gens:
-                m = a.lcm(g)
-                if m not in elements:
-                    elements.add(m)
-                    fresh.add(m)
-        frontier = fresh
-    return LcmLattice(ideal.n_vars, tuple(sorted(elements)))
+    elements = _lcm_closure([g.exponents for g in ideal.gens])
+    return LcmLattice(ideal.n_vars, tuple(Monomial(e) for e in elements))
 
 
 def open_interval_homology(lattice, top):
@@ -223,45 +249,51 @@ class BettiTable:
         return max(i for (i, _) in self.entries)
 
 
-def _koszul_faces(exponents, member):
-    """Faces of the Koszul strand complex at multidegree `exponents`.
+def _below_bitsets(exponent_tuples):
+    """below[i][v]: bitset of the generators whose exponent in x_i is <= v.
+
+    Bit j stands for exponent_tuples[j]; v runs up to the largest exponent
+    of x_i, which bounds every lcm-lattice element.
+    """
+    below = []
+    for i in range(len(exponent_tuples[0])):
+        top = max(t[i] for t in exponent_tuples)
+        below.append([
+            sum(1 << j for j, t in enumerate(exponent_tuples) if t[i] <= v)
+            for v in range(top + 1)
+        ])
+    return below
+
+
+def _koszul_faces(exponents, below):
+    """Faces of the Koszul strand complex at a multidegree a of the ideal.
 
     A squarefree tau (subset of the support, 0-indexed) is a face iff
-    x^(a - tau) lies in the ideal; `member` answers membership for
-    exponent tuples.  The complex is closed under subsets, so the DFS
-    only extends faces that are present.
+    x^(a - tau) lies in the ideal, i.e. iff some generator dividing x^a
+    has exponent at most a_i - 1 in every x_i of tau: the bitset of the
+    generators dividing x^a, ANDed with below[i][a_i - 1] for i in tau,
+    is non-zero.  The complex is closed under subsets, so the DFS only
+    extends faces that are present.  `a` must lie in the ideal, as every
+    lcm-lattice element does.
     """
     support = [i for i, e in enumerate(exponents) if e > 0]
+    step = [below[i][exponents[i] - 1] for i in support]
+    dividing = -1
+    for row, e in zip(below, exponents):
+        dividing &= row[e]
     faces = []
 
     def grow(face, start, current):
         for k in range(start, len(support)):
-            i = support[k]
-            nxt = current[:i] + (current[i] - 1,) + current[i + 1:]
-            if member(nxt):
-                face.append(i)
+            nxt = current & step[k]
+            if nxt:
+                face.append(support[k])
                 faces.append(tuple(face))
                 grow(face, k + 1, nxt)
                 face.pop()
 
-    if member(exponents):
-        grow([], 0, exponents)
-        return faces, support, True
-    return faces, support, False
-
-
-def _membership_oracle(ideal):
-    gens = [g.exponents for g in ideal.gens]
-    cache = {}
-
-    def member(exps):
-        hit = cache.get(exps)
-        if hit is None:
-            hit = any(all(a <= b for a, b in zip(g, exps)) for g in gens)
-            cache[exps] = hit
-        return hit
-
-    return member
+    grow([], 0, dividing)
+    return faces, support
 
 
 def betti(ideal):
@@ -272,12 +304,10 @@ def betti(ideal):
     entries = {(0, Monomial.unit(n)): 1}
     if ideal.is_zero():
         return BettiTable(n, entries)
-    member = _membership_oracle(ideal)
     lattice = build_lcm_lattice(ideal)
+    below = _below_bitsets([g.exponents for g in ideal.gens])
     for a in lattice.elements:
-        faces, support, in_ideal = _koszul_faces(a.exponents, member)
-        if not in_ideal:
-            continue
+        faces, support = _koszul_faces(a.exponents, below)
         if faces and _is_cone(faces, support):
             continue
         for d, r in reduced_homology(faces).items():
@@ -326,18 +356,23 @@ def depth_via_polarization(ideal, cap=14):
     """Cross-check oracle: pd of the polarized (squarefree) ideal.
 
     Polarization preserves projective dimension, so
-    depth(S/I) = n_vars - pd(polarization).
+    depth(S/I) = n_vars - pd(polarization).  The polarized ring has
+    n + sum(max(c_i - 1, 0)) variables, c_i the largest exponent of x_i
+    among the generators; the cap is checked on that count, before the
+    polarized ideal is built.
     """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
     n = ideal.n_vars
     if ideal.is_zero():
         return DepthResult(n, 0, n, "polarization")
-    polarized, added = ideal.polarize()
-    if polarized.n_vars > cap:
+    caps = [max(col) for col in zip(*(g.exponents for g in ideal.gens))]
+    polarized_vars = n + sum(max(c - 1, 0) for c in caps)
+    if polarized_vars > cap:
         raise PolarizationCapError(
-            "polarized ring has %d variables, cap is %d" % (polarized.n_vars, cap)
+            "polarized ring has %d variables, cap is %d" % (polarized_vars, cap)
         )
+    polarized, _ = ideal.polarize()
     pd = betti(polarized).projective_dimension()
     return DepthResult(n - pd, pd, n, "polarization")
 

@@ -110,6 +110,31 @@ def test_exit_codes_are_distinguishable():
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "lemma-2.3", option, value)
         assert exc.value.code == EXIT_USAGE, option
+    # usage: table grid bounds that are not positive, or that leave no instance
+    for argv in (("--n-max", "0"), ("--t-max", "0"), ("--n-max", "-3")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("table", "--family", "ipath", *argv)
+        assert exc.value.code == EXIT_USAGE, argv
+    code, text = run_cli("table", "--family", "ipath", "--n-max", "1")
+    assert (code, text) == (EXIT_USAGE, "")
+    # usage: caps that are not positive are not budget exhaustion
+    for argv in (
+        ("depth", "--method", "polarization", "--polarization-cap", "-1"),
+        ("depth", "--method", "polarization", "--polarization-cap", "0"),
+        ("sdepth", "--poset-cap", "0"),
+        ("sdepth", "--poset-cap", "-2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--family", "ipath", "--n", "3", "--m", "2")
+        assert exc.value.code == EXIT_USAGE, argv
+    with pytest.raises(SystemExit) as exc:
+        run_cli("table", "--family", "ipath", "--n-max", "3", "--sdepth",
+                "--poset-cap", "0")
+    assert exc.value.code == EXIT_USAGE
+    # a positive cap that is too small is still budget exhaustion
+    code, _ = run_cli("depth", "--method", "polarization", "--polarization-cap",
+                      "2", "--family", "ipath", "--n", "3", "--m", "2")
+    assert code == EXIT_BUDGET
     # valid options whose grid is empty: the claim is reported as skipped
     code, text = run_cli("verify", "theorem-2.5", "--n-max", "4")
     assert code == EXIT_OK

@@ -11,6 +11,9 @@ from pathdepth.depth import (
     DepthResult,
     PolarizationCapError,
     UnitIdealError,
+    _below_bitsets,
+    _is_cone,
+    _koszul_faces,
     betti,
     build_lcm_lattice,
     depth_quotient,
@@ -168,6 +171,120 @@ def test_open_interval_agrees_with_koszul_betti():
             assert got == expected, (str(I), str(a))
 
 
+# packed lcm closure and bitset Koszul strands against the Monomial oracle
+
+
+def monomial_lcm_closure(ideal):
+    """Reference oracle: the lcm closure over Monomial objects, lex-sorted."""
+    gens = ideal.gens
+    elements = set(gens)
+    frontier = set(gens)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for g in gens:
+                m = a.lcm(g)
+                if m not in elements:
+                    elements.add(m)
+                    fresh.add(m)
+        frontier = fresh
+    return tuple(sorted(elements))
+
+
+def _membership_oracle(ideal):
+    gens = [g.exponents for g in ideal.gens]
+    cache = {}
+
+    def member(exps):
+        hit = cache.get(exps)
+        if hit is None:
+            hit = any(all(a <= b for a, b in zip(g, exps)) for g in gens)
+            cache[exps] = hit
+        return hit
+
+    return member
+
+
+def membership_koszul_faces(exponents, member):
+    """Reference oracle: Koszul strand faces by a membership test per face.
+
+    tau is a face iff x^(a - tau) is in the ideal; returns the faces in DFS
+    order, the support, and whether x^a itself is in the ideal.
+    """
+    support = [i for i, e in enumerate(exponents) if e > 0]
+    faces = []
+
+    def grow(face, start, current):
+        for k in range(start, len(support)):
+            i = support[k]
+            nxt = current[:i] + (current[i] - 1,) + current[i + 1:]
+            if member(nxt):
+                face.append(i)
+                faces.append(tuple(face))
+                grow(face, k + 1, nxt)
+                face.pop()
+
+    if member(exponents):
+        grow([], 0, exponents)
+        return faces, support, True
+    return faces, support, False
+
+
+def oracle_betti_entries(ideal):
+    """Betti entries of S/I from the two oracles above, in the engine's order."""
+    entries = {(0, Monomial.unit(ideal.n_vars)): 1}
+    member = _membership_oracle(ideal)
+    for a in monomial_lcm_closure(ideal):
+        faces, support, in_ideal = membership_koszul_faces(a.exponents, member)
+        if not in_ideal:
+            continue
+        if faces and _is_cone(faces, support):
+            continue
+        for d, r in reduced_homology(faces).items():
+            entries[(d + 2, a)] = r
+    return entries
+
+
+def assert_matches_oracle(ideal):
+    lattice = build_lcm_lattice(ideal)
+    assert lattice.elements == monomial_lcm_closure(ideal)
+    below = _below_bitsets([g.exponents for g in ideal.gens])
+    member = _membership_oracle(ideal)
+    for a in lattice.elements:
+        faces, support, in_ideal = membership_koszul_faces(a.exponents, member)
+        assert in_ideal
+        assert _koszul_faces(a.exponents, below) == (faces, support), str(a)
+    # same entries in the same order, not only the same map
+    assert list(betti(ideal).entries.items()) == list(oracle_betti_entries(ideal).items())
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_engine_matches_monomial_oracle(data):
+    n = data.draw(st.integers(1, 6))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        exps = tuple(data.draw(st.integers(0, 9)) for _ in range(n))
+        if any(exps):
+            gens.append(Monomial(exps))
+    if not gens:
+        gens = [Monomial.variable(1, n)]
+    assert_matches_oracle(MonomialIdeal(n, gens))
+
+
+def test_packed_engine_matches_oracle_on_wide_fields():
+    # 7 value bits per field
+    assert_matches_oracle(parse_ideal("x1^100, x2^100, x3^100", 3))
+    assert_matches_oracle(parse_ideal("x1^100*x2, x2^64*x3^127, x1^63*x3", 3))
+
+
+def test_packed_engine_matches_oracle_on_fourteen_variables():
+    # squarefree in 14 variables, the default polarization cap
+    I = path_ideal(14, 7)
+    assert I.n_vars == 14
+    assert_matches_oracle(I)
+
+
 # Betti numbers -------------------------------------------------------
 
 
@@ -238,6 +355,19 @@ def test_polarization_agrees_on_cycle_square():
 def test_polarization_cap():
     with pytest.raises(PolarizationCapError):
         depth_via_polarization(parse_ideal("x1^10, x2^10", 2), cap=4)
+    # the cap is inclusive: 2 + 2 + 2 variables
+    assert depth_via_polarization(parse_ideal("x1^3, x2^3", 2), cap=6).depth == 0
+
+
+def test_polarization_cap_fires_before_polarizing(monkeypatch):
+    def refuse(self):
+        raise AssertionError("polarize() called past the cap")
+
+    monkeypatch.setattr(MonomialIdeal, "polarize", refuse)
+    with pytest.raises(PolarizationCapError, match="^polarized ring has 20 variables, cap is 4$"):
+        depth_via_polarization(parse_ideal("x1^10, x2^10", 2), cap=4)
+    with pytest.raises(PolarizationCapError, match="has 15 variables, cap is 14"):
+        depth_via_polarization(cycle_ideal(5, 3).power(3), cap=14)
 
 
 @given(st.data())
