@@ -323,6 +323,10 @@ def _cmd_verify(args, out):
         "reports": len(rows),
         "failed": sum(r.verdict == "fail" for r in reports),
         "skipped": sum(r.verdict == "skipped" for r in reports),
+        # reports with a verdict that still dropped sub-checks over a budget
+        "partly_skipped": sum(
+            r.verdict != "skipped" and bool(r.values.get("skipped")) for r in reports
+        ),
     }
     if args.format == "json":
         out.write(
@@ -335,7 +339,11 @@ def _cmd_verify(args, out):
         )
         out.write("\n")
     else:
-        out.write("seed=%d node_budget=%d\n" % (args.seed, args.budget))
+        counts = ("reports", "failed", "skipped", "partly_skipped")
+        out.write(
+            "seed=%d node_budget=%d %s\n"
+            % (args.seed, args.budget, " ".join("%s=%d" % (c, header[c]) for c in counts))
+        )
         render_rows(rows, args.format, out)
     return EXIT_FAIL if header["failed"] else EXIT_OK
 

@@ -5,9 +5,9 @@ candidate multidegrees are the elements of the lcm lattice of the minimal
 generators, and for each multidegree a the Betti number beta_{i,a}(S/I)
 is the reduced homology rank, in dimension i-2 and characteristic 0, of
 the Koszul strand complex at a.  That complex is homotopy equivalent to
-the order complex of the open interval below a in the lcm lattice, which
-is also implemented directly (and cross-checked in the tests) for small
-inputs.  depth = n - pd by Auslander-Buchsbaum.
+the order complex of the open interval below a in the lcm lattice; the
+tests compute that homology directly as a cross-check on small inputs.
+depth = n - pd by Auslander-Buchsbaum.
 
 The two hot loops run on flat data: the lattice is closed over exponent
 tuples packed into one int each (`_lcm_closure`), and the Koszul strand
@@ -29,7 +29,6 @@ __all__ = [
     "BettiTable",
     "DepthResult",
     "build_lcm_lattice",
-    "open_interval_homology",
     "reduced_homology",
     "betti",
     "depth_quotient",
@@ -151,17 +150,6 @@ class LcmLattice:
     n_vars: int
     elements: tuple
 
-    def below(self, top):
-        """Elements strictly dividing `top`: the open interval (bottom, top)."""
-        return [e for e in self.elements if e != top and e.divides(top)]
-
-    @property
-    def top(self):
-        best = self.elements[0]
-        for e in self.elements[1:]:
-            best = best.lcm(e)
-        return best
-
 
 def _lcm_closure(exponent_tuples):
     """Closure of exponent tuples under componentwise max, in lex order.
@@ -201,34 +189,6 @@ def build_lcm_lattice(ideal):
         raise ValueError("lcm lattice needs a proper nonzero ideal")
     elements = _lcm_closure([g.exponents for g in ideal.gens])
     return LcmLattice(ideal.n_vars, tuple(Monomial(e) for e in elements))
-
-
-def open_interval_homology(lattice, top):
-    """Reduced homology of the order complex of the open interval below top.
-
-    Faces of the order complex are the chains of lattice elements strictly
-    dividing top.  Exponential in the interval size; meant for desk-scale
-    inputs and cross-checks.
-    """
-    if top not in set(lattice.elements):
-        raise ValueError("top element not in lattice")
-    elems = sorted(lattice.below(top), key=lambda m: (m.degree(), m.exponents))
-    above = [
-        [j for j in range(i + 1, len(elems)) if elems[i].divides(elems[j])]
-        for i in range(len(elems))
-    ]
-    faces = []
-
-    def grow(chain, last):
-        faces.append(tuple(chain))
-        for j in above[last]:
-            chain.append(j)
-            grow(chain, j)
-            chain.pop()
-
-    for i in range(len(elems)):
-        grow([i], i)
-    return reduced_homology(faces)
 
 
 # ---------------------------------------------------------------------

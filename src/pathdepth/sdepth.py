@@ -6,6 +6,15 @@ decomposition with sdepth >= k corresponds to a partition of the poset
 into intervals [a, b] whose label |{i : b_i = g_i}| is at least k; the
 search is an exact cover over interval candidates, decided from high k
 downward.  A budget exhaustion is an error, never a wrong answer.
+
+The kernel runs on bitsets.  The poset is built by walking the box one
+variable at a time with the Betti engine's generator bitsets
+(`depth._below_bitsets`).  The descent starts at the sweep bound, the
+smallest label of a maximal point, above which no k can pass; a depth-0
+quotient therefore gets sdepth 0 with no search.  Admissible tops and
+interval cells are ANDs of per-coordinate bitsets.  The node budget is
+charged in the units of the linear scans these replace, so an instance
+runs out in the same phase, with the same message, as under those scans.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 
+from .depth import _below_bitsets
 from .monomials import Monomial
 
 __all__ = [
@@ -88,7 +98,15 @@ class SdepthResult:
 
 
 def build_poset(ideal, g=None, cap=100000):
-    """Enumerate the box below g and keep the exponent vectors outside I."""
+    """The exponent vectors a <= g outside I, sorted by (degree, lex).
+
+    The box is walked variable by variable, carrying the AND of the
+    `_below_bitsets` rows of the prefix: the generators that still fit
+    under it.  A point lies outside I iff that AND is zero at its last
+    variable, and once it is zero every completion of the prefix does.
+    Rows stop at the largest exponent among the generators, so a row
+    index past it (an explicit g above the lcm) is clamped to the last row.
+    """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
     if g is None:
@@ -99,12 +117,29 @@ def build_poset(ideal, g=None, cap=100000):
         size *= e + 1
     if size > cap:
         raise PosetCapError("box of size %d exceeds cap %d" % (size, cap))
-    gens = [h.exponents for h in ideal.gens]
-    points = [
-        a
-        for a in _cartesian(*(range(e + 1) for e in cap_vec))
-        if not any(all(x <= y for x, y in zip(h, a)) for h in gens)
+    below = _below_bitsets([h.exponents for h in ideal.gens])
+    rows = [
+        [row[min(v, len(row) - 1)] for v in range(e + 1)]
+        for row, e in zip(below, cap_vec)
     ]
+    ranges = [range(e + 1) for e in cap_vec]
+    last = len(cap_vec) - 1
+    points = []
+
+    def walk(prefix, i, fitting):
+        if not fitting:
+            points.extend(prefix + rest for rest in _cartesian(*ranges[i:]))
+        elif i == last:
+            # the rows grow with v, so the points end at the first hit
+            for v, row in enumerate(rows[i]):
+                if fitting & row:
+                    break
+                points.append(prefix + (v,))
+        else:
+            for v, row in enumerate(rows[i]):
+                walk(prefix + (v,), i + 1, fitting & row)
+
+    walk((), 0, -1)
     points.sort(key=lambda a: (sum(a), a))
     return CharacteristicPoset(ideal.n_vars, cap_vec, tuple(points))
 
@@ -113,13 +148,48 @@ def _leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _interval_mask(poset, index, a, b):
-    mask = 0
-    cells = 0
-    for exps in _cartesian(*(range(lo, hi + 1) for lo, hi in zip(a, b))):
-        mask |= 1 << index[exps]
-        cells += 1
-    return mask, cells
+def _sweep_bound(poset):
+    """Smallest label of a maximal poset point.
+
+    A maximal point is its own only admissible top, and every point lies
+    below a maximal one, so this is the largest k at which every point
+    has an admissible top: no partition reaches a larger min label.  It is
+    0 exactly when a socle monomial of S/I exists, i.e. when depth is 0.
+    """
+    members = set(poset.points)
+    bound = poset.n_vars
+    for p in poset.points:
+        label = 0
+        for i, (x, gi) in enumerate(zip(p, poset.g)):
+            if x == gi:
+                label += 1
+            elif p[:i] + (x + 1,) + p[i + 1:] in members:
+                break
+        else:
+            bound = min(bound, label)
+    return bound
+
+
+def _at_least(vectors, g):
+    """rows[i][v], v = 0..g_i + 1: bitset of the vectors with x_i exponent >= v.
+
+    Bit j stands for vectors[j].  Each row is read off one string of
+    binary digits, so building it costs no per-bit big-integer operation.
+    """
+    count = len(vectors)
+    rows = []
+    for i, gi in enumerate(g):
+        by_value = [[] for _ in range(gi + 1)]
+        for j, c in enumerate(vectors):
+            by_value[c[i]].append(count - 1 - j)
+        digits = bytearray(b"0" * count)
+        row = [0] * (gi + 2)
+        for v in range(gi, -1, -1):
+            for d in by_value[v]:
+                digits[d] = 49  # ord("1")
+            row[v] = int(digits, 2)
+        rows.append(row)
+    return rows
 
 
 # most refuted coverings the search remembers; past it, states are re-searched
@@ -134,6 +204,13 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     interval covering it, which makes the search complete and free of
     duplicate states.  None is returned only after exhaustion; running out
     of budget raises SearchBudgetError instead.
+
+    The admissible tops of p (tops b >= p with label >= k) are the AND of
+    per-coordinate bitsets over the tops, and the interval [p, b] is the
+    bitset up(p) & down(b) over the points.  The budget is charged in the
+    units of a linear scan of the tops: the pre-check pays the 1-based
+    position of p's first admissible top, and candidate construction pays
+    one per top plus the size of each admissible interval.
     """
     points = poset.points
     npts = len(points)
@@ -141,21 +218,26 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
         raise ValueError("k out of range")
     if k == 0:
         return StanleyPartition(tuple(PosetInterval(a, a) for a in points))
-    index = {a: i for i, a in enumerate(points)}
-    labels = [poset.label(a) for a in points]
-    tops = [points[i] for i in range(npts) if labels[i] >= k]
+    tops = [b for b in points if poset.label(b) >= k]
+    if not tops:
+        # no point has an admissible top
+        return None
+    top_rows = _at_least(tops, poset.g)
+
+    def admissible(p):
+        found = -1
+        for row, v in zip(top_rows, p):
+            found &= row[v]
+        return found
+
     # cheap complete pre-check: a point with no admissible top decides
     # the answer without building any interval masks
     work = 0
     for p in points:
-        found = False
-        for b in tops:
-            work += 1
-            if _leq(p, b):
-                found = True
-                break
+        found = admissible(p)
         if not found:
             return None
+        work += (found & -found).bit_length()
         # a comparison is far cheaper than a search node; scale accordingly
         if work > 10 * node_budget:
             raise SearchBudgetError(
@@ -163,24 +245,38 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
                 % (10 * node_budget)
             )
     # candidate construction is the quadratic part; it shares the budget
+    work += npts * len(tops)
+    too_many = "exceeded %d nodes building interval candidates" % node_budget
+    if work > node_budget:
+        raise SearchBudgetError(too_many)
+    up_rows = _at_least(points, poset.g)
+    full = (1 << npts) - 1
+    downs = {}
     candidates = []
-    for i, p in enumerate(points):
+    for p in points:
+        up = full
+        for row, v in zip(up_rows, p):
+            up &= row[v]
+        found = admissible(p)
         cand = []
-        for b in tops:
-            work += 1
-            if _leq(p, b):
-                mask, cells = _interval_mask(poset, index, p, b)
-                work += cells
-                cand.append((mask, b))
+        while found:
+            low = found & -found
+            found ^= low
+            j = low.bit_length() - 1
+            down = downs.get(j)
+            if down is None:
+                down = full
+                for row, v in zip(up_rows, tops[j]):
+                    down &= ~row[v + 1]
+                downs[j] = down
+            mask = up & down
+            work += mask.bit_count()
             if work > node_budget:
-                raise SearchBudgetError(
-                    "exceeded %d nodes building interval candidates" % node_budget
-                )
-        if not cand:
-            return None
+                raise SearchBudgetError(too_many)
+            cand.append((mask, tops[j]))
         cand.sort(key=lambda mb: -mb[0].bit_count())
         candidates.append(cand)
-    full = (1 << npts) - 1
+    del downs, up_rows  # the search needs only the masks
     dead = set()
     nodes = 0
 
@@ -213,10 +309,12 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
 
 
 def sdepth_quotient(ideal, g=None, cap=100000, node_budget=DEFAULT_BUDGET):
-    """Exact sdepth(S/I): largest k admitting an interval partition."""
+    """Exact sdepth(S/I): largest k admitting an interval partition.
+
+    The descent starts at the sweep bound, above which no k can pass.
+    """
     poset = build_poset(ideal, g=g, cap=cap)
-    k_hi = max(poset.label(a) for a in poset.points)
-    for k in range(k_hi, 0, -1):
+    for k in range(_sweep_bound(poset), 0, -1):
         partition = has_partition_min_label(poset, k, node_budget=node_budget)
         if partition is not None:
             return SdepthResult(k, len(poset), partition)

@@ -118,6 +118,10 @@ def test_criterion_4_near_maximal_cycle_powers(capsys):
         and small[2].values.get("sdepth_J_n_n-2") == 0
         and big.values.get("depth_J_n_n-2") == 1
     )
+    # J(6,5)^5 has depth 0, so its sdepth 0 is decided, never skipped
+    big_maximal_ok = big.values.get("sdepth_J_n_n-1") == 0 and not any(
+        "sdepth J(n,n-1)^t" in entry for entry in big.values.get("skipped", ())
+    )
     # sdepth at n = 6 is either an exact value in [1, 3] or an explicit skip
     s = big.values.get("sdepth_J_n_n-2")
     sdepth_ok = (s is not None and 1 <= s <= 3) or any(
@@ -126,6 +130,7 @@ def test_criterion_4_near_maximal_cycle_powers(capsys):
     no_small_skips = not any(r.values.get("skipped") for r in small)
     ok = (
         values_ok
+        and big_maximal_ok
         and sdepth_ok
         and no_small_skips
         and all(r.verdict == "pass" for r in small)
@@ -136,6 +141,7 @@ def test_criterion_4_near_maximal_cycle_powers(capsys):
     assert no_small_skips
     assert big.verdict == "pass", big.reason
     assert values_ok
+    assert big_maximal_ok, big.values
     assert sdepth_ok
 
 

@@ -179,6 +179,29 @@ def test_verify_reports_seed_and_passes():
     assert text.startswith("seed=0 node_budget=")
 
 
+def test_verify_header_counts_reports_that_passed_with_skips():
+    # a tiny budget skips the worked examples' Stanley depths, not their reports
+    argv = ("verify", "example-3.4", "example-3.5", "--budget", "10")
+    code, text = run_cli(*argv, "--format", "json")
+    assert code == EXIT_OK
+    data = json.loads(text)
+    partly = [
+        r for r in data["reports"]
+        if r["verdict"] != "skipped" and r["values"].get("skipped")
+    ]
+    assert len(partly) >= 2
+    assert data["run"]["skipped"] == 0
+    assert data["run"]["partly_skipped"] == len(partly)
+    counts = "reports=%d failed=0 skipped=0 partly_skipped=%d\n" % (
+        len(data["reports"]), len(partly))
+    for fmt in ("csv", "md"):
+        code, text = run_cli(*argv, "--format", fmt)
+        assert code == EXIT_OK
+        assert text.startswith("seed=0 node_budget=10 " + counts), fmt
+    _, text = run_cli("verify", "lemma-2.3", "--n-max", "4")
+    assert json.loads(text)["run"]["partly_skipped"] == 0
+
+
 def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("PATHDEPTH_NODE_BUDGET", "2")
     code, _ = run_cli("sdepth", "--family", "ipath", "--n", "5", "--m", "2")

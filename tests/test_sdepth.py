@@ -1,6 +1,7 @@
 """Characteristic poset, interval partitions, and Stanley depth."""
 
 from itertools import product as cartesian
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,229 @@ from pathdepth.depth import depth_quotient
 from pathdepth.families import cycle_ideal, path_ideal
 from pathdepth.monomials import Monomial, MonomialIdeal, parse_ideal
 from pathdepth.sdepth import (
+    DEFAULT_BUDGET,
+    CharacteristicPoset,
     PosetCapError,
     PosetInterval,
+    SdepthResult,
     SearchBudgetError,
     StanleyPartition,
+    _sweep_bound,
     build_poset,
     has_partition_min_label,
     partition_to_decomposition,
     sdepth_quotient,
     verify_partition,
 )
+
+# tuple-scan oracles: the engine before its bitset kernel ---------------
+
+
+def box_scan_poset(ideal, g=None, cap=100000):
+    """Reference poset: every point of the box tested against every generator."""
+    if g is None:
+        g = ideal.lcm_of_gens()
+    cap_vec = g.exponents
+    size = 1
+    for e in cap_vec:
+        size *= e + 1
+    if size > cap:
+        raise PosetCapError("box of size %d exceeds cap %d" % (size, cap))
+    gens = [h.exponents for h in ideal.gens]
+    points = [
+        a
+        for a in cartesian(*(range(e + 1) for e in cap_vec))
+        if not any(all(x <= y for x, y in zip(h, a)) for h in gens)
+    ]
+    points.sort(key=lambda a: (sum(a), a))
+    return CharacteristicPoset(ideal.n_vars, cap_vec, tuple(points))
+
+
+def _leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _interval_mask(poset, index, a, b):
+    mask = 0
+    cells = 0
+    for exps in cartesian(*(range(lo, hi + 1) for lo, hi in zip(a, b))):
+        mask |= 1 << index[exps]
+        cells += 1
+    return mask, cells
+
+
+def precheck_passes(poset, k):
+    """Reference pre-check without a budget: every point has an admissible top."""
+    tops = [b for b in poset.points if poset.label(b) >= k]
+    return all(any(_leq(p, b) for b in tops) for p in poset.points)
+
+
+def linear_scan_has_partition(poset, k, node_budget=DEFAULT_BUDGET):
+    """Reference search: linear scans of the tops, masks cell by cell.
+
+    Same budget units and messages as the engine; the exact-cover search
+    is the engine's.
+    """
+    points = poset.points
+    npts = len(points)
+    if k == 0:
+        return StanleyPartition(tuple(PosetInterval(a, a) for a in points))
+    index = {a: i for i, a in enumerate(points)}
+    tops = [b for b in points if poset.label(b) >= k]
+    work = 0
+    for p in points:
+        found = False
+        for b in tops:
+            work += 1
+            if _leq(p, b):
+                found = True
+                break
+        if not found:
+            return None
+        if work > 10 * node_budget:
+            raise SearchBudgetError(
+                "exceeded %d comparisons in the admissible-top pre-check"
+                % (10 * node_budget)
+            )
+    candidates = []
+    for p in points:
+        cand = []
+        for b in tops:
+            work += 1
+            if _leq(p, b):
+                mask, cells = _interval_mask(poset, index, p, b)
+                work += cells
+                cand.append((mask, b))
+            if work > node_budget:
+                raise SearchBudgetError(
+                    "exceeded %d nodes building interval candidates" % node_budget
+                )
+        cand.sort(key=lambda mb: -mb[0].bit_count())
+        candidates.append(cand)
+    full = (1 << npts) - 1
+    dead = set()
+    nodes = 0
+
+    def search(covered, chosen):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetError("exceeded %d search nodes" % node_budget)
+        if covered == full:
+            return True
+        if covered in dead:
+            return False
+        free = ~covered & full
+        first = (free & -free).bit_length() - 1
+        for mask, b in candidates[first]:
+            if mask & covered:
+                continue
+            chosen.append(PosetInterval(points[first], b))
+            if search(covered | mask, chosen):
+                return True
+            chosen.pop()
+        dead.add(covered)
+        return False
+
+    chosen = []
+    if search(0, chosen):
+        return StanleyPartition(tuple(chosen))
+    return None
+
+
+def max_label_descent(ideal, node_budget=DEFAULT_BUDGET):
+    """Reference sdepth: the descent from the largest label, on the oracles."""
+    poset = box_scan_poset(ideal)
+    for k in range(max(poset.label(a) for a in poset.points), 0, -1):
+        partition = linear_scan_has_partition(poset, k, node_budget)
+        if partition is not None:
+            return SdepthResult(k, len(poset), partition)
+    return SdepthResult(0, len(poset), linear_scan_has_partition(poset, 0, node_budget))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SearchBudgetError as e:
+        return "budget: %s" % e
+
+
+@st.composite
+def small_ideals(draw, n_max=4, exp_max=2, gens_max=4):
+    n = draw(st.integers(1, n_max))
+    gens = []
+    for _ in range(draw(st.integers(1, gens_max))):
+        exps = tuple(draw(st.integers(0, exp_max)) for _ in range(n))
+        if any(exps):
+            gens.append(Monomial(exps))
+    if not gens:
+        gens = [Monomial(tuple([1] + [0] * (n - 1)))]
+    return MonomialIdeal(n, gens)
+
+
+@given(small_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bitset_kernel_matches_tuple_scan_oracles(ideal, data):
+    # identical points, in the same order, for g = lcm and for a g above it
+    lcm = ideal.lcm_of_gens().exponents
+    bump = tuple(data.draw(st.integers(0, 1)) for _ in lcm)
+    above = Monomial(tuple(e + b for e, b in zip(lcm, bump)))
+    posets = []
+    for g in (None, above):
+        poset = build_poset(ideal, g=g)
+        assert poset == box_scan_poset(ideal, g=g)
+        posets.append(poset)
+    # the same partition, the same None or the same budget message, at
+    # every k and at budgets that stop each phase
+    for poset in posets:
+        for k in range(ideal.n_vars + 1):
+            for budget in (1, 50, 2000, DEFAULT_BUDGET):
+                got = _outcome(lambda: has_partition_min_label(poset, k, budget))
+                want = _outcome(lambda: linear_scan_has_partition(poset, k, budget))
+                assert got == want, (str(ideal), poset.g, k, budget)
+
+
+@given(small_ideals(), st.sampled_from([50, 2000, DEFAULT_BUDGET]))
+@settings(max_examples=40, deadline=None)
+def test_sweep_start_keeps_every_decided_answer(ideal, budget):
+    # where the descent from the largest label decides, the sweep-bound
+    # start gives the same result; it may only decide more
+    want = _outcome(lambda: max_label_descent(ideal, budget))
+    if isinstance(want, SdepthResult):
+        assert sdepth_quotient(ideal, node_budget=budget) == want
+
+
+@given(small_ideals(n_max=3, gens_max=3))
+@settings(max_examples=40, deadline=None)
+def test_sweep_bound_against_exhaustive_search(ideal):
+    poset = build_poset(ideal)
+    bound = _sweep_bound(poset)
+    passing = [k for k in range(ideal.n_vars + 1) if precheck_passes(poset, k)]
+    assert bound == max(passing)
+    decided = max(k for k in range(ideal.n_vars + 1) if exhaustive_has_partition(poset, k))
+    assert decided <= bound
+    assert sdepth_quotient(ideal).sdepth == decided
+    assert (bound == 0) == (depth_quotient(ideal).depth == 0)
+
+
+def test_sweep_bound_on_ladder_instances():
+    # tight at sdepth 3 for J(6,3)^2, above sdepth 1 for I(4,2)^3, and 0 at
+    # depth 0 for J(5,4)^4
+    for ideal, bound in (
+        (cycle_ideal(6, 3).power(2), 3),
+        (path_ideal(4, 2).power(3), 2),
+        (cycle_ideal(5, 4).power(4), 0),
+    ):
+        assert _sweep_bound(build_poset(ideal)) == bound, str(ideal)
+
+
+def test_depth_zero_is_decided_without_a_search():
+    # J(6,5)^5: 46194 points; sweep bound 0, so the k = 0 partition answers
+    # at a budget that no k >= 1 pre-check would fit in
+    result = sdepth_quotient(cycle_ideal(6, 5).power(5), node_budget=1)
+    assert result.sdepth == 0
+    assert result.poset_size == 46194
+
 
 # poset construction --------------------------------------------------
 
@@ -198,18 +412,42 @@ def test_stanley_inequality_on_small_instances():
         assert sdepth_quotient(I).sdepth >= depth_quotient(I).depth
 
 
-@given(st.data())
+@given(small_ideals(n_max=3, gens_max=3))
 @settings(max_examples=25, deadline=None)
-def test_stanley_inequality_random(data):
-    n = data.draw(st.integers(1, 3))
-    gens = []
-    for _ in range(data.draw(st.integers(1, 3))):
-        exps = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
-        if any(exps):
-            gens.append(Monomial(exps))
-    if not gens:
-        gens = [Monomial(tuple([1] + [0] * (n - 1)))]
-    I = MonomialIdeal(n, gens)
-    if I.is_whole_ring():
-        return
+def test_stanley_inequality_random(I):
     assert sdepth_quotient(I).sdepth >= depth_quotient(I).depth
+
+
+def test_bitset_kernel_matches_oracles_in_every_budget_phase():
+    # I(5,3)^2 at k = 3: budgets that end in the pre-check, in candidate
+    # construction and in the search, and one that refutes k = 4
+    poset = build_poset(path_ideal(5, 3).power(2))
+    for k, budget, phase in (
+        (3, 5, "pre-check"),
+        (3, 1000, "candidates"),
+        (3, 100_000, "search nodes"),
+        (4, DEFAULT_BUDGET, None),
+    ):
+        got = _outcome(lambda: has_partition_min_label(poset, k, budget))
+        assert got == _outcome(lambda: linear_scan_has_partition(poset, k, budget))
+        assert (got is None) if phase is None else (phase in got), got
+    # the units themselves: a budget one below what a phase is charged runs
+    # out in that phase, and the charged budget gets past it
+    tops = [b for b in poset.points if poset.label(b) >= 3]
+    precheck = sum(
+        next(i for i, b in enumerate(tops) if _leq(p, b)) + 1 for p in poset.points
+    )
+    cells = sum(
+        prod(y - x + 1 for x, y in zip(p, b))
+        for p in poset.points
+        for b in tops
+        if _leq(p, b)
+    )
+    charged = precheck + len(poset.points) * len(tops) + cells
+    for budget, phase in (
+        (-(-precheck // 10) - 1, "pre-check"),
+        (-(-precheck // 10), "candidates"),
+        (charged - 1, "candidates"),
+    ):
+        assert phase in _outcome(lambda: has_partition_min_label(poset, 3, budget))
+    assert "candidates" not in _outcome(lambda: has_partition_min_label(poset, 3, charged))
