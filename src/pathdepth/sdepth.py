@@ -9,18 +9,26 @@ downward.  A budget exhaustion is an error, never a wrong answer.
 
 The kernel runs on bitsets.  The poset is built by walking the box one
 variable at a time with the Betti engine's generator bitsets
-(`depth._below_bitsets`).  The descent starts at the sweep bound, the
-smallest label of a maximal point, above which no k can pass; a depth-0
-quotient therefore gets sdepth 0 with no search.  Admissible tops and
-interval cells are ANDs of per-coordinate bitsets.  The node budget is
-charged in the units of the linear scans these replace, so an instance
-runs out in the same phase, with the same message, as under those scans.
+(`depth._below_bitsets`).  The descent starts at min(sweep, Hilbert): the
+sweep bound is the smallest label of a maximal point, above which no k
+can pass, so a depth-0 quotient gets sdepth 0 with no search; the Hilbert
+bound, read off the poset's Hilbert series and computed only when the
+sweep bound is at least 2, is the largest d with (1-t)^d H(S/I; t)
+nonnegative, which no Stanley decomposition can beat.  Admissible tops
+and interval cells are ANDs of per-coordinate bitsets, and the exact
+cover runs as a loop over an explicit stack.  The node budget is charged
+in the units of the linear scans and the recursive search these replace,
+so an instance runs out in the same phase, with the same message, as
+under them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as _cartesian
+from math import comb
+from operator import lt
 
 from .depth import _below_bitsets
 from .monomials import Monomial
@@ -100,6 +108,8 @@ class SdepthResult:
 def build_poset(ideal, g=None, cap=100000):
     """The exponent vectors a <= g outside I, sorted by (degree, lex).
 
+    g must be a multiple of lcm(G(I)); it defaults to the lcm.
+
     The box is walked variable by variable, carrying the AND of the
     `_below_bitsets` rows of the prefix: the generators that still fit
     under it.  A point lies outside I iff that AND is zero at its last
@@ -109,9 +119,15 @@ def build_poset(ideal, g=None, cap=100000):
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
+    lcm = ideal.lcm_of_gens()
     if g is None:
-        g = ideal.lcm_of_gens()
+        g = lcm
     cap_vec = g.exponents
+    if len(cap_vec) != ideal.n_vars:
+        raise ValueError("g has %d variables, the ideal %d" % (len(cap_vec), ideal.n_vars))
+    if any(map(lt, cap_vec, lcm.exponents)):
+        # below the lcm a point no longer decides membership of its cone
+        raise ValueError("g = %s is not a multiple of lcm(G(I)) = %s" % (g, lcm))
     size = 1
     for e in cap_vec:
         size *= e + 1
@@ -170,6 +186,45 @@ def _sweep_bound(poset):
     return bound
 
 
+def _hilbert_bound(poset, upto):
+    """Largest d <= upto with (1-t)^d H(S/I; t) nonnegative: sdepth <= d.
+
+    A Stanley decomposition with every |Z| >= d gives (1-t)^d H a sum of
+    t^deg / (1-t)^(|Z|-d), so d bounds sdepth from above (the easy
+    direction of Hilbert depth).  For g >= lcm each poset point p stands
+    for the monomials agreeing with it below g, so H = sum_p
+    t^|p| / (1-t)^label(p), and K = (1-t)^n H is a polynomial.  The
+    coefficients of K/(1-t)^r are prefix sums, r levels deep, of K's; a
+    scan stops at the first negative one of level r, or at the first
+    j >= deg K where every level is >= 0: past deg K level 1 is constant
+    and each level is a running sum of the one below, so none turns
+    negative again.  The scan ends because K = (1-t)^(n-dim) Q, Q(1) > 0.
+    """
+    n = poset.n_vars
+    shapes = Counter((sum(p), poset.label(p)) for p in poset.points)
+    K = [0] * (sum(poset.g) + n + 1)
+    for (deg, label), count in shapes.items():
+        for i in range(n - label + 1):
+            K[deg + i] += (-1) ** i * comb(n - label, i) * count
+    while len(K) > 1 and not K[-1]:
+        K.pop()
+    # K(0) = 1 and K(1) = 0 for I != 0, so K itself (d = n) has a negative
+    for d in range(min(upto, n - 1), 0, -1):
+        r = n - d
+        levels = [0] * r
+        j = 0
+        while True:
+            x = K[j] if j < len(K) else 0
+            for i in range(r):
+                x = levels[i] = levels[i] + x
+            if x < 0:
+                break
+            if j >= len(K) - 1 and min(levels) >= 0:
+                return d
+            j += 1
+    return 0
+
+
 def _at_least(vectors, g):
     """rows[i][v], v = 0..g_i + 1: bitset of the vectors with x_i exponent >= v.
 
@@ -211,6 +266,13 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     units of a linear scan of the tops: the pre-check pays the 1-based
     position of p's first admissible top, and candidate construction pays
     one per top plus the size of each admissible interval.
+
+    The search is a loop over an explicit stack of (covered, first
+    uncovered point, candidate iterator) frames.  It walks the tree of
+    the recursive search it replaces and pays one node per visited
+    covering, the root included; a child already refuted costs its node
+    and gets no frame.  Intervals are built only for the partition
+    returned.
     """
     points = poset.points
     npts = len(points)
@@ -277,44 +339,52 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
         cand.sort(key=lambda mb: -mb[0].bit_count())
         candidates.append(cand)
     del downs, up_rows  # the search needs only the masks
+    exhausted = "exceeded %d search nodes" % node_budget
+    nodes = 1  # the root; candidate construction has charged more already
     dead = set()
-    nodes = 0
-
-    def search(covered, chosen):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise SearchBudgetError("exceeded %d search nodes" % node_budget)
-        if covered == full:
-            return True
-        if covered in dead:
-            return False
-        free = ~covered & full
-        first = (free & -free).bit_length() - 1
-        for mask, b in candidates[first]:
+    chosen = []  # the (first, top) choices on the path to the innermost frame
+    stack = [(0, 0, iter(candidates[0]))]
+    while stack:
+        covered, first, options = stack[-1]
+        for mask, top in options:
             if mask & covered:
                 continue
-            chosen.append(PosetInterval(points[first], b))
-            if search(covered | mask, chosen):
-                return True
-            chosen.pop()
-        if len(dead) < _MEMO_CAP:
-            dead.add(covered)
-        return False
-
-    chosen = []
-    if search(0, chosen):
-        return StanleyPartition(tuple(chosen))
+            child = covered | mask
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetError(exhausted)
+            if child == full:
+                chosen.append((first, top))
+                return StanleyPartition(
+                    tuple(PosetInterval(points[f], b) for f, b in chosen)
+                )
+            if child in dead:
+                continue
+            chosen.append((first, top))
+            nxt = ((child + 1) & ~child).bit_length() - 1
+            stack.append((child, nxt, iter(candidates[nxt])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                chosen.pop()
+            if len(dead) < _MEMO_CAP:
+                dead.add(covered)
     return None
 
 
 def sdepth_quotient(ideal, g=None, cap=100000, node_budget=DEFAULT_BUDGET):
     """Exact sdepth(S/I): largest k admitting an interval partition.
 
-    The descent starts at the sweep bound, above which no k can pass.
+    The descent starts at min(sweep, Hilbert), above which no k can pass.
     """
     poset = build_poset(ideal, g=g, cap=cap)
-    for k in range(_sweep_bound(poset), 0, -1):
+    top = _sweep_bound(poset)
+    if top >= 2:
+        # a positive sweep bound means depth >= 1, hence sdepth >= 1, so
+        # at sweep bound 1 no bound can shorten the descent
+        top = _hilbert_bound(poset, top)
+    for k in range(top, 0, -1):
         partition = has_partition_min_label(poset, k, node_budget=node_budget)
         if partition is not None:
             return SdepthResult(k, len(poset), partition)

@@ -239,3 +239,12 @@ def test_sdepth_memo_is_keyed_by_budget():
     tiny = claims._Checks(10)
     assert tiny.sdepth("J(6,3)^2", J2) is None
     assert tiny.skipped and not tiny.observed
+
+
+def test_lemma_2_4_colon_sdepth_is_decided_at_the_hilbert_bound():
+    # sweep bound 3, Hilbert bound 2: k = 3 is never searched, and k = 2
+    # finds a verified partition within the default budget
+    report = claims.check_intermed(7, 2, 3)
+    assert report.verdict == "pass"
+    assert report.values["sdepth"] == 2
+    assert "skipped" not in report.values

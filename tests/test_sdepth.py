@@ -1,13 +1,15 @@
 """Characteristic poset, interval partitions, and Stanley depth."""
 
+from fractions import Fraction
 from itertools import product as cartesian
-from math import prod
+from math import ceil, comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathdepth.depth import depth_quotient
+from pathdepth import sdepth
+from pathdepth.depth import betti, depth_quotient
 from pathdepth.families import cycle_ideal, path_ideal
 from pathdepth.monomials import Monomial, MonomialIdeal, parse_ideal
 from pathdepth.sdepth import (
@@ -18,6 +20,7 @@ from pathdepth.sdepth import (
     SdepthResult,
     SearchBudgetError,
     StanleyPartition,
+    _hilbert_bound,
     _sweep_bound,
     build_poset,
     has_partition_min_label,
@@ -68,11 +71,12 @@ def precheck_passes(poset, k):
     return all(any(_leq(p, b) for b in tops) for p in poset.points)
 
 
-def linear_scan_has_partition(poset, k, node_budget=DEFAULT_BUDGET):
+def linear_scan_has_partition(poset, k, node_budget=DEFAULT_BUDGET, memo_cap=None):
     """Reference search: linear scans of the tops, masks cell by cell.
 
     Same budget units and messages as the engine; the exact-cover search
-    is the engine's.
+    is the engine's before its explicit stack, a recursion that remembers
+    at most `memo_cap` refuted coverings (None: every one).
     """
     points = poset.points
     npts = len(points)
@@ -132,7 +136,8 @@ def linear_scan_has_partition(poset, k, node_budget=DEFAULT_BUDGET):
             if search(covered | mask, chosen):
                 return True
             chosen.pop()
-        dead.add(covered)
+        if memo_cap is None or len(dead) < memo_cap:
+            dead.add(covered)
         return False
 
     chosen = []
@@ -149,6 +154,47 @@ def max_label_descent(ideal, node_budget=DEFAULT_BUDGET):
         if partition is not None:
             return SdepthResult(k, len(poset), partition)
     return SdepthResult(0, len(poset), linear_scan_has_partition(poset, 0, node_budget))
+
+
+def betti_hilbert_bound(ideal, upto):
+    """Reference Hilbert-depth bound from the Betti table's K-polynomial.
+
+    K(t) = sum (-1)^i beta_{i,a} t^|a|.  The coefficient of t^j in
+    K/(1-t)^r is sum_e K_e C(j - e + r - 1, r - 1); past deg K it is a
+    polynomial in j, whose real roots lie below the Cauchy bound
+    1 + max |c_i / c_lead|.  So every j up to there and the sign of the
+    leading coefficient decide whether all coefficients are >= 0.
+    """
+    K = {}
+    for (i, a), rank in betti(ideal).entries.items():
+        K[a.degree()] = K.get(a.degree(), 0) + (-1) ** i * rank
+    deg = max(K)
+
+    def nonnegative(r):
+        tail = [Fraction(0)] * r
+        for e, c in K.items():
+            poly = [Fraction(c, factorial(r - 1))]
+            for s in range(1, r):
+                # times (j + s - e)
+                poly = [
+                    (poly[i - 1] if i else 0) + (s - e) * (poly[i] if i < len(poly) else 0)
+                    for i in range(len(poly) + 1)
+                ]
+            for i, x in enumerate(poly):
+                tail[i] += x
+        while tail and not tail[-1]:
+            tail.pop()
+        if tail and tail[-1] < 0:
+            return False
+        reach = deg
+        if tail:
+            reach = max(deg, ceil(1 + max((abs(x / tail[-1]) for x in tail[:-1]), default=0)))
+        return all(
+            sum(c * comb(j - e + r - 1, r - 1) for e, c in K.items() if e <= j) >= 0
+            for j in range(reach + 1)
+        )
+
+    return max(d for d in range(upto + 1) if nonnegative(ideal.n_vars - d))
 
 
 def _outcome(run):
@@ -193,6 +239,34 @@ def test_bitset_kernel_matches_tuple_scan_oracles(ideal, data):
                 assert got == want, (str(ideal), poset.g, k, budget)
 
 
+def test_search_kernel_matches_oracle_at_every_memo_cap(monkeypatch):
+    # I(4,2)^2 refutes k = 2 in 1987 search nodes remembering no refuted
+    # covering, 1913 remembering 3 and 1421 remembering all; the
+    # six-variable ideal refutes k = 4 with memo hits
+    ideals = (
+        path_ideal(4, 2).power(2),
+        parse_ideal("x2*x3*x5*x6, x2*x3*x4*x6, x1*x5, x1*x4*x6", 6),
+        cycle_ideal(5, 3),
+        parse_ideal("x1^2, x1*x2, x2*x3^2", 3),
+    )
+    posets = [build_poset(ideal) for ideal in ideals]
+    for cap in (0, 1, 3):
+        monkeypatch.setattr(sdepth, "_MEMO_CAP", cap)
+        for poset in posets:
+            for k in range(1, poset.n_vars + 1):
+                for budget in (1, 2, 5, 50, 1912, 1913, 1950, 1986, 1987, 2000):
+                    got = _outcome(lambda: has_partition_min_label(poset, k, budget))
+                    want = _outcome(
+                        lambda: linear_scan_has_partition(poset, k, budget, memo_cap=cap)
+                    )
+                    assert got == want, (poset.g, cap, k, budget)
+    # the cap sets the node count: at 1950 nodes k = 2 is refuted only
+    # with a memo
+    assert has_partition_min_label(posets[0], 2, 1950) is None
+    monkeypatch.setattr(sdepth, "_MEMO_CAP", 0)
+    assert "search nodes" in _outcome(lambda: has_partition_min_label(posets[0], 2, 1950))
+
+
 @given(small_ideals(), st.sampled_from([50, 2000, DEFAULT_BUDGET]))
 @settings(max_examples=40, deadline=None)
 def test_sweep_start_keeps_every_decided_answer(ideal, budget):
@@ -212,6 +286,7 @@ def test_sweep_bound_against_exhaustive_search(ideal):
     assert bound == max(passing)
     decided = max(k for k in range(ideal.n_vars + 1) if exhaustive_has_partition(poset, k))
     assert decided <= bound
+    assert decided <= _hilbert_bound(poset, ideal.n_vars - 1)
     assert sdepth_quotient(ideal).sdepth == decided
     assert (bound == 0) == (depth_quotient(ideal).depth == 0)
 
@@ -233,6 +308,69 @@ def test_depth_zero_is_decided_without_a_search():
     result = sdepth_quotient(cycle_ideal(6, 5).power(5), node_budget=1)
     assert result.sdepth == 0
     assert result.poset_size == 46194
+
+
+# Hilbert-depth bound -------------------------------------------------
+
+
+def _lemma_2_4_colon(n, m, t):
+    u = Monomial.from_support(range(n - m + 1, n), n) ** t
+    return cycle_ideal(n, m).power(t).colon(u)
+
+
+@given(small_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_hilbert_bound_matches_betti_k_polynomial(ideal, data):
+    # the poset's Hilbert series against the Betti table's, for g = lcm and
+    # for a g above it, and the cap `upto`
+    n = ideal.n_vars
+    want = betti_hilbert_bound(ideal, n - 1)
+    lcm = ideal.lcm_of_gens().exponents
+    above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
+    for g in (None, above):
+        assert _hilbert_bound(build_poset(ideal, g=g), n - 1) == want, (str(ideal), g)
+    upto = data.draw(st.integers(0, n - 1))
+    assert _hilbert_bound(build_poset(ideal), upto) == min(upto, want)
+
+
+def test_hilbert_bound_on_ladder_instances():
+    # below the sweep bound for I(6,3)^2 (4), I(4,2)^3 (2) and the V of
+    # Lemma 2.4 at (7,2,3) (3); equal to it for J(6,4)^2
+    for ideal, bound in (
+        (path_ideal(6, 3).power(2), 3),
+        (path_ideal(4, 2).power(3), 1),
+        (cycle_ideal(6, 4).power(2), 3),
+        (_lemma_2_4_colon(7, 2, 3), 2),
+    ):
+        assert _hilbert_bound(build_poset(ideal), ideal.n_vars - 1) == bound, str(ideal)
+
+
+def test_hilbert_bound_reads_past_a_negative_lower_level():
+    # (x1, x2) in three variables: K = (1-t)^2.  At d = 1 level 1 of
+    # K/(1-t)^2 reads 1, -1, 0, 0, ..., negative below deg K = 2, while
+    # level 2 reads 1, 0, 0, ...; so d = 1 holds, and d = 2, whose last
+    # level is that level 1, fails
+    assert _hilbert_bound(build_poset(parse_ideal("x1, x2", 3)), 2) == 1
+
+
+def test_descent_starts_at_the_smaller_bound(monkeypatch):
+    calls = []
+    search = sdepth.has_partition_min_label
+    monkeypatch.setattr(
+        sdepth,
+        "has_partition_min_label",
+        lambda poset, k, node_budget: calls.append(k) or search(poset, k, node_budget),
+    )
+    # V at (7,2,3): sweep 3, Hilbert 2, and k = 2 is decided; I(4,2)^3:
+    # sweep 2, Hilbert 1
+    assert sdepth_quotient(_lemma_2_4_colon(7, 2, 3)).sdepth == 2
+    assert sdepth_quotient(path_ideal(4, 2).power(3)).sdepth == 1
+    assert calls == [2, 1]
+    # a sweep bound of 1 needs no Hilbert bound
+    monkeypatch.setattr(sdepth, "_hilbert_bound", None)
+    calls.clear()
+    assert sdepth_quotient(parse_ideal("x1*x2", 2)).sdepth == 1
+    assert calls == [1]
 
 
 # poset construction --------------------------------------------------
@@ -257,6 +395,17 @@ def test_poset_cap_error():
     I = parse_ideal("x1^9*x2^9*x3^9", 3)
     with pytest.raises(PosetCapError):
         build_poset(I, cap=100)
+
+
+def test_poset_rejects_g_off_the_lcm():
+    # g = x1 below lcm = x1^2 used to give sdepth 2 for S/(x1^2), which is 1
+    I = MonomialIdeal(2, [Monomial((2, 0))])
+    for g in (Monomial((1, 0)), Monomial((2,)), Monomial((2, 0, 0))):
+        with pytest.raises(ValueError):
+            build_poset(I, g=g)
+        with pytest.raises(ValueError):
+            sdepth_quotient(I, g=g)
+    assert sdepth_quotient(I, g=Monomial((3, 1))).sdepth == 1
 
 
 def test_poset_rejects_trivial_ideals():
