@@ -13,7 +13,12 @@ import functools
 import random
 from dataclasses import dataclass, field
 
-from .depth import depth_quotient, depth_via_polarization, max_ideal_associated
+from .depth import (
+    PolarizationCapError,
+    depth_quotient,
+    depth_via_polarization,
+    max_ideal_associated,
+)
 from .families import cycle_ideal, path_ideal, phi, t0_alpha, u_ideal, witness_w, witness_l1
 from .monomials import Monomial, MonomialIdeal, parse_ideal
 from .sdepth import (
@@ -378,24 +383,23 @@ def check_engine_agreement(samples=50, seed=0, cap=14):
         ("J(6,4)^2", cycle_ideal(6, 4).power(2)),
     ]
     skipped_named = []
-    for label, ideal in named:
-        polarized, _ = ideal.polarize()
-        if polarized.n_vars <= cap:
-            instances.append(ideal)
-        else:
-            skipped_named.append(label)
-    for i, I in enumerate(instances):
-        polarized, _ = I.polarize()
-        if polarized.n_vars > cap:
-            checks.skip("instance #%d" % i, "polarized to %d vars" % polarized.n_vars)
+    for i, I in enumerate(instances + [ideal for _, ideal in named]):
+        try:
+            polarized = depth_via_polarization(I, cap=cap)
+        except PolarizationCapError as e:
+            if i < samples:
+                checks.skip("instance #%d" % i, str(e))
+            else:
+                skipped_named.append(named[i - samples][0])
             continue
-        checks.expect(
-            "instance #%d" % i, _depth(I) == depth_via_polarization(I, cap=cap).depth
-        )
+        checks.expect("instance #%d" % i, _depth(I) == polarized.depth)
     return checks.report(
         "engine-agreement",
         {"samples": samples, "seed": seed, "cap": cap},
-        {"instances": len(instances), "named_beyond_cap": skipped_named},
+        {
+            "instances": samples + len(named) - len(skipped_named),
+            "named_beyond_cap": skipped_named,
+        },
         "lattice depth = polarization depth on every instance within cap",
     )
 
@@ -666,7 +670,7 @@ def _cycle_reduction(n, m):
     return J, Jprime, I, xn
 
 
-def check_inmt(n, m, t, k, include_sdepth=False, node_budget=DEFAULT_BUDGET):
+def check_inmt(n, m, t, k, node_budget=DEFAULT_BUDGET):
     """The four colon/sum identities relating J^t to I and J' = (J : x_n)."""
     if not 1 <= k <= t:
         raise ValueError("requires 1 <= k <= t")
@@ -693,13 +697,12 @@ def check_inmt(n, m, t, k, include_sdepth=False, node_budget=DEFAULT_BUDGET):
     d_small = _depth(Jprime.power(t))
     checks.expect("depth(S/J^t) <= depth(S'/J'^t) + 1", d_big <= d_small + 1)
     values = {"depth_J": d_big, "depth_Jprime": d_small}
-    if include_sdepth:
-        s_big = checks.sdepth("sdepth(S/J^t)", Jt)
-        s_small = checks.sdepth("sdepth(S'/J'^t)", Jprime.power(t))
-        if s_big is not None and s_small is not None:
-            values["sdepth_J"] = s_big
-            values["sdepth_Jprime"] = s_small
-            checks.expect("sdepth(S/J^t) <= sdepth(S'/J'^t) + 1", s_big <= s_small + 1)
+    s_big = checks.sdepth("sdepth(S/J^t)", Jt)
+    s_small = checks.sdepth("sdepth(S'/J'^t)", Jprime.power(t))
+    if s_big is not None and s_small is not None:
+        values["sdepth_J"] = s_big
+        values["sdepth_Jprime"] = s_small
+        checks.expect("sdepth(S/J^t) <= sdepth(S'/J'^t) + 1", s_big <= s_small + 1)
     return checks.report(
         "lemma-3.1",
         {"n": n, "m": m, "t": t, "k": k},
@@ -1031,10 +1034,9 @@ def _budget(config):
 
 def _grid_theorem_1_9(config):
     n_max = config.get("n_max", 7)
-    sdepth_n_max = config.get("sdepth_n_max", 5)
     t_max = config.get("t_max", 3)
     return [
-        check_phi(n, m, t_max, with_sdepth=(n <= sdepth_n_max), node_budget=_budget(config))
+        check_phi(n, m, t_max, with_sdepth=(n <= 5), node_budget=_budget(config))
         for n in range(1, n_max + 1)
         for m in range(1, n + 1)
     ]
@@ -1117,7 +1119,7 @@ CLAIM_IDS = {
         )
     ],
     "lemma-3.1": lambda config: [
-        check_inmt(n, m, 2, k)
+        check_inmt(n, m, 2, k, node_budget=_budget(config))
         for (n, m) in ((6, 3), (6, 4), (7, 3))
         for k in (1, 2)
     ],

@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 
@@ -36,14 +35,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV = "PATHDEPTH_NODE_BUDGET"
-
 
 def _positive_int(text):
     """A positive integer, or an argparse error (exit 2).
 
-    Reads --budget, PATHDEPTH_NODE_BUDGET, --jobs, the --n-max/--t-max grid
-    bounds of verify and table, --polarization-cap and --poset-cap.
+    Reads --budget, --jobs, the --n-max/--t-max grid bounds of verify and
+    table, --polarization-cap and --poset-cap.
     """
     try:
         value = int(text)
@@ -52,14 +49,6 @@ def _positive_int(text):
     if value <= 0:
         raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
     return value
-
-
-def _env_budget():
-    raw = os.environ.get(BUDGET_ENV)
-    try:
-        return DEFAULT_BUDGET if raw is None else _positive_int(raw)
-    except argparse.ArgumentTypeError as e:
-        raise ValueError("%s %s" % (BUDGET_ENV, e))
 
 
 # ---------------------------------------------------------------------
@@ -96,12 +85,16 @@ def render_rows(rows, fmt, out):
 # ideal input
 
 
+def _family(name, n, m):
+    """I(n, m) for "ipath", J(n, m) for "jcycle"."""
+    return path_ideal(n, m) if name == "ipath" else cycle_ideal(n, m)
+
+
 def _ideal_from_args(args):
     if args.family is not None:
         if args.n is None or args.m is None:
             raise ValueError("--family requires --n and --m")
-        base = path_ideal(args.n, args.m) if args.family == "ipath" else cycle_ideal(args.n, args.m)
-        return base.power(args.power)
+        return _family(args.family, args.n, args.m).power(args.power)
     if args.ideal is None or args.nvars is None:
         raise ValueError("provide either --family with --n/--m, or --ideal with --nvars")
     return parse_ideal(args.ideal, args.nvars).power(args.power)
@@ -180,26 +173,14 @@ def parse_exported(text):
 # subcommand handlers
 
 
-def _cmd_ipath(args, out):
-    ideal = path_ideal(args.n, args.m).power(args.power)
-    _print_ideal(ideal, args.format, out)
-    return EXIT_OK
-
-
-def _cmd_jcycle(args, out):
-    ideal = cycle_ideal(args.n, args.m).power(args.power)
-    _print_ideal(ideal, args.format, out)
-    return EXIT_OK
-
-
-def _print_ideal(ideal, fmt, out):
-    rows = [
-        {"generator": str(g), "degree": g.degree()} for g in ideal.gens
-    ]
-    if fmt == "text":
+def _cmd_family(args, out):
+    ideal = _family(args.command, args.n, args.m).power(args.power)
+    if args.format == "text":
         out.write(str(ideal) + "\n")
     else:
-        render_rows(rows, fmt, out)
+        rows = [{"generator": str(g), "degree": g.degree()} for g in ideal.gens]
+        render_rows(rows, args.format, out)
+    return EXIT_OK
 
 
 def _cmd_phi(args, out):
@@ -270,8 +251,7 @@ def _cmd_table(args, out):
         m_hi = n if args.family == "ipath" else n - 1
         for m in range(m_lo, m_hi + 1):
             for t in range(1, args.t_max + 1):
-                base = path_ideal(n, m) if args.family == "ipath" else cycle_ideal(n, m)
-                ideal = base.power(t)
+                ideal = _family(args.family, n, m).power(t)
                 row = {"n": n, "m": m, "t": t, "phi": phi(n, m, t)}
                 if ideal.is_whole_ring():
                     continue
@@ -304,7 +284,6 @@ def _cmd_verify(args, out):
         "node_budget": args.budget,
         "n_max": args.n_max,
         "t_max": args.t_max,
-        "sdepth_n_max": args.sdepth_n_max,
     }
     reports = claims.run_claims(ids, config=config, jobs=args.jobs)
     rows = [
@@ -371,19 +350,13 @@ def build_parser():
     def fmt_arg(p, default="json", extra=()):
         p.add_argument("--format", choices=("json", "csv", "md") + tuple(extra), default=default)
 
-    p = sub.add_parser("ipath", help="m-path ideal of the path graph")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--power", type=int, default=1)
-    fmt_arg(p, default="text", extra=("text",))
-    p.set_defaults(func=_cmd_ipath)
-
-    p = sub.add_parser("jcycle", help="m-path ideal of the cycle graph")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("--power", type=int, default=1)
-    fmt_arg(p, default="text", extra=("text",))
-    p.set_defaults(func=_cmd_jcycle)
+    for name, graph in (("ipath", "path"), ("jcycle", "cycle")):
+        p = sub.add_parser(name, help="m-path ideal of the %s graph" % graph)
+        p.add_argument("n", type=int)
+        p.add_argument("m", type=int)
+        p.add_argument("--power", type=int, default=1)
+        fmt_arg(p, default="text", extra=("text",))
+        p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("phi", help="closed-form depth value")
     p.add_argument("n", type=int)
@@ -406,7 +379,7 @@ def build_parser():
 
     p = sub.add_parser("sdepth", help="exact Stanley depth of S/I")
     _add_ideal_args(p)
-    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--poset-cap", type=_positive_int, default=100000)
     p.add_argument("--certificate", action="store_true")
     fmt_arg(p)
@@ -417,7 +390,7 @@ def build_parser():
     p.add_argument("--n-max", type=_positive_int, default=6)
     p.add_argument("--t-max", type=_positive_int, default=2)
     p.add_argument("--sdepth", action="store_true")
-    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--poset-cap", type=_positive_int, default=100000)
     fmt_arg(p, default="csv")
     p.set_defaults(func=_cmd_table)
@@ -426,11 +399,10 @@ def build_parser():
     p.add_argument("claims", nargs="*", metavar="CLAIM_ID")
     p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_positive_int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--n-max", type=_positive_int, default=7)
     p.add_argument("--t-max", type=_positive_int, default=3)
-    p.add_argument("--sdepth-n-max", type=int, default=5)
     fmt_arg(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -445,8 +417,6 @@ def build_parser():
 def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "budget") and args.budget is None:
-            args.budget = _env_budget()
         return args.func(args, out or sys.stdout)
     except (ValueError, KeyError) as e:
         sys.stderr.write("error: %s\n" % e)

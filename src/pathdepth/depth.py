@@ -209,19 +209,29 @@ class BettiTable:
         return max(i for (i, _) in self.entries)
 
 
-def _below_bitsets(exponent_tuples):
-    """below[i][v]: bitset of the generators whose exponent in x_i is <= v.
+def _below_bitsets(vectors, caps=None):
+    """below[i][v], v = 0..caps[i]: bitset of the vectors with x_i exponent <= v.
 
-    Bit j stands for exponent_tuples[j]; v runs up to the largest exponent
-    of x_i, which bounds every lcm-lattice element.
+    Bit j stands for vectors[j].  caps[i] must be at least the largest
+    exponent of x_i and defaults to it, which bounds every lcm-lattice
+    element.  Each row is read off one string of binary digits, so building
+    it costs no per-bit big-integer operation.
     """
+    count = len(vectors)
+    if caps is None:
+        caps = [max(column) for column in zip(*vectors)]
     below = []
-    for i in range(len(exponent_tuples[0])):
-        top = max(t[i] for t in exponent_tuples)
-        below.append([
-            sum(1 << j for j, t in enumerate(exponent_tuples) if t[i] <= v)
-            for v in range(top + 1)
-        ])
+    for i, cap in enumerate(caps):
+        by_value = [[] for _ in range(cap + 1)]
+        for j, t in enumerate(vectors):
+            by_value[t[i]].append(count - 1 - j)
+        digits = bytearray(b"0" * count)
+        row = []
+        for positions in by_value:
+            for d in positions:
+                digits[d] = 49  # ord("1")
+            row.append(int(digits, 2))
+        below.append(row)
     return below
 
 

@@ -114,8 +114,6 @@ def build_poset(ideal, g=None, cap=100000):
     `_below_bitsets` rows of the prefix: the generators that still fit
     under it.  A point lies outside I iff that AND is zero at its last
     variable, and once it is zero every completion of the prefix does.
-    Rows stop at the largest exponent among the generators, so a row
-    index past it (an explicit g above the lcm) is clamped to the last row.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
@@ -133,11 +131,7 @@ def build_poset(ideal, g=None, cap=100000):
         size *= e + 1
     if size > cap:
         raise PosetCapError("box of size %d exceeds cap %d" % (size, cap))
-    below = _below_bitsets([h.exponents for h in ideal.gens])
-    rows = [
-        [row[min(v, len(row) - 1)] for v in range(e + 1)]
-        for row, e in zip(below, cap_vec)
-    ]
+    rows = _below_bitsets([h.exponents for h in ideal.gens], cap_vec)
     ranges = [range(e + 1) for e in cap_vec]
     last = len(cap_vec) - 1
     points = []
@@ -225,28 +219,6 @@ def _hilbert_bound(poset, upto):
     return 0
 
 
-def _at_least(vectors, g):
-    """rows[i][v], v = 0..g_i + 1: bitset of the vectors with x_i exponent >= v.
-
-    Bit j stands for vectors[j].  Each row is read off one string of
-    binary digits, so building it costs no per-bit big-integer operation.
-    """
-    count = len(vectors)
-    rows = []
-    for i, gi in enumerate(g):
-        by_value = [[] for _ in range(gi + 1)]
-        for j, c in enumerate(vectors):
-            by_value[c[i]].append(count - 1 - j)
-        digits = bytearray(b"0" * count)
-        row = [0] * (gi + 2)
-        for v in range(gi, -1, -1):
-            for d in by_value[v]:
-                digits[d] = 49  # ord("1")
-            row[v] = int(digits, 2)
-        rows.append(row)
-    return rows
-
-
 # most refuted coverings the search remembers; past it, states are re-searched
 _MEMO_CAP = 500_000
 
@@ -284,7 +256,13 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     if not tops:
         # no point has an admissible top
         return None
-    top_rows = _at_least(tops, poset.g)
+
+    def at_least(below):
+        # rows[i][v]: the vectors with x_i exponent >= v; below's last row,
+        # at v = g_i, holds all of them
+        return [[row[-1]] + [row[-1] ^ r for r in row[:-1]] for row in below]
+
+    top_rows = at_least(_below_bitsets(tops, poset.g))
 
     def admissible(p):
         found = -1
@@ -311,7 +289,8 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     too_many = "exceeded %d nodes building interval candidates" % node_budget
     if work > node_budget:
         raise SearchBudgetError(too_many)
-    up_rows = _at_least(points, poset.g)
+    below = _below_bitsets(points, poset.g)
+    up_rows = at_least(below)
     full = (1 << npts) - 1
     downs = {}
     candidates = []
@@ -328,8 +307,8 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
             down = downs.get(j)
             if down is None:
                 down = full
-                for row, v in zip(up_rows, tops[j]):
-                    down &= ~row[v + 1]
+                for row, v in zip(below, tops[j]):
+                    down &= row[v]
                 downs[j] = down
             mask = up & down
             work += mask.bit_count()
@@ -338,7 +317,7 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
             cand.append((mask, tops[j]))
         cand.sort(key=lambda mb: -mb[0].bit_count())
         candidates.append(cand)
-    del downs, up_rows  # the search needs only the masks
+    del downs, below, up_rows  # the search needs only the masks
     exhausted = "exceeded %d search nodes" % node_budget
     nodes = 1  # the root; candidate construction has charged more already
     dead = set()

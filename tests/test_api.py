@@ -1,5 +1,5 @@
-"""Every exported name resolves; the library holds no assert statement and no
-module-level mutable container."""
+"""Every exported name resolves; the library holds no assert statement, no
+module-level mutable container and no read of the environment."""
 
 import ast
 import importlib
@@ -36,6 +36,22 @@ def test_no_assert_statement_in_library():
         for name, tree in _library_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def test_library_reads_no_environment():
+    # a setting read from the environment is an option no caller can see;
+    # every knob is an argument or a command-line flag
+    found = [
+        "%s:%d %s" % (name, node.lineno, ast.unparse(node))
+        for name, tree in _library_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+        or (isinstance(node, ast.alias) and node.name in ENVIRONMENT)
     ]
     assert found == []
 

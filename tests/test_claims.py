@@ -1,6 +1,7 @@
 """Claim registry: reports, exact-sequence bounds, and spot checks."""
 
 import io
+import json
 
 import pytest
 
@@ -84,8 +85,10 @@ def test_tail_colon_identity_claim():
 
 
 def test_reduction_identities_claim():
-    report = check_inmt(6, 3, 2, 1)
-    assert report.verdict == "pass"
+    for (n, m, t, k), (s_big, s_small) in (((6, 3, 2, 1), (3, 2)), ((7, 3, 2, 1), (4, 3))):
+        report = check_inmt(n, m, t, k)
+        assert report.verdict == "pass"
+        assert (report.values["sdepth_J"], report.values["sdepth_Jprime"]) == (s_big, s_small)
     with pytest.raises(ValueError):
         check_inmt(6, 3, 2, 3)
 
@@ -168,6 +171,19 @@ def test_verify_budget_reaches_lemma_2_4():
     (report,) = [r for r in reports if r.params == {"n": 7, "m": 2, "t": 3}]
     assert report.values["skipped"]
     assert "2000000" not in report.reason
+
+
+def test_verify_budget_reaches_lemma_3_1():
+    out = io.StringIO()
+    assert main(["verify", "lemma-3.1", "--budget", "1000"], out=out) == EXIT_OK
+    document = json.loads(out.getvalue())
+    assert document["run"]["failed"] == 0
+    lemma = [r for r in document["reports"] if r["claim_id"] == "lemma-3.1"]
+    assert len(lemma) == 6
+    for report in lemma:
+        assert report["verdict"] == "pass"
+        assert report["values"]["skipped"]
+        assert "1000" in report["reason"] and "2000000" not in report["reason"]
 
 
 def test_small_budget_skips_theorem_2_2_without_failing():

@@ -105,8 +105,10 @@ def test_exit_codes_are_distinguishable():
     # usage: phi outside 1 <= m <= n
     code, _ = run_cli("phi", "3", "5", "1")
     assert code == EXIT_USAGE
-    # usage: verify grid options and job counts that are not positive
-    for option, value in (("--n-max", "-1"), ("--t-max", "0"), ("--jobs", "0")):
+    # usage: verify grid options and job counts that are not positive, and
+    # an option verify does not have
+    for option, value in (("--n-max", "-1"), ("--t-max", "0"), ("--jobs", "0"),
+                          ("--sdepth-n-max", "5")):
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "lemma-2.3", option, value)
         assert exc.value.code == EXIT_USAGE, option
@@ -200,16 +202,6 @@ def test_verify_header_counts_reports_that_passed_with_skips():
         assert text.startswith("seed=0 node_budget=10 " + counts), fmt
     _, text = run_cli("verify", "lemma-2.3", "--n-max", "4")
     assert json.loads(text)["run"]["partly_skipped"] == 0
-
-
-def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv("PATHDEPTH_NODE_BUDGET", "2")
-    code, _ = run_cli("sdepth", "--family", "ipath", "--n", "5", "--m", "2")
-    assert code == EXIT_BUDGET
-    for raw in ("nonsense", "0"):
-        monkeypatch.setenv("PATHDEPTH_NODE_BUDGET", raw)
-        code, _ = run_cli("sdepth", "--family", "ipath", "--n", "4", "--m", "2")
-        assert code == EXIT_USAGE, raw
 
 
 def test_export_round_trip_both_dialects():

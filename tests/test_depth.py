@@ -308,6 +308,18 @@ def test_packed_engine_matches_monomial_oracle(data):
     if not gens:
         gens = [Monomial.variable(1, n)]
     assert_matches_oracle(MonomialIdeal(n, gens))
+    # the rows against their definition, at the largest exponents and above
+    vectors = [g.exponents for g in gens]
+    largest = [max(column) for column in zip(*vectors)]
+    extra = data.draw(st.integers(1, 3))
+    for caps in (None, largest, [c + extra for c in largest]):
+        below = _below_bitsets(vectors, caps)
+        assert [len(row) - 1 for row in below] == list(caps or largest)
+        for i, row in enumerate(below):
+            for v, bits in enumerate(row):
+                assert bits >> len(vectors) == 0
+                for j, t in enumerate(vectors):
+                    assert bool(bits >> j & 1) == (t[i] <= v)
 
 
 def test_packed_engine_matches_oracle_on_wide_fields():
