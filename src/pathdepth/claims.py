@@ -646,12 +646,13 @@ def check_teo_iran(I_small, L, t, node_budget=DEFAULT_BUDGET):
     checks.expect("depth equality", lhs == rhs)
     values = {"depth": lhs, "min_depth_powers": min(depths), "dim_l": dim_l}
     s = checks.sdepth("sdepth(S/(I+L)^t)", combined.power(t))
+    if s is not None:
+        values["sdepth"] = s
     small = [
         checks.sdepth("sdepth(S'/I^%d)" % i, I_small.power(i))
         for i in range(1, t + 1)
     ]
-    if s is not None and all(v is not None for v in small):
-        values["sdepth"] = s
+    if s is not None and None not in small:
         checks.expect("sdepth chain", min(small) + dim_l <= s <= p + dim_l)
     return checks.report(
         "theorem-1.8",
@@ -698,10 +699,12 @@ def check_inmt(n, m, t, k, node_budget=DEFAULT_BUDGET):
     checks.expect("depth(S/J^t) <= depth(S'/J'^t) + 1", d_big <= d_small + 1)
     values = {"depth_J": d_big, "depth_Jprime": d_small}
     s_big = checks.sdepth("sdepth(S/J^t)", Jt)
-    s_small = checks.sdepth("sdepth(S'/J'^t)", Jprime.power(t))
-    if s_big is not None and s_small is not None:
+    if s_big is not None:
         values["sdepth_J"] = s_big
+    s_small = checks.sdepth("sdepth(S'/J'^t)", Jprime.power(t))
+    if s_small is not None:
         values["sdepth_Jprime"] = s_small
+    if s_big is not None and s_small is not None:
         checks.expect("sdepth(S/J^t) <= sdepth(S'/J'^t) + 1", s_big <= s_small + 1)
     return checks.report(
         "lemma-3.1",
@@ -793,13 +796,14 @@ def check_obsy2(n, m, t, node_budget=DEFAULT_BUDGET):
     if hypothesis:
         checks.expect("conditional: depth(S/J^t) >= depth(S/(J^t,x_n^t))", d_full >= d_sum)
     s_sum = checks.sdepth("sdepth sum", sum_ideal)
+    if s_sum is not None:
+        values["sdepth_sum"] = s_sum
     s = {
         k: checks.sdepth("s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1))
         for k in range(2, t + 1)
     }
-    if s_sum is not None and all(v is not None for v in s.values()):
+    if s_sum is not None and None not in s.values():
         s_lower = min([phi(n - 1, m, t)] + list(s.values()))
-        values["sdepth_sum"] = s_sum
         checks.expect(
             "sdepth(S/(J^t,x_n^t)) >= min{phi(n-1,m,t), s_2..s_t}",
             s_sum >= s_lower,

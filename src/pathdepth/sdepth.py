@@ -16,10 +16,11 @@ bound, read off the poset's Hilbert series and computed only when the
 sweep bound is at least 2, is the largest d with (1-t)^d H(S/I; t)
 nonnegative, which no Stanley decomposition can beat.  Admissible tops
 and interval cells are ANDs of per-coordinate bitsets, and the exact
-cover runs as a loop over an explicit stack.  The node budget is charged
-in the units of the linear scans and the recursive search these replace,
-so an instance runs out in the same phase, with the same message, as
-under them.
+cover runs as a loop over an explicit stack that remembers no refuted
+covering.  The pre-check and candidate construction are charged in the
+units of the linear scans they replace, so an instance runs out in the
+same phase, with the same message, as under them; the search pays one
+node per covering it visits, revisits included.
 """
 
 from __future__ import annotations
@@ -219,10 +220,6 @@ def _hilbert_bound(poset, upto):
     return 0
 
 
-# most refuted coverings the search remembers; past it, states are re-searched
-_MEMO_CAP = 500_000
-
-
 def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     """A StanleyPartition with every interval label >= k, or None.
 
@@ -240,11 +237,12 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     one per top plus the size of each admissible interval.
 
     The search is a loop over an explicit stack of (covered, first
-    uncovered point, candidate iterator) frames.  It walks the tree of
-    the recursive search it replaces and pays one node per visited
-    covering, the root included; a child already refuted costs its node
-    and gets no frame.  Intervals are built only for the partition
-    returned.
+    uncovered point, candidate iterator) frames, and that stack, the
+    chosen path and the candidate masks are all it holds: it keeps no
+    record of refuted coverings, so a covering reached along two paths
+    is searched twice.  It pays one node per visited covering, the root
+    and every revisit included.  Intervals are built only for the
+    partition returned.
     """
     points = poset.points
     npts = len(points)
@@ -320,7 +318,6 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     del downs, below, up_rows  # the search needs only the masks
     exhausted = "exceeded %d search nodes" % node_budget
     nodes = 1  # the root; candidate construction has charged more already
-    dead = set()
     chosen = []  # the (first, top) choices on the path to the innermost frame
     stack = [(0, 0, iter(candidates[0]))]
     while stack:
@@ -332,14 +329,11 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetError(exhausted)
+            chosen.append((first, top))
             if child == full:
-                chosen.append((first, top))
                 return StanleyPartition(
                     tuple(PosetInterval(points[f], b) for f, b in chosen)
                 )
-            if child in dead:
-                continue
-            chosen.append((first, top))
             nxt = ((child + 1) & ~child).bit_length() - 1
             stack.append((child, nxt, iter(candidates[nxt])))
             break
@@ -347,8 +341,6 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
             stack.pop()
             if stack:
                 chosen.pop()
-            if len(dead) < _MEMO_CAP:
-                dead.add(covered)
     return None
 
 

@@ -93,6 +93,18 @@ def test_reduction_identities_claim():
         check_inmt(6, 3, 2, 3)
 
 
+def test_reduction_identities_keep_a_decided_sdepth_beside_a_skip():
+    # at this budget sdepth(S/J(6,3)^2) runs out building candidates while
+    # sdepth(S'/J'^2) = 2 is decided: the report keeps the decided value and
+    # skips only the +1 inequality that needs both
+    report = check_inmt(6, 3, 2, 1, node_budget=30_000)
+    assert report.verdict == "pass"
+    assert report.values["sdepth_Jprime"] == 2
+    assert "sdepth_J" not in report.values
+    (skip,) = report.values["skipped"]
+    assert skip.startswith("sdepth(S/J^t) ("), skip
+
+
 def test_upper_bound_claims():
     assert check_t212(6, 3, 2).verdict == "pass"
     assert check_t3(7, 3, 1).verdict == "pass"
