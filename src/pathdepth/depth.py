@@ -1,15 +1,21 @@
 """Exact depth of S/I via multigraded Betti numbers.
 
-Projective dimension is read off the multigraded Betti table: the
-candidate multidegrees are the elements of the lcm lattice of the minimal
-generators, and for each multidegree a the Betti number beta_{i,a}(S/I)
-is the reduced homology rank, in dimension i-2 and characteristic 0, of
-the Koszul strand complex at a.  That complex is homotopy equivalent to
-the order complex of the open interval below a in the lcm lattice; the
-tests compute that homology directly as a cross-check on small inputs.
-depth = n - pd by Auslander-Buchsbaum.
+The candidate multidegrees are the elements of the lcm lattice of the
+minimal generators, and for each multidegree a the Betti number
+beta_{i,a}(S/I) is the reduced homology rank, in dimension i-2 and
+characteristic 0, of the Koszul strand complex at a.  That complex is
+homotopy equivalent to the order complex of the open interval below a in
+the lcm lattice; the tests compute that homology directly as a
+cross-check on small inputs.  depth = n - pd by Auslander-Buchsbaum.
 
-The two hot loops run on flat data: the lattice is closed over exponent
+`betti` builds the whole table.  `depth_quotient` needs only the last
+nonzero row, pd = max{i : beta_{i,a} != 0}: it walks the lattice by
+decreasing support size, since beta_{i,a} = 0 for i > |supp(a)|, computes
+only the homology that could raise pd, and stops once no element left can.
+`max_ideal_associated` reads the row i = n off socle tests, with no
+homology at all.  Ranks come from fraction-free integer elimination.
+
+The hot loops run on flat data: the lattice is closed over exponent
 tuples packed into one int each (`_lcm_closure`), and the Koszul strand
 faces are read off bitsets of generators (`_koszul_faces`).  Monomials
 appear only in what the public functions take and return.
@@ -18,7 +24,7 @@ appear only in what the public functions take and return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .monomials import Monomial, MonomialIdeal
 
@@ -52,32 +58,51 @@ class PolarizationCapError(RuntimeError):
 def rank_exact(columns):
     """Rank over Q of a sparse integer matrix given as columns {row: coeff}.
 
-    Exact rational elimination; characteristic 0 by construction.
+    Fraction-free integer elimination, exact and in characteristic 0.  A
+    column whose lowest row r holds a stored pivot column's lowest entry is
+    reduced by work := p*work - c*pivot, with p and c the pivot's and the
+    column's entries at r divided by their gcd; that clears row r and keeps
+    every entry an integer.  A column whose lowest row holds no pivot is
+    divided by the gcd of its entries and stored as that row's pivot.
     """
     pivots = {}
-    rank = 0
     for col in columns:
-        work = {r: Fraction(c) for r, c in col.items() if c}
+        work = {r: c for r, c in col.items() if c}
         while work:
             r = min(work)
-            if r in pivots:
-                piv = pivots[r]
-                factor = work[r] / piv[r]
-                for pr, pc in piv.items():
-                    val = work.get(pr, Fraction(0)) - factor * pc
-                    if val:
-                        work[pr] = val
-                    else:
-                        work.pop(pr, None)
-            else:
+            piv = pivots.get(r)
+            if piv is None:
+                g = gcd(*work.values())
+                if g != 1:
+                    work = {k: v // g for k, v in work.items()}
                 pivots[r] = work
-                rank += 1
                 break
-    return rank
+            p, c = piv[r], work[r]
+            g = gcd(p, c)
+            p, c = p // g, c // g
+            if p != 1:
+                work = {k: p * v for k, v in work.items()}
+            for k, v in piv.items():
+                val = work.get(k, 0) - c * v
+                if val:
+                    work[k] = val
+                else:
+                    del work[k]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------
 # reduced simplicial homology
+
+
+def _boundary_rank(faces, lower):
+    """Rank of the boundary map from `faces`, all of one dimension d >= 0,
+    to `lower`, the (d-1)-faces, [()] for d = 0; faces are sorted tuples."""
+    index = {f: i for i, f in enumerate(lower)}
+    return rank_exact(
+        {index[f[:j] + f[j + 1:]]: -1 if j % 2 else 1 for j in range(len(f))}
+        for f in faces
+    )
 
 
 def reduced_homology(faces):
@@ -91,35 +116,37 @@ def reduced_homology(faces):
     for f in faces:
         tf = tuple(sorted(f))
         by_dim.setdefault(len(tf) - 1, set()).add(tf)
-    if not by_dim:
-        return {-1: 1}
+    by_dim = {d: sorted(fs) for d, fs in by_dim.items()}
+    by_dim[-1] = [()]
     top = max(by_dim)
-    index = {d: {f: i for i, f in enumerate(sorted(by_dim[d]))} for d in by_dim}
-    # boundary_rank[d] = rank of the map from d-faces to (d-1)-faces,
-    # with the empty face as the unique (-1)-face.
-    boundary_rank = {}
-    for d in range(0, top + 1):
-        cols = []
-        for f in sorted(by_dim.get(d, ())):
-            if d == 0:
-                cols.append({0: 1})
-                continue
-            col = {}
-            for j in range(d + 1):
-                sub = f[:j] + f[j + 1:]
-                col[index[d - 1][sub]] = -1 if j % 2 else 1
-            cols.append(col)
-        boundary_rank[d] = rank_exact(cols)
-    boundary_rank[top + 1] = 0
+    boundary_rank = {d: _boundary_rank(by_dim[d], by_dim[d - 1]) for d in range(top + 1)}
+    boundary_rank[-1] = boundary_rank[top + 1] = 0
     ranks = {}
-    h_minus1 = 1 - boundary_rank[0]
-    if h_minus1:
-        ranks[-1] = h_minus1
-    for d in range(0, top + 1):
-        r = len(by_dim.get(d, ())) - boundary_rank[d] - boundary_rank[d + 1]
+    for d in range(-1, top + 1):
+        r = len(by_dim[d]) - boundary_rank[d] - boundary_rank[d + 1]
         if r:
             ranks[d] = r
     return ranks
+
+
+def _top_homology(faces, floor):
+    """Largest d >= floor with nonzero reduced homology, or None; floor >= 0.
+
+    `faces` as from `_koszul_faces`: the nonempty faces as sorted tuples.
+    Boundary ranks are taken from the top dimension down, each once, and
+    the scan stops at the first dimension whose homology is nonzero, so no
+    rank below max(that dimension, floor) is computed.
+    """
+    by_dim = {-1: [()]}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    rank_above = 0
+    for d in range(max(by_dim), floor - 1, -1):
+        rank = _boundary_rank(by_dim[d], by_dim[d - 1])
+        if len(by_dim[d]) - rank - rank_above:
+            return d
+        rank_above = rank
+    return None
 
 
 def _is_cone(faces, vertices):
@@ -235,6 +262,19 @@ def _below_bitsets(vectors, caps=None):
     return below
 
 
+def _dividing(exponents, below):
+    """Bitset of the vectors below x^exponents in every coordinate.
+
+    For generator rows this is the set of generators dividing x^exponents,
+    non-zero iff x^exponents lies in the ideal; each exponent must be at
+    most its row's cap.
+    """
+    bits = -1
+    for row, e in zip(below, exponents):
+        bits &= row[e]
+    return bits
+
+
 def _koszul_faces(exponents, below):
     """Faces of the Koszul strand complex at a multidegree a of the ideal.
 
@@ -248,9 +288,6 @@ def _koszul_faces(exponents, below):
     """
     support = [i for i, e in enumerate(exponents) if e > 0]
     step = [below[i][exponents[i] - 1] for i in support]
-    dividing = -1
-    for row, e in zip(below, exponents):
-        dividing &= row[e]
     faces = []
 
     def grow(face, start, current):
@@ -262,7 +299,7 @@ def _koszul_faces(exponents, below):
                 grow(face, k + 1, nxt)
                 face.pop()
 
-    grow([], 0, dividing)
+    grow([], 0, _dividing(exponents, below))
     return faces, support
 
 
@@ -312,13 +349,37 @@ class DepthResult:
 
 
 def depth_quotient(ideal):
-    """Exact depth(S/I) from the Betti table; zero ideal has depth n."""
+    """Exact depth(S/I) = n - pd(S/I); the zero ideal has depth n.
+
+    pd = max{i : beta_{i,a} != 0} is read off the top of the Betti table
+    without building the rest of it.  beta_{i,a} = 0 for i > |supp(a)|, so
+    the lcm-lattice elements are visited by decreasing support size, and
+    the walk stops at the first element whose support cannot raise pd;
+    every support is at most n, so it also stops once pd = n.  At each
+    element only the homology in dimensions >= pd - 1 (Betti index > pd)
+    is computed.  The minimal generators give beta_1, so pd starts at 1.
+    """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
     n = ideal.n_vars
     if ideal.is_zero():
         return DepthResult(n, 0, n, "lattice")
-    pd = betti(ideal).projective_dimension()
+    below = _below_bitsets([g.exponents for g in ideal.gens])
+    lattice = build_lcm_lattice(ideal)
+    elements = sorted(
+        ((sum(1 for e in a.exponents if e), a.exponents) for a in lattice.elements),
+        key=lambda pair: -pair[0],
+    )
+    pd = 1
+    for size, a in elements:
+        if size <= pd:
+            break
+        faces, support = _koszul_faces(a, below)
+        if faces and _is_cone(faces, support):
+            continue
+        d = _top_homology(faces, pd - 1)
+        if d is not None:
+            pd = d + 2
     return DepthResult(n - pd, pd, n, "lattice")
 
 
@@ -352,17 +413,25 @@ def max_ideal_associated(ideal):
 
     beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
     so the top row of the Betti table lists every monomial w with w not
-    in I and x_j*w in I for all j: the answer is (False, None) when the
-    row is empty, and otherwise (True, w) for the w of largest degree,
-    ties going to the smallest exponent tuple.
+    in I and x_j*w in I for all j, and each a = w + 1 lies in the lcm
+    lattice.  Those two tests are ANDs of `_below_bitsets` rows at the
+    full-support lattice elements, with no homology: the answer is
+    (False, None) when no element passes, and otherwise (True, w) for the
+    w of largest degree, ties going to the smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
-    socle = [
-        tuple(e - 1 for e in a.exponents)
-        for (i, a) in betti(ideal).entries
-        if i == ideal.n_vars
-    ]
+    vectors = [g.exponents for g in ideal.gens]
+    below = _below_bitsets(vectors)
+    socle = []
+    for a in _lcm_closure(vectors):
+        if not all(a):
+            continue
+        w = tuple(e - 1 for e in a)
+        if _dividing(w, below):
+            continue
+        if all(_dividing(w[:j] + (a[j],) + w[j + 1:], below) for j in range(len(a))):
+            socle.append(w)
     if not socle:
         return False, None
     return True, Monomial(min(socle, key=lambda w: (-sum(w), w)))

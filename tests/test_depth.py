@@ -1,5 +1,6 @@
 """Exact homology, Betti numbers, and depth."""
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -14,6 +15,7 @@ from pathdepth.depth import (
     _below_bitsets,
     _is_cone,
     _koszul_faces,
+    _lcm_closure,
     betti,
     build_lcm_lattice,
     depth_quotient,
@@ -22,10 +24,35 @@ from pathdepth.depth import (
     rank_exact,
     reduced_homology,
 )
-from pathdepth.families import cycle_ideal, path_ideal
+from pathdepth import depth as depth_module
+from pathdepth.families import cycle_ideal, path_ideal, phi
 from pathdepth.monomials import Monomial, MonomialIdeal, parse_ideal
 
 # linear algebra ------------------------------------------------------
+
+
+def fraction_rank(columns):
+    """Reference oracle: rank over Q by rational elimination on Fraction entries."""
+    pivots = {}
+    rank = 0
+    for col in columns:
+        work = {r: Fraction(c) for r, c in col.items() if c}
+        while work:
+            r = min(work)
+            if r in pivots:
+                piv = pivots[r]
+                factor = work[r] / piv[r]
+                for pr, pc in piv.items():
+                    val = work.get(pr, Fraction(0)) - factor * pc
+                    if val:
+                        work[pr] = val
+                    else:
+                        work.pop(pr, None)
+            else:
+                pivots[r] = work
+                rank += 1
+                break
+    return rank
 
 
 def test_rank_exact_small_matrices():
@@ -35,6 +62,25 @@ def test_rank_exact_small_matrices():
     # integer arithmetic that would break floating-point elimination
     cols = [{0: 10**30, 1: 1}, {0: 10**30 + 1, 1: 1}]
     assert rank_exact(cols) == 2
+    # a generator of columns, as the walk passes them
+    assert rank_exact({0: 2, 1: 2 * k} for k in range(3)) == 2
+
+
+sparse_columns = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(-3, 3), max_size=6), max_size=9
+)
+
+
+@given(sparse_columns, st.data())
+@settings(max_examples=100, deadline=None)
+def test_rank_exact_matches_fraction_oracle(columns, data):
+    if columns:
+        columns += data.draw(st.lists(st.sampled_from(columns), max_size=3))  # duplicates
+    columns += [{}, {r: 0 for r in range(3)}]  # an empty and a zero column
+    columns = data.draw(st.permutations(columns))
+    before = [dict(c) for c in columns]
+    assert rank_exact(columns) == fraction_rank(columns)
+    assert columns == before  # the input columns are not touched
 
 
 # simplicial homology -------------------------------------------------
@@ -389,6 +435,101 @@ def test_depth_result_rejects_broken_invariant():
         DepthResult(-1, 4, 3, "x")
 
 
+@st.composite
+def small_ideals(draw, n_max=6, gens_max=6, exponent_max=3):
+    n = draw(st.integers(1, n_max))
+    gens = []
+    for _ in range(draw(st.integers(1, gens_max))):
+        exps = tuple(draw(st.integers(0, exponent_max)) for _ in range(n))
+        if any(exps):
+            gens.append(Monomial(exps))
+    return MonomialIdeal(n, gens or [Monomial.variable(1, n)])
+
+
+@given(small_ideals())
+@settings(max_examples=80, deadline=None)
+def test_walk_pd_matches_full_betti_table(ideal):
+    assert depth_quotient(ideal).pd == betti(ideal).projective_dimension()
+    polarized, _ = ideal.polarize()
+    # within depth_via_polarization's default cap, which bounds the table's cost
+    if polarized.n_vars <= 14:
+        assert depth_quotient(polarized).pd == betti(polarized).projective_dimension()
+
+
+def support_size(exponents):
+    return sum(1 for e in exponents if e)
+
+
+def walk_oracle(ideal):
+    """The multidegrees the walk must examine, and its pd, from the full table.
+
+    Lattice elements go by decreasing support size, ties in lex order; the
+    walk stops at the first element whose support is at most the pd of the
+    elements before it (and of the generators, which give pd >= 1).
+    """
+    top = {}
+    for (i, a), _ in betti(ideal).entries.items():
+        top[a.exponents] = max(top.get(a.exponents, 0), i)
+    elements = sorted(
+        _lcm_closure([g.exponents for g in ideal.gens]), key=lambda a: -support_size(a)
+    )
+    pd, examined = 1, []
+    for a in elements:
+        if support_size(a) <= pd:
+            break
+        examined.append(a)
+        pd = max(pd, top.get(a, 0))
+    return examined, pd
+
+
+def walk(ideal):
+    """The multidegrees depth_quotient examines, in order, and its pd."""
+    examined = []
+    original = depth_module._koszul_faces
+
+    def recording(exponents, below):
+        examined.append(exponents)
+        return original(exponents, below)
+
+    depth_module._koszul_faces = recording
+    try:
+        pd = depth_quotient(ideal).pd
+    finally:
+        depth_module._koszul_faces = original
+    return examined, pd
+
+
+@given(small_ideals(n_max=5, gens_max=5))
+@settings(max_examples=60, deadline=None)
+def test_walk_examines_only_elements_that_can_raise_pd(ideal):
+    assert walk(ideal) == walk_oracle(ideal)
+
+
+def test_walk_stops_at_the_largest_support():
+    # pd = n at the top element: nothing else is examined
+    assert walk(MonomialIdeal.maximal(4)) == ([(1, 1, 1, 1)], 4)
+    # two disjoint edges: the top gives pd 2, so the edges are not examined
+    assert walk(parse_ideal("x1*x2, x3*x4", 4)) == ([(1, 1, 1, 1)], 2)
+    # the first full-support element gives pd n - 1, the second pd n
+    assert walk(parse_ideal("x1^2*x3, x2^2, x3^2", 3)) == ([(2, 2, 1), (2, 2, 2)], 3)
+
+
+def test_depth_ladder_pins():
+    # the six instances and depths pinned by benchmark/workloads.py::DEPTH_LADDER,
+    # so that a wrong early stop of the walk fails here before the benchmark
+    ladder = (
+        (path_ideal(7, 3), 3, phi(7, 3, 3)),
+        (cycle_ideal(6, 3), 2, 3),
+        (cycle_ideal(6, 4), 2, 1),
+        (cycle_ideal(7, 3), 3, 2),
+        (cycle_ideal(6, 4), 5, 1),
+        (cycle_ideal(6, 5), 5, 0),
+    )
+    assert [depth_quotient(base.power(t)).depth for base, t, _ in ladder] == [
+        depth for _, _, depth in ladder
+    ]
+
+
 # polarization cross-check --------------------------------------------
 
 
@@ -489,6 +630,17 @@ def test_max_ideal_associated_matches_box_scan(data):
     w = box_scan_witness(I)
     assert max_ideal_associated(I) == (w is not None, w)
     assert (w is not None) == (depth_quotient(I).depth == 0)
+
+
+@given(small_ideals())
+@settings(max_examples=80, deadline=None)
+def test_max_ideal_associated_matches_top_betti_row(ideal):
+    n = ideal.n_vars
+    row = {a.exponents: r for (i, a), r in betti(ideal).entries.items() if i == n}
+    assert set(row.values()) <= {1}  # each socle degree is one-dimensional
+    socle = [tuple(e - 1 for e in a) for a in row]
+    witness = Monomial(min(socle, key=lambda w: (-sum(w), w))) if socle else None
+    assert max_ideal_associated(ideal) == (bool(socle), witness)
 
 
 def test_max_ideal_associated_witness_beyond_any_box_cap():
