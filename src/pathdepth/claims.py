@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .depth import (
+    DEFAULT_POLARIZATION_CAP,
     PolarizationCapError,
     depth_quotient,
     depth_via_polarization,
@@ -219,8 +220,9 @@ def _set_partitions(items):
             yield part[:i] + (block + (head,),) + part[i + 1:]
 
 
-def check_lemma_1_2(n_max=5, n_random=6, samples=15, seed=0):
+def check_lemma_1_2(seed):
     """depth of S modulo an intersection of block-primes is (#blocks - 1)."""
+    n_max, n_random, samples = 5, 6, 15
     checks = _Checks()
     tried = 0
     for n in range(1, n_max + 1):
@@ -254,8 +256,9 @@ def check_lemma_1_2(n_max=5, n_random=6, samples=15, seed=0):
     )
 
 
-def _random_ideal(rng, n_max=4, max_exp=2, max_gens=4):
+def _random_ideal(rng):
     """Seeded proper nonzero monomial ideal with small exponents."""
+    n_max, max_exp, max_gens = 4, 2, 4
     while True:
         n = rng.randint(1, n_max)
         gens = []
@@ -267,7 +270,8 @@ def _random_ideal(rng, n_max=4, max_exp=2, max_gens=4):
             return MonomialIdeal(n, gens)
 
 
-def _random_monomial_outside(rng, ideal, max_exp=2, tries=50):
+def _random_monomial_outside(rng, ideal):
+    max_exp, tries = 2, 50
     for _ in range(tries):
         exps = tuple(rng.randint(0, max_exp) for _ in range(ideal.n_vars))
         u = Monomial(exps)
@@ -276,8 +280,9 @@ def _random_monomial_outside(rng, ideal, max_exp=2, tries=50):
     return Monomial.unit(ideal.n_vars)
 
 
-def check_lemma_1_4(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
+def check_lemma_1_4(seed, node_budget=DEFAULT_BUDGET):
     """Colon monotonicity: depth and sdepth never drop under (I : u), u not in I."""
+    samples = 50
     rng = random.Random(seed)
     checks = _Checks(node_budget)
     for i in range(samples):
@@ -297,8 +302,9 @@ def check_lemma_1_4(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
     )
 
 
-def check_lemma_1_5(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
+def check_lemma_1_5(seed, node_budget=DEFAULT_BUDGET):
     """Colon equality under the certified hypothesis I = u*(I : u)."""
+    samples = 50
     rng = random.Random(seed)
     checks = _Checks(node_budget)
     for i in range(samples):
@@ -321,8 +327,9 @@ def check_lemma_1_5(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
     )
 
 
-def check_lemma_1_6(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
+def check_lemma_1_6(seed, node_budget=DEFAULT_BUDGET):
     """A fresh variable raises depth and sdepth by exactly one."""
+    samples = 50
     rng = random.Random(seed)
     checks = _Checks(node_budget)
     for i in range(samples):
@@ -341,8 +348,9 @@ def check_lemma_1_6(samples=50, seed=0, node_budget=DEFAULT_BUDGET):
     )
 
 
-def check_lemma_1_7(samples=30, seed=0, node_budget=DEFAULT_BUDGET):
+def check_lemma_1_7(seed, node_budget=DEFAULT_BUDGET):
     """depth = 0, sdepth = 0 and maximal-ideal association are equivalent."""
+    samples = 30
     rng = random.Random(seed)
     checks = _Checks(node_budget)
     zeros = 0
@@ -369,8 +377,9 @@ def check_lemma_1_7(samples=30, seed=0, node_budget=DEFAULT_BUDGET):
     )
 
 
-def check_engine_agreement(samples=50, seed=0, cap=14):
+def check_engine_agreement(seed):
     """depth via the Betti table equals depth via polarization."""
+    samples = 50
     rng = random.Random(seed)
     checks = _Checks()
     instances = [_random_ideal(rng) for _ in range(samples)]
@@ -385,7 +394,7 @@ def check_engine_agreement(samples=50, seed=0, cap=14):
     skipped_named = []
     for i, I in enumerate(instances + [ideal for _, ideal in named]):
         try:
-            polarized = depth_via_polarization(I, cap=cap)
+            polarized = depth_via_polarization(I)
         except PolarizationCapError as e:
             if i < samples:
                 checks.skip("instance #%d" % i, str(e))
@@ -395,7 +404,7 @@ def check_engine_agreement(samples=50, seed=0, cap=14):
         checks.expect("instance #%d" % i, _depth(I) == polarized.depth)
     return checks.report(
         "engine-agreement",
-        {"samples": samples, "seed": seed, "cap": cap},
+        {"samples": samples, "seed": seed, "cap": DEFAULT_POLARIZATION_CAP},
         {
             "instances": samples + len(named) - len(skipped_named),
             "named_beyond_cap": skipped_named,
@@ -1032,24 +1041,20 @@ def run_example_2(node_budget=DEFAULT_BUDGET):
 # registry
 
 
-def _budget(config):
-    return config.get("node_budget", DEFAULT_BUDGET)
+def _run_config(config=None):
+    """A registry run's settings: `config` over the defaults.
 
-
-def _grid_theorem_1_9(config):
-    n_max = config.get("n_max", 7)
-    t_max = config.get("t_max", 3)
-    return [
-        check_phi(n, m, t_max, with_sdepth=(n <= 5), node_budget=_budget(config))
-        for n in range(1, n_max + 1)
-        for m in range(1, n + 1)
-    ]
+    The one definition of the defaults: run_claims fills every caller's
+    config from it, and the `verify` command takes its option defaults
+    from it.
+    """
+    defaults = {"seed": 0, "node_budget": DEFAULT_BUDGET, "n_max": 7, "t_max": 3}
+    return {**defaults, **(config or {})}
 
 
 def _grid_lucky(config):
-    n_max = config.get("n_max", 7)
     out = []
-    for n in range(3, n_max + 1):
+    for n in range(3, config["n_max"] + 1):
         for m in range(2, n):
             t0 = t0_alpha(n, m).t0
             for t in (t0, t0 + 1):
@@ -1057,65 +1062,48 @@ def _grid_lucky(config):
     return out
 
 
-def _grid_lemma_2_3(config):
-    n_max = config.get("n_max", 8)
-    t_max = config.get("t_max", 2)
+def _cycle_grid(config):
+    """(n, m, t) with 3 <= n <= n_max, 2 <= m < n and 1 <= t <= t_max."""
     return [
-        check_inmt2(n, m, t)
-        for n in range(3, n_max + 1)
+        (n, m, t)
+        for n in range(3, config["n_max"] + 1)
         for m in range(2, n)
-        for t in range(1, t_max + 1)
+        for t in range(1, config["t_max"] + 1)
     ]
 
 
-def _grid_upper_bounds(check, config):
-    n_max = config.get("n_max", 7)
-    t_max = config.get("t_max", 3)
-    out = []
-    for n in range(3, n_max + 1):
-        for m in range(2, n):
-            if check is check_t3 and n < 2 * m + 1:
-                continue
-            for t in range(1, t_max + 1):
-                out.append(check(n, m, t))
-    return out
-
-
 CLAIM_IDS = {
-    "lemma-1.2": lambda config: [check_lemma_1_2(seed=config.get("seed", 0))],
-    "lemma-1.4": lambda config: [
-        check_lemma_1_4(seed=config.get("seed", 0), node_budget=_budget(config))
+    "lemma-1.2": lambda config: [check_lemma_1_2(config["seed"])],
+    "lemma-1.4": lambda config: [check_lemma_1_4(config["seed"], config["node_budget"])],
+    "lemma-1.5": lambda config: [check_lemma_1_5(config["seed"], config["node_budget"])],
+    "lemma-1.6": lambda config: [check_lemma_1_6(config["seed"], config["node_budget"])],
+    "lemma-1.7": lambda config: [check_lemma_1_7(config["seed"], config["node_budget"])],
+    "engine-agreement": lambda config: [check_engine_agreement(config["seed"])],
+    "theorem-1.9": lambda config: [
+        check_phi(
+            n, m, config["t_max"], with_sdepth=(n <= 5), node_budget=config["node_budget"]
+        )
+        for n in range(1, config["n_max"] + 1)
+        for m in range(1, n + 1)
     ],
-    "lemma-1.5": lambda config: [
-        check_lemma_1_5(seed=config.get("seed", 0), node_budget=_budget(config))
-    ],
-    "lemma-1.6": lambda config: [
-        check_lemma_1_6(seed=config.get("seed", 0), node_budget=_budget(config))
-    ],
-    "lemma-1.7": lambda config: [
-        check_lemma_1_7(seed=config.get("seed", 0), node_budget=_budget(config))
-    ],
-    "engine-agreement": lambda config: [
-        check_engine_agreement(seed=config.get("seed", 0))
-    ],
-    "theorem-1.9": _grid_theorem_1_9,
     "lemma-1.10": _grid_lucky,
     "lemma-2.1": lambda config: [check_l1(4, 3), check_l1(5, 2), check_l1(6, 1), check_l1(6, 2)],
     "theorem-2.2": lambda config: [
-        check_t1(4, 3, node_budget=_budget(config)),
-        check_t1(5, 4, node_budget=_budget(config)),
-        check_t1(5, 2, node_budget=_budget(config)),
-        check_t1(6, 5, node_budget=_budget(config)),
+        check_t1(n, t, node_budget=config["node_budget"])
+        for (n, t) in ((4, 3), (5, 4), (5, 2), (6, 5))
     ],
-    "lemma-2.3": _grid_lemma_2_3,
+    "lemma-2.3": lambda config: [check_inmt2(n, m, t) for (n, m, t) in _cycle_grid(config)],
     "lemma-2.4": lambda config: [
-        check_intermed(n, m, t, node_budget=_budget(config))
+        check_intermed(n, m, t, node_budget=config["node_budget"])
         for (n, m, t) in ((7, 3, 1), (7, 3, 2), (8, 3, 1), (7, 2, 2), (7, 2, 3))
     ],
-    "theorem-2.5": lambda config: _grid_upper_bounds(check_t3, config),
-    "theorem-1.11": lambda config: _grid_upper_bounds(check_t212, config),
+    # Theorem 2.5 is stated for n >= 2m + 1 only
+    "theorem-2.5": lambda config: [
+        check_t3(n, m, t) for (n, m, t) in _cycle_grid(config) if n >= 2 * m + 1
+    ],
+    "theorem-1.11": lambda config: [check_t212(n, m, t) for (n, m, t) in _cycle_grid(config)],
     "theorem-1.8": lambda config: [
-        check_teo_iran(I, L, t, node_budget=_budget(config))
+        check_teo_iran(I, L, t, node_budget=config["node_budget"])
         for (I, L, t) in (
             (parse_ideal("x1*x2", 2), parse_ideal("x1", 1), 2),
             (path_ideal(3, 2), MonomialIdeal.variable_prime((1, 2), 2), 2),
@@ -1123,30 +1111,29 @@ CLAIM_IDS = {
         )
     ],
     "lemma-3.1": lambda config: [
-        check_inmt(n, m, 2, k, node_budget=_budget(config))
+        check_inmt(n, m, 2, k, node_budget=config["node_budget"])
         for (n, m) in ((6, 3), (6, 4), (7, 3))
         for k in (1, 2)
     ],
     "prop-3.2": lambda config: [
-        check_obsy(6, 3, 2, node_budget=_budget(config)),
-        check_obsy(6, 4, 2, node_budget=_budget(config)),
+        check_obsy(n, m, 2, node_budget=config["node_budget"]) for (n, m) in ((6, 3), (6, 4))
     ],
     "prop-3.3": lambda config: [
-        check_obsy2(6, 3, 2, node_budget=_budget(config)),
-        check_obsy2(6, 4, 2, node_budget=_budget(config)),
+        check_obsy2(n, m, 2, node_budget=config["node_budget"]) for (n, m) in ((6, 3), (6, 4))
     ],
-    "example-3.4": lambda config: [run_example_1(node_budget=_budget(config))],
-    "example-3.5": lambda config: [run_example_2(node_budget=_budget(config))],
+    "example-3.4": lambda config: [run_example_1(node_budget=config["node_budget"])],
+    "example-3.5": lambda config: [run_example_2(node_budget=config["node_budget"])],
 }
 
 
 def run_claims(claim_ids, config=None, jobs=1):
     """Run the requested claims and append the Stanley-inequality report.
 
-    Reports are aggregated deterministically by claim id regardless of the
-    execution schedule.
+    Settings missing from `config` take the registry defaults of
+    `_run_config`.  Reports are aggregated deterministically by claim id
+    regardless of the execution schedule.
     """
-    config = dict(config or {})
+    config = _run_config(config)
     unknown = [c for c in claim_ids if c not in CLAIM_IDS]
     if unknown:
         raise KeyError("unknown claim ids: %s" % ", ".join(unknown))
@@ -1163,7 +1150,7 @@ def run_claims(claim_ids, config=None, jobs=1):
         for c in ordered:
             results[c] = CLAIM_IDS[c](config)
     # a grid that the options leave empty still reports the claim
-    grid = {k: config[k] for k in ("n_max", "t_max") if k in config}
+    grid = {k: config[k] for k in ("n_max", "t_max")}
     empty = "no instance in the grid for " + ", ".join("%s=%s" % kv for kv in grid.items())
     reports = [
         r

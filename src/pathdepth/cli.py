@@ -18,11 +18,17 @@ import re
 import sys
 
 from . import claims
-from .depth import PolarizationCapError, depth_quotient, depth_via_polarization
+from .depth import (
+    DEFAULT_POLARIZATION_CAP,
+    PolarizationCapError,
+    depth_quotient,
+    depth_via_polarization,
+)
 from .families import cycle_ideal, path_ideal, phi, t0_alpha
 from .monomials import Monomial, MonomialIdeal, parse_ideal
 from .sdepth import (
     DEFAULT_BUDGET,
+    DEFAULT_POSET_CAP,
     PosetCapError,
     SearchBudgetError,
     build_poset,
@@ -373,14 +379,14 @@ def build_parser():
     p = sub.add_parser("depth", help="exact depth of S/I")
     _add_ideal_args(p)
     p.add_argument("--method", choices=("lattice", "polarization"), default="lattice")
-    p.add_argument("--polarization-cap", type=_positive_int, default=14)
+    p.add_argument("--polarization-cap", type=_positive_int, default=DEFAULT_POLARIZATION_CAP)
     fmt_arg(p)
     p.set_defaults(func=_cmd_depth)
 
     p = sub.add_parser("sdepth", help="exact Stanley depth of S/I")
     _add_ideal_args(p)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--poset-cap", type=_positive_int, default=100000)
+    p.add_argument("--poset-cap", type=_positive_int, default=DEFAULT_POSET_CAP)
     p.add_argument("--certificate", action="store_true")
     fmt_arg(p)
     p.set_defaults(func=_cmd_sdepth)
@@ -391,18 +397,19 @@ def build_parser():
     p.add_argument("--t-max", type=_positive_int, default=2)
     p.add_argument("--sdepth", action="store_true")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
-    p.add_argument("--poset-cap", type=_positive_int, default=100000)
+    p.add_argument("--poset-cap", type=_positive_int, default=DEFAULT_POSET_CAP)
     fmt_arg(p, default="csv")
     p.set_defaults(func=_cmd_table)
 
+    defaults = claims._run_config()
     p = sub.add_parser("verify", help="run the claim registry")
     p.add_argument("claims", nargs="*", metavar="CLAIM_ID")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    p.add_argument("--seed", type=int, default=defaults["seed"])
+    p.add_argument("--budget", type=_positive_int, default=defaults["node_budget"])
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--n-max", type=_positive_int, default=7)
-    p.add_argument("--t-max", type=_positive_int, default=3)
+    p.add_argument("--n-max", type=_positive_int, default=defaults["n_max"])
+    p.add_argument("--t-max", type=_positive_int, default=defaults["t_max"])
     fmt_arg(p)
     p.set_defaults(func=_cmd_verify)
 

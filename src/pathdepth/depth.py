@@ -29,6 +29,7 @@ from math import gcd
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
+    "DEFAULT_POLARIZATION_CAP",
     "UnitIdealError",
     "PolarizationCapError",
     "LcmLattice",
@@ -105,6 +106,24 @@ def _boundary_rank(faces, lower):
     )
 
 
+def _homology_from_top(faces, floor=-1):
+    """(d, reduced homology rank in dimension d), char 0, for d from the
+    top dimension of the complex down to floor.
+
+    `faces` holds the nonempty faces as sorted tuples, each once.  Each
+    boundary rank is taken once, as its dimension is reached, so a caller
+    that stops early computes no rank below the last dimension it read.
+    """
+    by_dim = {-1: [()]}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    rank_above = 0
+    for d in range(max(by_dim), floor - 1, -1):
+        rank = _boundary_rank(by_dim[d], by_dim.get(d - 1, ()))
+        yield d, len(by_dim[d]) - rank - rank_above
+        rank_above = rank
+
+
 def reduced_homology(faces):
     """Reduced homology ranks (char 0) of a simplicial complex.
 
@@ -112,41 +131,8 @@ def reduced_homology(faces):
     face is implicit.  Returns {dim: rank} with only nonzero ranks, where
     the complex {empty face} has rank 1 in dimension -1.
     """
-    by_dim = {}
-    for f in faces:
-        tf = tuple(sorted(f))
-        by_dim.setdefault(len(tf) - 1, set()).add(tf)
-    by_dim = {d: sorted(fs) for d, fs in by_dim.items()}
-    by_dim[-1] = [()]
-    top = max(by_dim)
-    boundary_rank = {d: _boundary_rank(by_dim[d], by_dim[d - 1]) for d in range(top + 1)}
-    boundary_rank[-1] = boundary_rank[top + 1] = 0
-    ranks = {}
-    for d in range(-1, top + 1):
-        r = len(by_dim[d]) - boundary_rank[d] - boundary_rank[d + 1]
-        if r:
-            ranks[d] = r
-    return ranks
-
-
-def _top_homology(faces, floor):
-    """Largest d >= floor with nonzero reduced homology, or None; floor >= 0.
-
-    `faces` as from `_koszul_faces`: the nonempty faces as sorted tuples.
-    Boundary ranks are taken from the top dimension down, each once, and
-    the scan stops at the first dimension whose homology is nonzero, so no
-    rank below max(that dimension, floor) is computed.
-    """
-    by_dim = {-1: [()]}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    rank_above = 0
-    for d in range(max(by_dim), floor - 1, -1):
-        rank = _boundary_rank(by_dim[d], by_dim[d - 1])
-        if len(by_dim[d]) - rank - rank_above:
-            return d
-        rank_above = rank
-    return None
+    unique = sorted({tuple(sorted(f)) for f in faces} - {()})
+    return {d: r for d, r in reversed(list(_homology_from_top(unique))) if r}
 
 
 def _is_cone(faces, vertices):
@@ -364,10 +350,10 @@ def depth_quotient(ideal):
     n = ideal.n_vars
     if ideal.is_zero():
         return DepthResult(n, 0, n, "lattice")
-    below = _below_bitsets([g.exponents for g in ideal.gens])
-    lattice = build_lcm_lattice(ideal)
+    vectors = [g.exponents for g in ideal.gens]
+    below = _below_bitsets(vectors)
     elements = sorted(
-        ((sum(1 for e in a.exponents if e), a.exponents) for a in lattice.elements),
+        ((sum(1 for e in a if e), a) for a in _lcm_closure(vectors)),
         key=lambda pair: -pair[0],
     )
     pd = 1
@@ -377,13 +363,18 @@ def depth_quotient(ideal):
         faces, support = _koszul_faces(a, below)
         if faces and _is_cone(faces, support):
             continue
-        d = _top_homology(faces, pd - 1)
+        d = next((d for d, r in _homology_from_top(faces, pd - 1) if r), None)
         if d is not None:
             pd = d + 2
     return DepthResult(n - pd, pd, n, "lattice")
 
 
-def depth_via_polarization(ideal, cap=14):
+# variable cap of the polarized ring unless the caller passes another one:
+# library calls, the engine-agreement claim and the command line alike
+DEFAULT_POLARIZATION_CAP = 14
+
+
+def depth_via_polarization(ideal, cap=DEFAULT_POLARIZATION_CAP):
     """Cross-check oracle: pd of the polarized (squarefree) ideal.
 
     Polarization preserves projective dimension, so

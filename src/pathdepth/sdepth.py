@@ -36,6 +36,7 @@ from .monomials import Monomial
 
 __all__ = [
     "DEFAULT_BUDGET",
+    "DEFAULT_POSET_CAP",
     "PosetCapError",
     "SearchBudgetError",
     "CharacteristicPoset",
@@ -106,7 +107,12 @@ class SdepthResult:
     partition: StanleyPartition
 
 
-def build_poset(ideal, g=None, cap=100000):
+# box-size cap of every characteristic poset unless the caller passes another
+# one: library calls and the command line alike
+DEFAULT_POSET_CAP = 100_000
+
+
+def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
     """The exponent vectors a <= g outside I, sorted by (degree, lex).
 
     g must be a multiple of lcm(G(I)); it defaults to the lcm.
@@ -344,7 +350,7 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     return None
 
 
-def sdepth_quotient(ideal, g=None, cap=100000, node_budget=DEFAULT_BUDGET):
+def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BUDGET):
     """Exact sdepth(S/I): largest k admitting an interval partition.
 
     The descent starts at min(sweep, Hilbert), above which no k can pass.

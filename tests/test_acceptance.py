@@ -179,11 +179,11 @@ def test_criterion_6_upper_bounds_on_cycle_grid(capsys):
 
 def test_criterion_7_property_suites(capsys):
     reports = [
-        check_lemma_1_2(n_max=5, samples=15, seed=0),
-        check_engine_agreement(samples=50, seed=0),
-        check_lemma_1_4(samples=50, seed=0),
-        check_lemma_1_5(samples=50, seed=0),
-        check_lemma_1_6(samples=50, seed=0),
+        check_lemma_1_2(seed=0),
+        check_engine_agreement(seed=0),
+        check_lemma_1_4(seed=0),
+        check_lemma_1_5(seed=0),
+        check_lemma_1_6(seed=0),
     ]
     failed = [r for r in reports if r.verdict != "pass"]
     observed = [o for r in reports for o in r.observed]

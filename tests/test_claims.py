@@ -56,7 +56,7 @@ def test_ses_requires_two_known_depths():
 
 
 def test_partition_depth_claim_passes():
-    report = check_lemma_1_2(n_max=4, samples=5, seed=7)
+    report = check_lemma_1_2(seed=7)
     assert report.verdict == "pass"
     assert report.values["instances"] > 15
 
@@ -135,6 +135,17 @@ def test_run_claims_appends_stanley_report():
     assert reports[-1].claim_id == "stanley-inequality"
     assert reports[-1].verdict == "pass"
     assert all(isinstance(r, ClaimReport) for r in reports)
+
+
+def test_library_and_cli_default_grids_agree():
+    # one definition of the registry defaults: a library run with no config
+    # checks the grid `pathdepth verify` checks with no options
+    out = io.StringIO()
+    assert main(["verify", "lemma-2.3", "--format", "json"], out=out) == EXIT_OK
+    from_cli = json.loads(out.getvalue())["reports"]
+    from_library = json.loads(json.dumps([r.as_dict() for r in run_claims(["lemma-2.3"])]))
+    assert len(from_library) == len(from_cli)
+    assert from_library == from_cli
 
 
 def test_run_claims_parallel_matches_serial():

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pathdepth
 from pathdepth.cli import (
     EXIT_BUDGET,
     EXIT_FAIL,
@@ -228,3 +233,26 @@ def test_export_command_output():
     )
     assert code == EXIT_OK
     assert "x[1]^2" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "lemma-1.7", "lemma-2.3", "--n-max", "5", "--t-max", "2",
+         "--format", "json"),
+        ("sdepth", "--family", "jcycle", "--n", "6", "--m", "3", "--power", "2",
+         "--certificate"),
+    ],
+)
+def test_output_is_unchanged_under_python_optimize(argv):
+    # python -O drops assert statements: no invariant and no answer may rest on one
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(pathlib.Path(pathdepth.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "pathdepth.cli", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, text = run_cli(*argv)
+    assert code == EXIT_OK
+    assert optimized.stdout == text
