@@ -1046,9 +1046,12 @@ def _run_config(config=None):
 
     The one definition of the defaults: run_claims fills every caller's
     config from it, and the `verify` command takes its option defaults
-    from it.
+    from it.  A key that is not one of them raises ValueError.
     """
     defaults = {"seed": 0, "node_budget": DEFAULT_BUDGET, "n_max": 7, "t_max": 3}
+    unknown = sorted(set(config or ()) - set(defaults))
+    if unknown:
+        raise ValueError("unknown config keys: %s" % ", ".join(unknown))
     return {**defaults, **(config or {})}
 
 

@@ -275,18 +275,23 @@ def _koszul_faces(exponents, below):
     support = [i for i, e in enumerate(exponents) if e > 0]
     step = [below[i][exponents[i] - 1] for i in support]
     faces = []
-
-    def grow(face, start, current):
-        for k in range(start, len(support)):
-            nxt = current & step[k]
-            if nxt:
-                face.append(support[k])
-                faces.append(tuple(face))
-                grow(face, k + 1, nxt)
-                face.pop()
-
-    grow([], 0, _dividing(exponents, below))
+    _grow_faces((), 0, _dividing(exponents, below), support, step, faces)
     return faces, support
+
+
+def _grow_faces(face, start, current, support, step, faces):
+    """Append to `faces` the faces extending `face` by vertices from `start` on.
+
+    `current` is the bitset of the generators that still fit below
+    x^(a - face).  A module-level recursion, so that no closure refers to
+    itself and the walk leaves no reference cycle behind.
+    """
+    for k in range(start, len(support)):
+        nxt = current & step[k]
+        if nxt:
+            child = face + (support[k],)
+            faces.append(child)
+            _grow_faces(child, k + 1, nxt, support, step, faces)
 
 
 def betti(ideal):

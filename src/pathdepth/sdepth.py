@@ -9,27 +9,42 @@ downward.  A budget exhaustion is an error, never a wrong answer.
 
 The kernel runs on bitsets.  The poset is built by walking the box one
 variable at a time with the Betti engine's generator bitsets
-(`depth._below_bitsets`).  The descent starts at min(sweep, Hilbert): the
-sweep bound is the smallest label of a maximal point, above which no k
-can pass, so a depth-0 quotient gets sdepth 0 with no search; the Hilbert
-bound, read off the poset's Hilbert series and computed only when the
-sweep bound is at least 2, is the largest d with (1-t)^d H(S/I; t)
-nonnegative, which no Stanley decomposition can beat.  Admissible tops
-and interval cells are ANDs of per-coordinate bitsets, and the exact
-cover runs as a loop over an explicit stack that remembers no refuted
-covering.  The pre-check and candidate construction are charged in the
-units of the linear scans they replace, so an instance runs out in the
-same phase, with the same message, as under them; the search pays one
-node per covering it visits, revisits included.
+(`depth._below_bitsets`).  Admissible tops and interval cells are ANDs of
+per-coordinate bitsets, and the exact cover runs as a loop over an
+explicit stack that remembers no refuted covering.  The pre-check and
+candidate construction are charged in the units of the linear scans they
+replace, so an instance runs out in the same phase, with the same
+message, as under them; the search pays one node per covering it visits,
+revisits included.
+
+The descent starts at min(sweep, Hilbert): the sweep bound is the
+smallest label of a maximal point, above which no k can pass, so a
+depth-0 quotient gets sdepth 0 with no search; the Hilbert bound, read
+off the poset's Hilbert series and computed only when the sweep bound is
+at least 2, is the largest d with (1-t)^d H(S/I; t) nonnegative, which no
+Stanley decomposition can beat.  At each k >= 2 the search pauses once,
+on passing node_budget // 100 nodes, or stops if it runs out before, and
+two tools that settle some k cheaply get their turn.  The colon-Hilbert
+bound, computed once per call: sdepth(S/I) <= sdepth(S/(I : x^a)) (the
+paper's Lemma 1.4), and the Hilbert bound of each colon is read off the
+points above a; a bound below k ends k, and the descent goes on from
+the bound.  The symmetry finder: a permutation of the variables in the
+dihedral group of the cycle that fixes G(I) and g maps a partition to a
+partition, so a search over the orbits of intervals of one cyclic
+subgroup may find an invariant partition, which decides k.  An ideal
+with such a symmetry gives the finder node_budget // 20 units out of the
+search's nodes.  A finder that finds nothing refutes nothing: the search
+resumes, or its budget error is raised.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from itertools import product as _cartesian
 from math import comb
-from operator import lt
+from operator import eq, itemgetter, lt
 
 from .depth import _below_bitsets
 from .monomials import Monomial
@@ -78,7 +93,7 @@ class CharacteristicPoset:
     points: tuple
 
     def label(self, b):
-        return sum(1 for bi, gi in zip(b, self.g) if bi == gi)
+        return sum(map(eq, b, self.g))
 
     def __len__(self):
         return len(self.points)
@@ -139,26 +154,31 @@ def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
     if size > cap:
         raise PosetCapError("box of size %d exceeds cap %d" % (size, cap))
     rows = _below_bitsets([h.exponents for h in ideal.gens], cap_vec)
-    ranges = [range(e + 1) for e in cap_vec]
-    last = len(cap_vec) - 1
     points = []
-
-    def walk(prefix, i, fitting):
-        if not fitting:
-            points.extend(prefix + rest for rest in _cartesian(*ranges[i:]))
-        elif i == last:
-            # the rows grow with v, so the points end at the first hit
-            for v, row in enumerate(rows[i]):
-                if fitting & row:
-                    break
-                points.append(prefix + (v,))
-        else:
-            for v, row in enumerate(rows[i]):
-                walk(prefix + (v,), i + 1, fitting & row)
-
-    walk((), 0, -1)
+    _walk_box((), -1, rows, [range(e + 1) for e in cap_vec], points)
     points.sort(key=lambda a: (sum(a), a))
     return CharacteristicPoset(ideal.n_vars, cap_vec, tuple(points))
+
+
+def _walk_box(prefix, fitting, rows, ranges, points):
+    """Append to `points` the completions of `prefix` outside the ideal.
+
+    `fitting` is the bitset of the generators that fit under the prefix.
+    A module-level recursion, so that no closure refers to itself and the
+    walk leaves no reference cycle behind.
+    """
+    i = len(prefix)
+    if not fitting:
+        points.extend(prefix + rest for rest in _cartesian(*ranges[i:]))
+    elif i == len(rows) - 1:
+        # the rows grow with v, so the points end at the first hit
+        for v, row in enumerate(rows[i]):
+            if fitting & row:
+                break
+            points.append(prefix + (v,))
+    else:
+        for v, row in enumerate(rows[i]):
+            _walk_box(prefix + (v,), fitting & row, rows, ranges, points)
 
 
 def _leq(a, b):
@@ -194,16 +214,25 @@ def _hilbert_bound(poset, upto):
     t^deg / (1-t)^(|Z|-d), so d bounds sdepth from above (the easy
     direction of Hilbert depth).  For g >= lcm each poset point p stands
     for the monomials agreeing with it below g, so H = sum_p
-    t^|p| / (1-t)^label(p), and K = (1-t)^n H is a polynomial.  The
-    coefficients of K/(1-t)^r are prefix sums, r levels deep, of K's; a
-    scan stops at the first negative one of level r, or at the first
-    j >= deg K where every level is >= 0: past deg K level 1 is constant
-    and each level is a running sum of the one below, so none turns
-    negative again.  The scan ends because K = (1-t)^(n-dim) Q, Q(1) > 0.
+    t^|p| / (1-t)^label(p), which `_shape_bound` reads off the counts of
+    the (degree, label) shapes.
     """
-    n = poset.n_vars
     shapes = Counter((sum(p), poset.label(p)) for p in poset.points)
-    K = [0] * (sum(poset.g) + n + 1)
+    return _shape_bound(shapes, poset.n_vars, upto)
+
+
+def _shape_bound(shapes, n, upto):
+    """The Hilbert bound of the poset whose shapes are counted in `shapes`.
+
+    `shapes` maps (degree, label) to a count.  K = (1-t)^n H is a
+    polynomial.  The coefficients of K/(1-t)^r are prefix sums, r levels
+    deep, of K's; a scan stops at the first negative one of level r, or at
+    the first j >= deg K where every level is >= 0: past deg K level 1 is
+    constant and each level is a running sum of the one below, so none
+    turns negative again.  The scan ends because K = (1-t)^(n-dim) Q,
+    Q(1) > 0.
+    """
+    K = [0] * (max(deg for deg, _ in shapes) + n + 1)
     for (deg, label), count in shapes.items():
         for i in range(n - label + 1):
             K[deg + i] += (-1) ** i * comb(n - label, i) * count
@@ -224,6 +253,94 @@ def _hilbert_bound(poset, upto):
                 return d
             j += 1
     return 0
+
+
+def _at_least(below):
+    """rows[i][v]: the vectors with x_i exponent >= v, from `_below_bitsets`
+    rows; below's last row, at v = g_i, holds all of them."""
+    return [[row[-1]] + [row[-1] ^ r for r in row[:-1]] for row in below]
+
+
+def _shape_classes(poset, up):
+    """(degree, label, bitset of the points of that shape), nonempty ones.
+
+    A degree is a run of bits, as the points are sorted by degree; the
+    labels are a bitwise count of the coordinates at their cap, read off
+    the up rows at g_i.
+    """
+    exactly = [(1 << len(poset.points)) - 1] + [0] * poset.n_vars
+    for i, gi in enumerate(poset.g):
+        capped = up[i][gi]
+        for label in range(i + 1, 0, -1):
+            exactly[label] = (exactly[label] & ~capped) | (exactly[label - 1] & capped)
+        exactly[0] &= ~capped
+    classes = []
+    start = 0
+    for deg, run in groupby(poset.points, key=sum):
+        end = start + sum(1 for _ in run)
+        span = (1 << end) - (1 << start)
+        classes.extend((deg, label, span & bits) for label, bits in enumerate(exactly) if span & bits)
+        start = end
+    return classes
+
+
+def _colon_shapes(classes, up, a):
+    """The shapes of the poset of S/(I : x^a) with cap g - a, or None when
+    x^a lies in I.
+
+    That poset is up(a) = {p >= a}, shifted by a: a point keeps its label
+    and loses |a| degrees.  Each shape is counted as the popcount of up(a)
+    ANDed with a class bitset; no class below degree |a| meets up(a).
+    """
+    mask = -1
+    for row, v in zip(up, a):
+        mask &= row[v]
+    if not mask:
+        return None
+    shift = sum(a)
+    shapes = {}
+    for deg, label, bits in classes:
+        if deg >= shift:
+            count = (mask & bits).bit_count()
+            if count:
+                shapes[deg - shift, label] = count
+    return shapes
+
+
+def _colon_bound(poset, up, upto):
+    """min(upto, the smallest Hilbert bound of S/(I : x^a)): sdepth <= it.
+
+    sdepth(S/I) <= sdepth(S/(I : u)) for every monomial u outside I (the
+    paper's Lemma 1.4), and the Hilbert bound caps the latter.  a ranges
+    over the powers x_i^j, j <= g_i, then the squarefree vectors of two or
+    more variables of the support of g, and the scan stops at 1, which
+    depth >= 1 guarantees.
+    """
+    classes = _shape_classes(poset, up)
+    best = upto
+    for a in _colon_exponents(poset.g):
+        if best <= 1:
+            break
+        shapes = _colon_shapes(classes, up, a)
+        if shapes is not None:
+            best = _shape_bound(shapes, poset.n_vars, best)
+    return best
+
+
+def _colon_exponents(g):
+    """The powers x_i^j, j <= g_i, then the squarefree vectors of two or
+    more variables of the support of g."""
+    n = len(g)
+    support = [i for i, gi in enumerate(g) if gi]
+    for i in support:
+        for j in range(1, g[i] + 1):
+            yield tuple(j if x == i else 0 for x in range(n))
+    for choice in _cartesian((0, 1), repeat=len(support)):
+        if sum(choice) >= 2:
+            a = [0] * n
+            for i, bit in zip(support, choice):
+                a[i] = bit
+            yield tuple(a)
 
 
 def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
@@ -250,6 +367,28 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     and every revisit included.  Intervals are built only for the
     partition returned.
     """
+    return _advance(_search(poset, k, node_budget))[1]
+
+
+def _advance(search):
+    """Run a `_search` generator on: (True, None) at its pause, or
+    (False, its answer) at its end."""
+    try:
+        next(search)
+    except StopIteration as end:
+        return False, end.value
+    return True, None
+
+
+def _search(poset, k, node_budget, reserve=0, pause=None):
+    """`has_partition_min_label` as a generator that may pause once.
+
+    The pre-check and candidate construction are charged as in
+    `has_partition_min_label`; the search itself stops at
+    node_budget - reserve nodes, and the messages name node_budget.
+    When `pause` is given it yields once, on passing `pause` search nodes,
+    and resumes where it stopped; its answer is its return value.
+    """
     points = poset.points
     npts = len(points)
     if k < 0 or k > poset.n_vars:
@@ -260,13 +399,7 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     if not tops:
         # no point has an admissible top
         return None
-
-    def at_least(below):
-        # rows[i][v]: the vectors with x_i exponent >= v; below's last row,
-        # at v = g_i, holds all of them
-        return [[row[-1]] + [row[-1] ^ r for r in row[:-1]] for row in below]
-
-    top_rows = at_least(_below_bitsets(tops, poset.g))
+    top_rows = _at_least(_below_bitsets(tops, poset.g))
 
     def admissible(p):
         found = -1
@@ -294,7 +427,7 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     if work > node_budget:
         raise SearchBudgetError(too_many)
     below = _below_bitsets(points, poset.g)
-    up_rows = at_least(below)
+    up_rows = _at_least(below)
     full = (1 << npts) - 1
     downs = {}
     candidates = []
@@ -318,27 +451,34 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
             work += mask.bit_count()
             if work > node_budget:
                 raise SearchBudgetError(too_many)
-            cand.append((mask, tops[j]))
-        cand.sort(key=lambda mb: -mb[0].bit_count())
+            cand.append(mask)
+        cand.sort(key=lambda mask: -mask.bit_count())
         candidates.append(cand)
     del downs, below, up_rows  # the search needs only the masks
     exhausted = "exceeded %d search nodes" % node_budget
+    # the node count at which the loop next stops: the pause, then the limit
+    limit = node_budget - reserve
+    stop = limit if pause is None else min(pause, limit)
     nodes = 1  # the root; candidate construction has charged more already
-    chosen = []  # the (first, top) choices on the path to the innermost frame
+    chosen = []  # the (first, mask) choices on the path to the innermost frame
     stack = [(0, 0, iter(candidates[0]))]
     while stack:
         covered, first, options = stack[-1]
-        for mask, top in options:
+        for mask in options:
             if mask & covered:
                 continue
             child = covered | mask
             nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetError(exhausted)
-            chosen.append((first, top))
+            if nodes > stop:
+                if stop == limit:
+                    raise SearchBudgetError(exhausted)
+                yield
+                stop = limit
+            chosen.append((first, mask))
             if child == full:
+                # the top of an interval is its last point in the order
                 return StanleyPartition(
-                    tuple(PosetInterval(points[f], b) for f, b in chosen)
+                    tuple(PosetInterval(points[f], points[m.bit_length() - 1]) for f, m in chosen)
                 )
             nxt = ((child + 1) & ~child).bit_length() - 1
             stack.append((child, nxt, iter(candidates[nxt])))
@@ -350,10 +490,164 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     return None
 
 
+def _symmetry_groups(ideal, g):
+    """The nontrivial cyclic subgroups of the dihedral stabilizer of G(I)
+    and g, largest first, each as the permutations of its elements.
+
+    The dihedral group of the cycle x_1, ..., x_n permutes the variables;
+    a permutation h acts on exponent vectors as v -> (v[h[0]], ...,
+    v[h[n-1]]).  One that fixes the minimal generators fixes I, hence the
+    poset and its labels, so the image of a partition is a partition.
+    """
+    n = ideal.n_vars
+    gens = {h.exponents for h in ideal.gens}
+    identity = tuple(range(n))
+    stabilizer = []
+    for s in range(n):
+        for perm in (tuple((i + s) % n for i in range(n)), tuple((s - i) % n for i in range(n))):
+            if perm == identity or perm in stabilizer:
+                continue
+            act = itemgetter(*perm)
+            if act(g) == g and all(act(v) in gens for v in gens):
+                stabilizer.append(perm)
+    groups = []
+    for perm in stabilizer:
+        group = [identity]
+        while True:
+            power = tuple(group[-1][i] for i in perm)
+            if power == identity:
+                break
+            group.append(power)
+        if set(group) not in [set(other) for other in groups]:
+            groups.append(group)
+    groups.sort(key=len, reverse=True)
+    return groups
+
+
+def _orbit(p, b, acts):
+    """The distinct images of the interval [p, b], as sorted (bottom, top) pairs."""
+    return sorted({(act(p), act(b)) for act in acts})
+
+
+def _orbit_candidates(p, acts, tops, top_rows, below, up, allowance):
+    """(cells, top b) for the orbits of intervals [p, b] that an invariant
+    partition may use at p, largest first, and the units spent finding
+    them: past `allowance` units the scan stops, with the list cut short.
+
+    `acts` are the group's elements as itemgetters.  A top b qualifies
+    only if every element fixing p fixes b: otherwise [p, b] and its image
+    share p.  Its orbit must then consist of pairwise disjoint intervals.
+    Each admissible top scanned costs a unit, and each orbit built its
+    cell count.
+    """
+    fixing = [act for act in acts if act(p) == p]
+    found = -1
+    for row, v in zip(top_rows, p):
+        found &= row[v]
+    units = 0
+    out = []
+    while found:
+        low = found & -found
+        found ^= low
+        units += 1
+        b = tops[low.bit_length() - 1]
+        if any(act(b) != b for act in fixing):
+            continue
+        union = cells = 0
+        for a, c in _orbit(p, b, acts):
+            mask = -1
+            for lo, hi, x, y in zip(up, below, a, c):
+                mask &= lo[x] & hi[y]
+            union |= mask
+            cells += mask.bit_count()
+        units += cells
+        if units > allowance:
+            break
+        if union.bit_count() == cells:
+            out.append((union, b))
+    out.sort(key=lambda mo: -mo[0].bit_count())
+    return out, units
+
+
+def _invariant_partition(poset, k, groups, below, up, budget):
+    """A partition with every label >= k that one of `groups` fixes, or None.
+
+    Each group in turn gets the canonical first-uncovered search of
+    `has_partition_min_label`, over the orbits of intervals: the first
+    uncovered point is the bottom of every interval of the orbit chosen
+    for it, and the covered set stays invariant.  Candidate lists are
+    built when the search first branches at a point; the groups share
+    `budget` units, one per search node plus what `_orbit_candidates`
+    charges.  None refutes nothing: the groups may only admit no
+    invariant partition, or the units run out.
+    """
+    points = poset.points
+    full = (1 << len(points)) - 1
+    tops = [b for b in points if poset.label(b) >= k]
+    if not tops:
+        return None
+    top_rows = _at_least(_below_bitsets(tops, poset.g))
+    units = 0
+    for group in groups:
+        acts = [itemgetter(*h) for h in group]
+        lists = {}
+        chosen = []  # the (bottom, top) of each orbit on the path to the innermost frame
+        stack = []
+        child = nxt = 0
+        while True:
+            # open a frame at nxt, the first uncovered point of child
+            options = lists.get(nxt)
+            if options is None:
+                options, spent = _orbit_candidates(
+                    points[nxt], acts, tops, top_rows, below, up, budget - units
+                )
+                units += spent
+                if units > budget:
+                    return None
+                lists[nxt] = options
+            stack.append((child, points[nxt], iter(options)))
+            while stack:
+                covered, p, options = stack[-1]
+                for mask, b in options:
+                    if not mask & covered:
+                        break
+                else:
+                    stack.pop()
+                    if stack:
+                        chosen.pop()
+                    continue
+                units += 1
+                if units > budget:
+                    return None
+                chosen.append((p, b))
+                child = covered | mask
+                if child == full:
+                    return StanleyPartition(
+                        tuple(
+                            PosetInterval(a, c)
+                            for p, b in chosen
+                            for a, c in _orbit(p, b, acts)
+                        )
+                    )
+                nxt = ((child + 1) & ~child).bit_length() - 1
+                break
+            else:
+                break  # no partition that this group fixes
+    return None
+
+
 def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BUDGET):
     """Exact sdepth(S/I): largest k admitting an interval partition.
 
     The descent starts at min(sweep, Hilbert), above which no k can pass.
+    At each k >= 2 the search pauses once, on passing node_budget // 100
+    nodes, or stops when it runs out earlier: then the colon-Hilbert bound
+    (`_colon_bound`, computed once) may show k out of reach, and the
+    descent goes on from the bound; otherwise the symmetry finder
+    (`_invariant_partition`) gets node_budget // 20 units, which the
+    search does not spend when the ideal has a symmetry, and a partition
+    it finds decides k.  Failing both, the search resumes, or its budget
+    error is raised.
     """
     poset = build_poset(ideal, g=g, cap=cap)
     top = _sweep_bound(poset)
@@ -361,10 +655,39 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
         # a positive sweep bound means depth >= 1, hence sdepth >= 1, so
         # at sweep bound 1 no bound can shorten the descent
         top = _hilbert_bound(poset, top)
-    for k in range(top, 0, -1):
-        partition = has_partition_min_label(poset, k, node_budget=node_budget)
+    groups = _symmetry_groups(ideal, poset.g) if top >= 2 else []
+    reserve = node_budget // 20 if groups else 0
+    up = None
+    k = top
+    while k >= 2:
+        search = _search(poset, k, node_budget, reserve, node_budget // 100)
+        try:
+            paused, partition = _advance(search)
+            failure = None
+        except SearchBudgetError as error:
+            paused, partition, failure = False, None, error
+        # at most once per k: the search pauses once, and a failure ends it
+        if paused or failure:
+            if up is None:
+                below = _below_bitsets(poset.points, poset.g)
+                up = _at_least(below)
+                bound = _colon_bound(poset, up, k)
+            if bound < k:
+                k = bound
+                continue
+            if groups:
+                partition = _invariant_partition(poset, k, groups, below, up, reserve)
+            if partition is None:
+                if failure:
+                    raise failure
+                paused, partition = _advance(search)
         if partition is not None:
             return SdepthResult(k, len(poset), partition)
+        k -= 1
+    if k == 1:
+        partition = has_partition_min_label(poset, 1, node_budget=node_budget)
+        if partition is not None:
+            return SdepthResult(1, len(poset), partition)
     return SdepthResult(
         0, len(poset), has_partition_min_label(poset, 0, node_budget=node_budget)
     )

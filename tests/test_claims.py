@@ -130,6 +130,14 @@ def test_run_claims_rejects_unknown_ids():
         run_claims(["no-such-claim"])
 
 
+def test_run_claims_rejects_unknown_config_keys():
+    # a misspelt setting raises instead of running the default grid
+    with pytest.raises(ValueError, match="nmax"):
+        run_claims(["lemma-2.3"], config={"nmax": 3, "t_max": 1})
+    with pytest.raises(ValueError, match="budget, nmax"):
+        run_claims(["lemma-2.3"], config={"nmax": 3, "budget": 10})
+
+
 def test_run_claims_appends_stanley_report():
     reports = run_claims(["lemma-2.3"], config={"n_max": 4, "t_max": 1})
     assert reports[-1].claim_id == "stanley-inequality"

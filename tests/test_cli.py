@@ -242,6 +242,9 @@ def test_export_command_output():
          "--format", "json"),
         ("sdepth", "--family", "jcycle", "--n", "6", "--m", "3", "--power", "2",
          "--certificate"),
+        # decided by the colon-Hilbert bound and the symmetry finder
+        ("sdepth", "--family", "jcycle", "--n", "6", "--m", "4", "--power", "2",
+         "--certificate"),
     ],
 )
 def test_output_is_unchanged_under_python_optimize(argv):

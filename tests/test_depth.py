@@ -1,5 +1,6 @@
 """Exact homology, Betti numbers, and depth."""
 
+import gc
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -528,6 +529,20 @@ def test_depth_ladder_pins():
     assert [depth_quotient(base.power(t)).depth for base, t, _ in ladder] == [
         depth for _, _, depth in ladder
     ]
+
+
+def test_depth_quotient_leaves_no_reference_cycle():
+    # the Koszul faces are grown by a module-level recursion, not a closure
+    # that refers to itself, so with the collector off one depth leaves
+    # nothing behind for it to collect
+    ideal = cycle_ideal(6, 4).power(2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert depth_quotient(ideal).depth == 1
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # polarization cross-check --------------------------------------------

@@ -1,15 +1,17 @@
 """Characteristic poset, interval partitions, and Stanley depth."""
 
+import gc
+from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian
 from math import ceil, comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathdepth import sdepth
-from pathdepth.depth import betti, depth_quotient
+from pathdepth.depth import _below_bitsets, betti, depth_quotient
 from pathdepth.families import cycle_ideal, path_ideal
 from pathdepth.monomials import Monomial, MonomialIdeal, parse_ideal
 from pathdepth.sdepth import (
@@ -20,8 +22,15 @@ from pathdepth.sdepth import (
     SdepthResult,
     SearchBudgetError,
     StanleyPartition,
+    _at_least,
+    _colon_bound,
+    _colon_exponents,
+    _colon_shapes,
     _hilbert_bound,
+    _invariant_partition,
+    _shape_classes,
     _sweep_bound,
+    _symmetry_groups,
     build_poset,
     has_partition_min_label,
     partition_to_decomposition,
@@ -317,12 +326,21 @@ def test_sweep_bound_on_ladder_instances():
 
 
 def test_benchmark_ladder_skips_keep_their_budget_phase():
-    # benchmark/workloads.py::SDEPTH_LADDER lists these two instances as
+    # benchmark/workloads.py::SDEPTH_LADDER lists these five instances as
     # skips in a named phase at its budget of 500,000, and counts a skip in
-    # any other phase as a failed operation; a change that moves one (as
-    # deleting the pre-check of ROADMAP item 1 will) goes with a benchmark
-    # change
+    # any other phase as a failed operation, while an instance a later
+    # engine decides must carry a certificate that verifies.  The
+    # colon-Hilbert bound caps J(6,4)^2 and I(5,3)^2 at 2, where the first
+    # has a partition fixed by the rotation by two steps and the canonical
+    # search decides the second; the other three still run out, I(5,2)^3
+    # in the search after its symmetry finder found nothing
+    for ideal in (cycle_ideal(6, 4).power(2), path_ideal(5, 3).power(2)):
+        result = sdepth_quotient(ideal, node_budget=500_000)
+        assert result.sdepth == 2, str(ideal)
+        poset = build_poset(ideal)
+        assert verify_partition(poset, result.partition) == (True, "min label 2")
     for ideal, phase in (
+        (path_ideal(5, 2).power(3), "exceeded 500000 search nodes"),
         (cycle_ideal(7, 3).power(3), "pre-check"),
         (path_ideal(7, 3).power(3), "interval candidates"),
     ):
@@ -383,11 +401,11 @@ def test_hilbert_bound_reads_past_a_negative_lower_level():
 
 def test_descent_starts_at_the_smaller_bound(monkeypatch):
     calls = []
-    search = sdepth.has_partition_min_label
+    search = sdepth._search
     monkeypatch.setattr(
         sdepth,
-        "has_partition_min_label",
-        lambda poset, k, node_budget: calls.append(k) or search(poset, k, node_budget),
+        "_search",
+        lambda poset, k, *budget: calls.append(k) or search(poset, k, *budget),
     )
     # V at (7,2,3): sweep 3, Hilbert 2, and k = 2 is decided; I(4,2)^3:
     # sweep 2, Hilbert 1
@@ -401,7 +419,248 @@ def test_descent_starts_at_the_smaller_bound(monkeypatch):
     assert calls == [1]
 
 
+# colon-Hilbert bound -------------------------------------------------
+
+
+def _up_rows(poset):
+    return _at_least(_below_bitsets(poset.points, poset.g))
+
+
+@given(small_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_colon_shapes_are_read_off_the_poset(ideal, data):
+    # the points above a, shifted by a, are the poset of S/(I : x^a) with
+    # cap g - a: the same shapes as a poset built from the colon, and none
+    # when x^a lies in I
+    lcm = ideal.lcm_of_gens().exponents
+    g = tuple(e + data.draw(st.integers(0, 1)) for e in lcm)
+    poset = build_poset(ideal, g=Monomial(g))
+    up = _up_rows(poset)
+    classes = _shape_classes(poset, up)
+    a = tuple(data.draw(st.integers(0, gi)) for gi in g)
+    got = _colon_shapes(classes, up, a)
+    colon = ideal.colon(Monomial(a))
+    if colon.is_whole_ring():
+        assert got is None
+    else:
+        rebuilt = build_poset(colon, g=Monomial(tuple(x - y for x, y in zip(g, a))))
+        assert got == Counter((sum(p), rebuilt.label(p)) for p in rebuilt.points)
+
+
+def test_colon_exponents_are_powers_then_squarefree():
+    # x3 has exponent 0 in g, so no colon involves it
+    assert list(_colon_exponents((2, 1, 0, 1))) == [
+        (1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1),
+        (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1),
+    ]
+
+
+@given(small_ideals(n_max=3, gens_max=3))
+@settings(max_examples=40, deadline=None)
+def test_colon_bound_is_never_below_the_exhaustive_sdepth(ideal):
+    n = ideal.n_vars
+    poset = build_poset(ideal)
+    bound = _colon_bound(poset, _up_rows(poset), n)
+    decided = max(k for k in range(n + 1) if exhaustive_has_partition(poset, k))
+    assert bound >= decided
+    # the bound of the colons built from scratch, which the scan may stop
+    # short of once it reaches 1
+    g = poset.g
+    want = min(
+        [n]
+        + [
+            _hilbert_bound(build_poset(colon, g=Monomial(tuple(x - y for x, y in zip(g, a)))), n)
+            for a in _colon_exponents(g)
+            for colon in [ideal.colon(Monomial(a))]
+            if not colon.is_whole_ring()
+        ]
+    )
+    assert bound == want or max(bound, want) <= 1
+
+
+def test_colon_bound_on_ladder_instances():
+    # below min(sweep, Hilbert) = 3 for J(6,4)^2 (at a = (1,...,1)) and
+    # I(5,3)^2 (at x3^2), and 1 for the 65-point small-random ideal 0/2#974,
+    # whose k = 2 the canonical search refutes only in 13.4M nodes
+    for ideal, bound in (
+        (cycle_ideal(6, 4).power(2), 2),
+        (path_ideal(5, 3).power(2), 2),
+        (parse_ideal("x2^2*x3^2*x4, x1*x2^2*x3*x4^2, x1^2*x4^2, x1^2*x2*x3^2*x4", 4), 1),
+        (path_ideal(6, 3).power(2), 3),
+    ):
+        poset = build_poset(ideal)
+        assert _colon_bound(poset, _up_rows(poset), 3) == bound, str(ideal)
+
+
+# symmetry finder -----------------------------------------------------
+
+
+def _dihedral(n):
+    """The rotations and reflections of the n-cycle, as index tuples."""
+    return sorted(
+        {tuple((i + s) % n for i in range(n)) for s in range(n)}
+        | {tuple((s - i) % n for i in range(n)) for s in range(n)}
+    )
+
+
+def _act(perm, v):
+    return tuple(v[j] for j in perm)
+
+
+@st.composite
+def symmetric_ideals(draw, n_max=4, exp_max=2, gens_max=3):
+    """Small ideals closed under a nontrivial dihedral permutation."""
+    n = draw(st.integers(2, n_max))
+    perm = draw(st.sampled_from([h for h in _dihedral(n) if h != tuple(range(n))]))
+    gens = set()
+    for _ in range(draw(st.integers(1, gens_max))):
+        v = tuple(draw(st.integers(0, exp_max)) for _ in range(n))
+        while any(v) and v not in gens:
+            gens.add(v)
+            v = _act(perm, v)
+    assume(gens)
+    return MonomialIdeal(n, [Monomial(v) for v in gens])
+
+
+def test_symmetry_groups_of_the_families():
+    # J(6,4)^2: the dihedral group of order 12, whose cyclic subgroups are
+    # C6, C3 and seven of order 2 (the half turn and six reflections);
+    # I(5,3)^2: the reversal; a g off the symmetry, or none at all: nothing
+    J2 = cycle_ideal(6, 4).power(2)
+    assert [len(h) for h in _symmetry_groups(J2, J2.lcm_of_gens().exponents)] == [
+        6, 3, 2, 2, 2, 2, 2, 2, 2,
+    ]
+    I2 = path_ideal(5, 3).power(2)
+    assert _symmetry_groups(I2, I2.lcm_of_gens().exponents) == [
+        [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)]
+    ]
+    assert _symmetry_groups(I2, (3, 2, 2, 2, 2)) == []
+    assert _symmetry_groups(parse_ideal("x1*x2^2", 2), (1, 2)) == []
+
+
+@given(symmetric_ideals())
+@settings(max_examples=40, deadline=None)
+def test_invariant_partitions_verify_and_are_fixed_by_their_group(ideal):
+    n = ideal.n_vars
+    poset = build_poset(ideal)
+    below = _below_bitsets(poset.points, poset.g)
+    up = _at_least(below)
+    groups = _symmetry_groups(ideal, poset.g)
+    assert groups
+    gens = {h.exponents for h in ideal.gens}
+    for group in groups:
+        assert all({_act(h, v) for v in gens} == gens for h in group)
+        for k in range(1, n + 1):
+            partition = _invariant_partition(poset, k, [group], below, up, DEFAULT_BUDGET)
+            if partition is None:
+                continue
+            assert verify_partition(poset, partition)[0], (str(ideal), group, k)
+            assert partition.min_label(poset) >= k
+            intervals = {(iv.a, iv.b) for iv in partition.intervals}
+            for h in group:
+                assert {(_act(h, a), _act(h, b)) for a, b in intervals} == intervals
+
+
+@given(symmetric_ideals(n_max=3))
+@settings(max_examples=40, deadline=None)
+def test_symmetric_ideals_get_the_exhaustive_sdepth(ideal):
+    # at budgets whose checkpoints (3 and 20 nodes) let the colon bound
+    # and the finder run at most k, and at the default, which decides
+    poset = build_poset(ideal)
+    decided = max(
+        k for k in range(ideal.n_vars + 1) if exhaustive_has_partition(poset, k)
+    )
+    for budget in (300, 2000, DEFAULT_BUDGET):
+        result = _outcome(lambda: sdepth_quotient(ideal, node_budget=budget))
+        if budget == DEFAULT_BUDGET or isinstance(result, SdepthResult):
+            assert result.sdepth == decided, (str(ideal), budget)
+            assert verify_partition(poset, result.partition)[0]
+            assert result.partition.min_label(poset) >= decided
+    # and with every search at k >= 2 paused at its first node, so that
+    # the finder runs on 100,000 units wherever the colon bound allows
+    search = sdepth._search
+
+    def eager(poset, k, node_budget, reserve=0, pause=None):
+        return search(poset, k, node_budget, reserve, None if pause is None else 0)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_search", eager)
+        result = sdepth_quotient(ideal)
+    assert result.sdepth == decided, str(ideal)
+    assert verify_partition(poset, result.partition)[0]
+    assert result.partition.min_label(poset) >= decided
+
+
+@given(symmetric_ideals())
+@settings(max_examples=40, deadline=None)
+def test_failed_invariant_search_leaves_the_canonical_descent(ideal):
+    # a finder that finds nothing refutes nothing: the answer is the
+    # canonical descent's on the nodes the search keeps (300 less the
+    # finder's 15), wherever that descent decides
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_invariant_partition", lambda *args: None)
+        got = _outcome(lambda: sdepth_quotient(ideal, node_budget=300))
+    want = _outcome(lambda: max_label_descent(ideal, 300 - 300 // 20))
+    if isinstance(want, SdepthResult):
+        assert got == want, str(ideal)
+
+
+@given(small_ideals(), st.sampled_from([50, 2000, DEFAULT_BUDGET]))
+@settings(max_examples=40, deadline=None)
+def test_symmetry_free_ideals_search_on_the_whole_budget(ideal, budget):
+    # no finder runs and no search gives up nodes for one, so the answer
+    # is the canonical descent's wherever that decides
+    assume(not _symmetry_groups(ideal, ideal.lcm_of_gens().exponents))
+    reserves = []
+    search = sdepth._search
+
+    def recorded(poset, k, node_budget, reserve=0, pause=None):
+        reserves.append(reserve)
+        return search(poset, k, node_budget, reserve, pause)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_search", recorded)
+        patch.setattr(sdepth, "_invariant_partition", None)
+        got = _outcome(lambda: sdepth_quotient(ideal, node_budget=budget))
+    assert not any(reserves)
+    want = _outcome(lambda: max_label_descent(ideal, budget))
+    if isinstance(want, SdepthResult):
+        assert got == want, str(ideal)
+
+
+def test_finder_decides_j_6_4_squared_with_the_half_rotation_group():
+    # C6 admits no invariant partition at k = 2, C3 does; the budget error
+    # of a search whose finder finds nothing names the caller's budget
+    J2 = cycle_ideal(6, 4).power(2)
+    poset = build_poset(J2)
+    below = _below_bitsets(poset.points, poset.g)
+    up = _at_least(below)
+    c6, c3 = _symmetry_groups(J2, poset.g)[:2]
+    assert _invariant_partition(poset, 2, [c6], below, up, DEFAULT_BUDGET) is None
+    partition = _invariant_partition(poset, 2, [c3], below, up, DEFAULT_BUDGET)
+    assert verify_partition(poset, partition) == (True, "min label 2")
+    assert _invariant_partition(poset, 2, [c6, c3], below, up, 1000) is None
+    # at 20,000 the finder's 1,000 units do not reach C3's partition, and
+    # k = 2 runs out building candidates, as the search would on its own
+    assert _outcome(lambda: sdepth_quotient(J2, node_budget=20_000)) == (
+        "budget: exceeded 20000 nodes building interval candidates"
+    )
+
+
 # poset construction --------------------------------------------------
+
+
+def test_build_poset_leaves_no_reference_cycle():
+    # the box walk is a module-level recursion, not a closure that refers
+    # to itself, so with the collector off one poset leaves nothing behind
+    ideal = cycle_ideal(6, 4).power(2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(build_poset(ideal)) == 650
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_poset_of_single_edge():
