@@ -101,9 +101,15 @@ def _sdepth(ideal, node_budget):
         result = sdepth_quotient(ideal, node_budget=node_budget)
     except (SearchBudgetError, PosetCapError) as e:
         return None, str(e)
-    ok, why = verify_partition(build_poset(ideal), result.partition)
+    poset = build_poset(ideal)
+    ok, why = verify_partition(poset, result.partition)
     if not ok:
         raise AssertionError("invalid sdepth certificate: %s" % why)
+    label = result.partition.min_label(poset)
+    if label != result.sdepth:
+        raise AssertionError(
+            "sdepth %d with a certificate of min label %d" % (result.sdepth, label)
+        )
     return result.sdepth, None
 
 

@@ -24,7 +24,7 @@ off the poset's Hilbert series and computed only when the sweep bound is
 at least 2, is the largest d with (1-t)^d H(S/I; t) nonnegative, which no
 Stanley decomposition can beat.  At each k >= 2 the search pauses once,
 on passing node_budget // 100 nodes, or stops if it runs out before, and
-two tools that settle some k cheaply get their turn.  The colon-Hilbert
+three tools that settle some k cheaply get their turn.  The colon-Hilbert
 bound, computed once per call: sdepth(S/I) <= sdepth(S/(I : x^a)) (the
 paper's Lemma 1.4), and the Hilbert bound of each colon is read off the
 points above a; a bound below k ends k, and the descent goes on from
@@ -33,8 +33,13 @@ dihedral group of the cycle that fixes G(I) and g maps a partition to a
 partition, so a search over the orbits of intervals of one cyclic
 subgroup may find an invariant partition, which decides k.  An ideal
 with such a symmetry gives the finder node_budget // 20 units out of the
-search's nodes.  A finder that finds nothing refutes nothing: the search
-resumes, or its budget error is raised.
+search's nodes.  A finder that finds nothing refutes nothing.  The
+most-constrained search, at a pause only: an exact cover over the
+search's own candidate masks that branches on the uncovered point the
+fewest live intervals hold, on node_budget // 10 units out of the
+search's nodes.  A partition it finds decides k, and its None, an
+exhaustion, refutes k; running out of units refutes nothing.  When no
+tool settles k, the search resumes, or its budget error is raised.
 """
 
 from __future__ import annotations
@@ -350,7 +355,8 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     extension, and the first uncovered point must be the bottom of the
     interval covering it, which makes the search complete and free of
     duplicate states.  None is returned only after exhaustion; running out
-    of budget raises SearchBudgetError instead.
+    of budget raises SearchBudgetError instead, and a node_budget below 1
+    raises ValueError.
 
     The admissible tops of p (tops b >= p with label >= k) are the AND of
     per-coordinate bitsets over the tops, and the interval [p, b] is the
@@ -371,13 +377,13 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
 
 
 def _advance(search):
-    """Run a `_search` generator on: (True, None) at its pause, or
-    (False, its answer) at its end."""
+    """Run a `_search` generator on: (its candidate masks, None) at its
+    pause, or (None, its answer) at its end."""
     try:
-        next(search)
+        table = next(search)
     except StopIteration as end:
-        return False, end.value
-    return True, None
+        return None, end.value
+    return table, None
 
 
 def _search(poset, k, node_budget, reserve=0, pause=None):
@@ -386,11 +392,15 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     The pre-check and candidate construction are charged as in
     `has_partition_min_label`; the search itself stops at
     node_budget - reserve nodes, and the messages name node_budget.
-    When `pause` is given it yields once, on passing `pause` search nodes,
-    and resumes where it stopped; its answer is its return value.
+    When `pause` is given it yields its candidate masks once, on passing
+    `pause` search nodes, and resumes where it stopped; its answer is its
+    return value.  The masks come as one list per point p, the intervals
+    [p, b] largest first.
     """
     points = poset.points
     npts = len(points)
+    if node_budget < 1:
+        raise ValueError("node_budget must be at least 1, got %r" % (node_budget,))
     if k < 0 or k > poset.n_vars:
         raise ValueError("k out of range")
     if k == 0:
@@ -472,7 +482,7 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
             if nodes > stop:
                 if stop == limit:
                     raise SearchBudgetError(exhausted)
-                yield
+                yield candidates
                 stop = limit
             chosen.append((first, mask))
             if child == full:
@@ -636,18 +646,106 @@ def _invariant_partition(poset, k, groups, below, up, budget):
     return None
 
 
+def _bits(mask):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _fewest(free, live, contain):
+    """(the live intervals holding the point of `free` that the fewest of
+    them hold, the number of points examined); the scan stops at a count
+    of 0 or 1."""
+    best = least = None
+    examined = 0
+    for q in _bits(free):
+        examined += 1
+        here = contain[q] & live
+        count = here.bit_count()
+        if best is None or count < least:
+            best, least = here, count
+            if count <= 1:
+                break
+    return best, examined
+
+
+def _most_constrained(points, candidates, units):
+    """A StanleyPartition made of the intervals in `candidates`, or None.
+
+    Most-constrained exact cover (Knuth, "Dancing Links"): branch on the
+    uncovered point that the fewest live intervals hold, larger intervals
+    first.  The intervals are `_search`'s candidate masks, indexed largest
+    first; contain[q] is the bitset of the intervals that hold q, the live
+    intervals are one bitset, and choosing an interval clears contain[q]
+    from it for each of its points q.  Building contain costs the cells
+    that candidate construction has already charged.  The search is
+    charged one unit per uncovered point examined and the cell count of
+    each interval chosen.  None is returned only after exhaustion, a
+    complete refutation; past `units` it raises SearchBudgetError, which
+    refutes nothing.
+    """
+    masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
+    nbytes = len(masks) // 8 + 1
+    contain = [bytearray(nbytes) for _ in points]
+    for i, mask in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for q in _bits(mask):
+            contain[q][byte] |= bit
+    for q, row in enumerate(contain):
+        contain[q] = int.from_bytes(row, "little")
+    full = (1 << len(points)) - 1
+    live = (1 << len(masks)) - 1
+    options, spent = _fewest(full, live, contain)
+    chosen = []  # the masks on the path to the innermost frame
+    stack = [(0, live, _bits(options))]
+    while stack:
+        if spent > units:
+            raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
+        covered, live, options = stack[-1]
+        for i in options:
+            mask = masks[i]
+            chosen.append(mask)
+            child = covered | mask
+            if child == full:
+                # an interval's bottom is its first point in the order, its top the last
+                return StanleyPartition(
+                    tuple(
+                        PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
+                        for m in chosen
+                    )
+                )
+            dead = 0
+            for q in _bits(mask):
+                dead |= contain[q]
+            live &= ~dead
+            options, examined = _fewest(full ^ child, live, contain)
+            spent += mask.bit_count() + examined
+            stack.append((child, live, _bits(options)))
+            break
+        else:
+            stack.pop()
+            if stack:
+                chosen.pop()
+    return None
+
+
 def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BUDGET):
     """Exact sdepth(S/I): largest k admitting an interval partition.
 
     The descent starts at min(sweep, Hilbert), above which no k can pass.
     At each k >= 2 the search pauses once, on passing node_budget // 100
-    nodes, or stops when it runs out earlier: then the colon-Hilbert bound
-    (`_colon_bound`, computed once) may show k out of reach, and the
-    descent goes on from the bound; otherwise the symmetry finder
-    (`_invariant_partition`) gets node_budget // 20 units, which the
-    search does not spend when the ideal has a symmetry, and a partition
-    it finds decides k.  Failing both, the search resumes, or its budget
-    error is raised.
+    nodes, or stops when it runs out earlier, and three tools get a turn,
+    in order.  The colon-Hilbert bound (`_colon_bound`, computed once) may
+    show k out of reach, and the descent goes on from the bound.  The
+    symmetry finder (`_invariant_partition`) gets node_budget // 20 units
+    when the ideal has a symmetry, and a partition it finds decides k.  At
+    a pause, the most-constrained search (`_most_constrained`) gets
+    node_budget // 10 units over the search's own candidate masks: a
+    partition it finds decides k, and its None, an exhaustion, refutes k.
+    The search's nodes stop short by the units of both.  When none of the
+    three settles k, the search resumes, or its budget error is raised.
     """
     poset = build_poset(ideal, g=g, cap=cap)
     top = _sweep_bound(poset)
@@ -656,18 +754,21 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
         # at sweep bound 1 no bound can shorten the descent
         top = _hilbert_bound(poset, top)
     groups = _symmetry_groups(ideal, poset.g) if top >= 2 else []
-    reserve = node_budget // 20 if groups else 0
+    share = node_budget // 20 if groups else 0
+    units = node_budget // 10
     up = None
     k = top
     while k >= 2:
-        search = _search(poset, k, node_budget, reserve, node_budget // 100)
+        # the last k's masks go before this k builds its own
+        table = None
+        search = _search(poset, k, node_budget, share + units, node_budget // 100)
         try:
-            paused, partition = _advance(search)
+            table, partition = _advance(search)
             failure = None
         except SearchBudgetError as error:
-            paused, partition, failure = False, None, error
+            partition, failure = None, error
         # at most once per k: the search pauses once, and a failure ends it
-        if paused or failure:
+        if table is not None or failure:
             if up is None:
                 below = _below_bitsets(poset.points, poset.g)
                 up = _at_least(below)
@@ -676,11 +777,19 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
                 k = bound
                 continue
             if groups:
-                partition = _invariant_partition(poset, k, groups, below, up, reserve)
+                partition = _invariant_partition(poset, k, groups, below, up, share)
+            if partition is None and table is not None:
+                try:
+                    partition = _most_constrained(poset.points, table, units)
+                    if partition is None:
+                        k -= 1  # an exhaustion: no partition at k
+                        continue
+                except SearchBudgetError:
+                    pass  # out of units, which refutes nothing
             if partition is None:
                 if failure:
                     raise failure
-                paused, partition = _advance(search)
+                _, partition = _advance(search)
         if partition is not None:
             return SdepthResult(k, len(poset), partition)
         k -= 1

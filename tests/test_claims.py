@@ -25,6 +25,7 @@ from pathdepth.claims import (
 from pathdepth.cli import EXIT_OK, main
 from pathdepth.families import cycle_ideal
 from pathdepth.monomials import MonomialIdeal, parse_ideal
+from pathdepth.sdepth import DEFAULT_BUDGET, SdepthResult
 
 
 def test_ses_depth_bounds_fills_missing_slots():
@@ -277,6 +278,20 @@ def test_sdepth_skip_runs_the_engine_once(monkeypatch):
     assert calls == [777]
     assert len(checks.skipped) == 2
     assert checks.skipped[0] == checks.skipped[1]
+
+
+def test_sdepth_value_must_be_its_certificates_min_label(monkeypatch):
+    # a valid partition of min label 1 does not certify sdepth 2; the check
+    # raises, so it also runs under python -O
+    engine = claims.sdepth_quotient
+
+    def overclaimed(ideal, node_budget):
+        result = engine(ideal, node_budget=node_budget)
+        return SdepthResult(result.sdepth + 1, result.poset_size, result.partition)
+
+    monkeypatch.setattr(claims, "sdepth_quotient", overclaimed)
+    with pytest.raises(AssertionError, match="sdepth 2 with a certificate of min label 1"):
+        claims._sdepth.__wrapped__(parse_ideal("x1*x2, x2*x3", 3), DEFAULT_BUDGET)
 
 
 def test_sdepth_memo_is_keyed_by_budget():

@@ -245,6 +245,9 @@ def test_export_command_output():
         # decided by the colon-Hilbert bound and the symmetry finder
         ("sdepth", "--family", "jcycle", "--n", "6", "--m", "4", "--power", "2",
          "--certificate"),
+        # decided by the most-constrained search
+        ("sdepth", "--family", "ipath", "--n", "5", "--m", "2", "--power", "3",
+         "--certificate"),
     ],
 )
 def test_output_is_unchanged_under_python_optimize(argv):

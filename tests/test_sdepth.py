@@ -28,6 +28,7 @@ from pathdepth.sdepth import (
     _colon_shapes,
     _hilbert_bound,
     _invariant_partition,
+    _most_constrained,
     _shape_classes,
     _sweep_bound,
     _symmetry_groups,
@@ -332,15 +333,18 @@ def test_benchmark_ladder_skips_keep_their_budget_phase():
     # engine decides must carry a certificate that verifies.  The
     # colon-Hilbert bound caps J(6,4)^2 and I(5,3)^2 at 2, where the first
     # has a partition fixed by the rotation by two steps and the canonical
-    # search decides the second; the other three still run out, I(5,2)^3
-    # in the search after its symmetry finder found nothing
-    for ideal in (cycle_ideal(6, 4).power(2), path_ideal(5, 3).power(2)):
+    # search decides the second; the most-constrained search decides
+    # I(5,2)^3 at 2; the other two still run out before any search
+    for ideal in (
+        cycle_ideal(6, 4).power(2),
+        path_ideal(5, 3).power(2),
+        path_ideal(5, 2).power(3),
+    ):
         result = sdepth_quotient(ideal, node_budget=500_000)
         assert result.sdepth == 2, str(ideal)
         poset = build_poset(ideal)
         assert verify_partition(poset, result.partition) == (True, "min label 2")
     for ideal, phase in (
-        (path_ideal(5, 2).power(3), "exceeded 500000 search nodes"),
         (cycle_ideal(7, 3).power(3), "pre-check"),
         (path_ideal(7, 3).power(3), "interval candidates"),
     ):
@@ -591,16 +595,22 @@ def test_symmetric_ideals_get_the_exhaustive_sdepth(ideal):
     assert result.partition.min_label(poset) >= decided
 
 
+def _out_of_units(points, candidates, units):
+    raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
+
+
 @given(symmetric_ideals())
 @settings(max_examples=40, deadline=None)
 def test_failed_invariant_search_leaves_the_canonical_descent(ideal):
-    # a finder that finds nothing refutes nothing: the answer is the
-    # canonical descent's on the nodes the search keeps (300 less the
-    # finder's 15), wherever that descent decides
+    # a finder that finds nothing refutes nothing: with the most-constrained
+    # search out of units too, the answer is the canonical descent's on the
+    # nodes the search keeps (300 less the finder's 15 and that search's
+    # 30), wherever that descent decides
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sdepth, "_invariant_partition", lambda *args: None)
+        patch.setattr(sdepth, "_most_constrained", _out_of_units)
         got = _outcome(lambda: sdepth_quotient(ideal, node_budget=300))
-    want = _outcome(lambda: max_label_descent(ideal, 300 - 300 // 20))
+    want = _outcome(lambda: max_label_descent(ideal, 300 - 300 // 20 - 300 // 10))
     if isinstance(want, SdepthResult):
         assert got == want, str(ideal)
 
@@ -608,22 +618,26 @@ def test_failed_invariant_search_leaves_the_canonical_descent(ideal):
 @given(small_ideals(), st.sampled_from([50, 2000, DEFAULT_BUDGET]))
 @settings(max_examples=40, deadline=None)
 def test_symmetry_free_ideals_search_on_the_whole_budget(ideal, budget):
-    # no finder runs and no search gives up nodes for one, so the answer
-    # is the canonical descent's wherever that decides
+    # no finder runs and no search gives up nodes for one: the search keeps
+    # all but the most-constrained search's tenth, so with that search out
+    # of units the answer is the canonical descent's on those nodes
+    # wherever that decides
     assume(not _symmetry_groups(ideal, ideal.lcm_of_gens().exponents))
     reserves = []
     search = sdepth._search
 
     def recorded(poset, k, node_budget, reserve=0, pause=None):
-        reserves.append(reserve)
+        reserves.append((k, reserve))
         return search(poset, k, node_budget, reserve, pause)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sdepth, "_search", recorded)
         patch.setattr(sdepth, "_invariant_partition", None)
+        patch.setattr(sdepth, "_most_constrained", _out_of_units)
         got = _outcome(lambda: sdepth_quotient(ideal, node_budget=budget))
-    assert not any(reserves)
-    want = _outcome(lambda: max_label_descent(ideal, budget))
+    # k <= 1 runs through has_partition_min_label, on the whole budget
+    assert all(reserve == (budget // 10 if k >= 2 else 0) for k, reserve in reserves)
+    want = _outcome(lambda: max_label_descent(ideal, budget - budget // 10))
     if isinstance(want, SdepthResult):
         assert got == want, str(ideal)
 
@@ -645,6 +659,205 @@ def test_finder_decides_j_6_4_squared_with_the_half_rotation_group():
     assert _outcome(lambda: sdepth_quotient(J2, node_budget=20_000)) == (
         "budget: exceeded 20000 nodes building interval candidates"
     )
+
+
+# most-constrained search ---------------------------------------------
+
+
+def _candidate_table(poset, k):
+    """`_search`'s candidate masks at k, handed out at a pause on its first
+    node, or None when it decides before any search node."""
+    table, _ = sdepth._advance(sdepth._search(poset, k, DEFAULT_BUDGET, 0, 0))
+    return table
+
+
+def set_most_constrained(poset, k, units):
+    """Reference most-constrained search over sets of points.
+
+    The engine's order and units without its bitsets: the intervals
+    [p, b] sorted by size, then by p and b in the poset order; the
+    uncovered point held by the fewest live intervals, the first such in
+    the order, with the scan stopping at 0 or 1; one unit per point
+    examined, plus the cells of each interval chosen, checked before a
+    covering is searched.
+    """
+    points = poset.points
+    order = {a: i for i, a in enumerate(points)}
+    intervals = sorted(
+        (
+            (frozenset(c for c in points if _leq(p, c) and _leq(c, b)), p, b)
+            for p in points
+            for b in points
+            if _leq(p, b) and poset.label(b) >= k
+        ),
+        key=lambda ipb: (-len(ipb[0]), order[ipb[1]], order[ipb[2]]),
+    )
+    spent = 0
+
+    def fewest(uncovered, live):
+        nonlocal spent
+        best = None
+        for q in sorted(uncovered, key=order.get):
+            spent += 1
+            here = [i for i in live if q in intervals[i][0]]
+            if best is None or len(here) < len(best):
+                best = here
+                if len(here) <= 1:
+                    break
+        return best
+
+    def search(uncovered, live, options, chosen):
+        nonlocal spent
+        if spent > units:
+            raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
+        for i in options:
+            cells, p, b = intervals[i]
+            chosen.append(PosetInterval(p, b))
+            rest = uncovered - cells
+            if not rest:
+                return True
+            kept = [j for j in live if not intervals[j][0] & cells]
+            nxt = fewest(rest, kept)
+            spent += len(cells)
+            if search(rest, kept, nxt, chosen):
+                return True
+            chosen.pop()
+        return False
+
+    live = list(range(len(intervals)))
+    chosen = []
+    if search(frozenset(points), live, fewest(frozenset(points), live), chosen):
+        return StanleyPartition(tuple(chosen))
+    return None
+
+
+def _matches_set_reference(poset, k):
+    """Whether the engine and `set_most_constrained` give the same
+    partition, None or message at k: at no units, at the most units on
+    which the engine runs out and one more, and at the default."""
+    table = _candidate_table(poset, k)
+    if table is None:
+        return True
+    short, enough = 0, DEFAULT_BUDGET
+    while enough - short > 1:
+        mid = (short + enough) // 2
+        if isinstance(_outcome(lambda: _most_constrained(poset.points, table, mid)), str):
+            short = mid
+        else:
+            enough = mid
+    return all(
+        _outcome(lambda: _most_constrained(poset.points, table, units))
+        == _outcome(lambda: set_most_constrained(poset, k, units))
+        for units in (0, short, enough, DEFAULT_BUDGET)
+    )
+
+
+@given(small_ideals())
+@settings(max_examples=40, deadline=None)
+def test_most_constrained_search_matches_the_set_reference(ideal):
+    poset = build_poset(ideal)
+    for k in range(1, ideal.n_vars + 1):
+        assert _matches_set_reference(poset, k), (str(ideal), k)
+
+
+def test_most_constrained_search_matches_the_set_reference_on_larger_posets():
+    # 21 to 50 points, where the scan for the fewest live intervals stops
+    # early at a count of 1 before the last uncovered point
+    for ideal in (
+        path_ideal(4, 2).power(2),
+        parse_ideal("x2*x3*x5*x6, x2*x3*x4*x6, x1*x5, x1*x4*x6", 6),
+        cycle_ideal(5, 3),
+        path_ideal(5, 3),
+        cycle_ideal(4, 2).power(2),
+    ):
+        poset = build_poset(ideal)
+        for k in range(2, ideal.n_vars + 1):
+            assert _matches_set_reference(poset, k), (str(ideal), k)
+
+
+@given(small_ideals(n_max=3, gens_max=3))
+@settings(max_examples=60, deadline=None)
+def test_most_constrained_search_against_exhaustive_search(ideal):
+    # a partition it finds verifies with min label >= k, and its None, an
+    # exhaustion, agrees with the brute-force search
+    poset = build_poset(ideal)
+    for k in range(1, ideal.n_vars + 1):
+        table = _candidate_table(poset, k)
+        if table is None:
+            continue
+        partition = _most_constrained(poset.points, table, DEFAULT_BUDGET)
+        if partition is None:
+            assert not exhaustive_has_partition(poset, k), (str(ideal), k)
+        else:
+            assert verify_partition(poset, partition)[0], (str(ideal), k)
+            assert partition.min_label(poset) >= k
+
+
+@given(small_ideals(), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_most_constrained_search_out_of_units_refutes_nothing(ideal, units):
+    # a refutation pays for the root's point, an interval and the next
+    # point, 3 units at least: below that the search runs out, or finds a
+    # poset that is one interval, and never returns None
+    poset = build_poset(ideal)
+    for k in range(1, ideal.n_vars + 1):
+        table = _candidate_table(poset, k)
+        if table is None:
+            continue
+        try:
+            partition = _most_constrained(poset.points, table, units)
+        except SearchBudgetError as error:
+            assert str(error) == "exceeded %d units in the most-constrained search" % units
+            continue
+        assert partition is not None, (str(ideal), k, units)
+        assert verify_partition(poset, partition)[0]
+        assert len(partition.intervals) == 1
+
+
+def test_most_constrained_exhaustion_refutes_k_without_resuming():
+    # (x1x2, x3x4) has sdepth 2; with every search paused at its first node,
+    # the finder finding nothing and the most-constrained search claiming
+    # an exhaustion, the descent leaves k = 2 for 1 at once
+    search = sdepth._search
+
+    def eager(poset, k, node_budget, reserve=0, pause=None):
+        return search(poset, k, node_budget, reserve, None if pause is None else 0)
+
+    ideal = parse_ideal("x1*x2, x3*x4", 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_search", eager)
+        patch.setattr(sdepth, "_invariant_partition", lambda *args: None)
+        patch.setattr(sdepth, "_most_constrained", lambda *args: None)
+        assert sdepth_quotient(ideal).sdepth == 1
+        patch.setattr(sdepth, "_most_constrained", _out_of_units)
+        assert sdepth_quotient(ideal).sdepth == 2
+
+
+def test_most_constrained_search_decides_the_colon_ladder():
+    # I(5,2)^3 and I(5,4)J'(6,4), J' = (J(6,4) : x6) in five variables, run
+    # the canonical search out of its default budget at k = 2, and the
+    # most-constrained search decides both; (J(6,4)^2, x6^2) still runs out
+    x6 = Monomial.variable(6, 6)
+    jprime = cycle_ideal(6, 4).colon(x6).restrict(5)
+    for ideal in (path_ideal(5, 2).power(3), path_ideal(5, 4) * jprime):
+        result = sdepth_quotient(ideal)
+        assert result.sdepth == 2, str(ideal)
+        assert verify_partition(build_poset(ideal), result.partition) == (True, "min label 2")
+    ideal = cycle_ideal(6, 4).power(2) + MonomialIdeal.principal(x6 ** 2)
+    assert _outcome(lambda: sdepth_quotient(ideal)) == "budget: exceeded 2000000 search nodes"
+
+
+def test_budget_below_one_is_rejected():
+    # a budget of 1 is valid (see the depth-0 test above); below it is an
+    # error in the arguments, not an exhaustion
+    ideal = path_ideal(4, 2)
+    poset = build_poset(ideal)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="node_budget must be at least 1"):
+            sdepth_quotient(ideal, node_budget=budget)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="node_budget must be at least 1"):
+                has_partition_min_label(poset, k, budget)
 
 
 # poset construction --------------------------------------------------
