@@ -14,8 +14,10 @@ per-coordinate bitsets, and the exact cover runs as a loop over an
 explicit stack that remembers no refuted covering.  The pre-check and
 candidate construction are charged in the units of the linear scans they
 replace, so an instance runs out in the same phase, with the same
-message, as under them; the search pays one node per covering it visits,
-revisits included.
+message, as under them; construction is charged in closed form for every
+point before any list is built, and a point's candidate list is built
+only when the search first branches there.  The search pays one node per
+covering it visits, revisits included.
 
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
@@ -35,21 +37,23 @@ subgroup may find an invariant partition, which decides k.  An ideal
 with such a symmetry gives the finder node_budget // 20 units out of the
 search's nodes.  A finder that finds nothing refutes nothing.  The
 most-constrained search, at a pause only: an exact cover over the
-search's own candidate masks that branches on the uncovered point the
-fewest live intervals hold, on node_budget // 10 units out of the
-search's nodes.  A partition it finds decides k, and its None, an
-exhaustion, refutes k; running out of units refutes nothing.  When no
-tool settles k, the search resumes, or its budget error is raised.
+search's candidate masks, with every list built by then, that branches
+on the uncovered point the fewest live intervals hold, on
+node_budget // 10 units out of the search's nodes.  A partition it
+finds decides k, and its None, an exhaustion, refutes k; running out of
+units refutes nothing.  When no tool settles k, the search resumes, or
+its budget error is raised.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from itertools import product as _cartesian
-from math import comb
-from operator import eq, itemgetter, lt
+from math import comb, prod
+from operator import eq, itemgetter, lt, xor
 
 from .depth import _below_bitsets
 from .monomials import Monomial
@@ -99,6 +103,11 @@ class CharacteristicPoset:
 
     def label(self, b):
         return sum(map(eq, b, self.g))
+
+    @cached_property
+    def labels(self):
+        """The label of each point, in the order of `points`, computed once."""
+        return tuple(map(self.label, self.points))
 
     def __len__(self):
         return len(self.points)
@@ -222,7 +231,7 @@ def _hilbert_bound(poset, upto):
     t^|p| / (1-t)^label(p), which `_shape_bound` reads off the counts of
     the (degree, label) shapes.
     """
-    shapes = Counter((sum(p), poset.label(p)) for p in poset.points)
+    shapes = Counter(zip(map(sum, poset.points), poset.labels))
     return _shape_bound(shapes, poset.n_vars, upto)
 
 
@@ -363,15 +372,21 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     bitset up(p) & down(b) over the points.  The budget is charged in the
     units of a linear scan of the tops: the pre-check pays the 1-based
     position of p's first admissible top, and candidate construction pays
-    one per top plus the size of each admissible interval.
+    one per top plus the size of each admissible interval, for every
+    point.  That charge is taken in closed form (`_candidate_charge`)
+    before any interval is built, and it relies on the poset being
+    down-closed, as `CharacteristicPoset` promises: then every point
+    below a top b takes b as an admissible top.  A point's candidate list
+    is built when the search first branches there, so most lists of a
+    decided search are never built.
 
-    The search is a loop over an explicit stack of (covered, first
-    uncovered point, candidate iterator) frames, and that stack, the
-    chosen path and the candidate masks are all it holds: it keeps no
-    record of refuted coverings, so a covering reached along two paths
-    is searched twice.  It pays one node per visited covering, the root
-    and every revisit included.  Intervals are built only for the
-    partition returned.
+    The search is a loop over an explicit stack of (covered, candidate
+    iterator) frames, and that stack and the candidate lists are all it
+    holds: it keeps no record of refuted coverings, so a covering reached
+    along two paths is searched twice.  It pays one node per visited
+    covering, the root and every revisit included.  The intervals of the
+    partition returned are read off the differences of successive
+    coverings on the stack.
     """
     return _advance(_search(poset, k, node_budget))[1]
 
@@ -386,6 +401,16 @@ def _advance(search):
     return table, None
 
 
+def _candidate_charge(npts, tops):
+    """The units of building every candidate list: one per (point, top)
+    pair, plus the cells of each interval [p, b], b an admissible top of p.
+
+    In a down-closed poset the points p <= b are the whole box below b, so
+    the intervals under b hold prod_i (b_i+1)(b_i+2)/2 cells between them.
+    """
+    return npts * len(tops) + sum(prod((x + 1) * (x + 2) // 2 for x in b) for b in tops)
+
+
 def _search(poset, k, node_budget, reserve=0, pause=None):
     """`has_partition_min_label` as a generator that may pause once.
 
@@ -395,7 +420,8 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     When `pause` is given it yields its candidate masks once, on passing
     `pause` search nodes, and resumes where it stopped; its answer is its
     return value.  The masks come as one list per point p, the intervals
-    [p, b] largest first.
+    [p, b] largest first, ties in the order of the tops; the lists not
+    yet built are built before the pause, so the table is complete.
     """
     points = poset.points
     npts = len(points)
@@ -405,7 +431,7 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
         raise ValueError("k out of range")
     if k == 0:
         return StanleyPartition(tuple(PosetInterval(a, a) for a in points))
-    tops = [b for b in points if poset.label(b) >= k]
+    tops = [b for b, label in zip(points, poset.labels) if label >= k]
     if not tops:
         # no point has an admissible top
         return None
@@ -432,72 +458,76 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
                 % (10 * node_budget)
             )
     # candidate construction is the quadratic part; it shares the budget
-    work += npts * len(tops)
-    too_many = "exceeded %d nodes building interval candidates" % node_budget
-    if work > node_budget:
-        raise SearchBudgetError(too_many)
+    if work + _candidate_charge(npts, tops) > node_budget:
+        raise SearchBudgetError("exceeded %d nodes building interval candidates" % node_budget)
     below = _below_bitsets(points, poset.g)
     up_rows = _at_least(below)
     full = (1 << npts) - 1
     downs = {}
-    candidates = []
-    for p in points:
+    candidates = [None] * npts
+
+    def build(i):
+        """The candidate masks at points[i], stored in `candidates`."""
+        p = points[i]
         up = full
         for row, v in zip(up_rows, p):
             up &= row[v]
-        found = admissible(p)
         cand = []
-        while found:
-            low = found & -found
-            found ^= low
-            j = low.bit_length() - 1
+        for j in _bits(admissible(p)):
             down = downs.get(j)
             if down is None:
                 down = full
                 for row, v in zip(below, tops[j]):
                     down &= row[v]
                 downs[j] = down
-            mask = up & down
-            work += mask.bit_count()
-            if work > node_budget:
-                raise SearchBudgetError(too_many)
-            cand.append(mask)
-        cand.sort(key=lambda mask: -mask.bit_count())
-        candidates.append(cand)
-    del downs, below, up_rows  # the search needs only the masks
+            cand.append(up & down)
+        cand.sort(key=int.bit_count, reverse=True)
+        candidates[i] = cand
+        return cand
+
     exhausted = "exceeded %d search nodes" % node_budget
     # the node count at which the loop next stops: the pause, then the limit
     limit = node_budget - reserve
     stop = limit if pause is None else min(pause, limit)
     nodes = 1  # the root; candidate construction has charged more already
-    chosen = []  # the (first, mask) choices on the path to the innermost frame
-    stack = [(0, 0, iter(candidates[0]))]
-    while stack:
-        covered, first, options = stack[-1]
+    covered = 0
+    options = iter(build(0))
+    stack = []  # the (covered, options) of the frames below the current one
+    while True:
         for mask in options:
             if mask & covered:
                 continue
-            child = covered | mask
             nodes += 1
             if nodes > stop:
                 if stop == limit:
                     raise SearchBudgetError(exhausted)
+                for i, cand in enumerate(candidates):
+                    if cand is None:
+                        build(i)
+                downs.clear()  # every list is built
                 yield candidates
                 stop = limit
-            chosen.append((first, mask))
+            child = covered | mask
             if child == full:
-                # the top of an interval is its last point in the order
+                # each interval is the difference of two successive coverings;
+                # its bottom is its first point in the order, its top the last
+                coverings = [c for c, _ in stack] + [covered, full]
                 return StanleyPartition(
-                    tuple(PosetInterval(points[f], points[m.bit_length() - 1]) for f, m in chosen)
+                    tuple(
+                        PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
+                        for m in map(xor, coverings, coverings[1:])
+                    )
                 )
+            stack.append((covered, options))
+            covered = child
             nxt = ((child + 1) & ~child).bit_length() - 1
-            stack.append((child, nxt, iter(candidates[nxt])))
+            cand = candidates[nxt]
+            options = iter(build(nxt) if cand is None else cand)
             break
         else:
-            stack.pop()
-            if stack:
-                chosen.pop()
-    return None
+            if not stack:
+                return None
+            covered, options = stack.pop()
 
 
 def _symmetry_groups(ideal, g):
@@ -593,7 +623,7 @@ def _invariant_partition(poset, k, groups, below, up, budget):
     """
     points = poset.points
     full = (1 << len(points)) - 1
-    tops = [b for b in points if poset.label(b) >= k]
+    tops = [b for b, label in zip(points, poset.labels) if label >= k]
     if not tops:
         return None
     top_rows = _at_least(_below_bitsets(tops, poset.g))
@@ -671,30 +701,45 @@ def _fewest(free, live, contain):
     return best, examined
 
 
+def _contain(points, masks):
+    """contain[q]: the bitset of the intervals among `masks` that hold
+    points[q], bit i standing for masks[i].
+
+    q lies in [p, b] iff p_i <= q_i <= b_i for every i, so contain[q] is
+    an AND over the coordinates of two rows over the intervals: those
+    whose bottom (a mask's lowest bit) is <= q_i, and those whose top (its
+    highest bit) is >= q_i.
+    """
+    caps = [max(column) for column in zip(*points)]
+    low = _below_bitsets([points[(m & -m).bit_length() - 1] for m in masks], caps)
+    high = _at_least(_below_bitsets([points[m.bit_length() - 1] for m in masks], caps))
+    contain = []
+    for q in points:
+        held = -1
+        for lo, hi, v in zip(low, high, q):
+            held &= lo[v] & hi[v]
+        contain.append(held)
+    return contain
+
+
 def _most_constrained(points, candidates, units):
     """A StanleyPartition made of the intervals in `candidates`, or None.
 
     Most-constrained exact cover (Knuth, "Dancing Links"): branch on the
     uncovered point that the fewest live intervals hold, larger intervals
     first.  The intervals are `_search`'s candidate masks, indexed largest
-    first; contain[q] is the bitset of the intervals that hold q, the live
-    intervals are one bitset, and choosing an interval clears contain[q]
-    from it for each of its points q.  Building contain costs the cells
-    that candidate construction has already charged.  The search is
-    charged one unit per uncovered point examined and the cell count of
-    each interval chosen.  None is returned only after exhaustion, a
-    complete refutation; past `units` it raises SearchBudgetError, which
-    refutes nothing.
+    first; contain[q] is the bitset of the intervals that hold q, built
+    per coordinate by `_contain`, the live intervals are one bitset, and
+    choosing an interval clears contain[q] from it for each of its points
+    q.  Building contain is not charged: it takes a few bitset ANDs per
+    point, where candidate construction has charged every cell.  The
+    search is charged one unit per uncovered point examined and the cell
+    count of each interval chosen.  None is returned only after
+    exhaustion, a complete refutation; past `units` it raises
+    SearchBudgetError, which refutes nothing.
     """
     masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
-    nbytes = len(masks) // 8 + 1
-    contain = [bytearray(nbytes) for _ in points]
-    for i, mask in enumerate(masks):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for q in _bits(mask):
-            contain[q][byte] |= bit
-    for q, row in enumerate(contain):
-        contain[q] = int.from_bytes(row, "little")
+    contain = _contain(points, masks)
     full = (1 << len(points)) - 1
     live = (1 << len(masks)) - 1
     options, spent = _fewest(full, live, contain)

@@ -23,9 +23,11 @@ from pathdepth.sdepth import (
     SearchBudgetError,
     StanleyPartition,
     _at_least,
+    _candidate_charge,
     _colon_bound,
     _colon_exponents,
     _colon_shapes,
+    _contain,
     _hilbert_bound,
     _invariant_partition,
     _most_constrained,
@@ -729,6 +731,125 @@ def set_most_constrained(poset, k, units):
     if search(frozenset(points), live, fewest(frozenset(points), live), chosen):
         return StanleyPartition(tuple(chosen))
     return None
+
+
+def eager_candidate_table(poset, k):
+    """Reference table: every point's candidate masks built up front, as
+    `_search` built them before its lists were built on first branch.
+
+    Assumes every point has an admissible top at k.
+    """
+    points = poset.points
+    tops = [b for b in points if poset.label(b) >= k]
+    top_rows = _at_least(_below_bitsets(tops, poset.g))
+    below = _below_bitsets(points, poset.g)
+    up_rows = _at_least(below)
+    full = (1 << len(points)) - 1
+    downs = {}
+    candidates = []
+    for p in points:
+        up = full
+        for row, v in zip(up_rows, p):
+            up &= row[v]
+        found = -1
+        for row, v in zip(top_rows, p):
+            found &= row[v]
+        cand = []
+        while found:
+            low = found & -found
+            found ^= low
+            j = low.bit_length() - 1
+            down = downs.get(j)
+            if down is None:
+                down = full
+                for row, v in zip(below, tops[j]):
+                    down &= row[v]
+                downs[j] = down
+            cand.append(up & down)
+        cand.sort(key=lambda mask: -mask.bit_count())
+        candidates.append(cand)
+    return candidates
+
+
+def bit_transpose(points, masks):
+    """Reference contain[q]: the intervals among `masks` holding points[q],
+    set one bit per cell."""
+    nbytes = len(masks) // 8 + 1
+    contain = [bytearray(nbytes) for _ in points]
+    for i, mask in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for q in range(mask.bit_length()):
+            if mask >> q & 1:
+                contain[q][byte] |= bit
+    return [int.from_bytes(row, "little") for row in contain]
+
+
+def _sorted_masks(table):
+    """The masks of a candidate table in `_most_constrained`'s order."""
+    return sorted((mask for cand in table for mask in cand), key=int.bit_count, reverse=True)
+
+
+@given(small_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_table_at_a_pause_is_the_eager_table(ideal, data):
+    # lists built on first branch, and the rest at the pause, give the
+    # eager table list for list and in the same order, for g = lcm and for
+    # a g above it, whichever node the search pauses at
+    lcm = ideal.lcm_of_gens().exponents
+    above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
+    pause = data.draw(st.integers(0, 30))
+    for g in (None, above):
+        poset = build_poset(ideal, g=g)
+        for k in range(1, ideal.n_vars + 1):
+            search = sdepth._search(poset, k, DEFAULT_BUDGET, 0, pause)
+            table, _ = sdepth._advance(search)
+            if table is not None:
+                assert table == eager_candidate_table(poset, k), (str(ideal), g, k, pause)
+                # and the search resumes on it to the answer it gives unpaused
+                assert sdepth._advance(search) == (None, has_partition_min_label(poset, k))
+
+
+@given(small_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_candidate_charge_counts_every_pair_and_cell(ideal, data):
+    # one unit per (point, top) pair plus the cells of every admissible
+    # interval, counted one by one, for g = lcm and for a g above it
+    lcm = ideal.lcm_of_gens().exponents
+    above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
+    for g in (None, above):
+        poset = build_poset(ideal, g=g)
+        for k in range(1, ideal.n_vars + 1):
+            tops = [b for b in poset.points if poset.label(b) >= k]
+            cells = sum(
+                prod(y - x + 1 for x, y in zip(p, b))
+                for p in poset.points
+                for b in tops
+                if _leq(p, b)
+            )
+            want = len(poset.points) * len(tops) + cells
+            assert _candidate_charge(len(poset.points), tops) == want, (str(ideal), g, k)
+
+
+@given(small_ideals())
+@settings(max_examples=60, deadline=None)
+def test_contain_matches_the_bit_transpose(ideal):
+    poset = build_poset(ideal)
+    for k in range(1, ideal.n_vars + 1):
+        table = _candidate_table(poset, k)
+        if table is not None:
+            masks = _sorted_masks(table)
+            assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
+
+
+def test_lazy_table_and_contain_on_i_5_2_cubed():
+    # 538 points and 6,624 intervals at k = 2, where the search pauses
+    # after building 20 of the lists itself
+    poset = build_poset(path_ideal(5, 2).power(3))
+    table = _candidate_table(poset, 2)
+    assert table == eager_candidate_table(poset, 2)
+    masks = _sorted_masks(table)
+    assert len(masks) == 6624
+    assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
 
 
 def _matches_set_reference(poset, k):
