@@ -4,8 +4,9 @@ Subcommands construct the ideal families, evaluate the closed forms,
 run the exact depth/sdepth engines, tabulate grids, verify the claim
 registry, and export ideals to computer-algebra systems.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-or cap exceeded.
+Exit codes: 0 success, 1 verification failure (or standard output closed
+by its reader before the command finished writing), 2 usage error, 3
+budget or cap exceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -424,10 +426,21 @@ def build_parser():
 def main(argv=None, out=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, out or sys.stdout)
+        code = args.func(args, out or sys.stdout)
+        if out is None:
+            sys.stdout.flush()
+        return code
     except (ValueError, KeyError) as e:
         sys.stderr.write("error: %s\n" % e)
         return EXIT_USAGE
+    except BrokenPipeError:
+        if out is not None:
+            raise
+        # the reader closed stdout early (`| head`): point stdout at devnull,
+        # so that the flush at exit raises no second error, and end quietly
+        # with the status Python gives a broken pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

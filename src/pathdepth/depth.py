@@ -222,28 +222,45 @@ class BettiTable:
         return max(i for (i, _) in self.entries)
 
 
+# _AT_MOST[v] translates an exponent byte x into the digit "1" when x <= v
+# and "0" otherwise
+_AT_MOST = tuple(b"1" * (v + 1) + b"0" * (255 - v) for v in range(256))
+
+
 def _below_bitsets(vectors, caps=None):
     """below[i][v], v = 0..caps[i]: bitset of the vectors with x_i exponent <= v.
 
     Bit j stands for vectors[j].  caps[i] must be at least the largest
     exponent of x_i and defaults to it, which bounds every lcm-lattice
-    element.  Each row is read off one string of binary digits, so building
-    it costs no per-bit big-integer operation.
+    element.  A column whose cap fits in a byte is one byte string, last
+    vector first, and each of its rows is that string translated by
+    `_AT_MOST[v]` into binary digits and read as one int, so no step runs
+    per vector in Python.  A wider column sets each vector's digit at its
+    exponent and reads a row at each exponent that occurs, which the rows
+    up to the next one share.
     """
     count = len(vectors)
+    columns = list(zip(*vectors))
     if caps is None:
-        caps = [max(column) for column in zip(*vectors)]
+        caps = [max(column) for column in columns]
     below = []
-    for i, cap in enumerate(caps):
-        by_value = [[] for _ in range(cap + 1)]
-        for j, t in enumerate(vectors):
-            by_value[t[i]].append(count - 1 - j)
+    for column, cap in zip(columns, caps):
+        if cap < len(_AT_MOST):
+            digits = bytes(column[::-1])
+            below.append([int(digits.translate(_AT_MOST[v]), 2) for v in range(cap + 1)])
+            continue
+        positions = {}
+        for j, x in enumerate(column):
+            positions.setdefault(x, []).append(count - 1 - j)
         digits = bytearray(b"0" * count)
         row = []
-        for positions in by_value:
-            for d in positions:
-                digits[d] = 49  # ord("1")
-            row.append(int(digits, 2))
+        bits = 0
+        for v in range(cap + 1):
+            if v in positions:
+                for d in positions[v]:
+                    digits[d] = 49  # ord("1")
+                bits = int(digits, 2)
+            row.append(bits)
         below.append(row)
     return below
 

@@ -9,29 +9,37 @@ downward.  A budget exhaustion is an error, never a wrong answer.
 
 The kernel runs on bitsets.  The poset is built by walking the box one
 variable at a time with the Betti engine's generator bitsets
-(`depth._below_bitsets`).  Admissible tops and interval cells are ANDs of
-per-coordinate bitsets, and the exact cover runs as a loop over an
-explicit stack that remembers no refuted covering.  The pre-check and
-candidate construction are charged in the units of the linear scans they
-replace, so an instance runs out in the same phase, with the same
-message, as under them; construction is charged in closed form for every
-point before any list is built, and a point's candidate list is built
-only when the search first branches there.  The search pays one node per
-covering it visits, revisits included.
+(`depth._below_bitsets`, whose rows are byte strings translated into
+binary digits), and a stable sort by degree keeps the walk's lex order
+within a degree.  Each poset builds its per-coordinate rows over its
+points once (`CharacteristicPoset.below` and `.up`), and every k's
+search, the Hilbert and colon bounds and the symmetry finder read them.
+Admissible tops and interval cells are ANDs of such rows, and the exact
+cover runs as a loop over an explicit stack that remembers no refuted
+covering.  The pre-check and candidate construction are charged in the
+units of the linear scans they replace, so an instance runs out in the
+same phase, with the same message, as under them; construction is
+charged in closed form for every point before any list is built, and a
+point's candidate list is built only when the search first branches
+there.  The search pays one node per covering it visits, revisits
+included.
 
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
-depth-0 quotient gets sdepth 0 with no search; the Hilbert bound, read
-off the poset's Hilbert series and computed only when the sweep bound is
-at least 2, is the largest d with (1-t)^d H(S/I; t) nonnegative, which no
-Stanley decomposition can beat.  At each k >= 2 the search pauses once,
-on passing node_budget // 100 nodes, or stops if it runs out before, and
-three tools that settle some k cheaply get their turn.  The colon-Hilbert
-bound, computed once per call: sdepth(S/I) <= sdepth(S/(I : x^a)) (the
-paper's Lemma 1.4), and the Hilbert bound of each colon is read off the
-points above a; a bound below k ends k, and the descent goes on from
-the bound.  The symmetry finder: a permutation of the variables in the
-dihedral group of the cycle that fixes G(I) and g maps a partition to a
+depth-0 quotient gets sdepth 0 with no search; it is read off bitsets
+over the whole box in lex order, built from the generators.  The Hilbert
+bound, computed only when the sweep bound is at least 2, is the largest
+d with (1-t)^d H(S/I; t) nonnegative, which no Stanley decomposition can
+beat; H is counted off the poset's (degree, label) classes, the one
+shape path that the colon bound takes too.  At each k >= 2 the search
+pauses once, on passing node_budget // 100 nodes, or stops if it runs
+out before, and three tools that settle some k cheaply get their turn.
+The colon-Hilbert bound, computed once per call: sdepth(S/I) <=
+sdepth(S/(I : x^a)) (the paper's Lemma 1.4), and the Hilbert bound of
+each colon is read off the points above a, once per distinct multiset of
+shapes; a bound below k ends k, and the descent goes on from the bound.
+The symmetry finder: a permutation of the variables in the dihedral
+group of the cycle that fixes G(I) and g maps a partition to a
 partition, so a search over the orbits of intervals of one cyclic
 subgroup may find an invariant partition, which decides k.  An ideal
 with such a symmetry gives the finder node_budget // 20 units out of the
@@ -47,10 +55,9 @@ its budget error is raised.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from itertools import product as _cartesian
 from math import comb, prod
 from operator import eq, itemgetter, lt, xor
@@ -108,6 +115,17 @@ class CharacteristicPoset:
     def labels(self):
         """The label of each point, in the order of `points`, computed once."""
         return tuple(map(self.label, self.points))
+
+    @cached_property
+    def below(self):
+        """`_below_bitsets` rows of the points at cap g, built once: bit j
+        stands for points[j]."""
+        return _below_bitsets(self.points, self.g)
+
+    @cached_property
+    def up(self):
+        """up[i][v]: the points with x_i exponent >= v, built once."""
+        return _at_least(self.below)
 
     def __len__(self):
         return len(self.points)
@@ -170,7 +188,8 @@ def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
     rows = _below_bitsets([h.exponents for h in ideal.gens], cap_vec)
     points = []
     _walk_box((), -1, rows, [range(e + 1) for e in cap_vec], points)
-    points.sort(key=lambda a: (sum(a), a))
+    # the walk emits lex order, and the sort is stable
+    points.sort(key=sum)
     return CharacteristicPoset(ideal.n_vars, cap_vec, tuple(points))
 
 
@@ -199,26 +218,55 @@ def _leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _sweep_bound(poset):
-    """Smallest label of a maximal poset point.
+def _sweep_bound(ideal, g):
+    """Smallest label of a maximal point of the poset of S/I with cap g.
 
     A maximal point is its own only admissible top, and every point lies
     below a maximal one, so this is the largest k at which every point
     has an admissible top: no partition reaches a larger min label.  It is
     0 exactly when a socle monomial of S/I exists, i.e. when depth is 0.
+
+    It is computed bit-parallel over the box, bit r standing for the
+    point of lex rank r, so a step +1 in x_i is a shift by stride_i.
+    "x_i >= c" is a periodic pattern; the points outside I are those under
+    no generator's AND of such patterns; a point is maximal when no step
+    up in an uncapped coordinate stays outside I; and its label counts
+    the capped coordinates, whose classes `_label_classes` sorts out.
     """
-    members = set(poset.points)
-    bound = poset.n_vars
-    for p in poset.points:
-        label = 0
-        for i, (x, gi) in enumerate(zip(p, poset.g)):
-            if x == gi:
-                label += 1
-            elif p[:i] + (x + 1,) + p[i + 1:] in members:
-                break
-        else:
-            bound = min(bound, label)
-    return bound
+    strides = [prod(e + 1 for e in g[i + 1:]) for i in range(len(g))]
+    size = strides[0] * (g[0] + 1)
+    at_least = []  # at_least[i][c]: the points with x_i >= c
+    for gi, step in zip(g, strides):
+        # a period of x_i is gi + 1 runs of `step` bits, x_i = c on run c;
+        # int() reads the highest bit first
+        periods = size // (step * (gi + 1))
+        at_least.append(
+            [int(("1" * ((gi + 1 - c) * step) + "0" * (c * step)) * periods, 2) for c in range(gi + 1)]
+        )
+    inside = 0
+    for h in ideal.gens:
+        cone = -1
+        for row, c in zip(at_least, h.exponents):
+            if c:
+                cone &= row[c]
+        inside |= cone
+    members = ((1 << size) - 1) ^ inside
+    blocked = 0
+    for row, gi, step in zip(at_least, g, strides):
+        blocked |= (members >> step) & ~row[gi]
+    capped = [row[gi] for row, gi in zip(at_least, g)]
+    return next(label for label, bits in enumerate(_label_classes(capped, members & ~blocked)) if bits)
+
+
+def _label_classes(capped, among):
+    """exactly[L], L = 0..len(capped): the bits of `among` set in exactly L
+    of the bitsets `capped`, a bit-sliced count."""
+    exactly = [among] + [0] * len(capped)
+    for i, bits in enumerate(capped):
+        for label in range(i + 1, 0, -1):
+            exactly[label] = (exactly[label] & ~bits) | (exactly[label - 1] & bits)
+        exactly[0] &= ~bits
+    return exactly
 
 
 def _hilbert_bound(poset, upto):
@@ -229,9 +277,9 @@ def _hilbert_bound(poset, upto):
     direction of Hilbert depth).  For g >= lcm each poset point p stands
     for the monomials agreeing with it below g, so H = sum_p
     t^|p| / (1-t)^label(p), which `_shape_bound` reads off the counts of
-    the (degree, label) shapes.
+    the (degree, label) shapes: the colon bound's shapes at a = 0.
     """
-    shapes = Counter(zip(map(sum, poset.points), poset.labels))
+    shapes = _colon_shapes(_shape_classes(poset), poset.up, (0,) * poset.n_vars)
     return _shape_bound(shapes, poset.n_vars, upto)
 
 
@@ -275,23 +323,21 @@ def _at_least(below):
     return [[row[-1]] + [row[-1] ^ r for r in row[:-1]] for row in below]
 
 
-def _shape_classes(poset, up):
+def _shape_classes(poset):
     """(degree, label, bitset of the points of that shape), nonempty ones.
 
-    A degree is a run of bits, as the points are sorted by degree; the
-    labels are a bitwise count of the coordinates at their cap, read off
-    the up rows at g_i.
+    A degree is a run of bits, as the points are sorted by degree, and its
+    end is found by bisection; the labels are a bitwise count of the
+    coordinates at their cap, read off the up rows at g_i.
     """
-    exactly = [(1 << len(poset.points)) - 1] + [0] * poset.n_vars
-    for i, gi in enumerate(poset.g):
-        capped = up[i][gi]
-        for label in range(i + 1, 0, -1):
-            exactly[label] = (exactly[label] & ~capped) | (exactly[label - 1] & capped)
-        exactly[0] &= ~capped
+    capped = [row[gi] for row, gi in zip(poset.up, poset.g)]
+    exactly = _label_classes(capped, (1 << len(poset.points)) - 1)
+    points = poset.points
     classes = []
     start = 0
-    for deg, run in groupby(poset.points, key=sum):
-        end = start + sum(1 for _ in run)
+    while start < len(points):
+        deg = sum(points[start])
+        end = bisect_right(points, deg, start, key=sum)
         span = (1 << end) - (1 << start)
         classes.extend((deg, label, span & bits) for label, bits in enumerate(exactly) if span & bits)
         start = end
@@ -321,22 +367,28 @@ def _colon_shapes(classes, up, a):
     return shapes
 
 
-def _colon_bound(poset, up, upto):
+def _colon_bound(poset, upto):
     """min(upto, the smallest Hilbert bound of S/(I : x^a)): sdepth <= it.
 
     sdepth(S/I) <= sdepth(S/(I : u)) for every monomial u outside I (the
     paper's Lemma 1.4), and the Hilbert bound caps the latter.  a ranges
     over the powers x_i^j, j <= g_i, then the squarefree vectors of two or
     more variables of the support of g, and the scan stops at 1, which
-    depth >= 1 guarantees.
+    depth >= 1 guarantees.  A colon whose shapes an earlier one already
+    had is skipped: its bound is no lower.
     """
-    classes = _shape_classes(poset, up)
+    classes = _shape_classes(poset)
     best = upto
+    seen = set()
     for a in _colon_exponents(poset.g):
         if best <= 1:
             break
-        shapes = _colon_shapes(classes, up, a)
-        if shapes is not None:
+        shapes = _colon_shapes(classes, poset.up, a)
+        if shapes is None:
+            continue
+        key = frozenset(shapes.items())
+        if key not in seen:
+            seen.add(key)
             best = _shape_bound(shapes, poset.n_vars, best)
     return best
 
@@ -460,8 +512,7 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     # candidate construction is the quadratic part; it shares the budget
     if work + _candidate_charge(npts, tops) > node_budget:
         raise SearchBudgetError("exceeded %d nodes building interval candidates" % node_budget)
-    below = _below_bitsets(points, poset.g)
-    up_rows = _at_least(below)
+    below, up_rows = poset.below, poset.up
     full = (1 << npts) - 1
     downs = {}
     candidates = [None] * npts
@@ -609,7 +660,7 @@ def _orbit_candidates(p, acts, tops, top_rows, below, up, allowance):
     return out, units
 
 
-def _invariant_partition(poset, k, groups, below, up, budget):
+def _invariant_partition(poset, k, groups, budget):
     """A partition with every label >= k that one of `groups` fixes, or None.
 
     Each group in turn gets the canonical first-uncovered search of
@@ -639,7 +690,7 @@ def _invariant_partition(poset, k, groups, below, up, budget):
             options = lists.get(nxt)
             if options is None:
                 options, spent = _orbit_candidates(
-                    points[nxt], acts, tops, top_rows, below, up, budget - units
+                    points[nxt], acts, tops, top_rows, poset.below, poset.up, budget - units
                 )
                 units += spent
                 if units > budget:
@@ -793,7 +844,7 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     three settles k, the search resumes, or its budget error is raised.
     """
     poset = build_poset(ideal, g=g, cap=cap)
-    top = _sweep_bound(poset)
+    top = _sweep_bound(ideal, poset.g)
     if top >= 2:
         # a positive sweep bound means depth >= 1, hence sdepth >= 1, so
         # at sweep bound 1 no bound can shorten the descent
@@ -801,7 +852,7 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     groups = _symmetry_groups(ideal, poset.g) if top >= 2 else []
     share = node_budget // 20 if groups else 0
     units = node_budget // 10
-    up = None
+    bound = None
     k = top
     while k >= 2:
         # the last k's masks go before this k builds its own
@@ -814,15 +865,13 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
             partition, failure = None, error
         # at most once per k: the search pauses once, and a failure ends it
         if table is not None or failure:
-            if up is None:
-                below = _below_bitsets(poset.points, poset.g)
-                up = _at_least(below)
-                bound = _colon_bound(poset, up, k)
+            if bound is None:
+                bound = _colon_bound(poset, k)
             if bound < k:
                 k = bound
                 continue
             if groups:
-                partition = _invariant_partition(poset, k, groups, below, up, share)
+                partition = _invariant_partition(poset, k, groups, share)
             if partition is None and table is not None:
                 try:
                     partition = _most_constrained(poset.points, table, units)

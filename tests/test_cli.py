@@ -248,6 +248,8 @@ def test_export_command_output():
         # decided by the most-constrained search
         ("sdepth", "--family", "ipath", "--n", "5", "--m", "2", "--power", "3",
          "--certificate"),
+        # an exponent above 255: the bitset rows of x1 cannot be read off bytes
+        ("sdepth", "--ideal", "x1^300*x2, x2^2", "--nvars", "2", "--certificate"),
     ],
 )
 def test_output_is_unchanged_under_python_optimize(argv):
@@ -262,3 +264,32 @@ def test_output_is_unchanged_under_python_optimize(argv):
     code, text = run_cli(*argv)
     assert code == EXIT_OK
     assert optimized.stdout == text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fails while writing: the certificate overflows the stdout buffer
+        ("sdepth", "--ideal", "x1^300*x2, x2^2", "--nvars", "2", "--certificate"),
+        # fails when the buffered line is flushed
+        ("phi", "5", "4", "2"),
+    ],
+)
+def test_stdout_closed_by_its_reader_ends_quietly(argv):
+    # `pathdepth sdepth ... | head -5`: the reader goes away before the
+    # output is written, and the command ends with no traceback
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    src = str(pathlib.Path(pathdepth.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pathdepth.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+    assert stderr == b""
+    assert code == EXIT_FAIL

@@ -369,6 +369,45 @@ def test_packed_engine_matches_monomial_oracle(data):
                     assert bool(bits >> j & 1) == (t[i] <= v)
 
 
+def bucket_below_bitsets(vectors, caps=None):
+    """Reference rows: each vector's digit set in the bucket of its exponent,
+    and one string of binary digits read per row, as the rows were built
+    before they were translated from bytes."""
+    count = len(vectors)
+    if caps is None:
+        caps = [max(column) for column in zip(*vectors)]
+    below = []
+    for i, cap in enumerate(caps):
+        by_value = [[] for _ in range(cap + 1)]
+        for j, t in enumerate(vectors):
+            by_value[t[i]].append(count - 1 - j)
+        digits = bytearray(b"0" * count)
+        row = []
+        for positions in by_value:
+            for d in positions:
+                digits[d] = 49  # ord("1")
+            row.append(int(digits, 2))
+        below.append(row)
+    return below
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_rows_match_the_bucket_builder(data):
+    # columns that fit in a byte and columns with exponents of 256 and
+    # more, at the largest exponents and at explicit caps above them, on
+    # either side of 255
+    n = data.draw(st.integers(1, 4))
+    top = data.draw(st.sampled_from([3, 255, 256, 300]))
+    vectors = data.draw(
+        st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=12)
+    )
+    largest = [max(column) for column in zip(*vectors)]
+    extra = data.draw(st.lists(st.integers(0, 300), min_size=n, max_size=n))
+    for caps in (None, largest, [c + e for c, e in zip(largest, extra)]):
+        assert _below_bitsets(vectors, caps) == bucket_below_bitsets(vectors, caps)
+
+
 def test_packed_engine_matches_oracle_on_wide_fields():
     # 7 value bits per field
     assert_matches_oracle(parse_ideal("x1^100, x2^100, x3^100", 3))

@@ -31,6 +31,7 @@ from pathdepth.sdepth import (
     _hilbert_bound,
     _invariant_partition,
     _most_constrained,
+    _shape_bound,
     _shape_classes,
     _sweep_bound,
     _symmetry_groups,
@@ -212,6 +213,45 @@ def betti_hilbert_bound(ideal, upto):
     return max(d for d in range(upto + 1) if nonnegative(ideal.n_vars - d))
 
 
+def scan_sweep_bound(poset):
+    """Reference sweep bound: a set of the points, and a tuple built per
+    coordinate test, as the bound was found before it was read off the
+    box's bitsets."""
+    members = set(poset.points)
+    bound = poset.n_vars
+    for p in poset.points:
+        label = 0
+        for i, (x, gi) in enumerate(zip(p, poset.g)):
+            if x == gi:
+                label += 1
+            elif p[:i] + (x + 1,) + p[i + 1:] in members:
+                break
+        else:
+            bound = min(bound, label)
+    return bound
+
+
+def counter_hilbert_bound(poset, upto):
+    """Reference Hilbert bound: the (degree, label) shapes counted point by
+    point, as before they were counted off the shape classes."""
+    shapes = Counter(zip(map(sum, poset.points), poset.labels))
+    return _shape_bound(shapes, poset.n_vars, upto)
+
+
+def scan_colon_bound(poset, upto):
+    """Reference colon bound: every colon's shapes bounded, those equal to
+    an earlier colon's included."""
+    classes = _shape_classes(poset)
+    best = upto
+    for a in _colon_exponents(poset.g):
+        if best <= 1:
+            break
+        shapes = _colon_shapes(classes, poset.up, a)
+        if shapes is not None:
+            best = _shape_bound(shapes, poset.n_vars, best)
+    return best
+
+
 def _outcome(run):
     try:
         return run()
@@ -307,7 +347,7 @@ def test_sweep_start_keeps_every_decided_answer(ideal, budget):
 @settings(max_examples=40, deadline=None)
 def test_sweep_bound_against_exhaustive_search(ideal):
     poset = build_poset(ideal)
-    bound = _sweep_bound(poset)
+    bound = _sweep_bound(ideal, poset.g)
     passing = [k for k in range(ideal.n_vars + 1) if precheck_passes(poset, k)]
     assert bound == max(passing)
     decided = max(k for k in range(ideal.n_vars + 1) if exhaustive_has_partition(poset, k))
@@ -325,7 +365,89 @@ def test_sweep_bound_on_ladder_instances():
         (path_ideal(4, 2).power(3), 2),
         (cycle_ideal(5, 4).power(4), 0),
     ):
-        assert _sweep_bound(build_poset(ideal)) == bound, str(ideal)
+        assert _sweep_bound(ideal, build_poset(ideal).g) == bound, str(ideal)
+
+
+@st.composite
+def bound_ideals(draw):
+    """Small ideals, some with a pure power of every variable (depth 0) and
+    some with the nonzero exponents of one variable raised to 255 or more."""
+    ideal = draw(small_ideals(n_max=3))
+    n = ideal.n_vars
+    gens = [h.exponents for h in ideal.gens]
+    if draw(st.booleans()):
+        gens += [tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(n)) for i in range(n)]
+    if draw(st.booleans()):
+        wide = draw(st.integers(0, n - 1))
+        shift = draw(st.integers(254, 298))
+        gens = [tuple(e + shift if i == wide and e else e for i, e in enumerate(v)) for v in gens]
+    return MonomialIdeal(n, [Monomial(v) for v in gens])
+
+
+@given(bound_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bounds_match_their_scan_oracles(ideal, data):
+    # the box-order sweep, the Hilbert bound off the shape classes and the
+    # colon bound that skips repeated shapes, against the scans they
+    # replace, for g = lcm and for a g above it; the points in (degree,
+    # lex) order from a sort by degree alone
+    lcm = ideal.lcm_of_gens().exponents
+    above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
+    upto = data.draw(st.integers(0, ideal.n_vars))
+    for g in (None, above):
+        poset = build_poset(ideal, g=g)
+        assert poset.points == tuple(sorted(poset.points, key=lambda a: (sum(a), a)))
+        where = (str(ideal), poset.g, upto)
+        assert _sweep_bound(ideal, poset.g) == scan_sweep_bound(poset), where
+        assert _hilbert_bound(poset, upto) == counter_hilbert_bound(poset, upto), where
+        assert _colon_bound(poset, upto) == scan_colon_bound(poset, upto), where
+
+
+def test_bounds_match_their_scan_oracles_on_ladder_instances():
+    # J(7,3)^3 (10,460 points), where rotations make most of the 141
+    # colons repeat an earlier one's shapes, and I(7,3)^3 (12,550)
+    for ideal in (cycle_ideal(7, 3).power(3), path_ideal(7, 3).power(3)):
+        poset = build_poset(ideal)
+        assert _sweep_bound(ideal, poset.g) == scan_sweep_bound(poset), str(ideal)
+        assert _hilbert_bound(poset, 6) == counter_hilbert_bound(poset, 6), str(ideal)
+        assert _colon_bound(poset, 6) == scan_colon_bound(poset, 6), str(ideal)
+
+
+def test_colon_bound_bounds_each_shape_multiset_once(monkeypatch):
+    # J(7,3)^3's 141 colons have 19 distinct shape multisets, and the bound
+    # never falls to 1, so each of the 19 is bounded once and no other is
+    poset = build_poset(cycle_ideal(7, 3).power(3))
+    classes = _shape_classes(poset)
+    every = [_colon_shapes(classes, poset.up, a) for a in _colon_exponents(poset.g)]
+    distinct = {frozenset(shapes.items()) for shapes in every if shapes is not None}
+    assert (len(every), len(distinct)) == (141, 19)
+    bounded = []
+    bound = sdepth._shape_bound
+
+    def recorded(shapes, n, upto):
+        bounded.append(frozenset(shapes.items()))
+        return bound(shapes, n, upto)
+
+    monkeypatch.setattr(sdepth, "_shape_bound", recorded)
+    assert _colon_bound(poset, 6) == 2
+    assert len(bounded) == 19 and set(bounded) == distinct
+
+
+def test_rows_are_built_once_per_poset(monkeypatch):
+    # J(6,4)^2 is searched at k = 3, bounded by its colons, then searched
+    # and decided by the finder at k = 2: one set of rows over its points
+    # serves them all
+    built = []
+    rows = sdepth._below_bitsets
+
+    def counted(vectors, caps=None):
+        built.append(vectors)
+        return rows(vectors, caps)
+
+    monkeypatch.setattr(sdepth, "_below_bitsets", counted)
+    ideal = cycle_ideal(6, 4).power(2)
+    assert sdepth_quotient(ideal).sdepth == 2
+    assert built.count(build_poset(ideal).points) == 1
 
 
 def test_benchmark_ladder_skips_keep_their_budget_phase():
@@ -428,10 +550,6 @@ def test_descent_starts_at_the_smaller_bound(monkeypatch):
 # colon-Hilbert bound -------------------------------------------------
 
 
-def _up_rows(poset):
-    return _at_least(_below_bitsets(poset.points, poset.g))
-
-
 @given(small_ideals(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_colon_shapes_are_read_off_the_poset(ideal, data):
@@ -441,10 +559,9 @@ def test_colon_shapes_are_read_off_the_poset(ideal, data):
     lcm = ideal.lcm_of_gens().exponents
     g = tuple(e + data.draw(st.integers(0, 1)) for e in lcm)
     poset = build_poset(ideal, g=Monomial(g))
-    up = _up_rows(poset)
-    classes = _shape_classes(poset, up)
+    classes = _shape_classes(poset)
     a = tuple(data.draw(st.integers(0, gi)) for gi in g)
-    got = _colon_shapes(classes, up, a)
+    got = _colon_shapes(classes, poset.up, a)
     colon = ideal.colon(Monomial(a))
     if colon.is_whole_ring():
         assert got is None
@@ -466,7 +583,7 @@ def test_colon_exponents_are_powers_then_squarefree():
 def test_colon_bound_is_never_below_the_exhaustive_sdepth(ideal):
     n = ideal.n_vars
     poset = build_poset(ideal)
-    bound = _colon_bound(poset, _up_rows(poset), n)
+    bound = _colon_bound(poset, n)
     decided = max(k for k in range(n + 1) if exhaustive_has_partition(poset, k))
     assert bound >= decided
     # the bound of the colons built from scratch, which the scan may stop
@@ -495,7 +612,7 @@ def test_colon_bound_on_ladder_instances():
         (path_ideal(6, 3).power(2), 3),
     ):
         poset = build_poset(ideal)
-        assert _colon_bound(poset, _up_rows(poset), 3) == bound, str(ideal)
+        assert _colon_bound(poset, 3) == bound, str(ideal)
 
 
 # symmetry finder -----------------------------------------------------
@@ -549,15 +666,13 @@ def test_symmetry_groups_of_the_families():
 def test_invariant_partitions_verify_and_are_fixed_by_their_group(ideal):
     n = ideal.n_vars
     poset = build_poset(ideal)
-    below = _below_bitsets(poset.points, poset.g)
-    up = _at_least(below)
     groups = _symmetry_groups(ideal, poset.g)
     assert groups
     gens = {h.exponents for h in ideal.gens}
     for group in groups:
         assert all({_act(h, v) for v in gens} == gens for h in group)
         for k in range(1, n + 1):
-            partition = _invariant_partition(poset, k, [group], below, up, DEFAULT_BUDGET)
+            partition = _invariant_partition(poset, k, [group], DEFAULT_BUDGET)
             if partition is None:
                 continue
             assert verify_partition(poset, partition)[0], (str(ideal), group, k)
@@ -649,13 +764,11 @@ def test_finder_decides_j_6_4_squared_with_the_half_rotation_group():
     # of a search whose finder finds nothing names the caller's budget
     J2 = cycle_ideal(6, 4).power(2)
     poset = build_poset(J2)
-    below = _below_bitsets(poset.points, poset.g)
-    up = _at_least(below)
     c6, c3 = _symmetry_groups(J2, poset.g)[:2]
-    assert _invariant_partition(poset, 2, [c6], below, up, DEFAULT_BUDGET) is None
-    partition = _invariant_partition(poset, 2, [c3], below, up, DEFAULT_BUDGET)
+    assert _invariant_partition(poset, 2, [c6], DEFAULT_BUDGET) is None
+    partition = _invariant_partition(poset, 2, [c3], DEFAULT_BUDGET)
     assert verify_partition(poset, partition) == (True, "min label 2")
-    assert _invariant_partition(poset, 2, [c6, c3], below, up, 1000) is None
+    assert _invariant_partition(poset, 2, [c6, c3], 1000) is None
     # at 20,000 the finder's 1,000 units do not reach C3's partition, and
     # k = 2 runs out building candidates, as the search would on its own
     assert _outcome(lambda: sdepth_quotient(J2, node_budget=20_000)) == (
