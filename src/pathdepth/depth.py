@@ -235,32 +235,28 @@ def _below_bitsets(vectors, caps=None):
     element.  A column whose cap fits in a byte is one byte string, last
     vector first, and each of its rows is that string translated by
     `_AT_MOST[v]` into binary digits and read as one int, so no step runs
-    per vector in Python.  A wider column sets each vector's digit at its
-    exponent and reads a row at each exponent that occurs, which the rows
-    up to the next one share.
+    per vector in Python.  A wider column puts each vector's digit in the
+    bucket of its exponent and reads one string of binary digits per row.
     """
     count = len(vectors)
     columns = list(zip(*vectors))
     if caps is None:
         caps = [max(column) for column in columns]
     below = []
-    for column, cap in zip(columns, caps):
+    for i, (column, cap) in enumerate(zip(columns, caps)):
         if cap < len(_AT_MOST):
             digits = bytes(column[::-1])
             below.append([int(digits.translate(_AT_MOST[v]), 2) for v in range(cap + 1)])
             continue
-        positions = {}
-        for j, x in enumerate(column):
-            positions.setdefault(x, []).append(count - 1 - j)
+        by_value = [[] for _ in range(cap + 1)]
+        for j, t in enumerate(vectors):
+            by_value[t[i]].append(count - 1 - j)
         digits = bytearray(b"0" * count)
         row = []
-        bits = 0
-        for v in range(cap + 1):
-            if v in positions:
-                for d in positions[v]:
-                    digits[d] = 49  # ord("1")
-                bits = int(digits, 2)
-            row.append(bits)
+        for positions in by_value:
+            for d in positions:
+                digits[d] = 49  # ord("1")
+            row.append(int(digits, 2))
         below.append(row)
     return below
 

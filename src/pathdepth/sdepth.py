@@ -236,12 +236,15 @@ def _sweep_bound(ideal, g):
     strides = [prod(e + 1 for e in g[i + 1:]) for i in range(len(g))]
     size = strides[0] * (g[0] + 1)
     at_least = []  # at_least[i][c]: the points with x_i >= c
-    for gi, step in zip(g, strides):
-        # a period of x_i is gi + 1 runs of `step` bits, x_i = c on run c;
-        # int() reads the highest bit first
+    for i, (gi, step) in enumerate(zip(g, strides)):
+        # only the c read below: the generators' nonzero exponents and gi,
+        # so a wide column costs no pattern per value it spans.  A period
+        # of x_i is gi + 1 runs of `step` bits, x_i = c on run c; int()
+        # reads the highest bit first
         periods = size // (step * (gi + 1))
+        wanted = {h.exponents[i] for h in ideal.gens if h.exponents[i]} | {gi}
         at_least.append(
-            [int(("1" * ((gi + 1 - c) * step) + "0" * (c * step)) * periods, 2) for c in range(gi + 1)]
+            {c: int(("1" * ((gi + 1 - c) * step) + "0" * (c * step)) * periods, 2) for c in wanted}
         )
     inside = 0
     for h in ideal.gens:

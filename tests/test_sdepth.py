@@ -1,6 +1,7 @@
 """Characteristic poset, interval partitions, and Stanley depth."""
 
 import gc
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product as cartesian
@@ -411,6 +412,22 @@ def test_bounds_match_their_scan_oracles_on_ladder_instances():
         assert _sweep_bound(ideal, poset.g) == scan_sweep_bound(poset), str(ideal)
         assert _hilbert_bound(poset, 6) == counter_hilbert_bound(poset, 6), str(ideal)
         assert _colon_bound(poset, 6) == scan_colon_bound(poset, 6), str(ideal)
+
+
+def test_sweep_bound_with_one_wide_exponent_builds_few_patterns():
+    # x1^20000*x2: a box of 40,002 points.  Patterns only at the
+    # generators' exponents and at g keep the sweep to a few 40,002-bit
+    # ints, where one pattern per value of x1 would take about 100 MB
+    ideal = MonomialIdeal(2, [Monomial((20000, 1))])
+    poset = build_poset(ideal)
+    tracemalloc.start()
+    try:
+        bound = _sweep_bound(ideal, poset.g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bound == scan_sweep_bound(poset) == 1
+    assert peak < 4_000_000, peak
 
 
 def test_colon_bound_bounds_each_shape_multiset_once(monkeypatch):
