@@ -15,14 +15,19 @@ within a degree.  Each poset builds its per-coordinate rows over its
 points once (`CharacteristicPoset.below` and `.up`), and every k's
 search, the Hilbert and colon bounds and the symmetry finder read them.
 Admissible tops and interval cells are ANDs of such rows, and the exact
-cover runs as a loop over an explicit stack that remembers no refuted
-covering.  The pre-check and candidate construction are charged in the
-units of the linear scans they replace, so an instance runs out in the
-same phase, with the same message, as under them; construction is
-charged in closed form for every point before any list is built, and a
-point's candidate list is built only when the search first branches
-there.  The search pays one node per covering it visits, revisits
-included.
+cover runs as a loop over an explicit stack.  The pre-check and
+candidate construction are charged in the units of the linear scans they
+replace, so an instance runs out in the same phase, with the same
+message, as under them; construction is charged in closed form for every
+point before any list is built, and a point's candidate list is built
+only when the search first branches there.  The search pays one node per
+covering it visits, revisits included: the subtree below a covering
+depends on the covering alone, so a bounded memo, local to the call,
+keeps the nodes of each refuted subtree of at least _MEMO_MIN_COST
+nodes, up to _MEMO_ENTRIES of them, and a revisit is charged that
+count at once instead of being searched again, wherever the charge
+passes neither the pause nor the limit.  Every count, pause and
+message is the one a search without the memo gives.
 
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
@@ -113,8 +118,27 @@ class CharacteristicPoset:
 
     @cached_property
     def labels(self):
-        """The label of each point, in the order of `points`, computed once."""
-        return tuple(map(self.label, self.points))
+        """The label of each point, in the order of `points`, computed once.
+
+        The bit-sliced count of `_label_classes` over the up rows at g_i,
+        i in the support of g, gives a bitset per count; its binary digits,
+        translated to that count, are one byte per point, and the classes
+        are disjoint, so their OR holds every point's count.  A coordinate
+        with g_i = 0 is at its cap at every point and adds one to each
+        label afterwards.  A count is at most the size of the support,
+        below 256 in any box that fits in memory (it holds 2^|support|
+        points or more), so one byte holds it at any n_vars.
+        """
+        npts = len(self.points)
+        capped = [row[gi] for row, gi in zip(self.up, self.g) if gi]
+        counts = 0
+        for count, bits in enumerate(_label_classes(capped, (1 << npts) - 1)):
+            if count and bits:
+                digits = format(bits, "0%db" % npts).encode()
+                to_count = bytes.maketrans(b"01", bytes((0, count)))
+                counts |= int.from_bytes(digits.translate(to_count), "big")
+        # the digits run from the last point to the first
+        return tuple(map((len(self.g) - len(capped)).__add__, counts.to_bytes(npts, "little")))
 
     @cached_property
     def below(self):
@@ -436,12 +460,17 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     decided search are never built.
 
     The search is a loop over an explicit stack of (covered, candidate
-    iterator) frames, and that stack and the candidate lists are all it
-    holds: it keeps no record of refuted coverings, so a covering reached
-    along two paths is searched twice.  It pays one node per visited
-    covering, the root and every revisit included.  The intervals of the
-    partition returned are read off the differences of successive
-    coverings on the stack.
+    iterator, entry node) frames.  It pays one node per visited covering,
+    the root and every revisit included.  The subtree below a covering
+    depends on the covering alone (its first uncovered point and that
+    point's candidate list), so when a frame other than the root is
+    exhausted, a memo local to the call records the nodes its subtree
+    took, if at least _MEMO_MIN_COST, while it holds fewer than
+    _MEMO_ENTRIES coverings.  A revisit of a recorded covering is charged
+    those nodes at once instead of being searched again, unless that
+    would pass the node where the search stops, which it then reaches by
+    searching as before.  The intervals of the partition returned are read
+    off the differences of successive coverings on the stack.
     """
     return _advance(_search(poset, k, node_budget))[1]
 
@@ -464,6 +493,14 @@ def _candidate_charge(npts, tops):
     the intervals under b hold prod_i (b_i+1)(b_i+2)/2 cells between them.
     """
     return npts * len(tops) + sum(prod((x + 1) * (x + 2) // 2 for x in b) for b in tops)
+
+
+# the memo of refuted coverings that `_search` and `_most_constrained` keep
+# for one call: a subtree is recorded only if it cost at least
+# _MEMO_MIN_COST nodes or units, and at most _MEMO_ENTRIES are held, after
+# which nothing more is recorded
+_MEMO_MIN_COST = 32
+_MEMO_ENTRIES = 16_384
 
 
 def _search(poset, k, node_budget, reserve=0, pause=None):
@@ -545,8 +582,10 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     stop = limit if pause is None else min(pause, limit)
     nodes = 1  # the root; candidate construction has charged more already
     covered = 0
+    entry = nodes  # the node count at which the current frame opened
     options = iter(build(0))
-    stack = []  # the (covered, options) of the frames below the current one
+    stack = []  # the (covered, options, entry) of the frames below the current one
+    sizes = {}  # refuted covering -> the nodes below it
     while True:
         for mask in options:
             if mask & covered:
@@ -565,15 +604,21 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
             if child == full:
                 # each interval is the difference of two successive coverings;
                 # its bottom is its first point in the order, its top the last
-                coverings = [c for c, _ in stack] + [covered, full]
+                coverings = [frame[0] for frame in stack] + [covered, full]
                 return StanleyPartition(
                     tuple(
                         PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
                         for m in map(xor, coverings, coverings[1:])
                     )
                 )
-            stack.append((covered, options))
-            covered = child
+            size = sizes.get(child)
+            if size is not None and nodes + size <= stop:
+                # a refuted revisit, charged what searching it again would
+                # cost, when that stops neither at the pause nor the limit
+                nodes += size
+                continue
+            stack.append((covered, options, entry))
+            covered, entry = child, nodes
             nxt = ((child + 1) & ~child).bit_length() - 1
             cand = candidates[nxt]
             options = iter(build(nxt) if cand is None else cand)
@@ -581,7 +626,11 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
         else:
             if not stack:
                 return None
-            covered, options = stack.pop()
+            # the subtree below a covering depends on it alone: its first
+            # uncovered point, and that point's fixed candidate list
+            if nodes - entry >= _MEMO_MIN_COST and len(sizes) < _MEMO_ENTRIES:
+                sizes[covered] = nodes - entry
+            covered, options, entry = stack.pop()
 
 
 def _symmetry_groups(ideal, g):
@@ -791,42 +840,61 @@ def _most_constrained(points, candidates, units):
     count of each interval chosen.  None is returned only after
     exhaustion, a complete refutation; past `units` it raises
     SearchBudgetError, which refutes nothing.
+
+    The live intervals are those disjoint from the covering, so the units
+    below a covering depend on it alone, not on the cells of the interval
+    that led into it.  As in `_search`, a memo local to the call records
+    the units of each refuted subtree of at least _MEMO_MIN_COST, up to
+    _MEMO_ENTRIES coverings, and a revisit is charged the interval's cells
+    plus those units at once, wherever that stays within `units`.
     """
     masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
     contain = _contain(points, masks)
     full = (1 << len(points)) - 1
     live = (1 << len(masks)) - 1
     options, spent = _fewest(full, live, contain)
-    chosen = []  # the masks on the path to the innermost frame
-    stack = [(0, live, _bits(options))]
+    stack = [(0, live, _bits(options), 0)]  # (covered, live, options, entry)
+    sizes = {}  # refuted covering -> the units spent below it
     while stack:
         if spent > units:
             raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
-        covered, live, options = stack[-1]
+        covered, live, options, _ = stack[-1]
         for i in options:
             mask = masks[i]
-            chosen.append(mask)
             child = covered | mask
             if child == full:
-                # an interval's bottom is its first point in the order, its top the last
+                # each interval is the difference of two successive coverings;
+                # its bottom is its first point in the order, its top the last
+                coverings = [frame[0] for frame in stack] + [full]
                 return StanleyPartition(
                     tuple(
                         PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
-                        for m in chosen
+                        for m in map(xor, coverings, coverings[1:])
                     )
                 )
+            cells = mask.bit_count()
+            size = sizes.get(child)
+            if size is not None and spent + cells + size <= units:
+                # a refuted revisit, charged what searching it again would cost
+                spent += cells + size
+                continue
+            entry = spent + cells
             dead = 0
             for q in _bits(mask):
                 dead |= contain[q]
             live &= ~dead
             options, examined = _fewest(full ^ child, live, contain)
-            spent += mask.bit_count() + examined
-            stack.append((child, live, _bits(options)))
+            spent = entry + examined
+            stack.append((child, live, _bits(options), entry))
             break
         else:
-            stack.pop()
+            covered, _, _, entry = stack.pop()
             if stack:
-                chosen.pop()
+                # live is every interval disjoint from the covering, so the
+                # subtree's units depend on the covering alone; the cells of
+                # the interval that led in depend on the path and stay out
+                if spent - entry >= _MEMO_MIN_COST and len(sizes) < _MEMO_ENTRIES:
+                    sizes[covered] = spent - entry
     return None
 
 

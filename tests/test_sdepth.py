@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as cartesian
 from math import ceil, comb, factorial, prod
@@ -161,6 +162,142 @@ def linear_scan_has_partition(poset, k, node_budget=DEFAULT_BUDGET, *, memo_cap)
     return None
 
 
+# memo-free predecessors: the two exact covers before they charged a
+# refuted revisit its recorded cost instead of searching it again ------
+
+
+def memo_free_search(poset, k, node_budget, reserve=0, pause=None):
+    """`sdepth._search` as it was when it searched every revisit again: the
+    same pre-check and candidate charges, lists, pause and messages."""
+    points = poset.points
+    npts = len(points)
+    if node_budget < 1:
+        raise ValueError("node_budget must be at least 1, got %r" % (node_budget,))
+    if k < 0 or k > poset.n_vars:
+        raise ValueError("k out of range")
+    if k == 0:
+        return StanleyPartition(tuple(PosetInterval(a, a) for a in points))
+    tops = [b for b in points if poset.label(b) >= k]
+    if not tops:
+        return None
+    top_rows = _at_least(_below_bitsets(tops, poset.g))
+
+    def admissible(p):
+        found = -1
+        for row, v in zip(top_rows, p):
+            found &= row[v]
+        return found
+
+    work = 0
+    for p in points:
+        found = admissible(p)
+        if not found:
+            return None
+        work += (found & -found).bit_length()
+        if work > 10 * node_budget:
+            raise SearchBudgetError(
+                "exceeded %d comparisons in the admissible-top pre-check" % (10 * node_budget)
+            )
+    if work + _candidate_charge(npts, tops) > node_budget:
+        raise SearchBudgetError("exceeded %d nodes building interval candidates" % node_budget)
+    below, up_rows = poset.below, poset.up
+    full = (1 << npts) - 1
+    candidates = [None] * npts
+
+    def build(i):
+        up = full
+        for row, v in zip(up_rows, points[i]):
+            up &= row[v]
+        cand = []
+        for j in sdepth._bits(admissible(points[i])):
+            down = full
+            for row, v in zip(below, tops[j]):
+                down &= row[v]
+            cand.append(up & down)
+        cand.sort(key=int.bit_count, reverse=True)
+        candidates[i] = cand
+        return cand
+
+    limit = node_budget - reserve
+    stop = limit if pause is None else min(pause, limit)
+    nodes = 1
+    covered = 0
+    options = iter(build(0))
+    stack = []
+    while True:
+        for mask in options:
+            if mask & covered:
+                continue
+            nodes += 1
+            if nodes > stop:
+                if stop == limit:
+                    raise SearchBudgetError("exceeded %d search nodes" % node_budget)
+                for i, cand in enumerate(candidates):
+                    if cand is None:
+                        build(i)
+                yield candidates
+                stop = limit
+            child = covered | mask
+            if child == full:
+                coverings = [c for c, _ in stack] + [covered, full]
+                return StanleyPartition(
+                    tuple(
+                        PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
+                        for m in (b ^ a for a, b in zip(coverings, coverings[1:]))
+                    )
+                )
+            stack.append((covered, options))
+            covered = child
+            nxt = ((child + 1) & ~child).bit_length() - 1
+            cand = candidates[nxt]
+            options = iter(build(nxt) if cand is None else cand)
+            break
+        else:
+            if not stack:
+                return None
+            covered, options = stack.pop()
+
+
+def memo_free_most_constrained(points, candidates, units):
+    """`sdepth._most_constrained` as it was when it searched every revisit
+    again: the same order, units and message."""
+    masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
+    contain = _contain(points, masks)
+    full = (1 << len(points)) - 1
+    live = (1 << len(masks)) - 1
+    options, spent = sdepth._fewest(full, live, contain)
+    chosen = []
+    stack = [(0, live, sdepth._bits(options))]
+    while stack:
+        if spent > units:
+            raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
+        covered, live, options = stack[-1]
+        for i in options:
+            mask = masks[i]
+            chosen.append(mask)
+            child = covered | mask
+            if child == full:
+                return StanleyPartition(
+                    tuple(
+                        PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
+                        for m in chosen
+                    )
+                )
+            dead = 0
+            for q in sdepth._bits(mask):
+                dead |= contain[q]
+            live &= ~dead
+            options, examined = sdepth._fewest(full ^ child, live, contain)
+            spent += mask.bit_count() + examined
+            stack.append((child, live, sdepth._bits(options)))
+            break
+        else:
+            stack.pop()
+            if stack:
+                chosen.pop()
+    return None
+
+
 def max_label_descent(ideal, node_budget=DEFAULT_BUDGET):
     """Reference sdepth: the descent from the largest label, on the oracles."""
     poset = box_scan_poset(ideal)
@@ -235,7 +372,7 @@ def scan_sweep_bound(poset):
 def counter_hilbert_bound(poset, upto):
     """Reference Hilbert bound: the (degree, label) shapes counted point by
     point, as before they were counted off the shape classes."""
-    shapes = Counter(zip(map(sum, poset.points), poset.labels))
+    shapes = Counter(zip(map(sum, poset.points), map(poset.label, poset.points)))
     return _shape_bound(shapes, poset.n_vars, upto)
 
 
@@ -319,6 +456,116 @@ def test_search_kernel_matches_memo_free_oracle():
     # every revisit costs its node: the refutation needs all 1987
     assert "search nodes" in _outcome(lambda: has_partition_min_label(posets[0], 2, 1986))
     assert has_partition_min_label(posets[0], 2, 1987) is None
+    # (J(6,4)^2, x6^2) at k = 2: no partition within the default budget
+    x6 = Monomial.variable(6, 6)
+    poset = build_poset(cycle_ideal(6, 4).power(2) + MonomialIdeal.principal(x6 ** 2))
+    assert _outcome(lambda: has_partition_min_label(poset, 2)) == (
+        "budget: exceeded 2000000 search nodes"
+    )
+
+
+# (_MEMO_MIN_COST, _MEMO_ENTRIES): the defaults; every subtree recorded,
+# even one that cost nothing; every subtree of a node or more; one entry,
+# after which nothing more is recorded; no entry at all
+MEMO_SETTINGS = (None, (0, 1 << 30), (1, 1 << 30), (1, 1), (1, 0))
+
+
+@contextmanager
+def memo_setting(setting):
+    with pytest.MonkeyPatch.context() as patch:
+        if setting is not None:
+            patch.setattr(sdepth, "_MEMO_MIN_COST", setting[0])
+            patch.setattr(sdepth, "_MEMO_ENTRIES", setting[1])
+        yield
+
+
+def _least(holds):
+    """The least n in 1..DEFAULT_BUDGET at which the monotone `holds` is
+    true, by bisection; holds(DEFAULT_BUDGET) is taken to be true."""
+    short, enough = 0, DEFAULT_BUDGET
+    while enough - short > 1:
+        mid = (short + enough) // 2
+        if holds(mid):
+            enough = mid
+        else:
+            short = mid
+    return enough
+
+
+def _trace(search):
+    """A `_search` generator run to its end: [the table it paused with, or
+    None, then its answer], or its budget message where it ran out."""
+    steps = []
+    try:
+        table, answer = sdepth._advance(search)
+        steps.append(table)
+        if table is not None:
+            steps.append(sdepth._advance(search)[1])
+        else:
+            steps.append(answer)
+    except SearchBudgetError as e:
+        steps.append("budget: %s" % e)
+    return steps
+
+
+def _search_matches_predecessor(poset, k, fraction):
+    """Whether `_search` and `memo_free_search` trace alike at k: unpaused
+    at budget 1, on each side of the fewest nodes that decide, and at the
+    default; paused at no node, at `fraction` of the search's nodes and on
+    each side of its last one; and with the limit, set by a reserve, on
+    each side of that node, with and without the pause."""
+
+    def both(budget, reserve=0, pause=None):
+        got = _trace(sdepth._search(poset, k, budget, reserve, pause))
+        return got == _trace(memo_free_search(poset, k, budget, reserve, pause))
+
+    def decides(budget):
+        return not isinstance(_trace(memo_free_search(poset, k, budget))[-1], str)
+
+    if not decides(DEFAULT_BUDGET):
+        return both(DEFAULT_BUDGET)
+    needed = _least(decides)
+    # the search's nodes: the least pause that the search never reaches
+    nodes = _least(lambda p: _trace(memo_free_search(poset, k, DEFAULT_BUDGET, 0, p))[0] is None)
+    pauses = (0, int(fraction * nodes), nodes - 1, nodes)
+    limits = (nodes - 1, nodes)
+    return (
+        all(both(budget) for budget in {1, max(needed - 1, 1), needed, DEFAULT_BUDGET})
+        and all(both(DEFAULT_BUDGET, 0, pause) for pause in pauses)
+        and all(
+            both(DEFAULT_BUDGET, DEFAULT_BUDGET - limit, pause)
+            for limit in limits
+            for pause in (None, *pauses)
+        )
+    )
+
+
+@pytest.mark.parametrize("memo", MEMO_SETTINGS)
+@given(small_ideals(), st.floats(0, 1))
+@settings(max_examples=30, deadline=None)
+def test_search_matches_its_memo_free_predecessor(memo, ideal, fraction):
+    # a refuted revisit charged its recorded cost leaves every node count,
+    # pause, budget message and partition as searching it again did
+    poset = build_poset(ideal)
+    with memo_setting(memo):
+        for k in range(ideal.n_vars + 1):
+            assert _search_matches_predecessor(poset, k, fraction), (str(ideal), k)
+
+
+@pytest.mark.parametrize("memo", MEMO_SETTINGS)
+def test_search_matches_its_memo_free_predecessor_on_larger_posets(memo):
+    # posets of 21 to 50 points whose refutations revisit coverings, I(4,2)^2
+    # at k = 2 across its 1,987 nodes
+    for ideal in (
+        path_ideal(4, 2).power(2),
+        parse_ideal("x2*x3*x5*x6, x2*x3*x4*x6, x1*x5, x1*x4*x6", 6),
+        cycle_ideal(5, 3),
+    ):
+        poset = build_poset(ideal)
+        with memo_setting(memo):
+            for k in range(1, ideal.n_vars + 1):
+                for fraction in (0.3, 0.7):
+                    assert _search_matches_predecessor(poset, k, fraction), (str(ideal), k)
 
 
 @given(small_ideals())
@@ -412,6 +659,30 @@ def test_bounds_match_their_scan_oracles_on_ladder_instances():
         assert _sweep_bound(ideal, poset.g) == scan_sweep_bound(poset), str(ideal)
         assert _hilbert_bound(poset, 6) == counter_hilbert_bound(poset, 6), str(ideal)
         assert _colon_bound(poset, 6) == scan_colon_bound(poset, 6), str(ideal)
+
+
+@given(bound_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_labels_match_the_label_of_each_point(ideal, data):
+    # for g = lcm, for a g above it, and for a g with a coordinate at 0
+    # outside the ideal's support, which is at its cap at every point
+    lcm = ideal.lcm_of_gens().exponents
+    above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
+    for g in (None, above):
+        poset = build_poset(ideal, g=g)
+        assert poset.labels == tuple(map(poset.label, poset.points)), (str(ideal), poset.g)
+    wider = MonomialIdeal(ideal.n_vars + 1, [Monomial(h.exponents + (0,)) for h in ideal.gens])
+    poset = build_poset(wider)
+    assert poset.labels == tuple(map(poset.label, poset.points)), str(wider)
+
+
+def test_labels_in_sixteen_variables():
+    # squarefree, 16 variables: labels up to 16 and a poset of 2,207 points
+    # on the same one-byte-per-point path
+    poset = build_poset(cycle_ideal(16, 2))
+    assert len(poset) == 2207
+    assert poset.labels == tuple(map(poset.label, poset.points))
+    assert max(poset.labels) == 8
 
 
 def test_sweep_bound_with_one_wide_exponent_builds_few_patterns():
@@ -982,25 +1253,66 @@ def test_lazy_table_and_contain_on_i_5_2_cubed():
     assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
 
 
+def _units_to_test(points, table):
+    """No units, the most units on which the engine runs out and one more,
+    and the default."""
+    enough = _least(
+        lambda units: not isinstance(_outcome(lambda: _most_constrained(points, table, units)), str)
+    )
+    return (0, enough - 1, enough, DEFAULT_BUDGET)
+
+
 def _matches_set_reference(poset, k):
     """Whether the engine and `set_most_constrained` give the same
-    partition, None or message at k: at no units, at the most units on
-    which the engine runs out and one more, and at the default."""
+    partition, None or message at k, at each of `_units_to_test`."""
     table = _candidate_table(poset, k)
     if table is None:
         return True
-    short, enough = 0, DEFAULT_BUDGET
-    while enough - short > 1:
-        mid = (short + enough) // 2
-        if isinstance(_outcome(lambda: _most_constrained(poset.points, table, mid)), str):
-            short = mid
-        else:
-            enough = mid
     return all(
         _outcome(lambda: _most_constrained(poset.points, table, units))
         == _outcome(lambda: set_most_constrained(poset, k, units))
-        for units in (0, short, enough, DEFAULT_BUDGET)
+        for units in _units_to_test(poset.points, table)
     )
+
+
+def _matches_memo_free_predecessor(poset, k):
+    """Whether the engine and `memo_free_most_constrained` give the same
+    partition, None or message at k, at each of `_units_to_test`."""
+    table = _candidate_table(poset, k)
+    if table is None:
+        return True
+    return all(
+        _outcome(lambda: _most_constrained(poset.points, table, units))
+        == _outcome(lambda: memo_free_most_constrained(poset.points, table, units))
+        for units in _units_to_test(poset.points, table)
+    )
+
+
+@pytest.mark.parametrize("memo", MEMO_SETTINGS)
+@given(small_ideals())
+@settings(max_examples=30, deadline=None)
+def test_most_constrained_search_matches_its_memo_free_predecessor(memo, ideal):
+    # a refuted revisit is charged its recorded units, without the cells of
+    # the interval that led into it, only where the charge stays in units
+    poset = build_poset(ideal)
+    with memo_setting(memo):
+        for k in range(1, ideal.n_vars + 1):
+            assert _matches_memo_free_predecessor(poset, k), (str(ideal), k)
+
+
+@pytest.mark.parametrize("memo", MEMO_SETTINGS)
+def test_most_constrained_search_matches_its_memo_free_predecessor_on_larger_posets(memo):
+    # I(4,2)^2 refutes k = 2 in 2,821 units, revisiting coverings
+    with memo_setting(memo):
+        for ideal in (
+            path_ideal(4, 2).power(2),
+            parse_ideal("x2*x3*x5*x6, x2*x3*x4*x6, x1*x5, x1*x4*x6", 6),
+            cycle_ideal(5, 3),
+            cycle_ideal(4, 2).power(2),
+        ):
+            poset = build_poset(ideal)
+            for k in range(2, ideal.n_vars + 1):
+                assert _matches_memo_free_predecessor(poset, k), (str(ideal), k)
 
 
 @given(small_ideals())
