@@ -508,52 +508,49 @@ def _trace(search):
     return steps
 
 
-def _search_matches_predecessor(poset, k, fraction):
-    """Whether `_search` and `memo_free_search` trace alike at k: unpaused
-    at budget 1, on each side of the fewest nodes that decide, and at the
-    default; paused at no node, at `fraction` of the search's nodes and on
-    each side of its last one; and with the limit, set by a reserve, on
-    each side of that node, with and without the pause."""
+def _search_matches_predecessor(poset, k, fractions):
+    """Whether `_search`, under every memo setting, traces as
+    `memo_free_search` does at k: unpaused at budget 1, on each side of
+    the fewest nodes that decide, and at the default; paused at no node,
+    at each of `fractions` of the search's nodes and on each side of its
+    last one; and with the limit, set by a reserve, on each side of that
+    node, with and without the pause."""
 
-    def both(budget, reserve=0, pause=None):
-        got = _trace(sdepth._search(poset, k, budget, reserve, pause))
-        return got == _trace(memo_free_search(poset, k, budget, reserve, pause))
+    def oracle(budget, reserve=0, pause=None):
+        return _trace(memo_free_search(poset, k, budget, reserve, pause))
 
-    def decides(budget):
-        return not isinstance(_trace(memo_free_search(poset, k, budget))[-1], str)
-
-    if not decides(DEFAULT_BUDGET):
-        return both(DEFAULT_BUDGET)
-    needed = _least(decides)
-    # the search's nodes: the least pause that the search never reaches
-    nodes = _least(lambda p: _trace(memo_free_search(poset, k, DEFAULT_BUDGET, 0, p))[0] is None)
-    pauses = (0, int(fraction * nodes), nodes - 1, nodes)
-    limits = (nodes - 1, nodes)
-    return (
-        all(both(budget) for budget in {1, max(needed - 1, 1), needed, DEFAULT_BUDGET})
-        and all(both(DEFAULT_BUDGET, 0, pause) for pause in pauses)
-        and all(
-            both(DEFAULT_BUDGET, DEFAULT_BUDGET - limit, pause)
-            for limit in limits
+    calls = [(DEFAULT_BUDGET, 0, None)]
+    if not isinstance(oracle(DEFAULT_BUDGET)[-1], str):
+        needed = _least(lambda budget: not isinstance(oracle(budget)[-1], str))
+        # the search's nodes: the least pause that the search never reaches
+        nodes = _least(lambda pause: oracle(DEFAULT_BUDGET, 0, pause)[0] is None)
+        pauses = (0, *(int(f * nodes) for f in fractions), nodes - 1, nodes)
+        calls += [(budget, 0, None) for budget in {1, max(needed - 1, 1), needed}]
+        calls += [(DEFAULT_BUDGET, 0, pause) for pause in pauses]
+        calls += [
+            (DEFAULT_BUDGET, DEFAULT_BUDGET - limit, pause)
+            for limit in (nodes - 1, nodes)
             for pause in (None, *pauses)
-        )
-    )
+        ]
+    want = [oracle(*call) for call in calls]
+    for setting in MEMO_SETTINGS:
+        with memo_setting(setting):
+            if [_trace(sdepth._search(poset, k, *call)) for call in calls] != want:
+                return False
+    return True
 
 
-@pytest.mark.parametrize("memo", MEMO_SETTINGS)
 @given(small_ideals(), st.floats(0, 1))
-@settings(max_examples=30, deadline=None)
-def test_search_matches_its_memo_free_predecessor(memo, ideal, fraction):
+@settings(max_examples=40, deadline=None)
+def test_search_matches_its_memo_free_predecessor(ideal, fraction):
     # a refuted revisit charged its recorded cost leaves every node count,
     # pause, budget message and partition as searching it again did
     poset = build_poset(ideal)
-    with memo_setting(memo):
-        for k in range(ideal.n_vars + 1):
-            assert _search_matches_predecessor(poset, k, fraction), (str(ideal), k)
+    for k in range(ideal.n_vars + 1):
+        assert _search_matches_predecessor(poset, k, [fraction]), (str(ideal), k)
 
 
-@pytest.mark.parametrize("memo", MEMO_SETTINGS)
-def test_search_matches_its_memo_free_predecessor_on_larger_posets(memo):
+def test_search_matches_its_memo_free_predecessor_on_larger_posets():
     # posets of 21 to 50 points whose refutations revisit coverings, I(4,2)^2
     # at k = 2 across its 1,987 nodes
     for ideal in (
@@ -562,10 +559,8 @@ def test_search_matches_its_memo_free_predecessor_on_larger_posets(memo):
         cycle_ideal(5, 3),
     ):
         poset = build_poset(ideal)
-        with memo_setting(memo):
-            for k in range(1, ideal.n_vars + 1):
-                for fraction in (0.3, 0.7):
-                    assert _search_matches_predecessor(poset, k, fraction), (str(ideal), k)
+        for k in range(1, ideal.n_vars + 1):
+            assert _search_matches_predecessor(poset, k, [0.3, 0.7]), (str(ideal), k)
 
 
 @given(small_ideals())
@@ -676,13 +671,16 @@ def test_labels_match_the_label_of_each_point(ideal, data):
     assert poset.labels == tuple(map(poset.label, poset.points)), str(wider)
 
 
-def test_labels_in_sixteen_variables():
-    # squarefree, 16 variables: labels up to 16 and a poset of 2,207 points
-    # on the same one-byte-per-point path
+def test_labels_in_many_variables():
+    # squarefree in 16 variables, a poset of 2,207 points with labels up to
+    # 8, on the same one-byte-per-point path; and (x1x2) in 300 variables,
+    # labels above 255 from the 298 coordinates with g_i = 0
     poset = build_poset(cycle_ideal(16, 2))
     assert len(poset) == 2207
     assert poset.labels == tuple(map(poset.label, poset.points))
     assert max(poset.labels) == 8
+    poset = build_poset(parse_ideal("x1*x2", 300))
+    assert poset.labels == tuple(map(poset.label, poset.points)) == (298, 299, 299)
 
 
 def test_sweep_bound_with_one_wide_exponent_builds_few_patterns():
@@ -1253,66 +1251,68 @@ def test_lazy_table_and_contain_on_i_5_2_cubed():
     assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
 
 
-def _units_to_test(points, table):
-    """No units, the most units on which the engine runs out and one more,
-    and the default."""
-    enough = _least(
-        lambda units: not isinstance(_outcome(lambda: _most_constrained(points, table, units)), str)
-    )
+def _units_to_test(run):
+    """No units, the most units on which `run(units)` runs out and one
+    more, and the default."""
+    enough = _least(lambda units: not isinstance(_outcome(lambda: run(units)), str))
     return (0, enough - 1, enough, DEFAULT_BUDGET)
 
 
 def _matches_set_reference(poset, k):
     """Whether the engine and `set_most_constrained` give the same
-    partition, None or message at k, at each of `_units_to_test`."""
+    partition, None or message at k, at each of the engine's
+    `_units_to_test`."""
     table = _candidate_table(poset, k)
     if table is None:
         return True
     return all(
         _outcome(lambda: _most_constrained(poset.points, table, units))
         == _outcome(lambda: set_most_constrained(poset, k, units))
-        for units in _units_to_test(poset.points, table)
+        for units in _units_to_test(lambda units: _most_constrained(poset.points, table, units))
     )
 
 
 def _matches_memo_free_predecessor(poset, k):
-    """Whether the engine and `memo_free_most_constrained` give the same
-    partition, None or message at k, at each of `_units_to_test`."""
+    """Whether the engine, under every memo setting, and
+    `memo_free_most_constrained` give the same partition, None or message
+    at k, at each of the latter's `_units_to_test`."""
     table = _candidate_table(poset, k)
     if table is None:
         return True
-    return all(
-        _outcome(lambda: _most_constrained(poset.points, table, units))
-        == _outcome(lambda: memo_free_most_constrained(poset.points, table, units))
-        for units in _units_to_test(poset.points, table)
-    )
+
+    def oracle(units):
+        return memo_free_most_constrained(poset.points, table, units)
+
+    want = {units: _outcome(lambda: oracle(units)) for units in _units_to_test(oracle)}
+    for setting in MEMO_SETTINGS:
+        with memo_setting(setting):
+            for units, outcome in want.items():
+                if _outcome(lambda: _most_constrained(poset.points, table, units)) != outcome:
+                    return False
+    return True
 
 
-@pytest.mark.parametrize("memo", MEMO_SETTINGS)
 @given(small_ideals())
-@settings(max_examples=30, deadline=None)
-def test_most_constrained_search_matches_its_memo_free_predecessor(memo, ideal):
+@settings(max_examples=40, deadline=None)
+def test_most_constrained_search_matches_its_memo_free_predecessor(ideal):
     # a refuted revisit is charged its recorded units, without the cells of
     # the interval that led into it, only where the charge stays in units
     poset = build_poset(ideal)
-    with memo_setting(memo):
-        for k in range(1, ideal.n_vars + 1):
-            assert _matches_memo_free_predecessor(poset, k), (str(ideal), k)
+    for k in range(1, ideal.n_vars + 1):
+        assert _matches_memo_free_predecessor(poset, k), (str(ideal), k)
 
 
-@pytest.mark.parametrize("memo", MEMO_SETTINGS)
-def test_most_constrained_search_matches_its_memo_free_predecessor_on_larger_posets(memo):
+def test_most_constrained_search_matches_its_memo_free_predecessor_on_larger_posets():
     # I(4,2)^2 refutes k = 2 in 2,821 units, revisiting coverings
-    with memo_setting(memo):
-        for ideal in (
-            path_ideal(4, 2).power(2),
-            parse_ideal("x2*x3*x5*x6, x2*x3*x4*x6, x1*x5, x1*x4*x6", 6),
-            cycle_ideal(5, 3),
-            cycle_ideal(4, 2).power(2),
-        ):
-            poset = build_poset(ideal)
-            for k in range(2, ideal.n_vars + 1):
-                assert _matches_memo_free_predecessor(poset, k), (str(ideal), k)
+    for ideal in (
+        path_ideal(4, 2).power(2),
+        parse_ideal("x2*x3*x5*x6, x2*x3*x4*x6, x1*x5, x1*x4*x6", 6),
+        cycle_ideal(5, 3),
+        cycle_ideal(4, 2).power(2),
+    ):
+        poset = build_poset(ideal)
+        for k in range(2, ideal.n_vars + 1):
+            assert _matches_memo_free_predecessor(poset, k), (str(ideal), k)
 
 
 @given(small_ideals())
