@@ -14,20 +14,22 @@ binary digits), and a stable sort by degree keeps the walk's lex order
 within a degree.  Each poset builds its per-coordinate rows over its
 points once (`CharacteristicPoset.below` and `.up`), and every k's
 search, the Hilbert and colon bounds and the symmetry finder read them.
-Admissible tops and interval cells are ANDs of such rows, and the exact
-cover runs as a loop over an explicit stack.  The pre-check and
-candidate construction are charged in the units of the linear scans they
-replace, so an instance runs out in the same phase, with the same
-message, as under them; construction is charged in closed form for every
-point before any list is built, and a point's candidate list is built
-only when the search first branches there.  The search pays one node per
-covering it visits, revisits included: the subtree below a covering
-depends on the covering alone, so a bounded memo, local to the call,
-keeps the nodes of each refuted subtree of at least _MEMO_MIN_COST
-nodes, up to _MEMO_ENTRIES of them, and a revisit is charged that
-count at once instead of being searched again, wherever the charge
-passes neither the pause nor the limit.  Every count, pause and
-message is the one a search without the memo gives.
+Admissible tops and interval cells are ANDs of such rows
+(`depth._dividing`), and one first-uncovered exact cover, a loop over an
+explicit stack (`_exact_cover`), runs both the search and the symmetry
+finder.  The pre-check and candidate construction are charged in the
+units of the linear scans they replace, so an instance runs out in the
+same phase, with the same message, as under them; construction is
+charged in closed form for every point before any list is built, and a
+point's candidate list is built only when the search first branches
+there.  The search pays one node per covering it visits, revisits
+included: the subtree below a covering depends on the covering alone, so
+a bounded memo, local to the call, keeps the nodes of each refuted
+subtree of at least _MEMO_MIN_COST nodes, up to _MEMO_ENTRIES of them,
+and a revisit is charged that count at once instead of being searched
+again, wherever the charge passes neither the pause nor the limit.
+Every count, pause and message is the one a search without the memo
+gives.
 
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
@@ -46,16 +48,18 @@ shapes; a bound below k ends k, and the descent goes on from the bound.
 The symmetry finder: a permutation of the variables in the dihedral
 group of the cycle that fixes G(I) and g maps a partition to a
 partition, so a search over the orbits of intervals of one cyclic
-subgroup may find an invariant partition, which decides k.  An ideal
-with such a symmetry gives the finder node_budget // 20 units out of the
-search's nodes.  A finder that finds nothing refutes nothing.  The
-most-constrained search, at a pause only: an exact cover over the
-search's candidate masks, with every list built by then, that branches
-on the uncovered point the fewest live intervals hold, on
-node_budget // 10 units out of the search's nodes.  A partition it
-finds decides k, and its None, an exhaustion, refutes k; running out of
-units refutes nothing.  When no tool settles k, the search resumes, or
-its budget error is raised.
+subgroup may find an invariant partition, which decides k.  It runs the
+search's loop, memo included, over lists of orbit unions charged as they
+are built; every list of a refuted subtree is built by then, so its memo
+records search nodes only.  An ideal with such a symmetry gives the
+finder node_budget // 20 units out of the search's nodes.  A finder that
+finds nothing refutes nothing.  The most-constrained search, at a pause
+only: an exact cover over the search's candidate masks, with every list
+built by then, that branches on the uncovered point the fewest live
+intervals hold, on node_budget // 10 units out of the search's nodes.  A
+partition it finds decides k, and its None, an exhaustion, refutes k;
+running out of units refutes nothing.  When no tool settles k, the
+search resumes, or its budget error is raised.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from itertools import product as _cartesian
 from math import comb, prod
 from operator import eq, itemgetter, lt, xor
 
-from .depth import _below_bitsets
+from .depth import _below_bitsets, _dividing
 from .monomials import Monomial
 
 __all__ = [
@@ -379,9 +383,7 @@ def _colon_shapes(classes, up, a):
     and loses |a| degrees.  Each shape is counted as the popcount of up(a)
     ANDed with a class bitset; no class below degree |a| meets up(a).
     """
-    mask = -1
-    for row, v in zip(up, a):
-        mask &= row[v]
+    mask = _dividing(a, up)
     if not mask:
         return None
     shift = sum(a)
@@ -459,18 +461,13 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
     is built when the search first branches there, so most lists of a
     decided search are never built.
 
-    The search is a loop over an explicit stack of (covered, candidate
-    iterator, entry node) frames.  It pays one node per visited covering,
-    the root and every revisit included.  The subtree below a covering
-    depends on the covering alone (its first uncovered point and that
-    point's candidate list), so when a frame other than the root is
-    exhausted, a memo local to the call records the nodes its subtree
-    took, if at least _MEMO_MIN_COST, while it holds fewer than
-    _MEMO_ENTRIES coverings.  A revisit of a recorded covering is charged
-    those nodes at once instead of being searched again, unless that
-    would pass the node where the search stops, which it then reaches by
-    searching as before.  The intervals of the partition returned are read
-    off the differences of successive coverings on the stack.
+    The search is `_exact_cover`, the loop over an explicit stack that the
+    symmetry finder runs too.  It pays one node per visited covering, the
+    root and every revisit included, and a revisit of a refuted covering
+    is charged, from a memo local to the call, the nodes its subtree took
+    instead of being searched again, wherever that charge stays short of
+    the node where the search stops.  The intervals of the partition
+    returned are read off the differences of successive coverings.
     """
     return _advance(_search(poset, k, node_budget))[1]
 
@@ -495,12 +492,20 @@ def _candidate_charge(npts, tops):
     return npts * len(tops) + sum(prod((x + 1) * (x + 2) // 2 for x in b) for b in tops)
 
 
-# the memo of refuted coverings that `_search` and `_most_constrained` keep
-# for one call: a subtree is recorded only if it cost at least
+# the memo of refuted coverings that `_exact_cover` and `_most_constrained`
+# keep for one call: a subtree is recorded only if it cost at least
 # _MEMO_MIN_COST nodes or units, and at most _MEMO_ENTRIES are held, after
 # which nothing more is recorded
 _MEMO_MIN_COST = 32
 _MEMO_ENTRIES = 16_384
+
+
+def _admissible_tops(poset, k):
+    """The points of label >= k, in the order of `points`, and their
+    `_at_least` rows at cap g: the admissible tops of a point p are the
+    bits of `_dividing(p, rows)`."""
+    tops = [b for b, label in zip(poset.points, poset.labels) if label >= k]
+    return tops, _at_least(_below_bitsets(tops, poset.g))
 
 
 def _search(poset, k, node_budget, reserve=0, pause=None):
@@ -523,23 +528,15 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
         raise ValueError("k out of range")
     if k == 0:
         return StanleyPartition(tuple(PosetInterval(a, a) for a in points))
-    tops = [b for b, label in zip(points, poset.labels) if label >= k]
+    tops, top_rows = _admissible_tops(poset, k)
     if not tops:
         # no point has an admissible top
         return None
-    top_rows = _at_least(_below_bitsets(tops, poset.g))
-
-    def admissible(p):
-        found = -1
-        for row, v in zip(top_rows, p):
-            found &= row[v]
-        return found
-
     # cheap complete pre-check: a point with no admissible top decides
     # the answer without building any interval masks
     work = 0
     for p in points:
-        found = admissible(p)
+        found = _dividing(p, top_rows)
         if not found:
             return None
         work += (found & -found).bit_length()
@@ -553,84 +550,121 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     if work + _candidate_charge(npts, tops) > node_budget:
         raise SearchBudgetError("exceeded %d nodes building interval candidates" % node_budget)
     below, up_rows = poset.below, poset.up
-    full = (1 << npts) - 1
     downs = {}
     candidates = [None] * npts
 
-    def build(i):
-        """The candidate masks at points[i], stored in `candidates`."""
+    def build(i, allowance):
+        """The candidate masks at points[i], stored in `candidates`; they
+        were charged before the search, so they cost no units here."""
         p = points[i]
-        up = full
-        for row, v in zip(up_rows, p):
-            up &= row[v]
+        up = _dividing(p, up_rows)
         cand = []
-        for j in _bits(admissible(p)):
+        for j in _bits(_dividing(p, top_rows)):
             down = downs.get(j)
             if down is None:
-                down = full
-                for row, v in zip(below, tops[j]):
-                    down &= row[v]
-                downs[j] = down
+                down = downs[j] = _dividing(tops[j], below)
             cand.append(up & down)
         cand.sort(key=int.bit_count, reverse=True)
         candidates[i] = cand
-        return cand
+        return 0
 
-    exhausted = "exceeded %d search nodes" % node_budget
+    # the root is a node; candidate construction has charged more already
+    coverings, _ = yield from _exact_cover(
+        candidates, build, 1, node_budget - reserve, pause, "exceeded %d search nodes" % node_budget
+    )
+    return None if coverings is None else _read_off(points, coverings)
+
+
+def _exact_cover(candidates, build, nodes, limit, pause, exhausted):
+    """The canonical first-uncovered exact cover that `_search` and
+    `_invariant_partition` drive, as a generator whose return value is
+    (the coverings on the path to the full one, or None after exhaustion,
+    the units left of `limit`).
+
+    Each frame branches on the first point its covering leaves uncovered,
+    over that point's masks in `candidates`, skipping those that meet the
+    covering.  A point's list is built by `build(i, allowance)` when the
+    search first branches there; it returns the units it spent, past
+    `allowance` of which it may stop short, and they come off the pause
+    and the limit, so `nodes` counts search nodes alone.  The search
+    pays one node per covering it visits, revisits included, on top of
+    the `nodes` it starts with.  On passing `pause` nodes it builds every
+    list left, yields `candidates` once and resumes; past `limit` units it
+    raises SearchBudgetError(exhausted).
+
+    The subtree below a covering depends on the covering alone (its first
+    uncovered point and that point's list), so when a frame other than
+    the root is exhausted, a memo local to the call records the nodes its
+    subtree took, if at least _MEMO_MIN_COST, while it holds fewer than
+    _MEMO_ENTRIES coverings.  Every list of an exhausted subtree is built,
+    so its nodes are all that searching it again costs, and a revisit is
+    charged them at once instead, unless that would pass the node where
+    the search stops, which it then reaches by searching as before.
+    """
+    full = (1 << len(candidates)) - 1
     # the node count at which the loop next stops: the pause, then the limit
-    limit = node_budget - reserve
     stop = limit if pause is None else min(pause, limit)
-    nodes = 1  # the root; candidate construction has charged more already
-    covered = 0
+    covered = nxt = 0
     entry = nodes  # the node count at which the current frame opened
-    options = iter(build(0))
     stack = []  # the (covered, options, entry) of the frames below the current one
     sizes = {}  # refuted covering -> the nodes below it
     while True:
-        for mask in options:
-            if mask & covered:
+        # open the frame of `covered` at nxt, its first uncovered point
+        options = candidates[nxt]
+        if options is None:
+            spent = build(nxt, limit - nodes)
+            stop -= spent
+            limit -= spent
+            if nodes > limit:
+                raise SearchBudgetError(exhausted)
+            options = candidates[nxt]
+        options = iter(options)
+        while True:
+            for mask in options:
+                if mask & covered:
+                    continue
+                nodes += 1
+                if nodes > stop:
+                    if stop == limit:
+                        raise SearchBudgetError(exhausted)
+                    for i, cand in enumerate(candidates):
+                        if cand is None:
+                            limit -= build(i, limit - nodes)
+                    yield candidates
+                    stop = limit
+                child = covered | mask
+                if child == full:
+                    return [frame[0] for frame in stack] + [covered, full], limit - nodes
+                size = sizes.get(child)
+                if size is not None and nodes + size <= stop:
+                    # a refuted revisit, charged what searching it again would
+                    # cost, when that stops neither at the pause nor the limit
+                    nodes += size
+                    continue
+                stack.append((covered, options, entry))
+                covered, entry = child, nodes
+                break
+            else:
+                if not stack:
+                    return None, limit - nodes
+                if nodes - entry >= _MEMO_MIN_COST and len(sizes) < _MEMO_ENTRIES:
+                    sizes[covered] = nodes - entry
+                covered, options, entry = stack.pop()
                 continue
-            nodes += 1
-            if nodes > stop:
-                if stop == limit:
-                    raise SearchBudgetError(exhausted)
-                for i, cand in enumerate(candidates):
-                    if cand is None:
-                        build(i)
-                downs.clear()  # every list is built
-                yield candidates
-                stop = limit
-            child = covered | mask
-            if child == full:
-                # each interval is the difference of two successive coverings;
-                # its bottom is its first point in the order, its top the last
-                coverings = [frame[0] for frame in stack] + [covered, full]
-                return StanleyPartition(
-                    tuple(
-                        PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
-                        for m in map(xor, coverings, coverings[1:])
-                    )
-                )
-            size = sizes.get(child)
-            if size is not None and nodes + size <= stop:
-                # a refuted revisit, charged what searching it again would
-                # cost, when that stops neither at the pause nor the limit
-                nodes += size
-                continue
-            stack.append((covered, options, entry))
-            covered, entry = child, nodes
-            nxt = ((child + 1) & ~child).bit_length() - 1
-            cand = candidates[nxt]
-            options = iter(build(nxt) if cand is None else cand)
             break
-        else:
-            if not stack:
-                return None
-            # the subtree below a covering depends on it alone: its first
-            # uncovered point, and that point's fixed candidate list
-            if nodes - entry >= _MEMO_MIN_COST and len(sizes) < _MEMO_ENTRIES:
-                sizes[covered] = nodes - entry
-            covered, options, entry = stack.pop()
+        nxt = ((covered + 1) & ~covered).bit_length() - 1
+
+
+def _read_off(points, coverings):
+    """The partition whose intervals are the differences of successive
+    coverings: an interval's bottom is its first point in the order, its
+    top its last."""
+    return StanleyPartition(
+        tuple(
+            PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
+            for m in map(xor, coverings, coverings[1:])
+        )
+    )
 
 
 def _symmetry_groups(ideal, g):
@@ -684,23 +718,16 @@ def _orbit_candidates(p, acts, tops, top_rows, below, up, allowance):
     cell count.
     """
     fixing = [act for act in acts if act(p) == p]
-    found = -1
-    for row, v in zip(top_rows, p):
-        found &= row[v]
     units = 0
     out = []
-    while found:
-        low = found & -found
-        found ^= low
+    for j in _bits(_dividing(p, top_rows)):
         units += 1
-        b = tops[low.bit_length() - 1]
+        b = tops[j]
         if any(act(b) != b for act in fixing):
             continue
         union = cells = 0
         for a, c in _orbit(p, b, acts):
-            mask = -1
-            for lo, hi, x, y in zip(up, below, a, c):
-                mask &= lo[x] & hi[y]
+            mask = _dividing(a, up) & _dividing(c, below)
             union |= mask
             cells += mask.bit_count()
         units += cells
@@ -715,67 +742,51 @@ def _orbit_candidates(p, acts, tops, top_rows, below, up, allowance):
 def _invariant_partition(poset, k, groups, budget):
     """A partition with every label >= k that one of `groups` fixes, or None.
 
-    Each group in turn gets the canonical first-uncovered search of
-    `has_partition_min_label`, over the orbits of intervals: the first
-    uncovered point is the bottom of every interval of the orbit chosen
-    for it, and the covered set stays invariant.  Candidate lists are
-    built when the search first branches at a point; the groups share
-    `budget` units, one per search node plus what `_orbit_candidates`
-    charges.  None refutes nothing: the groups may only admit no
-    invariant partition, or the units run out.
+    Each group in turn gets the canonical loop of `has_partition_min_label`
+    (`_exact_cover`, its memo included) over the orbits of intervals: the
+    first uncovered point is the bottom of every interval of the orbit
+    chosen for it, and the covered set stays invariant.  A point's list of
+    orbit unions is built when the search first branches there, charged
+    the units `_orbit_candidates` counts; the groups share `budget` units,
+    one per search node plus those.  Every list of a refuted subtree is
+    built by the time it is refuted, so its memo records search nodes
+    only.  Each difference of successive coverings is an orbit union,
+    mapped back to its orbit through the top recorded for that union.
+    None refutes nothing: the groups may only admit no invariant
+    partition, or the units run out.
     """
     points = poset.points
-    full = (1 << len(points)) - 1
-    tops = [b for b, label in zip(points, poset.labels) if label >= k]
+    tops, top_rows = _admissible_tops(poset, k)
     if not tops:
         return None
-    top_rows = _at_least(_below_bitsets(tops, poset.g))
-    units = 0
+    exhausted = "exceeded %d units in the symmetry finder" % budget
+    left = budget
     for group in groups:
         acts = [itemgetter(*h) for h in group]
-        lists = {}
-        chosen = []  # the (bottom, top) of each orbit on the path to the innermost frame
-        stack = []
-        child = nxt = 0
-        while True:
-            # open a frame at nxt, the first uncovered point of child
-            options = lists.get(nxt)
-            if options is None:
-                options, spent = _orbit_candidates(
-                    points[nxt], acts, tops, top_rows, poset.below, poset.up, budget - units
+        lists = [None] * len(points)
+        top_of = {}  # orbit union -> the top b of the first [p, b] listed with it
+
+        def build(i, allowance):
+            found, spent = _orbit_candidates(
+                points[i], acts, tops, top_rows, poset.below, poset.up, allowance
+            )
+            lists[i] = [union for union, _ in found]
+            for union, b in found:
+                top_of.setdefault(union, b)
+            return spent
+
+        try:
+            _, (coverings, left) = _advance(_exact_cover(lists, build, 0, left, None, exhausted))
+        except SearchBudgetError:
+            return None
+        if coverings is not None:
+            return StanleyPartition(
+                tuple(
+                    PosetInterval(a, c)
+                    for m in map(xor, coverings, coverings[1:])
+                    for a, c in _orbit(points[(m & -m).bit_length() - 1], top_of[m], acts)
                 )
-                units += spent
-                if units > budget:
-                    return None
-                lists[nxt] = options
-            stack.append((child, points[nxt], iter(options)))
-            while stack:
-                covered, p, options = stack[-1]
-                for mask, b in options:
-                    if not mask & covered:
-                        break
-                else:
-                    stack.pop()
-                    if stack:
-                        chosen.pop()
-                    continue
-                units += 1
-                if units > budget:
-                    return None
-                chosen.append((p, b))
-                child = covered | mask
-                if child == full:
-                    return StanleyPartition(
-                        tuple(
-                            PosetInterval(a, c)
-                            for p, b in chosen
-                            for a, c in _orbit(p, b, acts)
-                        )
-                    )
-                nxt = ((child + 1) & ~child).bit_length() - 1
-                break
-            else:
-                break  # no partition that this group fixes
+            )
     return None
 
 
@@ -816,13 +827,7 @@ def _contain(points, masks):
     caps = [max(column) for column in zip(*points)]
     low = _below_bitsets([points[(m & -m).bit_length() - 1] for m in masks], caps)
     high = _at_least(_below_bitsets([points[m.bit_length() - 1] for m in masks], caps))
-    contain = []
-    for q in points:
-        held = -1
-        for lo, hi, v in zip(low, high, q):
-            held &= lo[v] & hi[v]
-        contain.append(held)
-    return contain
+    return [_dividing(q, low) & _dividing(q, high) for q in points]
 
 
 def _most_constrained(points, candidates, units):
@@ -863,15 +868,7 @@ def _most_constrained(points, candidates, units):
             mask = masks[i]
             child = covered | mask
             if child == full:
-                # each interval is the difference of two successive coverings;
-                # its bottom is its first point in the order, its top the last
-                coverings = [frame[0] for frame in stack] + [full]
-                return StanleyPartition(
-                    tuple(
-                        PosetInterval(points[(m & -m).bit_length() - 1], points[m.bit_length() - 1])
-                        for m in map(xor, coverings, coverings[1:])
-                    )
-                )
+                return _read_off(points, [frame[0] for frame in stack] + [full])
             cells = mask.bit_count()
             size = sizes.get(child)
             if size is not None and spent + cells + size <= units:

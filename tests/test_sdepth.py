@@ -7,9 +7,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product as cartesian
 from math import ceil, comb, factorial, prod
+from operator import itemgetter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathdepth import sdepth
@@ -162,8 +163,9 @@ def linear_scan_has_partition(poset, k, node_budget=DEFAULT_BUDGET, *, memo_cap)
     return None
 
 
-# memo-free predecessors: the two exact covers before they charged a
-# refuted revisit its recorded cost instead of searching it again ------
+# memo-free predecessors: the exact covers and the symmetry finder before
+# they charged a refuted revisit its recorded cost instead of searching it
+# again ---------------------------------------------------------------
 
 
 def memo_free_search(poset, k, node_budget, reserve=0, pause=None):
@@ -295,6 +297,63 @@ def memo_free_most_constrained(points, candidates, units):
             stack.pop()
             if stack:
                 chosen.pop()
+    return None
+
+
+def stack_invariant_partition(poset, k, groups, budget):
+    """`sdepth._invariant_partition` as it was when it ran its own stack
+    loop, without the memo: the same orbit lists, units and partitions."""
+    points = poset.points
+    full = (1 << len(points)) - 1
+    tops = [b for b in points if poset.label(b) >= k]
+    if not tops:
+        return None
+    top_rows = _at_least(_below_bitsets(tops, poset.g))
+    units = 0
+    for group in groups:
+        acts = [itemgetter(*h) for h in group]
+        lists = {}
+        chosen = []  # the (bottom, top) of each orbit on the path to the innermost frame
+        stack = []
+        child = nxt = 0
+        while True:
+            options = lists.get(nxt)
+            if options is None:
+                options, spent = sdepth._orbit_candidates(
+                    points[nxt], acts, tops, top_rows, poset.below, poset.up, budget - units
+                )
+                units += spent
+                if units > budget:
+                    return None
+                lists[nxt] = options
+            stack.append((child, points[nxt], iter(options)))
+            while stack:
+                covered, p, options = stack[-1]
+                for mask, b in options:
+                    if not mask & covered:
+                        break
+                else:
+                    stack.pop()
+                    if stack:
+                        chosen.pop()
+                    continue
+                units += 1
+                if units > budget:
+                    return None
+                chosen.append((p, b))
+                child = covered | mask
+                if child == full:
+                    return StanleyPartition(
+                        tuple(
+                            PosetInterval(a, c)
+                            for p, b in chosen
+                            for a, c in sdepth._orbit(p, b, acts)
+                        )
+                    )
+                nxt = ((child + 1) & ~child).bit_length() - 1
+                break
+            else:
+                break
     return None
 
 
@@ -998,6 +1057,33 @@ def test_symmetric_ideals_get_the_exhaustive_sdepth(ideal):
     assert result.partition.min_label(poset) >= decided
 
 
+@given(symmetric_ideals())
+@example(parse_ideal("x2*x3^2*x4, x1*x2*x3*x4", 4))
+@example(cycle_ideal(6, 5))
+@settings(max_examples=40, deadline=None)
+def test_finder_matches_its_stack_predecessor(ideal):
+    # the finder on the shared loop and memo gives the same intervals in the
+    # same order, or None, as its own stack loop did, under every memo
+    # setting: at every k from 2 up to the sweep bound, at fixed budgets
+    # and on each side of the fewest units that find a partition.  In the
+    # two examples the partition found at those fewest units comes after
+    # a refuted revisit whose subtree built lists: charged their units
+    # again, it would not be found
+    poset = build_poset(ideal)
+    groups = _symmetry_groups(ideal, poset.g)
+    for k in range(2, _sweep_bound(ideal, poset.g) + 1):
+        budgets = {1, 10, 100, 1000, DEFAULT_BUDGET}
+        if stack_invariant_partition(poset, k, groups, DEFAULT_BUDGET) is not None:
+            needed = _least(lambda budget: stack_invariant_partition(poset, k, groups, budget) is not None)
+            budgets |= {max(needed - 1, 1), needed}
+        for budget in sorted(budgets):
+            want = stack_invariant_partition(poset, k, groups, budget)
+            for setting in MEMO_SETTINGS:
+                with memo_setting(setting):
+                    got = _invariant_partition(poset, k, groups, budget)
+                assert got == want, (str(ideal), k, budget, setting)
+
+
 def _out_of_units(points, candidates, units):
     raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
 
@@ -1055,6 +1141,10 @@ def test_finder_decides_j_6_4_squared_with_the_half_rotation_group():
     partition = _invariant_partition(poset, 2, [c3], DEFAULT_BUDGET)
     assert verify_partition(poset, partition) == (True, "min label 2")
     assert _invariant_partition(poset, 2, [c6, c3], 1000) is None
+    # C6's refutation and C3's partition take 20,688 units between them
+    assert _invariant_partition(poset, 2, [c6, c3], 20_687) is None
+    partition = _invariant_partition(poset, 2, [c6, c3], 20_688)
+    assert verify_partition(poset, partition) == (True, "min label 2")
     # at 20,000 the finder's 1,000 units do not reach C3's partition, and
     # k = 2 runs out building candidates, as the search would on its own
     assert _outcome(lambda: sdepth_quotient(J2, node_budget=20_000)) == (
