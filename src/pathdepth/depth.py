@@ -9,20 +9,31 @@ the lcm lattice; the tests compute that homology directly as a
 cross-check on small inputs.  depth = n - pd by Auslander-Buchsbaum.
 
 `betti` builds the whole table.  `depth_quotient` needs only the last
-nonzero row, pd = max{i : beta_{i,a} != 0}: it walks the lattice by
-decreasing support size, since beta_{i,a} = 0 for i > |supp(a)|, computes
-only the homology that could raise pd, and stops once no element left can.
-`max_ideal_associated` reads the row i = n off socle tests, with no
-homology at all.  Ranks come from fraction-free integer elimination.
+nonzero row, pd = max{i : beta_{i,a} != 0}.  Since beta_{i,a} = 0 for
+i > s = |supp(a)|, and beta_{s,a} != 0 iff the complex at a is the
+boundary of the simplex on the support, a first pass of bitset ANDs over
+the lattice (`_top_row`) finds pd0, the largest s with a non-zero top
+row, with no faces at all.  Only elements of support at least pd + 2 can
+raise pd further: the walk builds faces for those alone, by decreasing
+support, computes only the homology that could raise pd, and stops once
+no element left can.  `max_ideal_associated` reads the row i = n off the
+same top-row test.  Ranks come from fraction-free integer elimination.
 
-The hot loops run on flat data: the lattice is closed over exponent
-tuples packed into one int each (`_lcm_closure`), and the Koszul strand
-faces are read off bitsets of generators (`_koszul_faces`).  Monomials
-appear only in what the public functions take and return.
+The hot loops run on flat data, per element rather than per pair or per
+face in Python.  The lattice is closed over exponent tuples packed into
+one word each, with every generator in its own lane of one int, so one
+multiply and one guarded subtraction give the lcms of an element with
+all generators, read back through an `array` (`_lcm_closure`).  Koszul
+strand faces are vertex bitmasks, grown off bitsets of generators
+(`_koszul_faces`); the cone test counts faces in C (`_is_cone`) and the
+boundary maps flip bits.  Monomials appear only in what the public
+functions take and return.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from math import gcd
 
@@ -98,30 +109,47 @@ def rank_exact(columns):
 
 def _boundary_rank(faces, lower):
     """Rank of the boundary map from `faces`, all of one dimension d >= 0,
-    to `lower`, the (d-1)-faces, [()] for d = 0; faces are sorted tuples."""
+    to `lower`, the (d-1)-faces, [0] for d = 0; faces are vertex bitmasks.
+
+    The facet of f that drops its j-th lowest vertex is f with that bit
+    flipped, and it enters the column with sign (-1)^j."""
     index = {f: i for i, f in enumerate(lower)}
-    return rank_exact(
-        {index[f[:j] + f[j + 1:]]: -1 if j % 2 else 1 for j in range(len(f))}
-        for f in faces
-    )
+    columns = []
+    for f in faces:
+        column = {}
+        sign = 1
+        rest = f
+        while rest:
+            low = rest & -rest
+            column[index[f ^ low]] = sign
+            sign = -sign
+            rest ^= low
+        columns.append(column)
+    return rank_exact(columns)
 
 
 def _homology_from_top(faces, floor=-1):
     """(d, reduced homology rank in dimension d), char 0, for d from the
     top dimension of the complex down to floor.
 
-    `faces` holds the nonempty faces as sorted tuples, each once.  Each
+    `faces` holds the nonempty faces as vertex bitmasks, each once.  Each
     boundary rank is taken once, as its dimension is reached, so a caller
     that stops early computes no rank below the last dimension it read.
     """
-    by_dim = {-1: [()]}
+    by_dim = {-1: [0]}
     for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
     rank_above = 0
     for d in range(max(by_dim), floor - 1, -1):
         rank = _boundary_rank(by_dim[d], by_dim.get(d - 1, ()))
         yield d, len(by_dim[d]) - rank - rank_above
         rank_above = rank
+
+
+def _homology(faces):
+    """{dim: rank}, nonzero ranks only, by increasing dimension, of the
+    complex whose nonempty faces are the bitmasks `faces`, each once."""
+    return {d: r for d, r in reversed(list(_homology_from_top(faces))) if r}
 
 
 def reduced_homology(faces):
@@ -131,21 +159,29 @@ def reduced_homology(faces):
     face is implicit.  Returns {dim: rank} with only nonzero ranks, where
     the complex {empty face} has rank 1 in dimension -1.
     """
-    unique = sorted({tuple(sorted(f)) for f in faces} - {()})
-    return {d: r for d, r in reversed(list(_homology_from_top(unique))) if r}
+    index = {}
+    masks = set()
+    for f in faces:
+        mask = 0
+        for v in f:
+            mask |= 1 << index.setdefault(v, len(index))
+        masks.add(mask)
+    masks.discard(0)
+    return _homology(masks)
 
 
 def _is_cone(faces, vertices):
     """True if some vertex v has f + {v} in the complex for every face f.
 
-    Cones are contractible, so their reduced homology vanishes; this is a
-    cheap skip, never a source of nonzero ranks.
+    `faces` holds the nonempty faces of a complex as vertex bitmasks, each
+    once.  Dropping v maps the faces that contain v one-to-one into the
+    faces without v together with the empty face, and v is a cone point
+    iff that map is onto: iff v lies in (len(faces) + 1) / 2 faces, a
+    count taken in C.  Cones are contractible, so their reduced homology
+    vanishes; this is a cheap skip, never a source of nonzero ranks.
     """
-    face_set = {frozenset(f) for f in faces}
-    for v in vertices:
-        if all(f | {v} in face_set for f in face_set if v not in f):
-            return True
-    return False
+    total = len(faces) + 1
+    return any(2 * (sum(map((1 << v).__and__, faces)) >> v) == total for v in vertices)
 
 
 # ---------------------------------------------------------------------
@@ -167,33 +203,66 @@ class LcmLattice:
 def _lcm_closure(exponent_tuples):
     """Closure of exponent tuples under componentwise max, in lex order.
 
-    Each tuple is packed into one int, x_1 in the highest field; a field
+    Each tuple is packed into one word, x_1 in the highest field; a field
     holds w = max_exponent.bit_length() value bits under one guard bit G.
     Per field, (a | G) - b keeps its guard bit iff a_i >= b_i and never
     borrows from the next field, so one subtraction compares every pair
     of exponents and the guards, spread over the value bits, select the
-    larger of each.  Integer order on the packed words is lex order on the
-    tuples.
+    larger of each.  Integer order on the words is lex order on the tuples.
+
+    The generators sit side by side in one int, one lane each, a lane
+    being the smallest array item that holds a word, or a run of 64-bit
+    items for a wider word.  Multiplying a frontier element by
+    R = sum of 1 << (j * lane) copies it into every lane, so one
+    subtraction takes its lcm with every generator at once, and the lanes
+    are read back through an `array` straight into the element set (as
+    tuples of items for wide words), with no step per pair in Python.
     """
     n = len(exponent_tuples[0])
     w = max(max(t) for t in exponent_tuples).bit_length()
     shifts = [(n - 1 - i) * (w + 1) for i in range(n)]
     guard = sum(1 << (s + w) for s in shifts)
     gens = {sum(e << s for e, s in zip(t, shifts)) for t in exponent_tuples}
-    elements = set(gens)
+    width = n * (w + 1)
+    item, code = next((b, c) for b, c in _ITEMS if b >= width or c == "Q")
+    items = -(-width // item)  # items per lane
+    lane = items * item
+    size = len(gens) * lane // 8
+    spread = ((1 << len(gens) * lane) - 1) // ((1 << lane) - 1)
+    packed = sum(g << j * lane for j, g in enumerate(gens))
+    guards = guard * spread
+    order = sys.byteorder
+    # a wide word's lanes are read back as tuples of items, decoded per element
+    if items == 1:
+        elements = set(gens)
+    else:
+        elements = {tuple(array(code, g.to_bytes(lane // 8, order))) for g in gens}
     frontier = gens
     while frontier:
         fresh = set()
         for a in frontier:
-            ag = a | guard
-            for b in gens:
-                ge = (ag - b) & guard
-                keep = ge - (ge >> w)
-                fresh.add((a & keep) | (b & ~keep))
+            spread_a = (a | guard) * spread
+            ge = (spread_a - packed) & guards
+            lcms = packed ^ ((spread_a ^ packed) & (ge - (ge >> w)))
+            row = array(code, lcms.to_bytes(size, order))
+            fresh.update(row if items == 1 else zip(*[iter(row)] * items))
         frontier = fresh - elements
         elements |= frontier
+        if items > 1:
+            frontier = [_lane_word(t) for t in frontier]
+    if items > 1:
+        elements = map(_lane_word, elements)
     mask = (1 << w) - 1
     return [tuple((m >> s) & mask for s in shifts) for m in sorted(elements)]
+
+
+# (bits, typecode) of the array items that lanes are read back through
+_ITEMS = tuple((8 * array(c).itemsize, c) for c in "BHIQ")
+
+
+def _lane_word(items):
+    """The word that a lane read back as a tuple of 64-bit items stands for."""
+    return int.from_bytes(array("Q", items).tobytes(), sys.byteorder)
 
 
 def build_lcm_lattice(ideal):
@@ -274,37 +343,71 @@ def _dividing(exponents, below):
     return bits
 
 
+def _steps(exponents, below):
+    """The bitset of the generators dividing x^a, the support of a
+    (0-indexed), and for each support index i the row below[i][a_i - 1].
+
+    A squarefree tau (a subset of the support) is a face of the Koszul
+    strand complex at a iff x^(a - tau) lies in the ideal, i.e. iff the
+    first bitset ANDed with the rows of tau is non-zero."""
+    support = [i for i, e in enumerate(exponents) if e]
+    return _dividing(exponents, below), support, [below[i][exponents[i] - 1] for i in support]
+
+
+def _top_row(exponents, below):
+    """Whether beta_{s,a}(S/I) != 0 for s = |supp(a)|, the top index at a.
+
+    The Koszul strand complex at a lives on the s vertices of the support,
+    so its homology in dimension s - 2 is non-zero (and then 1) iff it is
+    the boundary of the simplex: every (s-1)-subset of the support is a
+    face and the support is not.  For a = w + 1 of full support that is
+    the socle test: w is not in I, and x_j*w is for every j.  Prefix ANDs
+    of the rows and one suffix AND test all s subsets with 2s ANDs.
+    """
+    bits, support, step = _steps(exponents, below)
+    prefix = [bits]
+    for row in step:
+        bits &= row
+        prefix.append(bits)
+    if bits:
+        return False
+    suffix = -1
+    for k in range(len(step) - 1, -1, -1):
+        if not prefix[k] & suffix:
+            return False
+        suffix &= step[k]
+    return True
+
+
 def _koszul_faces(exponents, below):
     """Faces of the Koszul strand complex at a multidegree a of the ideal.
 
-    A squarefree tau (subset of the support, 0-indexed) is a face iff
-    x^(a - tau) lies in the ideal, i.e. iff some generator dividing x^a
-    has exponent at most a_i - 1 in every x_i of tau: the bitset of the
-    generators dividing x^a, ANDed with below[i][a_i - 1] for i in tau,
-    is non-zero.  The complex is closed under subsets, so the DFS only
-    extends faces that are present.  `a` must lie in the ideal, as every
-    lcm-lattice element does.
+    Faces are bitmasks of variables, bit i for x_{i+1}.  The complex is
+    closed under subsets, so a DFS that extends a face only by larger
+    support indices, and only while the AND of its `_steps` rows stays
+    non-zero, finds every face once.  `a` must lie in the ideal, as every
+    lcm-lattice element does.  Returns the faces and the support.
     """
-    support = [i for i, e in enumerate(exponents) if e > 0]
-    step = [below[i][exponents[i] - 1] for i in support]
+    bits, support, step = _steps(exponents, below)
     faces = []
-    _grow_faces((), 0, _dividing(exponents, below), support, step, faces)
+    _grow_faces(0, 0, bits, [1 << i for i in support], step, faces)
     return faces, support
 
 
-def _grow_faces(face, start, current, support, step, faces):
+def _grow_faces(face, start, current, vertex, step, faces):
     """Append to `faces` the faces extending `face` by vertices from `start` on.
 
     `current` is the bitset of the generators that still fit below
-    x^(a - face).  A module-level recursion, so that no closure refers to
-    itself and the walk leaves no reference cycle behind.
+    x^(a - face), and vertex[k] the bit of the k-th support index.  A
+    module-level recursion, so that no closure refers to itself and the
+    walk leaves no reference cycle behind.
     """
-    for k in range(start, len(support)):
+    for k in range(start, len(step)):
         nxt = current & step[k]
         if nxt:
-            child = face + (support[k],)
+            child = face | vertex[k]
             faces.append(child)
-            _grow_faces(child, k + 1, nxt, support, step, faces)
+            _grow_faces(child, k + 1, nxt, vertex, step, faces)
 
 
 def betti(ideal):
@@ -319,9 +422,9 @@ def betti(ideal):
     below = _below_bitsets([g.exponents for g in ideal.gens])
     for a in lattice.elements:
         faces, support = _koszul_faces(a.exponents, below)
-        if faces and _is_cone(faces, support):
+        if _is_cone(faces, support):
             continue
-        for d, r in reduced_homology(faces).items():
+        for d, r in _homology(faces).items():
             entries[(d + 2, a)] = r
     return BettiTable(n, entries)
 
@@ -356,12 +459,13 @@ def depth_quotient(ideal):
     """Exact depth(S/I) = n - pd(S/I); the zero ideal has depth n.
 
     pd = max{i : beta_{i,a} != 0} is read off the top of the Betti table
-    without building the rest of it.  beta_{i,a} = 0 for i > |supp(a)|, so
-    the lcm-lattice elements are visited by decreasing support size, and
-    the walk stops at the first element whose support cannot raise pd;
-    every support is at most n, so it also stops once pd = n.  At each
-    element only the homology in dimensions >= pd - 1 (Betti index > pd)
-    is computed.  The minimal generators give beta_1, so pd starts at 1.
+    without building the rest of it.  beta_{i,a} = 0 for i > s = |supp(a)|,
+    and beta_{s,a} needs no homology (`_top_row`), so a first pass over the
+    lcm-lattice elements by decreasing support size finds pd0, the largest
+    s whose top row is non-zero (at least 1, from the generators).  Only
+    an element with support at least pd + 2 can raise pd further, so the
+    walk builds faces for those alone, again by decreasing support, and
+    computes only the homology in dimensions >= pd - 1 (Betti index > pd).
     """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
@@ -378,8 +482,14 @@ def depth_quotient(ideal):
     for size, a in elements:
         if size <= pd:
             break
+        if _top_row(a, below):
+            pd = size
+            break
+    for size, a in elements:
+        if size <= pd + 1:
+            break
         faces, support = _koszul_faces(a, below)
-        if faces and _is_cone(faces, support):
+        if _is_cone(faces, support):
             continue
         d = next((d for d, r in _homology_from_top(faces, pd - 1) if r), None)
         if d is not None:
@@ -423,24 +533,20 @@ def max_ideal_associated(ideal):
     beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
     so the top row of the Betti table lists every monomial w with w not
     in I and x_j*w in I for all j, and each a = w + 1 lies in the lcm
-    lattice.  Those two tests are ANDs of `_below_bitsets` rows at the
-    full-support lattice elements, with no homology: the answer is
-    (False, None) when no element passes, and otherwise (True, w) for the
-    w of largest degree, ties going to the smallest exponent tuple.
+    lattice.  `_top_row` makes those two tests, as ANDs of `_below_bitsets`
+    rows, at the full-support lattice elements, with no homology: the
+    answer is (False, None) when no element passes, and otherwise (True, w)
+    for the w of largest degree, ties going to the smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
-    socle = []
-    for a in _lcm_closure(vectors):
-        if not all(a):
-            continue
-        w = tuple(e - 1 for e in a)
-        if _dividing(w, below):
-            continue
-        if all(_dividing(w[:j] + (a[j],) + w[j + 1:], below) for j in range(len(a))):
-            socle.append(w)
+    socle = [
+        tuple(e - 1 for e in a)
+        for a in _lcm_closure(vectors)
+        if all(a) and _top_row(a, below)
+    ]
     if not socle:
         return False, None
     return True, Monomial(min(socle, key=lambda w: (-sum(w), w)))

@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathdepth.depth import (
@@ -17,6 +17,7 @@ from pathdepth.depth import (
     _is_cone,
     _koszul_faces,
     _lcm_closure,
+    _top_row,
     betti,
     build_lcm_lattice,
     depth_quotient,
@@ -164,6 +165,8 @@ def test_homology_of_known_complexes():
     assert reduced_homology(solid) == {}
     # empty complex (only the empty face)
     assert reduced_homology([]) == {-1: 1}
+    # vertices of any hashable kind, faces as any iterables, read once
+    assert reduced_homology(iter([["a"], {"b"}, ("c",), ("a", "c")])) == {0: 1}
     # 2-sphere: boundary of a tetrahedron
     verts = (1, 2, 3, 4)
     sphere = [f for r in (1, 2, 3) for f in combinations(verts, r)]
@@ -178,6 +181,37 @@ def test_homology_matches_naive_oracle(gen_faces):
         for r in range(1, len(f) + 1):
             closed.update(combinations(sorted(f), r))
     assert reduced_homology(closed) == naive_homology(closed)
+
+
+def set_cone(faces, vertices):
+    """Reference oracle: some vertex v has f + {v} in the complex for every
+    nonempty face f without v, by set lookups on tuple faces."""
+    face_set = {frozenset(f) for f in faces}
+    for v in vertices:
+        if all(f | {v} in face_set for f in face_set if v not in f):
+            return True
+    return False
+
+
+def face_mask(face):
+    return sum(1 << v for v in face)
+
+
+@given(st.sets(st.frozensets(st.integers(0, 5), min_size=1, max_size=4), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_cone_count_matches_set_definition(gen_faces):
+    closed = set()
+    for f in gen_faces:
+        for r in range(1, len(f) + 1):
+            closed.update(combinations(sorted(f), r))
+    vertices = sorted({v for f in closed for v in f}) + [6]  # and one outside
+    masks = [face_mask(f) for f in closed]
+    if closed:
+        assert _is_cone(masks, vertices) == set_cone(closed, vertices)
+    else:
+        # {empty face} has homology in dimension -1: never a cone
+        assert not _is_cone(masks, vertices)
+    assert not _is_cone(masks, [])
 
 
 # lcm lattice ---------------------------------------------------------
@@ -259,6 +293,69 @@ def test_open_interval_agrees_with_koszul_betti():
 # packed lcm closure and bitset Koszul strands against the Monomial oracle
 
 
+def scalar_lcm_closure(exponent_tuples):
+    """Reference oracle: the closure of exponent tuples under componentwise
+    max, in lex order, one packed word per tuple and one step per pair.
+
+    Each tuple is packed into one int, x_1 in the highest field; a field
+    holds w = max_exponent.bit_length() value bits under one guard bit G.
+    Per field, (a | G) - b keeps its guard bit iff a_i >= b_i and never
+    borrows from the next field, so the guards, spread over the value
+    bits, select the larger of each pair of exponents.
+    """
+    n = len(exponent_tuples[0])
+    w = max(max(t) for t in exponent_tuples).bit_length()
+    shifts = [(n - 1 - i) * (w + 1) for i in range(n)]
+    guard = sum(1 << (s + w) for s in shifts)
+    gens = {sum(e << s for e, s in zip(t, shifts)) for t in exponent_tuples}
+    elements = set(gens)
+    frontier = gens
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            ag = a | guard
+            for b in gens:
+                ge = (ag - b) & guard
+                keep = ge - (ge >> w)
+                fresh.add((a & keep) | (b & ~keep))
+        frontier = fresh - elements
+        elements |= frontier
+    mask = (1 << w) - 1
+    return [tuple((m >> s) & mask for s in shifts) for m in sorted(elements)]
+
+
+# 8 variables with exponents up to 200: 8 fields of 9 bits, a 72-bit word
+WIDE = [
+    (200, 3, 0, 0, 0, 0, 0, 1),
+    (0, 0, 150, 2, 0, 0, 0, 1),
+    (0, 0, 0, 0, 199, 1, 100, 0),
+    (0, 17, 0, 0, 0, 0, 1, 200),
+    (1, 1, 1, 1, 1, 1, 1, 1),
+]
+
+
+@st.composite
+def exponent_vectors(draw):
+    n = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([1, 3, 9, 200, 255, 256, 300]))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=7))
+    if not any(map(any, vectors)):
+        vectors[0] = (top,) * n
+    return vectors
+
+
+@given(exponent_vectors())
+@example([(5,)])  # one variable, one generator
+@example([(1, 0, 2)])  # one generator
+@example([(3,), (7,), (1,)])  # one variable
+@example([(300, 0), (0, 256), (255, 255)])  # exponents above 255
+@example(WIDE)  # a word wider than 64 bits
+@example([(1,) * 32, (1, 0) * 16])  # a word of exactly 64 bits, one item
+@settings(max_examples=150, deadline=None)
+def test_lane_closure_matches_scalar_oracle(vectors):
+    assert _lcm_closure(vectors) == scalar_lcm_closure(vectors)
+
+
 def monomial_lcm_closure(ideal):
     """Reference oracle: the lcm closure over Monomial objects, lex-sorted."""
     gens = ideal.gens
@@ -316,14 +413,14 @@ def membership_koszul_faces(exponents, member):
 
 
 def oracle_betti_entries(ideal):
-    """Betti entries of S/I from the two oracles above, in the engine's order."""
+    """Betti entries of S/I from the oracles above, in the engine's order."""
     entries = {(0, Monomial.unit(ideal.n_vars)): 1}
     member = _membership_oracle(ideal)
     for a in monomial_lcm_closure(ideal):
         faces, support, in_ideal = membership_koszul_faces(a.exponents, member)
         if not in_ideal:
             continue
-        if faces and _is_cone(faces, support):
+        if faces and set_cone(faces, support):
             continue
         for d, r in reduced_homology(faces).items():
             entries[(d + 2, a)] = r
@@ -333,12 +430,16 @@ def oracle_betti_entries(ideal):
 def assert_matches_oracle(ideal):
     lattice = build_lcm_lattice(ideal)
     assert lattice.elements == monomial_lcm_closure(ideal)
-    below = _below_bitsets([g.exponents for g in ideal.gens])
+    vectors = [g.exponents for g in ideal.gens]
+    assert _lcm_closure(vectors) == scalar_lcm_closure(vectors)
+    below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
     for a in lattice.elements:
         faces, support, in_ideal = membership_koszul_faces(a.exponents, member)
         assert in_ideal
-        assert _koszul_faces(a.exponents, below) == (faces, support), str(a)
+        # bitmask faces in the oracle's DFS order
+        masks = [face_mask(f) for f in faces]
+        assert _koszul_faces(a.exponents, below) == (masks, support), str(a)
     # same entries in the same order, not only the same map
     assert list(betti(ideal).entries.items()) == list(oracle_betti_entries(ideal).items())
 
@@ -412,6 +513,8 @@ def test_packed_engine_matches_oracle_on_wide_fields():
     # 7 value bits per field
     assert_matches_oracle(parse_ideal("x1^100, x2^100, x3^100", 3))
     assert_matches_oracle(parse_ideal("x1^100*x2, x2^64*x3^127, x1^63*x3", 3))
+    # 8 fields of 9 bits: a 72-bit word, two 64-bit items per lane
+    assert_matches_oracle(MonomialIdeal(8, [Monomial(t) for t in WIDE]))
 
 
 def test_packed_engine_matches_oracle_on_fourteen_variables():
@@ -503,19 +606,22 @@ def support_size(exponents):
 def walk_oracle(ideal):
     """The multidegrees the walk must examine, and its pd, from the full table.
 
-    Lattice elements go by decreasing support size, ties in lex order; the
-    walk stops at the first element whose support is at most the pd of the
-    elements before it (and of the generators, which give pd >= 1).
+    pd starts at pd0, the largest s with beta_{s,a} != 0 for an a of
+    support size s (the top rows), and at least 1 (the generators).
+    Lattice elements then go by decreasing support size, ties in lex
+    order; each with support at least pd + 2 is examined and may raise
+    pd, and the walk stops at the first element with a smaller support.
     """
     top = {}
     for (i, a), _ in betti(ideal).entries.items():
         top[a.exponents] = max(top.get(a.exponents, 0), i)
     elements = sorted(
-        _lcm_closure([g.exponents for g in ideal.gens]), key=lambda a: -support_size(a)
+        scalar_lcm_closure([g.exponents for g in ideal.gens]), key=lambda a: -support_size(a)
     )
-    pd, examined = 1, []
+    pd = max([1] + [i for a, i in top.items() if i == support_size(a)])
+    examined = []
     for a in elements:
-        if support_size(a) <= pd:
+        if support_size(a) < pd + 2:
             break
         examined.append(a)
         pd = max(pd, top.get(a, 0))
@@ -546,12 +652,31 @@ def test_walk_examines_only_elements_that_can_raise_pd(ideal):
 
 
 def test_walk_stops_at_the_largest_support():
-    # pd = n at the top element: nothing else is examined
-    assert walk(MonomialIdeal.maximal(4)) == ([(1, 1, 1, 1)], 4)
-    # two disjoint edges: the top gives pd 2, so the edges are not examined
+    # the top element's top row gives pd = n: no faces are built
+    assert walk(MonomialIdeal.maximal(4)) == ([], 4)
+    # two disjoint edges: no top row passes above the generators (pd0 = 1),
+    # the top gives pd 2, and the edges, of support 2 < 2 + 2, are not examined
     assert walk(parse_ideal("x1*x2, x3*x4", 4)) == ([(1, 1, 1, 1)], 2)
-    # the first full-support element gives pd n - 1, the second pd n
-    assert walk(parse_ideal("x1^2*x3, x2^2, x3^2", 3)) == ([(2, 2, 1), (2, 2, 2)], 3)
+    # (2, 2, 2)'s top row gives pd = n: (2, 2, 1), which the walk once
+    # examined first, is never reached
+    assert walk(parse_ideal("x1^2*x3, x2^2, x3^2", 3)) == ([], 3)
+
+
+@given(small_ideals(n_max=4, gens_max=5), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_top_row_is_the_homology_in_the_top_dimension(ideal, polarize):
+    # beta_{s,a} != 0, s = |supp(a)|, read off rows equals the homology of
+    # the Koszul strand complex, built by the membership oracle
+    if polarize:
+        ideal, _ = ideal.polarize()
+        if ideal.n_vars > 10:
+            return
+    below = _below_bitsets([g.exponents for g in ideal.gens])
+    member = _membership_oracle(ideal)
+    for a in monomial_lcm_closure(ideal):
+        faces, support, _ = membership_koszul_faces(a.exponents, member)
+        top = reduced_homology(faces).get(len(support) - 2, 0)
+        assert _top_row(a.exponents, below) == bool(top), str(a)
 
 
 def test_depth_ladder_pins():
@@ -572,13 +697,20 @@ def test_depth_ladder_pins():
 
 def test_depth_quotient_leaves_no_reference_cycle():
     # the Koszul faces are grown by a module-level recursion, not a closure
-    # that refers to itself, so with the collector off one depth leaves
-    # nothing behind for it to collect
+    # that refers to itself, and the closure's lanes are read back through
+    # plain arrays, so with the collector off none of the three entry points
+    # leaves anything behind for it to collect
     ideal = cycle_ideal(6, 4).power(2)
+    wide = MonomialIdeal(8, [Monomial(t) for t in WIDE])
     gc.collect()
     gc.disable()
     try:
         assert depth_quotient(ideal).depth == 1
+        assert gc.collect() == 0
+        assert betti(ideal).projective_dimension() == 5
+        assert gc.collect() == 0
+        assert max_ideal_associated(ideal) == (False, None)
+        assert max_ideal_associated(wide) == (False, None)
         assert gc.collect() == 0
     finally:
         gc.enable()
