@@ -7,14 +7,14 @@ into intervals [a, b] whose label |{i : b_i = g_i}| is at least k; the
 search is an exact cover over interval candidates, decided from high k
 downward.  A budget exhaustion is an error, never a wrong answer.
 
-The kernel runs on bitsets.  The poset is built by walking the box one
-variable at a time with the Betti engine's generator bitsets
-(`depth._below_bitsets`, whose rows are byte strings translated into
-binary digits), and a stable sort by degree keeps the walk's lex order
-within a degree.  Each poset builds its per-coordinate rows over its
-points once (`CharacteristicPoset.below` and `.up`), and every k's
-search, the Hilbert and colon bounds and the symmetry finder read them.
-Admissible tops and interval cells are ANDs of such rows
+The kernel runs on bitsets.  One pass over the box (`_box`) makes the
+bitset of its points outside I, in lex order, from "x_i >= c" patterns
+built only at the generators' exponents and at g_i; the points are read
+off it with its bits as selectors, sorted stably by degree, and so is
+the sweep bound.  Each poset builds its per-coordinate rows over its
+points (`CharacteristicPoset.below` and `.up`) and its label classes
+once, and every k's search, the bounds and the symmetry finder read
+them.  Admissible tops and interval cells are ANDs of such rows
 (`depth._dividing`), and one first-uncovered exact cover, a loop over an
 explicit stack (`_exact_cover`), runs both the search and the symmetry
 finder.  The pre-check and candidate construction are charged in the
@@ -33,14 +33,14 @@ gives.
 
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
-depth-0 quotient gets sdepth 0 with no search; it is read off bitsets
-over the whole box in lex order, built from the generators.  The Hilbert
-bound, computed only when the sweep bound is at least 2, is the largest
-d with (1-t)^d H(S/I; t) nonnegative, which no Stanley decomposition can
-beat; H is counted off the poset's (degree, label) classes, the one
-shape path that the colon bound takes too.  At each k >= 2 the search
-pauses once, on passing node_budget // 100 nodes, or stops if it runs
-out before, and three tools that settle some k cheaply get their turn.
+depth-0 quotient gets sdepth 0 with no search; it is read off the box
+bitset the points come from.  The Hilbert bound, computed only when the
+sweep bound is at least 2, is the largest d with (1-t)^d H(S/I; t)
+nonnegative, which no Stanley decomposition can beat; H is counted off
+the poset's (degree, label) classes, the one shape path that the colon
+bound takes too.  At each k >= 2 the search pauses once, on passing
+node_budget // 100 nodes, or stops if it runs out before, and three
+tools that settle some k cheaply get their turn.
 The colon-Hilbert bound, computed once per call: sdepth(S/I) <=
 sdepth(S/(I : x^a)) (the paper's Lemma 1.4), and the Hilbert bound of
 each colon is read off the points above a, once per distinct multiset of
@@ -67,6 +67,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from itertools import product as _cartesian
 from math import comb, prod
 from operator import eq, itemgetter, lt, xor
@@ -121,28 +122,11 @@ class CharacteristicPoset:
         return sum(map(eq, b, self.g))
 
     @cached_property
-    def labels(self):
-        """The label of each point, in the order of `points`, computed once.
-
-        The bit-sliced count of `_label_classes` over the up rows at g_i,
-        i in the support of g, gives a bitset per count; its binary digits,
-        translated to that count, are one byte per point, and the classes
-        are disjoint, so their OR holds every point's count.  A coordinate
-        with g_i = 0 is at its cap at every point and adds one to each
-        label afterwards.  A count is at most the size of the support,
-        below 256 in any box that fits in memory (it holds 2^|support|
-        points or more), so one byte holds it at any n_vars.
-        """
-        npts = len(self.points)
-        capped = [row[gi] for row, gi in zip(self.up, self.g) if gi]
-        counts = 0
-        for count, bits in enumerate(_label_classes(capped, (1 << npts) - 1)):
-            if count and bits:
-                digits = format(bits, "0%db" % npts).encode()
-                to_count = bytes.maketrans(b"01", bytes((0, count)))
-                counts |= int.from_bytes(digits.translate(to_count), "big")
-        # the digits run from the last point to the first
-        return tuple(map((len(self.g) - len(capped)).__add__, counts.to_bytes(npts, "little")))
+    def label_classes(self):
+        """label_classes[L], L = 0..n_vars: the bitset of the points of
+        label L, a bit-sliced count of the up rows at g_i, built once."""
+        capped = [row[gi] for row, gi in zip(self.up, self.g)]
+        return _label_classes(capped, (1 << len(self.points)) - 1)
 
     @cached_property
     def below(self):
@@ -190,12 +174,24 @@ DEFAULT_POSET_CAP = 100_000
 def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
     """The exponent vectors a <= g outside I, sorted by (degree, lex).
 
-    g must be a multiple of lcm(G(I)); it defaults to the lcm.
+    g must be a multiple of lcm(G(I)); it defaults to the lcm.  The points
+    are read off the bitset of the box points outside I (`_box`): the box
+    in lex order, filtered with the bits as selectors, then sorted stably
+    by degree.  The poset builds its rows and its label classes, one
+    bitset of points per label, once, when first read.
+    """
+    return _poset_of(_box(ideal, g, cap))
 
-    The box is walked variable by variable, carrying the AND of the
-    `_below_bitsets` rows of the prefix: the generators that still fit
-    under it.  A point lies outside I iff that AND is zero at its last
-    variable, and once it is zero every completion of the prefix does.
+
+def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
+    """(g, strides, members, capped): the box of the vectors a <= g as
+    bitsets, bit r standing for the point of lex rank r, so a step +1 in
+    x_i is a shift by strides[i].
+
+    "x_i >= c" is a periodic pattern, built only at the generators'
+    nonzero exponents and at g_i, so a wide column costs no pattern per
+    value it spans.  `members` holds the points outside I, those under no
+    generator's AND of its patterns, and capped[i] those with x_i = g_i.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
@@ -208,67 +204,14 @@ def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
     if any(map(lt, cap_vec, lcm.exponents)):
         # below the lcm a point no longer decides membership of its cone
         raise ValueError("g = %s is not a multiple of lcm(G(I)) = %s" % (g, lcm))
-    size = 1
-    for e in cap_vec:
-        size *= e + 1
+    strides = [prod(e + 1 for e in cap_vec[i + 1:]) for i in range(len(cap_vec))]
+    size = strides[0] * (cap_vec[0] + 1)
     if size > cap:
         raise PosetCapError("box of size %d exceeds cap %d" % (size, cap))
-    rows = _below_bitsets([h.exponents for h in ideal.gens], cap_vec)
-    points = []
-    _walk_box((), -1, rows, [range(e + 1) for e in cap_vec], points)
-    # the walk emits lex order, and the sort is stable
-    points.sort(key=sum)
-    return CharacteristicPoset(ideal.n_vars, cap_vec, tuple(points))
-
-
-def _walk_box(prefix, fitting, rows, ranges, points):
-    """Append to `points` the completions of `prefix` outside the ideal.
-
-    `fitting` is the bitset of the generators that fit under the prefix.
-    A module-level recursion, so that no closure refers to itself and the
-    walk leaves no reference cycle behind.
-    """
-    i = len(prefix)
-    if not fitting:
-        points.extend(prefix + rest for rest in _cartesian(*ranges[i:]))
-    elif i == len(rows) - 1:
-        # the rows grow with v, so the points end at the first hit
-        for v, row in enumerate(rows[i]):
-            if fitting & row:
-                break
-            points.append(prefix + (v,))
-    else:
-        for v, row in enumerate(rows[i]):
-            _walk_box(prefix + (v,), fitting & row, rows, ranges, points)
-
-
-def _leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _sweep_bound(ideal, g):
-    """Smallest label of a maximal point of the poset of S/I with cap g.
-
-    A maximal point is its own only admissible top, and every point lies
-    below a maximal one, so this is the largest k at which every point
-    has an admissible top: no partition reaches a larger min label.  It is
-    0 exactly when a socle monomial of S/I exists, i.e. when depth is 0.
-
-    It is computed bit-parallel over the box, bit r standing for the
-    point of lex rank r, so a step +1 in x_i is a shift by stride_i.
-    "x_i >= c" is a periodic pattern; the points outside I are those under
-    no generator's AND of such patterns; a point is maximal when no step
-    up in an uncapped coordinate stays outside I; and its label counts
-    the capped coordinates, whose classes `_label_classes` sorts out.
-    """
-    strides = [prod(e + 1 for e in g[i + 1:]) for i in range(len(g))]
-    size = strides[0] * (g[0] + 1)
     at_least = []  # at_least[i][c]: the points with x_i >= c
-    for i, (gi, step) in enumerate(zip(g, strides)):
-        # only the c read below: the generators' nonzero exponents and gi,
-        # so a wide column costs no pattern per value it spans.  A period
-        # of x_i is gi + 1 runs of `step` bits, x_i = c on run c; int()
-        # reads the highest bit first
+    for i, (gi, step) in enumerate(zip(cap_vec, strides)):
+        # a period of x_i is gi + 1 runs of `step` bits, x_i = c on run c;
+        # int() reads the highest bit first
         periods = size // (step * (gi + 1))
         wanted = {h.exponents[i] for h in ideal.gens if h.exponents[i]} | {gi}
         at_least.append(
@@ -282,10 +225,49 @@ def _sweep_bound(ideal, g):
                 cone &= row[c]
         inside |= cone
     members = ((1 << size) - 1) ^ inside
+    return cap_vec, strides, members, [row[gi] for row, gi in zip(at_least, cap_vec)]
+
+
+def _poset_of(box):
+    """The poset of the points of a `_box`, read off its members bitset."""
+    g, _, members, _ = box
+    box_order = _cartesian(*(range(e + 1) for e in g))
+    # lex order within a degree: the box's order, and the sort is stable
+    points = sorted(compress(box_order, _selectors(members)), key=sum)
+    return CharacteristicPoset(len(g), g, tuple(points))
+
+
+# binary digits to the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selectors(bits):
+    """One byte per bit of `bits` up to its highest set one, lowest first,
+    1 where it is set: selectors for `itertools.compress`."""
+    return format(bits, "b").encode().translate(_DIGIT_VALUES)[::-1]
+
+
+def _leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _sweep_bound(box):
+    """Smallest label of a maximal point of the poset of a `_box`.
+
+    A maximal point is its own only admissible top, and every point lies
+    below a maximal one, so this is the largest k at which every point
+    has an admissible top: no partition reaches a larger min label.  It is
+    0 exactly when a socle monomial of S/I exists, i.e. when depth is 0.
+
+    It is computed bit-parallel over the box: a point is maximal when no
+    step up in an uncapped coordinate stays outside I, and its label
+    counts the capped coordinates, whose classes `_label_classes` sorts
+    out.
+    """
+    _, strides, members, capped = box
     blocked = 0
-    for row, gi, step in zip(at_least, g, strides):
-        blocked |= (members >> step) & ~row[gi]
-    capped = [row[gi] for row, gi in zip(at_least, g)]
+    for row, step in zip(capped, strides):
+        blocked |= (members >> step) & ~row
     return next(label for label, bits in enumerate(_label_classes(capped, members & ~blocked)) if bits)
 
 
@@ -358,12 +340,9 @@ def _shape_classes(poset):
     """(degree, label, bitset of the points of that shape), nonempty ones.
 
     A degree is a run of bits, as the points are sorted by degree, and its
-    end is found by bisection; the labels are a bitwise count of the
-    coordinates at their cap, read off the up rows at g_i.
+    end is found by bisection; the labels are the poset's label classes.
     """
-    capped = [row[gi] for row, gi in zip(poset.up, poset.g)]
-    exactly = _label_classes(capped, (1 << len(poset.points)) - 1)
-    points = poset.points
+    points, exactly = poset.points, poset.label_classes
     classes = []
     start = 0
     while start < len(points):
@@ -504,7 +483,8 @@ def _admissible_tops(poset, k):
     """The points of label >= k, in the order of `points`, and their
     `_at_least` rows at cap g: the admissible tops of a point p are the
     bits of `_dividing(p, rows)`."""
-    tops = [b for b, label in zip(poset.points, poset.labels) if label >= k]
+    # the classes are disjoint, so their sum is their OR
+    tops = list(compress(poset.points, _selectors(sum(poset.label_classes[k:]))))
     return tops, _at_least(_below_bitsets(tops, poset.g))
 
 
@@ -911,8 +891,9 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     The search's nodes stop short by the units of both.  When none of the
     three settles k, the search resumes, or its budget error is raised.
     """
-    poset = build_poset(ideal, g=g, cap=cap)
-    top = _sweep_bound(ideal, poset.g)
+    box = _box(ideal, g, cap)
+    poset = _poset_of(box)
+    top = _sweep_bound(box)
     if top >= 2:
         # a positive sweep bound means depth >= 1, hence sdepth >= 1, so
         # at sweep bound 1 no bound can shorten the descent

@@ -25,7 +25,9 @@ from pathdepth.sdepth import (
     SdepthResult,
     SearchBudgetError,
     StanleyPartition,
+    _admissible_tops,
     _at_least,
+    _box,
     _candidate_charge,
     _colon_bound,
     _colon_exponents,
@@ -649,7 +651,7 @@ def test_sweep_start_keeps_every_decided_answer(ideal, budget):
 @settings(max_examples=40, deadline=None)
 def test_sweep_bound_against_exhaustive_search(ideal):
     poset = build_poset(ideal)
-    bound = _sweep_bound(ideal, poset.g)
+    bound = _sweep_bound(_box(ideal))
     passing = [k for k in range(ideal.n_vars + 1) if precheck_passes(poset, k)]
     assert bound == max(passing)
     decided = max(k for k in range(ideal.n_vars + 1) if exhaustive_has_partition(poset, k))
@@ -667,7 +669,7 @@ def test_sweep_bound_on_ladder_instances():
         (path_ideal(4, 2).power(3), 2),
         (cycle_ideal(5, 4).power(4), 0),
     ):
-        assert _sweep_bound(ideal, build_poset(ideal).g) == bound, str(ideal)
+        assert _sweep_bound(_box(ideal)) == bound, str(ideal)
 
 
 @st.composite
@@ -689,18 +691,18 @@ def bound_ideals(draw):
 @given(bound_ideals(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_bounds_match_their_scan_oracles(ideal, data):
-    # the box-order sweep, the Hilbert bound off the shape classes and the
-    # colon bound that skips repeated shapes, against the scans they
-    # replace, for g = lcm and for a g above it; the points in (degree,
-    # lex) order from a sort by degree alone
+    # the points read off the box bitset, the box-order sweep, the Hilbert
+    # bound off the shape classes and the colon bound that skips repeated
+    # shapes, against the scans they replace, for g = lcm and for a g above
+    # it, on columns up to 299 wide
     lcm = ideal.lcm_of_gens().exponents
     above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
     upto = data.draw(st.integers(0, ideal.n_vars))
     for g in (None, above):
         poset = build_poset(ideal, g=g)
-        assert poset.points == tuple(sorted(poset.points, key=lambda a: (sum(a), a)))
         where = (str(ideal), poset.g, upto)
-        assert _sweep_bound(ideal, poset.g) == scan_sweep_bound(poset), where
+        assert poset == box_scan_poset(ideal, g=g), where
+        assert _sweep_bound(_box(ideal, g)) == scan_sweep_bound(poset), where
         assert _hilbert_bound(poset, upto) == counter_hilbert_bound(poset, upto), where
         assert _colon_bound(poset, upto) == scan_colon_bound(poset, upto), where
 
@@ -710,9 +712,22 @@ def test_bounds_match_their_scan_oracles_on_ladder_instances():
     # colons repeat an earlier one's shapes, and I(7,3)^3 (12,550)
     for ideal in (cycle_ideal(7, 3).power(3), path_ideal(7, 3).power(3)):
         poset = build_poset(ideal)
-        assert _sweep_bound(ideal, poset.g) == scan_sweep_bound(poset), str(ideal)
+        assert _sweep_bound(_box(ideal)) == scan_sweep_bound(poset), str(ideal)
         assert _hilbert_bound(poset, 6) == counter_hilbert_bound(poset, 6), str(ideal)
         assert _colon_bound(poset, 6) == scan_colon_bound(poset, 6), str(ideal)
+
+
+def assert_label_classes_match(poset):
+    """Each label class holds exactly the points of its label, and the
+    admissible tops at each k are the points of label >= k, in order."""
+    labels = list(map(poset.label, poset.points))
+    assert len(poset.label_classes) == poset.n_vars + 1
+    for label, bits in enumerate(poset.label_classes):
+        assert [bits >> j & 1 for j in range(len(labels))] == [x == label for x in labels]
+        assert bits >> len(labels) == 0
+    for k in range(poset.n_vars + 1):
+        tops = [b for b in poset.points if poset.label(b) >= k]
+        assert _admissible_tops(poset, k)[0] == tops, k
 
 
 @given(bound_ideals(), st.data())
@@ -723,38 +738,39 @@ def test_labels_match_the_label_of_each_point(ideal, data):
     lcm = ideal.lcm_of_gens().exponents
     above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
     for g in (None, above):
-        poset = build_poset(ideal, g=g)
-        assert poset.labels == tuple(map(poset.label, poset.points)), (str(ideal), poset.g)
+        assert_label_classes_match(build_poset(ideal, g=g))
     wider = MonomialIdeal(ideal.n_vars + 1, [Monomial(h.exponents + (0,)) for h in ideal.gens])
-    poset = build_poset(wider)
-    assert poset.labels == tuple(map(poset.label, poset.points)), str(wider)
+    assert_label_classes_match(build_poset(wider))
 
 
 def test_labels_in_many_variables():
     # squarefree in 16 variables, a poset of 2,207 points with labels up to
-    # 8, on the same one-byte-per-point path; and (x1x2) in 300 variables,
-    # labels above 255 from the 298 coordinates with g_i = 0
+    # 8; and (x1x2) in 300 variables, labels above 255 from the 298
+    # coordinates with g_i = 0
     poset = build_poset(cycle_ideal(16, 2))
     assert len(poset) == 2207
-    assert poset.labels == tuple(map(poset.label, poset.points))
-    assert max(poset.labels) == 8
+    assert_label_classes_match(poset)
+    assert max(i for i, bits in enumerate(poset.label_classes) if bits) == 8
     poset = build_poset(parse_ideal("x1*x2", 300))
-    assert poset.labels == tuple(map(poset.label, poset.points)) == (298, 299, 299)
+    assert_label_classes_match(poset)
+    assert [i for i, bits in enumerate(poset.label_classes) if bits] == [298, 299]
+    assert list(map(poset.label, poset.points)) == [298, 299, 299]
 
 
 def test_sweep_bound_with_one_wide_exponent_builds_few_patterns():
     # x1^20000*x2: a box of 40,002 points.  Patterns only at the
-    # generators' exponents and at g keep the sweep to a few 40,002-bit
-    # ints, where one pattern per value of x1 would take about 100 MB
+    # generators' exponents and at g keep the box pass and the sweep to a
+    # few 40,002-bit ints, where one pattern per value of x1 would take
+    # about 100 MB
     ideal = MonomialIdeal(2, [Monomial((20000, 1))])
-    poset = build_poset(ideal)
     tracemalloc.start()
     try:
-        bound = _sweep_bound(ideal, poset.g)
+        box = _box(ideal)
+        bound = _sweep_bound(box)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert bound == scan_sweep_bound(poset) == 1
+    assert bound == scan_sweep_bound(build_poset(ideal)) == 1
     assert peak < 4_000_000, peak
 
 
@@ -780,18 +796,24 @@ def test_colon_bound_bounds_each_shape_multiset_once(monkeypatch):
 
 def test_rows_are_built_once_per_poset(monkeypatch):
     # J(6,4)^2 is searched at k = 3, bounded by its colons, then searched
-    # and decided by the finder at k = 2: one set of rows over its points
-    # serves them all
-    built = []
-    rows = sdepth._below_bitsets
+    # and decided by the finder at k = 2: one box pass gives its points and
+    # its sweep bound, and one set of rows over its points serves them all
+    built, boxes = [], []
+    rows, box = sdepth._below_bitsets, sdepth._box
 
     def counted(vectors, caps=None):
         built.append(vectors)
         return rows(vectors, caps)
 
+    def counted_box(*args):
+        boxes.append(args)
+        return box(*args)
+
     monkeypatch.setattr(sdepth, "_below_bitsets", counted)
+    monkeypatch.setattr(sdepth, "_box", counted_box)
     ideal = cycle_ideal(6, 4).power(2)
     assert sdepth_quotient(ideal).sdepth == 2
+    assert len(boxes) == 1
     assert built.count(build_poset(ideal).points) == 1
 
 
@@ -1071,7 +1093,7 @@ def test_finder_matches_its_stack_predecessor(ideal):
     # again, it would not be found
     poset = build_poset(ideal)
     groups = _symmetry_groups(ideal, poset.g)
-    for k in range(2, _sweep_bound(ideal, poset.g) + 1):
+    for k in range(2, _sweep_bound(_box(ideal)) + 1):
         budgets = {1, 10, 100, 1000, DEFAULT_BUDGET}
         if stack_invariant_partition(poset, k, groups, DEFAULT_BUDGET) is not None:
             needed = _least(lambda budget: stack_invariant_partition(poset, k, groups, budget) is not None)
@@ -1517,8 +1539,8 @@ def test_budget_below_one_is_rejected():
 
 
 def test_build_poset_leaves_no_reference_cycle():
-    # the box walk is a module-level recursion, not a closure that refers
-    # to itself, so with the collector off one poset leaves nothing behind
+    # the box pass and its read-off build no closure that refers to
+    # itself, so with the collector off one poset leaves nothing behind
     ideal = cycle_ideal(6, 4).power(2)
     gc.collect()
     gc.disable()
