@@ -10,8 +10,9 @@ a reason, never passed or failed.
 from __future__ import annotations
 
 import functools
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .depth import (
     DEFAULT_POLARIZATION_CAP,
@@ -75,14 +76,7 @@ class ClaimReport:
     observed: list = field(default_factory=list, compare=False)
 
     def as_dict(self):
-        return {
-            "claim_id": self.claim_id,
-            "params": self.params,
-            "values": self.values,
-            "relation": self.relation,
-            "verdict": self.verdict,
-            "reason": self.reason,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 # ---------------------------------------------------------------------
@@ -133,13 +127,18 @@ class _Checks:
     def skip(self, name, why):
         self.skipped.append("%s (%s)" % (name, why))
 
-    def sdepth(self, name, ideal):
-        """Exact sdepth(S/I) with a verified certificate, or None after a skip."""
+    def sdepth(self, name, ideal, values=None, key=None):
+        """Exact sdepth(S/I) with a verified certificate, or None after a skip.
+
+        A decided value is also stored as values[key] when values is given.
+        """
         value, why = _sdepth(ideal, self.node_budget)
         if value is None:
             self.skip(name, why)
         else:
             self.observed.append((str(ideal), _depth(ideal), value))
+            if values is not None:
+                values[key] = value
         return value
 
     def expect_sdepth(self, name, ideal, value):
@@ -233,10 +232,9 @@ def check_lemma_1_2(seed):
     tried = 0
     for n in range(1, n_max + 1):
         for part in _set_partitions(list(range(1, n + 1))):
-            U = None
-            for block in part:
-                prime = MonomialIdeal.variable_prime(block, n)
-                U = prime if U is None else U.intersect(prime)
+            U = functools.reduce(
+                MonomialIdeal.intersect, (MonomialIdeal.variable_prime(b, n) for b in part)
+            )
             checks.expect(
                 "n=%d partition %s" % (n, part), _depth(U) == len(part) - 1
             )
@@ -248,10 +246,9 @@ def check_lemma_1_2(seed):
         assignment = list(range(d)) + [rng.randrange(d) for _ in range(n - d)]
         rng.shuffle(assignment)
         blocks = [tuple(i + 1 for i, b in enumerate(assignment) if b == j) for j in range(d)]
-        U = None
-        for block in blocks:
-            prime = MonomialIdeal.variable_prime(block, n)
-            U = prime if U is None else U.intersect(prime)
+        U = functools.reduce(
+            MonomialIdeal.intersect, (MonomialIdeal.variable_prime(b, n) for b in blocks)
+        )
         checks.expect("n=%d random d=%d" % (n, d), _depth(U) == d - 1)
         tried += 1
     return checks.report(
@@ -286,6 +283,16 @@ def _random_monomial_outside(rng, ideal):
     return Monomial.unit(ideal.n_vars)
 
 
+def _compare(checks, i, I, tag, other, holds):
+    """The #i depth check, the two sdepths and, when both are decided, the
+    sdepth check of holds(invariant of I, invariant of other)."""
+    checks.expect("depth #%d" % i, holds(_depth(I), _depth(other)))
+    s_i = checks.sdepth("sdepth I #%d" % i, I)
+    s_o = checks.sdepth("sdepth %s #%d" % (tag, i), other)
+    if s_i is not None and s_o is not None:
+        checks.expect("sdepth #%d" % i, holds(s_i, s_o))
+
+
 def check_lemma_1_4(seed, node_budget=DEFAULT_BUDGET):
     """Colon monotonicity: depth and sdepth never drop under (I : u), u not in I."""
     samples = 50
@@ -294,12 +301,7 @@ def check_lemma_1_4(seed, node_budget=DEFAULT_BUDGET):
     for i in range(samples):
         I = _random_ideal(rng)
         u = _random_monomial_outside(rng, I)
-        C = I.colon(u)
-        checks.expect("depth #%d" % i, _depth(C) >= _depth(I))
-        s_i = checks.sdepth("sdepth I #%d" % i, I)
-        s_c = checks.sdepth("sdepth C #%d" % i, C)
-        if s_i is not None and s_c is not None:
-            checks.expect("sdepth #%d" % i, s_c >= s_i)
+        _compare(checks, i, I, "C", I.colon(u), lambda a, c: c >= a)
     return checks.report(
         "lemma-1.4",
         {"samples": samples, "seed": seed},
@@ -318,13 +320,9 @@ def check_lemma_1_5(seed, node_budget=DEFAULT_BUDGET):
         exps = tuple(rng.randint(0, 2) for _ in range(base.n_vars))
         u = Monomial(exps)
         I = base.scale(u)
-        checks.expect("guard #%d" % i, I == I.colon(u).scale(u))
         C = I.colon(u)
-        checks.expect("depth #%d" % i, _depth(C) == _depth(I))
-        s_i = checks.sdepth("sdepth I #%d" % i, I)
-        s_c = checks.sdepth("sdepth C #%d" % i, C)
-        if s_i is not None and s_c is not None:
-            checks.expect("sdepth #%d" % i, s_c == s_i)
+        checks.expect("guard #%d" % i, I == C.scale(u))
+        _compare(checks, i, I, "C", C, operator.eq)
     return checks.report(
         "lemma-1.5",
         {"samples": samples, "seed": seed},
@@ -340,12 +338,7 @@ def check_lemma_1_6(seed, node_budget=DEFAULT_BUDGET):
     checks = _Checks(node_budget)
     for i in range(samples):
         I = _random_ideal(rng)
-        E = I.extend(1)
-        checks.expect("depth #%d" % i, _depth(E) == _depth(I) + 1)
-        s_i = checks.sdepth("sdepth I #%d" % i, I)
-        s_e = checks.sdepth("sdepth E #%d" % i, E)
-        if s_i is not None and s_e is not None:
-            checks.expect("sdepth #%d" % i, s_e == s_i + 1)
+        _compare(checks, i, I, "E", I.extend(1), lambda a, e: e == a + 1)
     return checks.report(
         "lemma-1.6",
         {"samples": samples, "seed": seed},
@@ -526,33 +519,22 @@ def check_t1(n, t, node_budget=DEFAULT_BUDGET):
     """Theorem on depth/sdepth of J(n,n-1)^t and J(n,n-2)^t at t >= n-1."""
     checks = _Checks(node_budget)
     values = {}
-    if n >= 2 and t >= n - 1:
-        Jt = cycle_ideal(n, n - 1).power(t)
-        d = _depth(Jt)
-        values["depth_J_n_n-1"] = d
-        checks.expect("depth(S/J(n,n-1)^t) = 0", d == 0)
-        s = checks.sdepth("sdepth J(n,n-1)^t", Jt)
+
+    def clause(m, depth_name, depth, sdepth_name, lo, hi):
+        Jt = cycle_ideal(n, m).power(t)
+        tag = "n-%d" % (n - m)
+        d = values["depth_J_n_" + tag] = _depth(Jt)
+        checks.expect(depth_name, d == depth)
+        s = checks.sdepth("sdepth J(n,%s)^t" % tag, Jt, values, "sdepth_J_n_" + tag)
         if s is not None:
-            values["sdepth_J_n_n-1"] = s
-            checks.expect("sdepth(S/J(n,n-1)^t) = 0", s == 0)
-    if n >= 3 and n - 2 >= 2:
-        Jt = cycle_ideal(n, n - 2).power(t)
-        if n % 2 == 1 and t >= (n - 1) // 2:
-            d = _depth(Jt)
-            values["depth_J_n_n-2"] = d
-            checks.expect("depth = 0 (n odd)", d == 0)
-            s = checks.sdepth("sdepth J(n,n-2)^t", Jt)
-            if s is not None:
-                values["sdepth_J_n_n-2"] = s
-                checks.expect("sdepth = 0 (n odd)", s == 0)
-        if n % 2 == 0 and t >= n - 1:
-            d = _depth(Jt)
-            values["depth_J_n_n-2"] = d
-            checks.expect("depth = 1 (n even)", d == 1)
-            s = checks.sdepth("sdepth J(n,n-2)^t", Jt)
-            if s is not None:
-                values["sdepth_J_n_n-2"] = s
-                checks.expect("1 <= sdepth <= n/2 (n even)", 1 <= s <= n // 2)
+            checks.expect(sdepth_name, lo <= s <= hi)
+
+    if n >= 2 and t >= n - 1:
+        clause(n - 1, "depth(S/J(n,n-1)^t) = 0", 0, "sdepth(S/J(n,n-1)^t) = 0", 0, 0)
+    if n >= 4 and n % 2 == 1 and t >= (n - 1) // 2:
+        clause(n - 2, "depth = 0 (n odd)", 0, "sdepth = 0 (n odd)", 0, 0)
+    if n >= 4 and n % 2 == 0 and t >= n - 1:
+        clause(n - 2, "depth = 1 (n even)", 1, "1 <= sdepth <= n/2 (n even)", 1, n // 2)
     return checks.report(
         "theorem-2.2",
         {"n": n, "t": t},
@@ -595,9 +577,8 @@ def check_intermed(n, m, t, node_budget=DEFAULT_BUDGET):
     expected = phi(n, m, t) if t <= n - 2 * m else 2 * (m - 1)
     checks.expect("depth(S/V) = branch value", d == expected)
     values = {"depth": d, "expected": expected}
-    s = checks.sdepth("sdepth(S/V)", V)
+    s = checks.sdepth("sdepth(S/V)", V, values, "sdepth")
     if s is not None:
-        values["sdepth"] = s
         checks.expect("sdepth >= depth", s >= d)
     return checks.report(
         "lemma-2.4",
@@ -651,7 +632,7 @@ def check_teo_iran(I_small, L, t, node_budget=DEFAULT_BUDGET):
     checks = _Checks(node_budget)
     p = I_small.n_vars
     n2 = L.n_vars
-    dim_l = n2 - len(L.gens) if not L.is_zero() else n2
+    dim_l = n2 - len(L.gens)
     combined = I_small.extend(n2) + MonomialIdeal(
         p + n2, tuple(Monomial((0,) * p + g.exponents) for g in L.gens)
     )
@@ -660,9 +641,7 @@ def check_teo_iran(I_small, L, t, node_budget=DEFAULT_BUDGET):
     rhs = min(depths) + dim_l
     checks.expect("depth equality", lhs == rhs)
     values = {"depth": lhs, "min_depth_powers": min(depths), "dim_l": dim_l}
-    s = checks.sdepth("sdepth(S/(I+L)^t)", combined.power(t))
-    if s is not None:
-        values["sdepth"] = s
+    s = checks.sdepth("sdepth(S/(I+L)^t)", combined.power(t), values, "sdepth")
     small = [
         checks.sdepth("sdepth(S'/I^%d)" % i, I_small.power(i))
         for i in range(1, t + 1)
@@ -713,12 +692,8 @@ def check_inmt(n, m, t, k, node_budget=DEFAULT_BUDGET):
     d_small = _depth(Jprime.power(t))
     checks.expect("depth(S/J^t) <= depth(S'/J'^t) + 1", d_big <= d_small + 1)
     values = {"depth_J": d_big, "depth_Jprime": d_small}
-    s_big = checks.sdepth("sdepth(S/J^t)", Jt)
-    if s_big is not None:
-        values["sdepth_J"] = s_big
-    s_small = checks.sdepth("sdepth(S'/J'^t)", Jprime.power(t))
-    if s_small is not None:
-        values["sdepth_Jprime"] = s_small
+    s_big = checks.sdepth("sdepth(S/J^t)", Jt, values, "sdepth_J")
+    s_small = checks.sdepth("sdepth(S'/J'^t)", Jprime.power(t), values, "sdepth_Jprime")
     if s_big is not None and s_small is not None:
         checks.expect("sdepth(S/J^t) <= sdepth(S'/J'^t) + 1", s_big <= s_small + 1)
     return checks.report(
@@ -810,9 +785,7 @@ def check_obsy2(n, m, t, node_budget=DEFAULT_BUDGET):
     }
     if hypothesis:
         checks.expect("conditional: depth(S/J^t) >= depth(S/(J^t,x_n^t))", d_full >= d_sum)
-    s_sum = checks.sdepth("sdepth sum", sum_ideal)
-    if s_sum is not None:
-        values["sdepth_sum"] = s_sum
+    s_sum = checks.sdepth("sdepth sum", sum_ideal, values, "sdepth_sum")
     s = {
         k: checks.sdepth("s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1))
         for k in range(2, t + 1)
@@ -914,11 +887,10 @@ def run_example_1(node_budget=DEFAULT_BUDGET):
         checks.expect("sdepth(S'/W) >= 2 (replayed)", triple.bounds["sdepth_m"] >= 2)
     checks.expect("depth(S'/W) >= 2 (engine)", _depth(W) >= 2)
     d1 = _depth(IJp)
-    s1 = checks.sdepth("s_1 >= 2", IJp)
+    s1 = checks.sdepth("s_1 >= 2", IJp, values, "s_1")
     values["d_1"] = d1
     checks.expect("d_1 >= 2", d1 >= 2)
     if s1 is not None:
-        values["s_1"] = s1
         checks.expect("s_1 >= 2", s1 >= 2)
     d2 = _depth(Jprime.power(2))
     values["d_2"] = d2
@@ -956,9 +928,8 @@ def run_example_1(node_budget=DEFAULT_BUDGET):
     values["depth_final"] = d_final
     checks.expect("depth(S/J^2) >= 2 (chain)", d_final >= 2)
     checks.expect("depth(S/J^2) = 3", d_final == 3)
-    s_final = checks.sdepth("sdepth(S/J^2)", J2)
+    s_final = checks.sdepth("sdepth(S/J^2)", J2, values, "sdepth_final")
     if s_final is not None:
-        values["sdepth_final"] = s_final
         checks.expect("sdepth(S/J^2) = 3", s_final == 3)
     return checks.report(
         "example-3.4",
@@ -1031,9 +1002,9 @@ def run_example_2(node_budget=DEFAULT_BUDGET):
     d_final = _depth(J2)
     values["depth_final"] = d_final
     checks.expect("depth(S/J^2) = 1", d_final == 1)
-    s_final = checks.sdepth("sdepth(S/J^2)", J2)
+    # the computed sdepth is reported, not claimed
+    s_final = checks.sdepth("sdepth(S/J^2)", J2, values, "sdepth_final_computed")
     if s_final is not None:
-        values["sdepth_final_computed"] = s_final  # reported, not claimed
         checks.expect("sdepth >= depth", s_final >= d_final)
     return checks.report(
         "example-3.5",

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import claims
 from .depth import (
@@ -27,13 +27,12 @@ from .depth import (
     depth_via_polarization,
 )
 from .families import cycle_ideal, path_ideal, phi, t0_alpha
-from .monomials import Monomial, MonomialIdeal, parse_ideal
+from .monomials import parse_ideal
 from .sdepth import (
     DEFAULT_BUDGET,
     DEFAULT_POSET_CAP,
     PosetCapError,
     SearchBudgetError,
-    build_poset,
     partition_to_decomposition,
     sdepth_quotient,
 )
@@ -124,57 +123,27 @@ EXPORT_DIALECTS = ("cocoa", "macaulay2")
 
 
 def export_ideal(ideal, dialect):
-    n = ideal.n_vars
+    """A script that defines S and I: the interchange text of I, with x<i>
+    written x[i] (CoCoA) or x_i (Macaulay2)."""
     if dialect == "cocoa":
-        var = lambda i: "x[%d]" % i
-        ring = "use S ::= QQ[x[1..%d]];" % n
-        assign = "I := ideal(%s);"
+        script, var = "use S ::= QQ[x[1..%d]];\nI := ideal(%s);\n", r"x[\1]"
     elif dialect == "macaulay2":
-        var = lambda i: "x_%d" % i
-        ring = "S = QQ[x_1..x_%d];" % n
-        assign = "I = ideal(%s);"
+        script, var = "S = QQ[x_1..x_%d];\nI = ideal(%s);\n", r"x_\1"
     else:
         raise ValueError("unknown dialect %r" % dialect)
-
-    def fmt(mono):
-        parts = []
-        for i, e in enumerate(mono.exponents, start=1):
-            if e == 1:
-                parts.append(var(i))
-            elif e > 1:
-                parts.append("%s^%d" % (var(i), e))
-        return "*".join(parts) if parts else "1"
-
-    body = ", ".join(fmt(g) for g in ideal.gens) if ideal.gens else "0"
-    return ring + "\n" + assign % body + "\n"
-
-
-_VAR_RE = re.compile(r"x[\[_](\d+)\]?(?:\^(\d+))?")
+    return script % (ideal.n_vars, re.sub(r"x(\d+)", var, str(ideal)))
 
 
 def parse_exported(text):
     """Re-parse a script produced by export_ideal; returns the ideal."""
-    ring = re.search(r"x[\[_]1(?:\.\.|\]..x[\[_])(?:x_)?(\d+)", text)
+    ring = re.search(r"x[\[_]1\.\.(?:x_)?(\d+)", text)
     if not ring:
         raise ValueError("cannot find ring declaration")
-    n = int(ring.group(1))
     body = re.search(r"ideal\((.*)\)", text, re.S)
     if not body:
         raise ValueError("cannot find ideal(...)")
-    inner = body.group(1).strip()
-    if inner == "0":
-        return MonomialIdeal.zero(n)
-    gens = []
-    for term in inner.split(","):
-        exps = [0] * n
-        matched = False
-        for mv in _VAR_RE.finditer(term):
-            matched = True
-            exps[int(mv.group(1)) - 1] += int(mv.group(2) or 1)
-        if not matched and term.strip() != "1":
-            raise ValueError("cannot parse term %r" % term)
-        gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(n, gens)
+    inner = re.sub(r"x[\[_](\d+)\]?", r"x\1", body.group(1))
+    return parse_ideal(inner, int(ring.group(1)))
 
 
 # ---------------------------------------------------------------------
@@ -197,48 +166,23 @@ def _cmd_phi(args, out):
 
 
 def _cmd_t0(args, out):
-    data = t0_alpha(args.n, args.m)
-    render_rows(
-        [
-            {
-                "n": data.n,
-                "m": data.m,
-                "d": data.d,
-                "t0": data.t0,
-                "alpha": data.alpha,
-                "r": data.r,
-                "s": data.s,
-            }
-        ],
-        args.format,
-        out,
-    )
+    render_rows([asdict(t0_alpha(args.n, args.m))], args.format, out)
     return EXIT_OK
 
 
 def _cmd_depth(args, out):
     ideal = _ideal_from_args(args)
-    try:
-        if args.method == "polarization":
-            result = depth_via_polarization(ideal, cap=args.polarization_cap)
-        else:
-            result = depth_quotient(ideal)
-    except PolarizationCapError as e:
-        sys.stderr.write("budget: %s\n" % e)
-        return EXIT_BUDGET
+    if args.method == "polarization":
+        result = depth_via_polarization(ideal, cap=args.polarization_cap)
+    else:
+        result = depth_quotient(ideal)
     render_rows([result.as_dict()], args.format, out)
     return EXIT_OK
 
 
 def _cmd_sdepth(args, out):
     ideal = _ideal_from_args(args)
-    try:
-        result = sdepth_quotient(
-            ideal, cap=args.poset_cap, node_budget=args.budget
-        )
-    except (PosetCapError, SearchBudgetError) as e:
-        sys.stderr.write("budget: %s\n" % e)
-        return EXIT_BUDGET
+    result = sdepth_quotient(ideal, cap=args.poset_cap, node_budget=args.budget)
     row = {"sdepth": result.sdepth, "poset_size": result.poset_size}
     render_rows([row], args.format, out)
     if args.certificate:
@@ -260,16 +204,14 @@ def _cmd_table(args, out):
         for m in range(m_lo, m_hi + 1):
             for t in range(1, args.t_max + 1):
                 ideal = _family(args.family, n, m).power(t)
-                row = {"n": n, "m": m, "t": t, "phi": phi(n, m, t)}
-                if ideal.is_whole_ring():
-                    continue
-                row["depth"] = depth_quotient(ideal).depth
+                row = {"n": n, "m": m, "t": t, "phi": phi(n, m, t),
+                       "depth": depth_quotient(ideal).depth}
                 if args.sdepth:
                     try:
                         row["sdepth"] = sdepth_quotient(
                             ideal, cap=args.poset_cap, node_budget=args.budget
                         ).sdepth
-                    except (PosetCapError, SearchBudgetError) as e:
+                    except (PosetCapError, SearchBudgetError):
                         row["sdepth"] = "budget"
                         budget_hit = True
                 rows.append(row)
@@ -431,8 +373,13 @@ def main(argv=None, out=None):
             sys.stdout.flush()
         return code
     except (ValueError, KeyError) as e:
-        sys.stderr.write("error: %s\n" % e)
+        # str() of a KeyError is the repr of its message
+        message = e.args[0] if isinstance(e, KeyError) and e.args else e
+        sys.stderr.write("error: %s\n" % (message,))
         return EXIT_USAGE
+    except (PolarizationCapError, PosetCapError, SearchBudgetError) as e:
+        sys.stderr.write("budget: %s\n" % e)
+        return EXIT_BUDGET
     except BrokenPipeError:
         if out is not None:
             raise

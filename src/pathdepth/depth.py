@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial
 
 __all__ = [
     "DEFAULT_POLARIZATION_CAP",
@@ -412,7 +412,7 @@ def _grow_faces(face, start, current, vertex, step, faces):
 
 def betti(ideal):
     """Multigraded Betti table of S/I; beta_0 = 1 at the unit multidegree."""
-    if not ideal.is_proper():
+    if ideal.is_whole_ring():
         raise UnitIdealError("Betti table of the zero module is undefined")
     n = ideal.n_vars
     entries = {(0, Monomial.unit(n)): 1}
@@ -447,12 +447,7 @@ class DepthResult:
             raise ValueError("depth %d outside [0, %d]" % (self.depth, self.n_vars))
 
     def as_dict(self):
-        return {
-            "depth": self.depth,
-            "pd": self.pd,
-            "n_vars": self.n_vars,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def depth_quotient(ideal):

@@ -8,6 +8,7 @@ witness monomials used for colon reductions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,8 +117,7 @@ def u_ideal(n, d):
         raise ValueError("u_ideal requires d >= 2")
     if n % d != 0:
         raise ValueError("u_ideal requires d | n, got (%d, %d)" % (n, d))
-    result = None
-    for c in range(1, d + 1):
-        prime = MonomialIdeal.variable_prime(range(c, n + 1, d), n)
-        result = prime if result is None else result.intersect(prime)
-    return result
+    return functools.reduce(
+        MonomialIdeal.intersect,
+        (MonomialIdeal.variable_prime(range(c, n + 1, d), n) for c in range(1, d + 1)),
+    )

@@ -15,7 +15,6 @@ __all__ = [
     "AmbientMismatchError",
     "Monomial",
     "MonomialIdeal",
-    "minimalize",
     "parse_monomial",
     "parse_ideal",
 ]
@@ -192,9 +191,6 @@ class MonomialIdeal:
     def is_whole_ring(self):
         return len(self.gens) == 1 and self.gens[0].is_unit()
 
-    def is_proper(self):
-        return not self.is_whole_ring()
-
     def contains(self, u):
         """Membership: some generator divides u."""
         return any(g.divides(u) for g in self.gens)
@@ -335,11 +331,6 @@ class MonomialIdeal:
 
     def __repr__(self):
         return "MonomialIdeal(%d, [%s])" % (self.n_vars, str(self))
-
-
-def minimalize(raw_gens, n):
-    """Canonical minimal generating set of the ideal generated by raw_gens."""
-    return MonomialIdeal(n, tuple(raw_gens))
 
 
 _TOKEN = re.compile(r"^x(\d+)(?:\^(\d+))?$")

@@ -15,12 +15,13 @@ from pathdepth.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    EXPORT_DIALECTS,
     export_ideal,
     main,
     parse_exported,
 )
 from pathdepth.families import cycle_ideal, path_ideal
-from pathdepth.monomials import parse_ideal
+from pathdepth.monomials import MonomialIdeal, parse_ideal
 
 
 def run_cli(*argv):
@@ -154,6 +155,32 @@ def test_exit_codes_are_distinguishable():
     assert EXIT_OK != EXIT_FAIL != EXIT_BUDGET != EXIT_USAGE
 
 
+def test_unknown_claim_message_is_printed_without_quotes(capsys):
+    # run_claims raises KeyError, whose str() would be the quoted repr
+    assert main(["verify", "no-such-claim"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown claim ids: no-such-claim\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("depth", "--method", "polarization", "--polarization-cap", "2"),
+        # the box of I(4,2) has 16 points
+        ("sdepth", "--poset-cap", "3"),
+        ("sdepth", "--budget", "2"),
+    ],
+)
+def test_cap_or_budget_error_exits_3_with_one_budget_line(argv, capsys):
+    assert main([*argv, "--family", "ipath", "--n", "4", "--m", "2"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("budget: ")
+    assert captured.err == line + "\n"
+
+
 def test_json_and_csv_output_is_deterministic():
     argv = ("table", "--family", "ipath", "--n-max", "4", "--format", "csv")
     _, first = run_cli(*argv)
@@ -218,6 +245,27 @@ def test_export_round_trip_both_dialects():
         for dialect in ("cocoa", "macaulay2"):
             script = export_ideal(ideal, dialect)
             assert parse_exported(script) == ideal
+
+
+@pytest.mark.parametrize("dialect", EXPORT_DIALECTS)
+@pytest.mark.parametrize(
+    "argv, ideal, bodies",
+    [
+        (("--ideal", "0", "--nvars", "3"), MonomialIdeal.zero(3), ("0", "0")),
+        # a zeroth power is the whole ring
+        (("--ideal", "x1*x2", "--nvars", "2", "--power", "0"),
+         MonomialIdeal.whole_ring(2), ("1", "1")),
+        # two-digit indices and exponents: x1 must not be read inside x12
+        (("--ideal", "x12^10*x3, x1*x2", "--nvars", "12"),
+         parse_ideal("x3*x12^10, x1*x2", 12),
+         ("x[3]*x[12]^10, x[1]*x[2]", "x_3*x_12^10, x_1*x_2")),
+    ],
+)
+def test_export_round_trip_edge_cases(argv, ideal, bodies, dialect):
+    code, text = run_cli("export", *argv, "--dialect", dialect)
+    assert code == EXIT_OK
+    assert "ideal(%s);" % dict(zip(EXPORT_DIALECTS, bodies))[dialect] in text
+    assert parse_exported(text) == ideal
 
 
 def test_export_command_output():

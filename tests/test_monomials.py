@@ -10,7 +10,6 @@ from pathdepth.monomials import (
     AmbientMismatchError,
     Monomial,
     MonomialIdeal,
-    minimalize,
     parse_ideal,
     parse_monomial,
 )
@@ -102,13 +101,15 @@ def test_zero_and_whole_ring():
     assert parse_ideal("0", 3).is_zero()
     whole = MonomialIdeal(2, [Monomial((0, 0))])
     assert whole.is_whole_ring()
-    assert not whole.is_proper()
+    assert not MonomialIdeal.zero(2).is_whole_ring()
+    assert not parse_ideal("x1, x2", 2).is_whole_ring()
 
 
 @given(ideals())
 def test_minimalize_is_idempotent(I):
-    assert minimalize(I.gens, I.n_vars) == I
-    assert minimalize(minimalize(I.gens, I.n_vars).gens, I.n_vars) == I
+    # the constructor minimalizes: rebuilding from the generators is the identity
+    assert MonomialIdeal(I.n_vars, I.gens) == I
+    assert MonomialIdeal(I.n_vars, I.gens + I.gens).gens == I.gens
 
 
 # arithmetic ----------------------------------------------------------
