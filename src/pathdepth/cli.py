@@ -183,11 +183,10 @@ def _cmd_depth(args, out):
 def _cmd_sdepth(args, out):
     ideal = _ideal_from_args(args)
     result = sdepth_quotient(ideal, cap=args.poset_cap, node_budget=args.budget)
-    row = {"sdepth": result.sdepth, "poset_size": result.poset_size}
+    row = {"sdepth": result.sdepth, "poset_size": len(result.poset)}
     render_rows([row], args.format, out)
     if args.certificate:
-        g = ideal.lcm_of_gens()
-        for mono, zs in partition_to_decomposition(result.partition, g):
+        for mono, zs in partition_to_decomposition(result.partition, result.poset.g):
             out.write(
                 "%s * K[%s]\n"
                 % (mono, ", ".join("x%d" % i for i in zs) if zs else "")

@@ -161,8 +161,10 @@ class StanleyPartition:
 
 @dataclass(frozen=True)
 class SdepthResult:
+    """sdepth(S/I), the poset it was decided on and its interval partition."""
+
     sdepth: int
-    poset_size: int
+    poset: CharacteristicPoset
     partition: StanleyPartition
 
 
@@ -934,15 +936,13 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
                     raise failure
                 _, partition = _advance(search)
         if partition is not None:
-            return SdepthResult(k, len(poset), partition)
+            return SdepthResult(k, poset, partition)
         k -= 1
     if k == 1:
         partition = has_partition_min_label(poset, 1, node_budget=node_budget)
         if partition is not None:
-            return SdepthResult(1, len(poset), partition)
-    return SdepthResult(
-        0, len(poset), has_partition_min_label(poset, 0, node_budget=node_budget)
-    )
+            return SdepthResult(1, poset, partition)
+    return SdepthResult(0, poset, has_partition_min_label(poset, 0, node_budget=node_budget))
 
 
 def verify_partition(poset, partition):

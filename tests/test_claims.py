@@ -23,9 +23,9 @@ from pathdepth.claims import (
     ses_depth_bounds,
 )
 from pathdepth.cli import EXIT_OK, main
-from pathdepth.families import cycle_ideal
+from pathdepth.families import cycle_ideal, path_ideal
 from pathdepth.monomials import MonomialIdeal, parse_ideal
-from pathdepth.sdepth import DEFAULT_BUDGET, SdepthResult
+from pathdepth.sdepth import DEFAULT_BUDGET, PosetInterval, SdepthResult, StanleyPartition
 
 
 def test_ses_depth_bounds_fills_missing_slots():
@@ -71,6 +71,28 @@ def test_phi_claim_shape_and_discrepancy_record():
         "oracle_depth": 2,
     }
     assert report.values["sdepth_bracket_t2"] == [2, 3]
+    # both decided bracket quotients reach the Stanley-inequality report
+    I = path_ideal(5, 3)
+    assert report.observed == [(str(I), 3, 3), (str(I.power(2)), 2, 2)]
+
+
+def test_phi_bracket_needs_a_certificate_of_its_sdepth(monkeypatch):
+    # the engine's sdepth and poset with the singleton partition: a valid
+    # partition of min label 0 certifies no bracket, so the check raises
+    engine = claims.sdepth_quotient
+
+    def singletons(ideal, node_budget):
+        result = engine(ideal, node_budget=node_budget)
+        points = [PosetInterval(a, a) for a in result.poset.points]
+        return SdepthResult(result.sdepth, result.poset, StanleyPartition(tuple(points)))
+
+    monkeypatch.setattr(claims, "sdepth_quotient", singletons)
+    claims._sdepth.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="certificate of min label 0"):
+            check_phi(4, 2, 2, with_sdepth=True)
+    finally:
+        claims._sdepth.cache_clear()
 
 
 def test_colon_witness_claim():
@@ -287,7 +309,7 @@ def test_sdepth_value_must_be_its_certificates_min_label(monkeypatch):
 
     def overclaimed(ideal, node_budget):
         result = engine(ideal, node_budget=node_budget)
-        return SdepthResult(result.sdepth + 1, result.poset_size, result.partition)
+        return SdepthResult(result.sdepth + 1, result.poset, result.partition)
 
     monkeypatch.setattr(claims, "sdepth_quotient", overclaimed)
     with pytest.raises(AssertionError, match="sdepth 2 with a certificate of min label 1"):

@@ -365,10 +365,8 @@ def max_label_descent(ideal, node_budget=DEFAULT_BUDGET):
     for k in range(max(poset.label(a) for a in poset.points), 0, -1):
         partition = linear_scan_has_partition(poset, k, node_budget, memo_cap=0)
         if partition is not None:
-            return SdepthResult(k, len(poset), partition)
-    return SdepthResult(
-        0, len(poset), linear_scan_has_partition(poset, 0, node_budget, memo_cap=0)
-    )
+            return SdepthResult(k, poset, partition)
+    return SdepthResult(0, poset, linear_scan_has_partition(poset, 0, node_budget, memo_cap=0))
 
 
 def betti_hilbert_bound(ideal, upto):
@@ -848,7 +846,7 @@ def test_depth_zero_is_decided_without_a_search():
     # at a budget that no k >= 1 pre-check would fit in
     result = sdepth_quotient(cycle_ideal(6, 5).power(5), node_budget=1)
     assert result.sdepth == 0
-    assert result.poset_size == 46194
+    assert len(result.poset) == 46194
 
 
 # Hilbert-depth bound -------------------------------------------------
@@ -1688,6 +1686,7 @@ def test_every_sdepth_result_carries_a_valid_certificate():
     ):
         result = sdepth_quotient(I)
         poset = build_poset(I)
+        assert result.poset == poset
         ok, why = verify_partition(poset, result.partition)
         assert ok, why
         assert result.partition.min_label(poset) >= result.sdepth
