@@ -26,7 +26,9 @@ multiply and one guarded subtraction give the lcms of an element with
 all generators, read back through an `array` (`_lcm_closure`).  Koszul
 strand faces are vertex bitmasks, grown off bitsets of generators
 (`_koszul_faces`); the cone test counts faces in C (`_is_cone`) and the
-boundary maps flip bits.  Monomials appear only in what the public
+boundary maps flip bits.  The bitsets of generators are the kernel
+layer's rows (`monomials._below_bitsets` and `_dividing`), the ones ideal
+arithmetic minimalizes with.  Monomials appear only in what the public
 functions take and return.
 """
 
@@ -37,7 +39,7 @@ from array import array
 from dataclasses import asdict, dataclass
 from math import gcd
 
-from .monomials import Monomial
+from .monomials import Monomial, _below_bitsets, _dividing
 
 __all__ = [
     "DEFAULT_POLARIZATION_CAP",
@@ -291,58 +293,6 @@ class BettiTable:
         return max(i for (i, _) in self.entries)
 
 
-# _AT_MOST[v] translates an exponent byte x into the digit "1" when x <= v
-# and "0" otherwise
-_AT_MOST = tuple(b"1" * (v + 1) + b"0" * (255 - v) for v in range(256))
-
-
-def _below_bitsets(vectors, caps=None):
-    """below[i][v], v = 0..caps[i]: bitset of the vectors with x_i exponent <= v.
-
-    Bit j stands for vectors[j].  caps[i] must be at least the largest
-    exponent of x_i and defaults to it, which bounds every lcm-lattice
-    element.  A column whose cap fits in a byte is one byte string, last
-    vector first, and each of its rows is that string translated by
-    `_AT_MOST[v]` into binary digits and read as one int, so no step runs
-    per vector in Python.  A wider column puts each vector's digit in the
-    bucket of its exponent and reads one string of binary digits per row.
-    """
-    count = len(vectors)
-    columns = list(zip(*vectors))
-    if caps is None:
-        caps = [max(column) for column in columns]
-    below = []
-    for i, (column, cap) in enumerate(zip(columns, caps)):
-        if cap < len(_AT_MOST):
-            digits = bytes(column[::-1])
-            below.append([int(digits.translate(_AT_MOST[v]), 2) for v in range(cap + 1)])
-            continue
-        by_value = [[] for _ in range(cap + 1)]
-        for j, t in enumerate(vectors):
-            by_value[t[i]].append(count - 1 - j)
-        digits = bytearray(b"0" * count)
-        row = []
-        for positions in by_value:
-            for d in positions:
-                digits[d] = 49  # ord("1")
-            row.append(int(digits, 2))
-        below.append(row)
-    return below
-
-
-def _dividing(exponents, below):
-    """Bitset of the vectors below x^exponents in every coordinate.
-
-    For generator rows this is the set of generators dividing x^exponents,
-    non-zero iff x^exponents lies in the ideal; each exponent must be at
-    most its row's cap.
-    """
-    bits = -1
-    for row, e in zip(below, exponents):
-        bits &= row[e]
-    return bits
-
-
 def _steps(exponents, below):
     """The bitset of the generators dividing x^a, the support of a
     (0-indexed), and for each support index i the row below[i][a_i - 1].
@@ -511,8 +461,7 @@ def depth_via_polarization(ideal, cap=DEFAULT_POLARIZATION_CAP):
     n = ideal.n_vars
     if ideal.is_zero():
         return DepthResult(n, 0, n, "polarization")
-    caps = [max(col) for col in zip(*(g.exponents for g in ideal.gens))]
-    polarized_vars = n + sum(max(c - 1, 0) for c in caps)
+    polarized_vars = n + sum(max(c - 1, 0) for c in ideal.lcm_of_gens().exponents)
     if polarized_vars > cap:
         raise PolarizationCapError(
             "polarized ring has %d variables, cap is %d" % (polarized_vars, cap)

@@ -1,15 +1,25 @@
-"""Exact arithmetic for monomials and monomial ideals over a field.
+"""Exact arithmetic for monomials and monomial ideals over a field, the
+kernel layer under the depth and Stanley-depth engines.
 
 Monomials are exponent vectors in a fixed ambient variable count; ideals
 carry their unique minimal generating set in a canonical (lexicographic)
 order, so equality of ideals is equality of generator tuples.  Everything
-is immutable and safe to share.
+is immutable and safe to share; exponents and variable counts must be
+integers (`operator.index`), so a float raises TypeError.
+
+Ideal arithmetic runs on exponent tuples.  Sums, products, powers, colons
+and intersections pass their candidates once through `_minimal`, which
+keeps a tuple iff the bitset of the candidates below it (`_dividing` over
+`_below_bitsets` rows, which the engines read too) is its own bit.  Maps
+that keep a minimal set minimal only order their tuples.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, index, sub
 
 __all__ = [
     "AmbientMismatchError",
@@ -35,8 +45,8 @@ class Monomial:
     exponents: tuple
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
+        exps = tuple(map(index, self.exponents))
+        if min(exps, default=0) < 0:
             raise ValueError("negative exponent in %r" % (exps,))
         object.__setattr__(self, "exponents", exps)
 
@@ -80,20 +90,20 @@ class Monomial:
 
     def __mul__(self, other):
         self._check_ambient(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(tuple(map(add, self.exponents, other.exponents)))
 
     def __pow__(self, k):
-        if k < 0:
+        if index(k) < 0:
             raise ValueError("negative power")
-        return Monomial(tuple(e * k for e in self.exponents))
+        return _monomial(tuple(e * k for e in self.exponents))
 
     def lcm(self, other):
         self._check_ambient(other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(tuple(map(max, self.exponents, other.exponents)))
 
     def gcd(self, other):
         self._check_ambient(other)
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(tuple(map(min, self.exponents, other.exponents)))
 
     def divides(self, other):
         self._check_ambient(other)
@@ -102,35 +112,91 @@ class Monomial:
     def colon(self, u):
         """self / gcd(self, u): the generator image under (I : u)."""
         self._check_ambient(u)
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, u.exponents)))
+        return _monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, u.exponents)))
 
     def __str__(self):
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append("x%d" % (i + 1))
-            elif e > 1:
-                parts.append("x%d^%d" % (i + 1, e))
-        return "*".join(parts) if parts else "1"
+        return "*".join(
+            "x%d" % (i + 1) if e == 1 else "x%d^%d" % (i + 1, e)
+            for i, e in enumerate(self.exponents) if e
+        ) or "1"
 
     def __repr__(self):
         return "Monomial(%r)" % (self.exponents,)
 
 
-def _minimal_monomials(raw):
-    """Unique minimal elements of a set of monomials under divisibility.
+def _monomial(exponents):
+    """Monomial(exponents) for a tuple of non-negative ints, unchecked."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exponents", exponents)
+    return m
 
-    Duplicates are dropped; equal-degree distinct monomials never divide
-    one another, so only strictly smaller degrees need checking.
+
+# _AT_MOST[v] translates an exponent byte x into the digit "1" when x <= v
+# and "0" otherwise
+_AT_MOST = tuple(b"1" * (v + 1) + b"0" * (255 - v) for v in range(256))
+
+
+def _below_bitsets(vectors, caps=None):
+    """below[i][v], v = 0..caps[i]: bitset of the vectors with x_i exponent <= v.
+
+    Bit j stands for vectors[j].  caps[i] must be at least the largest
+    exponent of x_i and defaults to it, which bounds every lcm-lattice
+    element.  A column whose cap fits in a byte is one byte string, last
+    vector first, and each of its rows is that string translated by
+    `_AT_MOST[v]` into binary digits and read as one int, so no step runs
+    per vector in Python.  A wider column puts each vector's digit in the
+    bucket of its exponent and reads one string of binary digits per
+    exponent that occurs; a row at any other value repeats the row below.
     """
-    mons = sorted(set(raw), key=lambda m: (m.degree(), m.exponents))
-    kept = []
-    for u in mons:
-        du = u.degree()
-        if any(v.divides(u) for v in kept if v.degree() < du):
+    columns = list(zip(*vectors))
+    if caps is None:
+        caps = [max(column) for column in columns]
+    below = []
+    for column, cap in zip(columns, caps):
+        if cap < len(_AT_MOST):
+            digits = bytes(column[::-1])
+            below.append([int(digits.translate(_AT_MOST[v]), 2) for v in range(cap + 1)])
             continue
-        kept.append(u)
-    return kept
+        by_value = [[] for _ in range(cap + 1)]
+        for d, e in enumerate(reversed(column)):
+            by_value[e].append(d)
+        digits = bytearray(b"0" * len(column))
+        row, bits = [], 0
+        for positions in by_value:
+            if positions:
+                for d in positions:
+                    digits[d] = 49  # ord("1")
+                bits = int(digits, 2)
+            row.append(bits)
+        below.append(row)
+    return below
+
+
+def _dividing(exponents, below):
+    """Bitset of the vectors below x^exponents in every coordinate.
+
+    For generator rows this is the set of generators dividing x^exponents,
+    non-zero iff x^exponents lies in the ideal; each exponent must be at
+    most its row's cap.
+    """
+    bits = -1
+    for row, e in zip(below, exponents):
+        bits &= row[e]
+    return bits
+
+
+def _minimal(vectors):
+    """The minimal elements of a collection of exponent tuples under the
+    componentwise order, distinct and in lex order.
+
+    A vector is kept iff the only candidate below it is itself: one AND
+    of `_below_bitsets` rows per vector, no step per pair in Python.
+    """
+    vectors = sorted(set(vectors))
+    if len(vectors) < 2:
+        return vectors
+    below = _below_bitsets(vectors)
+    return [v for v in vectors if _dividing(v, below).bit_count() == 1]
 
 
 @dataclass(frozen=True)
@@ -146,18 +212,23 @@ class MonomialIdeal:
     gens: tuple
 
     def __init__(self, n_vars, gens=()):
-        gens = tuple(gens)
-        for g in gens:
-            if g.n_vars != n_vars:
+        n_vars = index(n_vars)
+        by_exponents = {g.exponents: g for g in gens}
+        for e in by_exponents:
+            if len(e) != n_vars:
                 raise AmbientMismatchError(
-                    "generator in %d variables, ring has %d" % (g.n_vars, n_vars)
+                    "generator in %d variables, ring has %d" % (len(e), n_vars)
                 )
-        if any(g.is_unit() for g in gens):
-            canonical = (Monomial.unit(n_vars),)
-        else:
-            canonical = tuple(sorted(_minimal_monomials(gens)))
-        object.__setattr__(self, "n_vars", int(n_vars))
-        object.__setattr__(self, "gens", canonical)
+        object.__setattr__(self, "n_vars", n_vars)
+        object.__setattr__(self, "gens", tuple(map(by_exponents.get, _minimal(by_exponents))))
+
+    @classmethod
+    def _of(cls, n_vars, vectors):
+        """The ideal whose minimal generators in lex order have exponents `vectors`."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n_vars", n_vars)
+        object.__setattr__(ideal, "gens", tuple(map(_monomial, vectors)))
+        return ideal
 
     # -- constructors -------------------------------------------------
 
@@ -171,17 +242,17 @@ class MonomialIdeal:
 
     @classmethod
     def principal(cls, u):
-        return cls(u.n_vars, (u,))
+        return cls._of(u.n_vars, (u.exponents,))
 
     @classmethod
     def maximal(cls, n):
         """The irrelevant maximal ideal (x_1, ..., x_n)."""
-        return cls(n, tuple(Monomial.variable(i, n) for i in range(1, n + 1)))
+        return cls.variable_prime(range(1, n + 1), n)
 
     @classmethod
     def variable_prime(cls, indices, n):
         """Prime ideal generated by the variables with 1-indexed indices."""
-        return cls(n, tuple(Monomial.variable(i, n) for i in indices))
+        return cls._of(index(n), sorted({Monomial.variable(i, n).exponents for i in indices}))
 
     # -- predicates ----------------------------------------------------
 
@@ -200,15 +271,8 @@ class MonomialIdeal:
 
         The zero ideal is vacuously a complete intersection.
         """
-        seen = set()
-        for g in self.gens:
-            if g.is_unit():
-                return False
-            sup = set(g.support())
-            if sup & seen:
-                return False
-            seen |= sup
-        return True
+        supports = [g.support() for g in self.gens]
+        return all(supports) and len(set(chain(*supports))) == sum(map(len, supports))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -218,35 +282,33 @@ class MonomialIdeal:
                 "ideals in %d and %d variables" % (self.n_vars, other.n_vars)
             )
 
+    def _exponents(self):
+        return [g.exponents for g in self.gens]
+
     def __add__(self, other):
         self._check_ambient(other)
-        return MonomialIdeal(self.n_vars, self.gens + other.gens)
+        return MonomialIdeal._of(self.n_vars, _minimal(self._exponents() + other._exponents()))
 
     def __mul__(self, other):
         self._check_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.n_vars)
-        return MonomialIdeal(
-            self.n_vars, tuple(g * h for g in self.gens for h in other.gens)
-        )
+        sums = [tuple(map(add, a, b)) for a in self._exponents() for b in other._exponents()]
+        return MonomialIdeal._of(self.n_vars, _minimal(sums))
 
     def power(self, t):
         """t-th power; t = 0 gives the whole ring."""
         if t < 0:
             raise ValueError("negative power")
-        result = MonomialIdeal.whole_ring(self.n_vars)
-        # iterated product keeps every intermediate generating set minimal
-        for _ in range(t):
-            result = result * self
-        return result
+        if t == 0:
+            return MonomialIdeal.whole_ring(self.n_vars)
+        base = vectors = self._exponents()
+        for _ in range(t - 1):
+            vectors = _minimal([tuple(map(add, a, b)) for a in vectors for b in base])
+        return MonomialIdeal._of(self.n_vars, vectors)
 
     def intersect(self, other):
         self._check_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.n_vars)
-        return MonomialIdeal(
-            self.n_vars, tuple(g.lcm(h) for g in self.gens for h in other.gens)
-        )
+        lcms = [tuple(map(max, a, b)) for a in self._exponents() for b in other._exponents()]
+        return MonomialIdeal._of(self.n_vars, _minimal(lcms))
 
     def colon(self, u):
         """(I : u) for a monomial u."""
@@ -254,11 +316,14 @@ class MonomialIdeal:
             raise AmbientMismatchError(
                 "monomial in %d variables, ideal in %d" % (u.n_vars, self.n_vars)
             )
-        return MonomialIdeal(self.n_vars, tuple(g.colon(u) for g in self.gens))
+        w, zero = u.exponents, (0,) * self.n_vars
+        quotients = [tuple(map(max, map(sub, a, w), zero)) for a in self._exponents()]
+        return MonomialIdeal._of(self.n_vars, _minimal(quotients))
 
     def scale(self, u):
         """The product u * I for a monomial u."""
-        return MonomialIdeal(self.n_vars, tuple(u * g for g in self.gens))
+        # adding u keeps both minimality and lex order
+        return MonomialIdeal._of(self.n_vars, [(u * g).exponents for g in self.gens])
 
     # -- ring maps -----------------------------------------------------
 
@@ -269,60 +334,39 @@ class MonomialIdeal:
         """
         if not 1 <= k < self.n_vars:
             raise ValueError("k=%d out of range [1, %d)" % (k, self.n_vars))
-        kept = [
-            Monomial(g.exponents[:k])
-            for g in self.gens
-            if all(e == 0 for e in g.exponents[k:])
-        ]
-        return MonomialIdeal(k, kept)
+        return MonomialIdeal._of(k, [a[:k] for a in self._exponents() if not any(a[k:])])
 
     def extend(self, extra):
         """The extension ideal I*S' in a ring with `extra` more variables."""
         if extra < 0:
             raise ValueError("extra must be >= 0")
         pad = (0,) * extra
-        return MonomialIdeal(
-            self.n_vars + extra, tuple(Monomial(g.exponents + pad) for g in self.gens)
-        )
+        return MonomialIdeal._of(self.n_vars + extra, [a + pad for a in self._exponents()])
 
     def polarize(self):
         """Standard polarization: returns (squarefree ideal, added variables).
 
         Variable i with maximal exponent e_i across the generators consumes
         e_i - 1 fresh variables, appended after the original n in (variable,
-        slot) order.  Projective dimension is preserved.
+        slot) order.  Projective dimension is preserved, and so is
+        divisibility between generators, so the image is minimal.
         """
-        n = self.n_vars
-        caps = [0] * n
-        for g in self.gens:
-            for i, e in enumerate(g.exponents):
-                caps[i] = max(caps[i], e)
+        caps = self.lcm_of_gens().exponents
+        # tails[i][e]: the fresh variables, slots 2..caps[i], of x_i^e
+        tails = [[(1,) * (e - 1) + (0,) * (c - max(e, 1)) for e in range(c + 1)] for c in caps]
+        ones = (1,) * self.n_vars
+        polarized = sorted(
+            tuple(map(min, a, ones)) + tuple(chain(*map(list.__getitem__, tails, a)))
+            for a in self._exponents()
+        )
         added = sum(max(c - 1, 0) for c in caps)
-        # slot j >= 2 of variable i lives at position offset[i] + (j - 2)
-        offset = []
-        pos = n
-        for c in caps:
-            offset.append(pos)
-            pos += max(c - 1, 0)
-        new_gens = []
-        for g in self.gens:
-            exps = [0] * (n + added)
-            for i, e in enumerate(g.exponents):
-                if e >= 1:
-                    exps[i] = 1
-                for j in range(2, e + 1):
-                    exps[offset[i] + j - 2] = 1
-            new_gens.append(Monomial(tuple(exps)))
-        return MonomialIdeal(n + added, new_gens), added
+        return MonomialIdeal._of(self.n_vars + added, polarized), added
 
     # -- misc ----------------------------------------------------------
 
     def lcm_of_gens(self):
         """lcm of all minimal generators (unit for the zero ideal)."""
-        top = Monomial.unit(self.n_vars)
-        for g in self.gens:
-            top = top.lcm(g)
-        return top
+        return _monomial(tuple(map(max, zip(*self._exponents()))) or (0,) * self.n_vars)
 
     def __str__(self):
         if self.is_zero():

@@ -12,24 +12,24 @@ bitset of its points outside I, in lex order, from "x_i >= c" patterns
 built only at the generators' exponents and at g_i; the points are read
 off it with its bits as selectors, sorted stably by degree, and so is
 the sweep bound.  Each poset builds its per-coordinate rows over its
-points (`CharacteristicPoset.below` and `.up`) and its label classes
-once, and every k's search, the bounds and the symmetry finder read
-them.  Admissible tops and interval cells are ANDs of such rows
-(`depth._dividing`), and one first-uncovered exact cover, a loop over an
-explicit stack (`_exact_cover`), runs both the search and the symmetry
-finder.  The pre-check and candidate construction are charged in the
-units of the linear scans they replace, so an instance runs out in the
-same phase, with the same message, as under them; construction is
-charged in closed form for every point before any list is built, and a
-point's candidate list is built only when the search first branches
-there.  The search pays one node per covering it visits, revisits
-included: the subtree below a covering depends on the covering alone, so
-a bounded memo, local to the call, keeps the nodes of each refuted
-subtree of at least _MEMO_MIN_COST nodes, up to _MEMO_ENTRIES of them,
-and a revisit is charged that count at once instead of being searched
-again, wherever the charge passes neither the pause nor the limit.
-Every count, pause and message is the one a search without the memo
-gives.
+points (`CharacteristicPoset.below` and `.up`), its label classes and
+each k's admissible tops once, and every k's search, the bounds and the
+symmetry finder read them.  Admissible tops and interval cells are ANDs
+of such rows (`monomials._dividing`, the kernel layer's), and one
+first-uncovered exact cover, a loop over an explicit stack
+(`_exact_cover`), runs both the search and the symmetry finder.  The
+pre-check and candidate construction are charged in the units of the
+linear scans they replace, so an instance runs out in the same phase,
+with the same message, as under them; construction is charged in closed
+form for every point before any list is built, and a point's candidate
+list is built only when the search first branches there.  The search
+pays one node per covering it visits, revisits included: the subtree
+below a covering depends on the covering alone, so a bounded memo, local
+to the call, keeps the nodes of each refuted subtree of at least
+_MEMO_MIN_COST nodes, up to _MEMO_ENTRIES of them, and a revisit is
+charged that count at once instead of being searched again, wherever the
+charge passes neither the pause nor the limit.  Every count, pause and
+message is the one a search without the memo gives.
 
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
@@ -72,8 +72,7 @@ from itertools import product as _cartesian
 from math import comb, prod
 from operator import eq, itemgetter, lt, xor
 
-from .depth import _below_bitsets, _dividing
-from .monomials import Monomial
+from .monomials import Monomial, _below_bitsets, _dividing
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -138,6 +137,11 @@ class CharacteristicPoset:
     def up(self):
         """up[i][v]: the points with x_i exponent >= v, built once."""
         return _at_least(self.below)
+
+    @cached_property
+    def admissible(self):
+        """k -> `_admissible_tops(self, k)`, each built once."""
+        return {}
 
     def __len__(self):
         return len(self.points)
@@ -484,10 +488,12 @@ _MEMO_ENTRIES = 16_384
 def _admissible_tops(poset, k):
     """The points of label >= k, in the order of `points`, and their
     `_at_least` rows at cap g: the admissible tops of a point p are the
-    bits of `_dividing(p, rows)`."""
-    # the classes are disjoint, so their sum is their OR
-    tops = list(compress(poset.points, _selectors(sum(poset.label_classes[k:]))))
-    return tops, _at_least(_below_bitsets(tops, poset.g))
+    bits of `_dividing(p, rows)`; built once per poset and k."""
+    if k not in poset.admissible:
+        # the classes are disjoint, so their sum is their OR
+        tops = list(compress(poset.points, _selectors(sum(poset.label_classes[k:]))))
+        poset.admissible[k] = tops, _at_least(_below_bitsets(tops, poset.g))
+    return poset.admissible[k]
 
 
 def _search(poset, k, node_budget, reserve=0, pause=None):

@@ -13,7 +13,6 @@ from pathdepth.depth import (
     DepthResult,
     PolarizationCapError,
     UnitIdealError,
-    _below_bitsets,
     _is_cone,
     _koszul_faces,
     _lcm_closure,
@@ -28,7 +27,7 @@ from pathdepth.depth import (
 )
 from pathdepth import depth as depth_module
 from pathdepth.families import cycle_ideal, path_ideal, phi
-from pathdepth.monomials import Monomial, MonomialIdeal, parse_ideal
+from pathdepth.monomials import Monomial, MonomialIdeal, _below_bitsets, parse_ideal
 
 # linear algebra ------------------------------------------------------
 

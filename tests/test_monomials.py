@@ -1,11 +1,17 @@
 """Monomial and monomial-ideal arithmetic."""
 
+import os
+import subprocess
+import sys
+from functools import reduce
 from itertools import product as cartesian
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pathdepth
+from pathdepth.families import cycle_ideal, path_ideal, t0_alpha
 from pathdepth.monomials import (
     AmbientMismatchError,
     Monomial,
@@ -13,6 +19,35 @@ from pathdepth.monomials import (
     parse_ideal,
     parse_monomial,
 )
+
+
+def _minimal_monomials(raw):
+    """Unique minimal elements of a set of monomials under divisibility.
+
+    The pairwise minimalization the bitset kernel replaced, kept as its
+    oracle.  Duplicates are dropped; equal-degree distinct monomials never
+    divide one another, so only strictly smaller degrees need checking.
+    """
+    mons = sorted(set(raw), key=lambda m: (m.degree(), m.exponents))
+    kept = []
+    for u in mons:
+        du = u.degree()
+        if any(v.divides(u) for v in kept if v.degree() < du):
+            continue
+        kept.append(u)
+    return kept
+
+
+def oracle_gens(raw):
+    """The canonical generator tuple of the ideal that `raw` generates."""
+    return tuple(sorted(_minimal_monomials(raw)))
+
+
+def oracle_power(ideal, t):
+    gens = (Monomial.unit(ideal.n_vars),)
+    for _ in range(t):
+        gens = oracle_gens([g * h for g in gens for h in ideal.gens])
+    return gens
 
 # strategies ----------------------------------------------------------
 
@@ -218,3 +253,126 @@ def test_polarize_splits_exponents():
 def test_complete_intersection_detection():
     assert parse_ideal("x1*x2, x3", 3).is_complete_intersection()
     assert not parse_ideal("x1*x2, x2*x3", 3).is_complete_intersection()
+
+
+# the bitset kernel against the pairwise oracle ------------------------
+
+
+@st.composite
+def ideal_pairs(draw):
+    """(I, J, u) in one ring: zero, unit and one-generator ideals included,
+    and exponents past 255, where the rows take their bucket path."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    top = draw(st.sampled_from([1, 3, 300]))
+    vector = st.tuples(*[st.integers(0, top)] * n).map(Monomial)
+    raw = st.lists(vector, max_size=6)
+    return (
+        MonomialIdeal(n, draw(raw)),
+        MonomialIdeal(n, draw(raw)),
+        draw(vector),
+    )
+
+
+@given(ideal_pairs(), st.integers(min_value=0, max_value=3))
+@example((MonomialIdeal.zero(2), parse_ideal("x1*x2", 2), Monomial((1, 0))), 2)
+@example((MonomialIdeal.whole_ring(2), parse_ideal("x1^300", 2), Monomial((0, 0))), 3)
+@example((parse_ideal("x1^256*x2, x2^300", 2), parse_ideal("x1^255", 2), Monomial((1, 299))), 2)
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_the_pairwise_oracle(pair, t):
+    I, J, u = pair
+    assert I.gens == oracle_gens(I.gens) and J.gens == oracle_gens(J.gens)
+    assert (I + J).gens == oracle_gens(I.gens + J.gens)
+    assert (I * J).gens == oracle_gens([g * h for g in I.gens for h in J.gens])
+    assert I.intersect(J).gens == oracle_gens([g.lcm(h) for g in I.gens for h in J.gens])
+    assert I.colon(u).gens == oracle_gens([g.colon(u) for g in I.gens])
+    assert I.power(t).gens == oracle_power(I, t)
+
+
+@given(st.lists(st.lists(st.integers(0, 300), min_size=3, max_size=3), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_constructor_matches_the_pairwise_oracle(vectors):
+    # duplicates and the unit included; the constructor keeps its caller's
+    # monomials
+    raw = [Monomial(v) for v in vectors] * 2
+    ideal = MonomialIdeal(3, raw)
+    assert ideal.gens == oracle_gens(raw)
+    assert all(any(g is m for m in raw) for g in ideal.gens)
+
+
+def test_ladder_and_lemma_1_10_powers_match_the_oracle():
+    # the powers of the benchmark's two ladders, and J(n,m)^t at t0 and
+    # t0 + 1 as lemma-1.10 builds them for n <= 6
+    powers = [
+        (path_ideal(7, 3), 3), (cycle_ideal(6, 3), 2), (cycle_ideal(6, 4), 2),
+        (cycle_ideal(7, 3), 3), (cycle_ideal(6, 4), 5), (cycle_ideal(6, 5), 5),
+        (path_ideal(6, 3), 2), (path_ideal(4, 2), 3), (cycle_ideal(5, 3), 3),
+        (cycle_ideal(7, 4), 2), (cycle_ideal(5, 4), 4), (path_ideal(5, 3), 2),
+        (path_ideal(5, 2), 3),
+    ]
+    for n in range(3, 7):
+        for m in range(2, n):
+            t0 = t0_alpha(n, m).t0
+            powers += [(cycle_ideal(n, m), t0), (cycle_ideal(n, m), t0 + 1)]
+    for base, t in powers:
+        assert base.power(t).gens == oracle_power(base, t), (base, t)
+
+
+@given(ideals(n_max=4, max_exp=3, allow_trivial=True), st.data())
+@settings(max_examples=80, deadline=None)
+def test_order_only_maps_equal_the_constructor(I, data):
+    # polarize, extend, restrict, scale and the constructors below build no
+    # divisibility pass: their generators are already minimal and sorted
+    n = I.n_vars
+    u = data.draw(monomials_in(n))
+
+    def canonical(J):
+        return MonomialIdeal(J.n_vars, J.gens) == J
+
+    if not I.is_zero():
+        assert canonical(I.polarize()[0])
+    assert canonical(I.extend(data.draw(st.integers(0, 2))))
+    if n > 1:
+        assert canonical(I.restrict(data.draw(st.integers(1, n - 1))))
+    assert canonical(I.scale(u))
+    indices = data.draw(st.lists(st.integers(1, n), max_size=5))
+    assert canonical(MonomialIdeal.variable_prime(indices, n))
+    assert MonomialIdeal.variable_prime(indices, n) == MonomialIdeal(
+        n, [Monomial.variable(i, n) for i in indices]
+    )
+    assert canonical(MonomialIdeal.maximal(n))
+    assert MonomialIdeal.principal(u) == MonomialIdeal(n, [u])
+
+
+def test_ideal_operations_on_zero_and_unit_ideals():
+    zero, unit = MonomialIdeal.zero(2), MonomialIdeal.whole_ring(2)
+    I = parse_ideal("x1^2, x1*x2", 2)
+    assert zero.power(0) == unit and zero.power(3) == zero
+    assert unit.power(4) == unit
+    assert I * zero == zero and I * unit == I
+    assert I + zero == I and I + unit == unit
+    assert I.intersect(zero) == zero and I.intersect(unit) == I
+    assert I.colon(Monomial((2, 0))) == unit
+    assert zero.polarize() == (zero, 0)
+    assert reduce(MonomialIdeal.__add__, [MonomialIdeal.principal(g) for g in I.gens]) == I
+
+
+def test_non_integral_exponents_raise_type_error():
+    # they used to be truncated by int(): x1*x2^2, (x1) and a 2-variable ring
+    with pytest.raises(TypeError):
+        Monomial((1.5, 2))
+    with pytest.raises(TypeError):
+        MonomialIdeal(2, [Monomial((1.9, 0)), Monomial((1, 1))])
+    with pytest.raises(TypeError):
+        MonomialIdeal(2.5, [])
+
+
+def test_kernel_modules_import_alone_in_a_fresh_interpreter():
+    # the bitset rows live in the kernel layer; a module imported first
+    # must not need one that imports it back
+    src = os.path.dirname(os.path.dirname(pathdepth.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for module in ("pathdepth.monomials", "pathdepth.depth", "pathdepth.sdepth"):
+        run = subprocess.run(
+            [sys.executable, "-c", "import %s" % module], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr

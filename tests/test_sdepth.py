@@ -14,9 +14,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathdepth import sdepth
-from pathdepth.depth import _below_bitsets, betti, depth_quotient
+from pathdepth.depth import betti, depth_quotient
 from pathdepth.families import cycle_ideal, path_ideal
-from pathdepth.monomials import Monomial, MonomialIdeal, parse_ideal
+from pathdepth.monomials import Monomial, MonomialIdeal, _below_bitsets, parse_ideal
 from pathdepth.sdepth import (
     DEFAULT_BUDGET,
     CharacteristicPoset,
@@ -813,6 +813,25 @@ def test_rows_are_built_once_per_poset(monkeypatch):
     assert sdepth_quotient(ideal).sdepth == 2
     assert len(boxes) == 1
     assert built.count(build_poset(ideal).points) == 1
+
+
+def test_admissible_tops_are_built_once_per_k(monkeypatch):
+    # at k = 2 the search pauses and the symmetry finder decides J(6,4)^2:
+    # both read the tops of label >= 2 and their rows, built once
+    built, tops = [], sdepth._admissible_tops
+    rows = sdepth._below_bitsets
+
+    def counted(vectors, caps=None):
+        built.append(tuple(vectors))
+        return rows(vectors, caps)
+
+    monkeypatch.setattr(sdepth, "_below_bitsets", counted)
+    calls = []
+    monkeypatch.setattr(sdepth, "_admissible_tops", lambda p, k: calls.append(k) or tops(p, k))
+    result = sdepth_quotient(cycle_ideal(6, 4).power(2))
+    assert result.sdepth == 2 and calls.count(2) == 2
+    assert len(built) == len(set(built))
+    assert set(result.poset.admissible) == set(calls)
 
 
 def test_benchmark_ladder_skips_keep_their_budget_phase():
