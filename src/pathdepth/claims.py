@@ -138,11 +138,15 @@ class _Checks:
                 values[key] = value
         return value
 
-    def expect_sdepth(self, name, ideal, value):
-        """Check sdepth(S/I) = value unless the search is skipped; the sdepth or None."""
-        s = self.sdepth(name, ideal)
+    def expect_depth_and_sdepth(self, name, ideal, value):
+        """Check depth(S/I) = value, under `name`, then sdepth(S/I) = value
+        unless the search is skipped, under `name` with its first "depth"
+        read as "sdepth"; the sdepth or None."""
+        self.expect(name, _depth(ideal) == value)
+        sdepth_name = name.replace("depth", "sdepth", 1)
+        s = self.sdepth(sdepth_name, ideal)
         if s is not None:
-            self.expect(name, s == value)
+            self.expect(sdepth_name, s == value)
         return s
 
     def report(self, claim_id, params, values, relation):
@@ -694,11 +698,10 @@ def check_obsy(n, m, t, node_budget=DEFAULT_BUDGET):
     checks = _Checks(node_budget)
     J, Jprime, I, xn = _cycle_reduction(n, m)
     Jt = J.power(t)
-    colon_depth = [_depth(Jt.colon(xn ** k)) for k in range(0, t + 1)]
-    d = {
-        k: _depth(I.power(t + 1 - k) * Jprime.power(k - 1))
-        for k in range(1, t + 1)
-    }
+    colons = [Jt.colon(xn ** k) for k in range(t + 1)]
+    ladder = {k: I.power(t + 1 - k) * Jprime.power(k - 1) for k in range(1, t + 1)}
+    colon_depth = [_depth(colon) for colon in colons]
+    d = {k: _depth(ideal) for k, ideal in ladder.items()}
     values = {"d_k": d, "colon_depth": colon_depth}
     for k in range(1, t + 1):
         checks.expect(
@@ -712,13 +715,9 @@ def check_obsy(n, m, t, node_budget=DEFAULT_BUDGET):
             )
     checks.expect("d_1 = phi(n-1,m,t)", d[1] == phi(n - 1, m, t))
     colon_sdepth = [
-        checks.sdepth("sdepth colon k=%d" % k, Jt.colon(xn ** k))
-        for k in range(0, t + 1)
+        checks.sdepth("sdepth colon k=%d" % k, colon) for k, colon in enumerate(colons)
     ]
-    s = {
-        k: checks.sdepth("s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1))
-        for k in range(1, t + 1)
-    }
+    s = {k: checks.sdepth("s_%d" % k, ideal) for k, ideal in ladder.items()}
     values["s_k"] = s
     values["colon_sdepth"] = colon_sdepth
     for k in range(1, t + 1):
@@ -750,15 +749,14 @@ def check_obsy2(n, m, t, node_budget=DEFAULT_BUDGET):
     sum_ideal = Jt + MonomialIdeal.principal(xn ** t)
     d_sum = _depth(sum_ideal)
     d_full = _depth(Jt)
-    d = {
-        k: _depth(I.power(t + 1 - k) * Jprime.power(k - 1))
-        for k in range(2, t + 1)
-    }
+    ladder = {k: I.power(t + 1 - k) * Jprime.power(k - 1) for k in range(2, t + 1)}
+    d = {k: _depth(ideal) for k, ideal in ladder.items()}
     lower = min([phi(n - 1, m, t)] + list(d.values()))
     checks.expect("depth(S/(J^t,x_n^t)) >= min{phi(n-1,m,t), d_2..d_t}", d_sum >= lower)
     checks.expect("depth(S/J^t) <= depth(S/(J^t,x_n^t)) + 1", d_full <= d_sum + 1)
     # conditional (4): hypothesis on the colon by x_n^t (eq-copacel sequence)
-    d_colon = _depth(Jt.colon(xn ** t))
+    colon = Jt.colon(xn ** t)
+    d_colon = _depth(colon)
     hypothesis = d_colon > d_full
     values = {
         "depth_sum": d_sum,
@@ -771,10 +769,7 @@ def check_obsy2(n, m, t, node_budget=DEFAULT_BUDGET):
     if hypothesis:
         checks.expect("conditional: depth(S/J^t) >= depth(S/(J^t,x_n^t))", d_full >= d_sum)
     s_sum = checks.sdepth("sdepth sum", sum_ideal, values, "sdepth_sum")
-    s = {
-        k: checks.sdepth("s_%d" % k, I.power(t + 1 - k) * Jprime.power(k - 1))
-        for k in range(2, t + 1)
-    }
+    s = {k: checks.sdepth("s_%d" % k, ideal) for k, ideal in ladder.items()}
     if s_sum is not None and None not in s.values():
         s_lower = min([phi(n - 1, m, t)] + list(s.values()))
         checks.expect(
@@ -782,7 +777,7 @@ def check_obsy2(n, m, t, node_budget=DEFAULT_BUDGET):
             s_sum >= s_lower,
         )
     s_full = checks.sdepth("sdepth full", Jt)
-    s_colon = checks.sdepth("sdepth colon", Jt.colon(xn ** t))
+    s_colon = checks.sdepth("sdepth colon", colon)
     if None not in (s_full, s_colon, s_sum) and s_colon > s_full:
         checks.expect(
             "conditional: sdepth(S/J^t) >= sdepth(S/(J^t,x_n^t))",
@@ -831,8 +826,7 @@ def run_example_1(node_budget=DEFAULT_BUDGET):
         MonomialIdeal.variable_prime((2, 5), 5)
     )
     checks.expect("(L : x2x3x4) = (x1,x4) cap (x2,x5)", Lc == expected_lc)
-    checks.expect("depth(S'/(L:x2x3x4)) = 2", _depth(Lc) == 2)
-    checks.expect_sdepth("sdepth(S'/(L:x2x3x4)) = 2", Lc, 2)
+    checks.expect_depth_and_sdepth("depth(S'/(L:x2x3x4)) = 2", Lc, 2)
     W = L + MonomialIdeal.principal(u234)
     checks.expect(
         "W printed generators",
@@ -846,8 +840,7 @@ def run_example_1(node_budget=DEFAULT_BUDGET):
     u245 = Monomial.from_support((2, 4, 5), 5)
     Wc = W.colon(u245)
     checks.expect("(W : x2x4x5) = (x3,x4,x1)", Wc == MonomialIdeal.variable_prime((1, 3, 4), 5))
-    checks.expect("depth(S'/(W:x2x4x5)) = 2", _depth(Wc) == 2)
-    s_wc = checks.expect_sdepth("sdepth(S'/(W:x2x4x5)) = 2", Wc, 2)
+    s_wc = checks.expect_depth_and_sdepth("depth(S'/(W:x2x4x5)) = 2", Wc, 2)
     # the sum ideal pairs with the colon by the same monomial x2x4x5
     Ws = W + MonomialIdeal.principal(u245)
     checks.expect(
@@ -859,8 +852,7 @@ def run_example_1(node_budget=DEFAULT_BUDGET):
             5,
         ),
     )
-    checks.expect("depth(S'/(W,x2x4x5)) = 2", _depth(Ws) == 2)
-    s_ws = checks.expect_sdepth("sdepth(S'/(W,x2x4x5)) = 2", Ws, 2)
+    s_ws = checks.expect_depth_and_sdepth("depth(S'/(W,x2x4x5)) = 2", Ws, 2)
     # SES bound replay (0 -> S'/(W:u) -> S'/W -> S'/(W,u) -> 0 with
     # u = x2x4x5): depth/sdepth of S'/W and then S'/L are >= 2; the sdepth
     # bound exists only when both outer sdepths were decided
@@ -887,8 +879,7 @@ def run_example_1(node_budget=DEFAULT_BUDGET):
         "(L, x4) = (x1^2 x2 (x2,x5), x4)",
         Lx4 == parse_ideal("x1^2*x2^2, x1^2*x2*x5, x4", 5),
     )
-    checks.expect("depth(S'/(L,x4)) = 2", _depth(Lx4) == 2)
-    checks.expect_sdepth("sdepth(S'/(L,x4)) = 2", Lx4, 2)
+    checks.expect_depth_and_sdepth("depth(S'/(L,x4)) = 2", Lx4, 2)
     K = L.colon(x4)
     Kc = K.colon(x3)
     checks.expect(
@@ -903,10 +894,8 @@ def run_example_1(node_budget=DEFAULT_BUDGET):
         "(K, x3) printed generators",
         Ks == parse_ideal("x3, x1*x2^2, x1*x2*x5, x1*x5^2, x2*x4*x5, x4*x5^2", 5),
     )
-    checks.expect("depth(S'/(K:x3)) = 2", _depth(Kc) == 2)
-    checks.expect_sdepth("sdepth(S'/(K:x3)) = 2", Kc, 2)
-    checks.expect("depth(S'/(K,x3)) = 1", _depth(Ks) == 1)
-    checks.expect_sdepth("sdepth(S'/(K,x3)) = 1", Ks, 1)
+    checks.expect_depth_and_sdepth("depth(S'/(K:x3)) = 2", Kc, 2)
+    checks.expect_depth_and_sdepth("depth(S'/(K,x3)) = 1", Ks, 1)
     checks.expect("depth(S'/K) >= 1", _depth(K) >= 1)
     # final values
     d_final = _depth(J2)
@@ -964,15 +953,11 @@ def run_example_2(node_budget=DEFAULT_BUDGET):
     )
     # the two 4-variable model computations (variables x1, x2, x4, x5)
     A = MonomialIdeal.variable_prime((1, 4), 4) * MonomialIdeal.variable_prime((2, 3), 4)
-    checks.expect("model depth (x1,x5)(x2,x4) = 1", _depth(A) == 1)
-    checks.expect_sdepth("model sdepth (x1,x5)(x2,x4) = 1", A, 1)
+    checks.expect_depth_and_sdepth("model depth (x1,x5)(x2,x4) = 1", A, 1)
     B = MonomialIdeal.variable_prime((1, 4), 4) * parse_ideal("x1*x2, x3*x4", 4)
-    checks.expect("model depth (x1,x5)(x1x2,x4x5) = 2", _depth(B) == 2)
-    checks.expect_sdepth("model sdepth (x1,x5)(x1x2,x4x5) = 2", B, 2)
-    checks.expect("depth(S'/(L,x3)) = 1", _depth(Ls) == 1)
-    checks.expect_sdepth("sdepth(S'/(L,x3)) = 1", Ls, 1)
-    checks.expect("depth(S'/(L:x3)) = 3", _depth(Lc) == 3)
-    checks.expect_sdepth("sdepth(S'/(L:x3)) = 3", Lc, 3)
+    checks.expect_depth_and_sdepth("model depth (x1,x5)(x1x2,x4x5) = 2", B, 2)
+    checks.expect_depth_and_sdepth("depth(S'/(L,x3)) = 1", Ls, 1)
+    checks.expect_depth_and_sdepth("depth(S'/(L:x3)) = 3", Lc, 3)
     checks.expect("depth(S'/L) >= 1", _depth(L) >= 1)
     d2 = _depth(Jprime.power(2))
     values["depth_Jprime2"] = d2

@@ -37,6 +37,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import asdict, dataclass
+from functools import partial
 from math import gcd
 
 from .monomials import Monomial, _below_bitsets, _dividing
@@ -217,8 +218,9 @@ def _lcm_closure(exponent_tuples):
     items for a wider word.  Multiplying a frontier element by
     R = sum of 1 << (j * lane) copies it into every lane, so one
     subtraction takes its lcm with every generator at once, and the lanes
-    are read back through an `array` straight into the element set (as
-    tuples of items for wide words), with no step per pair in Python.
+    are read back straight into the element set, through an `array` or,
+    for a wide word, with `int.from_bytes` on each lane's bytes, with no
+    step per pair in Python.
     """
     n = len(exponent_tuples[0])
     w = max(max(t) for t in exponent_tuples).bit_length()
@@ -227,18 +229,21 @@ def _lcm_closure(exponent_tuples):
     gens = {sum(e << s for e, s in zip(t, shifts)) for t in exponent_tuples}
     width = n * (w + 1)
     item, code = next((b, c) for b, c in _ITEMS if b >= width or c == "Q")
-    items = -(-width // item)  # items per lane
-    lane = items * item
+    lane = -(-width // item) * item
     size = len(gens) * lane // 8
     spread = ((1 << len(gens) * lane) - 1) // ((1 << lane) - 1)
     packed = sum(g << j * lane for j, g in enumerate(gens))
     guards = guard * spread
     order = sys.byteorder
-    # a wide word's lanes are read back as tuples of items, decoded per element
-    if items == 1:
-        elements = set(gens)
+    if lane == item:
+        read = partial(array, code)
     else:
-        elements = {tuple(array(code, g.to_bytes(lane // 8, order))) for g in gens}
+        step = lane // 8
+
+        def read(raw):
+            return [int.from_bytes(raw[j:j + step], order) for j in range(0, size, step)]
+
+    elements = set(gens)
     frontier = gens
     while frontier:
         fresh = set()
@@ -246,25 +251,15 @@ def _lcm_closure(exponent_tuples):
             spread_a = (a | guard) * spread
             ge = (spread_a - packed) & guards
             lcms = packed ^ ((spread_a ^ packed) & (ge - (ge >> w)))
-            row = array(code, lcms.to_bytes(size, order))
-            fresh.update(row if items == 1 else zip(*[iter(row)] * items))
+            fresh.update(read(lcms.to_bytes(size, order)))
         frontier = fresh - elements
         elements |= frontier
-        if items > 1:
-            frontier = [_lane_word(t) for t in frontier]
-    if items > 1:
-        elements = map(_lane_word, elements)
     mask = (1 << w) - 1
     return [tuple((m >> s) & mask for s in shifts) for m in sorted(elements)]
 
 
 # (bits, typecode) of the array items that lanes are read back through
 _ITEMS = tuple((8 * array(c).itemsize, c) for c in "BHIQ")
-
-
-def _lane_word(items):
-    """The word that a lane read back as a tuple of 64-bit items stands for."""
-    return int.from_bytes(array("Q", items).tobytes(), sys.byteorder)
 
 
 def build_lcm_lattice(ideal):

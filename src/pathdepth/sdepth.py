@@ -9,10 +9,11 @@ downward.  A budget exhaustion is an error, never a wrong answer.
 
 The kernel runs on bitsets.  One pass over the box (`_box`) makes the
 bitset of its points outside I, in lex order, from "x_i >= c" patterns
-built only at the generators' exponents and at g_i; the points are read
-off it with its bits as selectors, sorted stably by degree, and so is
-the sweep bound.  Each poset builds its per-coordinate rows over its
-points (`CharacteristicPoset.below` and `.up`), its label classes and
+built only at the generators' exponents and at g_i; `build_poset`, the
+one route to a poset, reads the points off it with its bits as
+selectors, sorted stably by degree, and the sweep bound, which the poset
+carries (`CharacteristicPoset.sweep`).  Each poset builds its rows over
+its points (`CharacteristicPoset.below` and `.up`), its label classes and
 each k's admissible tops once, and every k's search, the bounds and the
 symmetry finder read them.  Admissible tops and interval cells are ANDs
 of such rows (`monomials._dividing`, the kernel layer's), and one
@@ -110,12 +111,14 @@ class CharacteristicPoset:
 
     Down-closed: the complement of a monomial ideal is closed under
     divisibility.  `points` is sorted by (degree, lex), a linear extension
-    of the componentwise order.
+    of the componentwise order.  `sweep` is the sweep bound, the smallest
+    label of a maximal point: no k above it admits a partition.
     """
 
     n_vars: int
     g: tuple
     points: tuple
+    sweep: int
 
     def label(self, b):
         return sum(map(eq, b, self.g))
@@ -178,15 +181,22 @@ DEFAULT_POSET_CAP = 100_000
 
 
 def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
-    """The exponent vectors a <= g outside I, sorted by (degree, lex).
+    """The exponent vectors a <= g outside I, sorted by (degree, lex), and
+    their sweep bound.
 
     g must be a multiple of lcm(G(I)); it defaults to the lcm.  The points
-    are read off the bitset of the box points outside I (`_box`): the box
-    in lex order, filtered with the bits as selectors, then sorted stably
-    by degree.  The poset builds its rows and its label classes, one
-    bitset of points per label, once, when first read.
+    and the sweep bound are both read off the bitset of the box points
+    outside I (`_box`): the box in lex order, filtered with the bits as
+    selectors, then sorted stably by degree.  The poset builds its rows
+    and its label classes, one bitset of points per label, once, when
+    first read.
     """
-    return _poset_of(_box(ideal, g, cap))
+    box = _box(ideal, g, cap)
+    g, _, members, _ = box
+    box_order = _cartesian(*(range(e + 1) for e in g))
+    # lex order within a degree: the box's order, and the sort is stable
+    points = sorted(compress(box_order, _selectors(members)), key=sum)
+    return CharacteristicPoset(len(g), g, tuple(points), _sweep_bound(box))
 
 
 def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
@@ -232,15 +242,6 @@ def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
         inside |= cone
     members = ((1 << size) - 1) ^ inside
     return cap_vec, strides, members, [row[gi] for row, gi in zip(at_least, cap_vec)]
-
-
-def _poset_of(box):
-    """The poset of the points of a `_box`, read off its members bitset."""
-    g, _, members, _ = box
-    box_order = _cartesian(*(range(e + 1) for e in g))
-    # lex order within a degree: the box's order, and the sort is stable
-    points = sorted(compress(box_order, _selectors(members)), key=sum)
-    return CharacteristicPoset(len(g), g, tuple(points))
 
 
 # binary digits to the bytes 0 and 1
@@ -657,36 +658,32 @@ def _read_off(points, coverings):
 
 def _symmetry_groups(ideal, g):
     """The nontrivial cyclic subgroups of the dihedral stabilizer of G(I)
-    and g, largest first, each as the permutations of its elements.
+    and g, largest first, each as the powers of its first generator met.
 
     The dihedral group of the cycle x_1, ..., x_n permutes the variables;
     a permutation h acts on exponent vectors as v -> (v[h[0]], ...,
     v[h[n-1]]).  One that fixes the minimal generators fixes I, hence the
     poset and its labels, so the image of a partition is a partition.
+    One scan over the 2n permutations, rotation by s then reflection at s
+    for each s, generates each subgroup at its first generator; groups of
+    one size keep that order.
     """
     n = ideal.n_vars
     gens = {h.exponents for h in ideal.gens}
     identity = tuple(range(n))
-    stabilizer = []
+    groups = {}  # element set -> the group, as generated by its first generator
     for s in range(n):
         for perm in (tuple((i + s) % n for i in range(n)), tuple((s - i) % n for i in range(n))):
-            if perm == identity or perm in stabilizer:
-                continue
             act = itemgetter(*perm)
-            if act(g) == g and all(act(v) in gens for v in gens):
-                stabilizer.append(perm)
-    groups = []
-    for perm in stabilizer:
-        group = [identity]
-        while True:
-            power = tuple(group[-1][i] for i in perm)
-            if power == identity:
-                break
-            group.append(power)
-        if set(group) not in [set(other) for other in groups]:
-            groups.append(group)
-    groups.sort(key=len, reverse=True)
-    return groups
+            if perm == identity or act(g) != g or any(act(v) not in gens for v in gens):
+                continue
+            group = [identity]
+            power = perm
+            while power != identity:
+                group.append(power)
+                power = tuple(power[i] for i in perm)
+            groups.setdefault(frozenset(group), group)
+    return sorted(groups.values(), key=len, reverse=True)
 
 
 def _orbit(p, b, acts):
@@ -886,7 +883,9 @@ def _most_constrained(points, candidates, units):
 def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BUDGET):
     """Exact sdepth(S/I): largest k admitting an interval partition.
 
-    The descent starts at min(sweep, Hilbert), above which no k can pass.
+    The poset comes from `build_poset`, the module global, with its sweep
+    bound, and the descent starts at min(sweep, Hilbert), above which no
+    k can pass.
     At each k >= 2 the search pauses once, on passing node_budget // 100
     nodes, or stops when it runs out earlier, and three tools get a turn,
     in order.  The colon-Hilbert bound (`_colon_bound`, computed once) may
@@ -899,9 +898,8 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     The search's nodes stop short by the units of both.  When none of the
     three settles k, the search resumes, or its budget error is raised.
     """
-    box = _box(ideal, g, cap)
-    poset = _poset_of(box)
-    top = _sweep_bound(box)
+    poset = build_poset(ideal, g, cap)
+    top = poset.sweep
     if top >= 2:
         # a positive sweep bound means depth >= 1, hence sdepth >= 1, so
         # at sweep bound 1 no bound can shorten the descent

@@ -1,9 +1,11 @@
 """Characteristic poset, interval partitions, and Stanley depth."""
 
 import gc
+import random
 import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as cartesian
 from math import ceil, comb, factorial, prod
@@ -51,7 +53,8 @@ from pathdepth.sdepth import (
 
 
 def box_scan_poset(ideal, g=None, cap=100000):
-    """Reference poset: every point of the box tested against every generator."""
+    """Reference poset: every point of the box tested against every
+    generator, and the sweep bound found by `scan_sweep_bound`."""
     if g is None:
         g = ideal.lcm_of_gens()
     cap_vec = g.exponents
@@ -67,7 +70,8 @@ def box_scan_poset(ideal, g=None, cap=100000):
         if not any(all(x <= y for x, y in zip(h, a)) for h in gens)
     ]
     points.sort(key=lambda a: (sum(a), a))
-    return CharacteristicPoset(ideal.n_vars, cap_vec, tuple(points))
+    unswept = CharacteristicPoset(ideal.n_vars, cap_vec, tuple(points), None)
+    return replace(unswept, sweep=scan_sweep_bound(unswept))
 
 
 def _leq(a, b):
@@ -622,17 +626,40 @@ def test_search_matches_its_memo_free_predecessor_on_larger_posets():
             assert _search_matches_predecessor(poset, k, [0.3, 0.7]), (str(ideal), k)
 
 
+# the memo search refutes k = 2 here within the default budget, which the
+# engine, charged for every revisit, runs out of
+REVISITING = parse_ideal("x2^2*x3^2, x1*x2^2*x3*x4^2, x1^2*x3*x4^2, x1^2*x3^2*x4", 4)
+
+
 @given(small_ideals())
+@example(REVISITING)
 @settings(max_examples=60, deadline=None)
 def test_search_decides_as_the_memo_search_did(ideal):
-    # a remembered covering cuts off only a subtree already refuted, so
-    # wherever the search that remembered every refuted covering decided,
-    # the engine finds the same partition, or None
+    # a remembered covering cuts off only a subtree already refuted, and
+    # the memo search pays nothing for a revisit, so wherever the engine
+    # decides, the search that remembered every refuted covering finds the
+    # same partition, or None; where the engine runs out, the memo-free
+    # search, whose nodes it counts, runs out with the same message
     poset = build_poset(ideal)
     for k in range(ideal.n_vars + 1):
-        want = _outcome(lambda: linear_scan_has_partition(poset, k, memo_cap=None))
-        if not isinstance(want, str):
-            assert has_partition_min_label(poset, k) == want, (str(ideal), k)
+        got = _outcome(lambda: has_partition_min_label(poset, k))
+        if isinstance(got, str):
+            want = _outcome(lambda: linear_scan_has_partition(poset, k, memo_cap=0))
+        else:
+            want = linear_scan_has_partition(poset, k, memo_cap=None)
+        assert got == want, (str(ideal), k)
+
+
+def test_memo_search_refutes_where_the_engine_runs_out():
+    # each revisit of a refuted covering costs the engine the nodes of its
+    # subtree, so it refutes k = 2 only at 10,000,000 nodes
+    poset = build_poset(REVISITING)
+    assert linear_scan_has_partition(poset, 2, memo_cap=None) is None
+    assert _outcome(lambda: has_partition_min_label(poset, 2)) == (
+        "budget: exceeded %d search nodes" % DEFAULT_BUDGET
+    )
+    assert has_partition_min_label(poset, 2, node_budget=10_000_000) is None
+    assert sdepth_quotient(REVISITING).sdepth == 1
 
 
 @given(small_ideals(), st.sampled_from([50, 2000, DEFAULT_BUDGET]))
@@ -813,6 +840,22 @@ def test_rows_are_built_once_per_poset(monkeypatch):
     assert sdepth_quotient(ideal).sdepth == 2
     assert len(boxes) == 1
     assert built.count(build_poset(ideal).points) == 1
+
+
+def test_sdepth_quotient_builds_its_poset_through_build_poset(monkeypatch):
+    # a wrapper on the module global, as a tracer places one, sees the
+    # engine's own build, and the poset it returns is the one decided on
+    built = []
+    original = sdepth.build_poset
+
+    def counted(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(sdepth, "build_poset", counted)
+    result = sdepth_quotient(cycle_ideal(6, 4).power(2))
+    assert len(built) == 1
+    assert result.poset is built[0] and result.poset.sweep == 3
 
 
 def test_admissible_tops_are_built_once_per_k(monkeypatch):
@@ -1027,6 +1070,67 @@ def symmetric_ideals(draw, n_max=4, exp_max=2, gens_max=3):
             v = _act(perm, v)
     assume(gens)
     return MonomialIdeal(n, [Monomial(v) for v in gens])
+
+
+def two_pass_symmetry_groups(ideal, g):
+    """Reference symmetry groups: the stabilizer listed first, then each
+    element's cyclic subgroup kept unless a listed group has its element
+    set, as the groups were found before one pass built them."""
+    n = ideal.n_vars
+    gens = {h.exponents for h in ideal.gens}
+    identity = tuple(range(n))
+    stabilizer = []
+    for s in range(n):
+        for perm in (tuple((i + s) % n for i in range(n)), tuple((s - i) % n for i in range(n))):
+            if perm == identity or perm in stabilizer:
+                continue
+            act = itemgetter(*perm)
+            if act(g) == g and all(act(v) in gens for v in gens):
+                stabilizer.append(perm)
+    groups = []
+    for perm in stabilizer:
+        group = [identity]
+        while True:
+            power = tuple(group[-1][i] for i in perm)
+            if power == identity:
+                break
+            group.append(power)
+        if set(group) not in [set(other) for other in groups]:
+            groups.append(group)
+    groups.sort(key=len, reverse=True)
+    return groups
+
+
+def test_symmetry_groups_match_their_two_pass_oracle():
+    # the same groups, each with its elements in the same order, in the same
+    # order, on the cycle and path families and their squares up to n = 8,
+    # at g = lcm and at a g that breaks the symmetry, and on seeded random
+    # ideals, half of them closed under a dihedral permutation
+    families = [cycle_ideal(n, m) for n in range(3, 9) for m in range(2, n)]
+    families += [path_ideal(n, m) for n in range(2, 9) for m in range(1, n + 1)]
+    ideals = [ideal.power(t) for ideal in families for t in (1, 2)]
+    rng = random.Random(23)
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        gens = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 4))}
+        if rng.random() < 0.5:
+            perm = rng.choice(_dihedral(n))
+            for v in list(gens):
+                w = _act(perm, v)
+                while w != v:
+                    gens.add(w)
+                    w = _act(perm, w)
+        gens.discard((0,) * n)
+        if gens:
+            ideals.append(MonomialIdeal(n, [Monomial(v) for v in gens]))
+    nontrivial = 0
+    for ideal in ideals:
+        lcm = ideal.lcm_of_gens().exponents
+        for g in (lcm, (lcm[0] + 1,) + lcm[1:]):
+            groups = _symmetry_groups(ideal, g)
+            assert groups == two_pass_symmetry_groups(ideal, g), (str(ideal), g)
+            nontrivial += bool(groups)
+    assert nontrivial > 100
 
 
 def test_symmetry_groups_of_the_families():
