@@ -14,22 +14,30 @@ i > s = |supp(a)|, and beta_{s,a} != 0 iff the complex at a is the
 boundary of the simplex on the support, a first pass of bitset ANDs over
 the lattice (`_top_row`) finds pd0, the largest s with a non-zero top
 row, with no faces at all.  Only elements of support at least pd + 2 can
-raise pd further: the walk builds faces for those alone, by decreasing
-support, computes only the homology that could raise pd, and stops once
-no element left can.  `max_ideal_associated` reads the row i = n off the
+raise pd further: the walk examines those alone, by decreasing support,
+computes only the homology that could raise pd, and stops once no
+element left can.  `max_ideal_associated` reads the row i = n off the
 same top-row test.  Ranks come from fraction-free integer elimination.
+
+Both `betti` and the walk read each Koszul strand complex off its facets
+first (`_facets`, `_strand_homology`).  The complex is the union of one
+simplex per generator dividing x^a, so its facets come from splitting
+the bitset of those generators on the support rows.  By the nerve
+theorem it has the reduced homology of the nerve of its facets: when the
+facets share a vertex it is a cone and builds no face, with f facets it
+has no homology above dimension f - 2, and its homology is taken on the
+nerve when f is below the support size.
 
 The hot loops run on flat data, per element rather than per pair or per
 face in Python.  The lattice is closed over exponent tuples packed into
 one word each, with every generator in its own lane of one int, so one
 multiply and one guarded subtraction give the lcms of an element with
-all generators, read back through an `array` (`_lcm_closure`).  Koszul
-strand faces are vertex bitmasks, grown off bitsets of generators
-(`_koszul_faces`); the cone test counts faces in C (`_is_cone`) and the
-boundary maps flip bits.  The bitsets of generators are the kernel
-layer's rows (`monomials._below_bitsets` and `_dividing`), the ones ideal
-arithmetic minimalizes with.  Monomials appear only in what the public
-functions take and return.
+all generators, read back through an `array` (`_lcm_closure`).  Faces,
+of a Koszul strand complex or of a nerve, are vertex bitmasks grown off
+bitsets (`_grow_faces`), and the boundary maps flip bits.  The bitsets
+of generators are the kernel layer's rows (`monomials._below_bitsets`
+and `_dividing`), the ones ideal arithmetic minimalizes with.  Monomials
+appear only in what the public functions take and return.
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import partial, reduce
 from math import gcd
+from operator import and_
 
 from .monomials import Monomial, _below_bitsets, _dividing
 
@@ -137,14 +146,15 @@ def _homology_from_top(faces, floor=-1):
 
     `faces` holds the nonempty faces as vertex bitmasks, each once.  Each
     boundary rank is taken once, as its dimension is reached, so a caller
-    that stops early computes no rank below the last dimension it read.
+    that stops early computes no rank below the last dimension it read,
+    and the empty face, whose boundary is zero, takes none.
     """
     by_dim = {-1: [0]}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     rank_above = 0
     for d in range(max(by_dim), floor - 1, -1):
-        rank = _boundary_rank(by_dim[d], by_dim.get(d - 1, ()))
+        rank = _boundary_rank(by_dim[d], by_dim[d - 1]) if d >= 0 else 0
         yield d, len(by_dim[d]) - rank - rank_above
         rank_above = rank
 
@@ -171,20 +181,6 @@ def reduced_homology(faces):
         masks.add(mask)
     masks.discard(0)
     return _homology(masks)
-
-
-def _is_cone(faces, vertices):
-    """True if some vertex v has f + {v} in the complex for every face f.
-
-    `faces` holds the nonempty faces of a complex as vertex bitmasks, each
-    once.  Dropping v maps the faces that contain v one-to-one into the
-    faces without v together with the empty face, and v is a cone point
-    iff that map is onto: iff v lies in (len(faces) + 1) / 2 faces, a
-    count taken in C.  Cones are contractible, so their reduced homology
-    vanishes; this is a cheap skip, never a source of nonzero ranks.
-    """
-    total = len(faces) + 1
-    return any(2 * (sum(map((1 << v).__and__, faces)) >> v) == total for v in vertices)
 
 
 # ---------------------------------------------------------------------
@@ -324,6 +320,40 @@ def _top_row(exponents, below):
     return True
 
 
+def _facets(exponents, below):
+    """The facets of the Koszul strand complex at a, as vertex bitmasks.
+
+    tau is a face iff some generator m dividing x^a has m_i <= a_i - 1 for
+    every i in tau, so the complex is the union of the simplices
+    T(m) = {i : m_i < a_i}.  Splitting the bitset of those generators on
+    each `_steps` row below[i][a_i - 1], the generators in the row first,
+    groups them by T(m), with one step per group and row, and lists the
+    T(m) in decreasing lex order on the support, so every simplex comes
+    after all of its supersets: it is a facet iff it lies in no facet
+    listed before it.  The complex of a generator is {empty face}, whose
+    one facet is 0.
+    """
+    bits, support, step = _steps(exponents, below)
+    groups = [(0, bits)]
+    for i, row in zip(support, step):
+        split = []
+        for simplex, gens in groups:
+            inside = gens & row
+            if inside:
+                split.append((simplex | 1 << i, inside))
+            if inside != gens:
+                split.append((simplex, gens ^ inside))
+        groups = split
+    facets = []
+    for simplex, _ in groups:
+        for facet in facets:
+            if simplex & facet == simplex:
+                break
+        else:
+            facets.append(simplex)
+    return facets
+
+
 def _koszul_faces(exponents, below):
     """Faces of the Koszul strand complex at a multidegree a of the ideal.
 
@@ -331,21 +361,24 @@ def _koszul_faces(exponents, below):
     closed under subsets, so a DFS that extends a face only by larger
     support indices, and only while the AND of its `_steps` rows stays
     non-zero, finds every face once.  `a` must lie in the ideal, as every
-    lcm-lattice element does.  Returns the faces and the support.
+    lcm-lattice element does.
     """
     bits, support, step = _steps(exponents, below)
     faces = []
     _grow_faces(0, 0, bits, [1 << i for i in support], step, faces)
-    return faces, support
+    return faces
 
 
 def _grow_faces(face, start, current, vertex, step, faces):
     """Append to `faces` the faces extending `face` by vertices from `start` on.
 
-    `current` is the bitset of the generators that still fit below
-    x^(a - face), and vertex[k] the bit of the k-th support index.  A
-    module-level recursion, so that no closure refers to itself and the
-    walk leaves no reference cycle behind.
+    A face is kept while the AND of `current` with the `step` entries of
+    its vertices stays non-zero, and vertex[k] is the bit of the k-th
+    entry: for Koszul faces `current` is the bitset of the generators that
+    still fit below x^(a - face), for the nerve of facets it is the common
+    vertices of the facets in the face.  A module-level recursion, so that
+    no closure refers to itself and the walk leaves no reference cycle
+    behind.
     """
     for k in range(start, len(step)):
         nxt = current & step[k]
@@ -353,6 +386,33 @@ def _grow_faces(face, start, current, vertex, step, faces):
             child = face | vertex[k]
             faces.append(child)
             _grow_faces(child, k + 1, nxt, vertex, step, faces)
+
+
+def _strand_homology(exponents, below, floor):
+    """(d, reduced homology rank in dimension d) of the Koszul strand complex
+    at a, char 0, from its top dimension down to floor, or none at all
+    where its facets show that every such rank vanishes.
+
+    The facets come first (`_facets`), and no face is built when they
+    meet in a vertex, since the complex is then a cone, nor when there
+    are f <= floor + 1 of them: by the nerve theorem the complex has the
+    reduced homology of the nerve of its facets, and the nerve, a proper
+    subcomplex of the simplex on f vertices, has none above dimension
+    f - 2.  Otherwise the homology is taken on the nerve when f is below
+    the support size, which bounds the complex's vertices, and on the
+    complex's own faces when it is not.  The nerve's faces are the sets
+    of facets that share a vertex, so a generator's one empty facet gives
+    the nerve {empty face}, as the complex is.
+    """
+    facets = _facets(exponents, below)
+    if reduce(and_, facets) or len(facets) - 2 < floor:
+        return ()
+    if len(facets) < sum(1 for e in exponents if e):
+        faces = []
+        _grow_faces(0, 0, -1, [1 << k for k in range(len(facets))], facets, faces)
+    else:
+        faces = _koszul_faces(exponents, below)
+    return _homology_from_top(faces, floor)
 
 
 def betti(ideal):
@@ -366,10 +426,8 @@ def betti(ideal):
     lattice = build_lcm_lattice(ideal)
     below = _below_bitsets([g.exponents for g in ideal.gens])
     for a in lattice.elements:
-        faces, support = _koszul_faces(a.exponents, below)
-        if _is_cone(faces, support):
-            continue
-        for d, r in _homology(faces).items():
+        ranks = [(d, r) for d, r in _strand_homology(a.exponents, below, -1) if r]
+        for d, r in reversed(ranks):
             entries[(d + 2, a)] = r
     return BettiTable(n, entries)
 
@@ -404,8 +462,10 @@ def depth_quotient(ideal):
     lcm-lattice elements by decreasing support size finds pd0, the largest
     s whose top row is non-zero (at least 1, from the generators).  Only
     an element with support at least pd + 2 can raise pd further, so the
-    walk builds faces for those alone, again by decreasing support, and
-    computes only the homology in dimensions >= pd - 1 (Betti index > pd).
+    walk examines those alone, again by decreasing support, and asks
+    `_strand_homology` only for the dimensions >= pd - 1 (Betti index
+    > pd), which builds no face for a cone or for a complex with at most
+    pd facets.
     """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
@@ -428,10 +488,7 @@ def depth_quotient(ideal):
     for size, a in elements:
         if size <= pd + 1:
             break
-        faces, support = _koszul_faces(a, below)
-        if _is_cone(faces, support):
-            continue
-        d = next((d for d, r in _homology_from_top(faces, pd - 1) if r), None)
+        d = next((d for d, r in _strand_homology(a, below, pd - 1) if r), None)
         if d is not None:
             pd = d + 2
     return DepthResult(n - pd, pd, n, "lattice")

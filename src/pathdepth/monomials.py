@@ -190,13 +190,29 @@ def _minimal(vectors):
     componentwise order, distinct and in lex order.
 
     A vector is kept iff the only candidate below it is itself: one AND
-    of `_below_bitsets` rows per vector, no step per pair in Python.
+    of `_below_bitsets` rows per vector, no step per pair in Python.  A
+    column whose largest exponent is past the byte path is first replaced
+    by the ranks of its values, which keeps the order between the vectors
+    and bounds its rows by the number of vectors, not by that exponent.
     """
     vectors = sorted(set(vectors))
     if len(vectors) < 2:
         return vectors
-    below = _below_bitsets(vectors)
-    return [v for v in vectors if _dividing(v, below).bit_count() == 1]
+    columns = list(zip(*vectors))
+    caps = list(map(max, columns))
+    keys = vectors
+    if max(caps) >= len(_AT_MOST):
+        columns = [_ranks(c) if cap >= len(_AT_MOST) else c for c, cap in zip(columns, caps)]
+        caps = list(map(max, columns))
+        keys = list(zip(*columns))
+    below = _below_bitsets(keys, caps)
+    return [v for v, key in zip(vectors, keys) if _dividing(key, below).bit_count() == 1]
+
+
+def _ranks(column):
+    """Each value of `column` replaced by its index among the distinct values."""
+    rank = {v: r for r, v in enumerate(sorted(set(column)))}
+    return tuple(map(rank.__getitem__, column))
 
 
 @dataclass(frozen=True)

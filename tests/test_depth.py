@@ -2,8 +2,10 @@
 
 import gc
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from math import comb
+from operator import and_
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,9 +15,10 @@ from pathdepth.depth import (
     DepthResult,
     PolarizationCapError,
     UnitIdealError,
-    _is_cone,
+    _facets,
     _koszul_faces,
     _lcm_closure,
+    _strand_homology,
     _top_row,
     betti,
     build_lcm_lattice,
@@ -194,6 +197,20 @@ def set_cone(faces, vertices):
 
 def face_mask(face):
     return sum(1 << v for v in face)
+
+
+def _is_cone(faces, vertices):
+    """True if some vertex v has f + {v} in the complex for every face f.
+
+    `faces` holds the nonempty faces of a complex as vertex bitmasks, each
+    once.  Dropping v maps the faces that contain v one-to-one into the
+    faces without v together with the empty face, and v is a cone point
+    iff that map is onto: iff v lies in (len(faces) + 1) / 2 faces.  The
+    face-count cone test the engine ran before it read cones off facets,
+    kept as the oracle of that facet test.
+    """
+    total = len(faces) + 1
+    return any(2 * (sum(map((1 << v).__and__, faces)) >> v) == total for v in vertices)
 
 
 @given(st.sets(st.frozensets(st.integers(0, 5), min_size=1, max_size=4), max_size=6))
@@ -434,11 +451,11 @@ def assert_matches_oracle(ideal):
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
     for a in lattice.elements:
-        faces, support, in_ideal = membership_koszul_faces(a.exponents, member)
+        faces, _, in_ideal = membership_koszul_faces(a.exponents, member)
         assert in_ideal
         # bitmask faces in the oracle's DFS order
         masks = [face_mask(f) for f in faces]
-        assert _koszul_faces(a.exponents, below) == (masks, support), str(a)
+        assert _koszul_faces(a.exponents, below) == masks, str(a)
     # same entries in the same order, not only the same map
     assert list(betti(ideal).entries.items()) == list(oracle_betti_entries(ideal).items())
 
@@ -628,19 +645,22 @@ def walk_oracle(ideal):
 
 
 def walk(ideal):
-    """The multidegrees depth_quotient examines, in order, and its pd."""
+    """The multidegrees depth_quotient examines, in order, and its pd.
+
+    An element is examined when its facets are read, the first step for
+    every element the walk reaches, cone or not."""
     examined = []
-    original = depth_module._koszul_faces
+    original = depth_module._facets
 
     def recording(exponents, below):
         examined.append(exponents)
         return original(exponents, below)
 
-    depth_module._koszul_faces = recording
+    depth_module._facets = recording
     try:
         pd = depth_quotient(ideal).pd
     finally:
-        depth_module._koszul_faces = original
+        depth_module._facets = original
     return examined, pd
 
 
@@ -651,7 +671,7 @@ def test_walk_examines_only_elements_that_can_raise_pd(ideal):
 
 
 def test_walk_stops_at_the_largest_support():
-    # the top element's top row gives pd = n: no faces are built
+    # the top element's top row gives pd = n: no facets are read
     assert walk(MonomialIdeal.maximal(4)) == ([], 4)
     # two disjoint edges: no top row passes above the generators (pd0 = 1),
     # the top gives pd 2, and the edges, of support 2 < 2 + 2, are not examined
@@ -676,6 +696,105 @@ def test_top_row_is_the_homology_in_the_top_dimension(ideal, polarize):
         faces, support, _ = membership_koszul_faces(a.exponents, member)
         top = reduced_homology(faces).get(len(support) - 2, 0)
         assert _top_row(a.exponents, below) == bool(top), str(a)
+
+
+# facets and nerves of the Koszul strand complexes
+
+
+def maximal_faces(faces):
+    """Reference: the maximal faces of the complex whose nonempty faces are
+    the tuples `faces`, as sorted bitmasks; {empty face} has the one facet 0."""
+    masks = [face_mask(f) for f in faces] or [0]
+    return sorted(m for m in masks if not any(m != o and m & o == m for o in masks))
+
+
+def nerve_faces(facets):
+    """Reference: the sets of facet indices whose facets share a vertex, by
+    trying every subset."""
+    return [
+        subset
+        for r in range(1, len(facets) + 1)
+        for subset in combinations(range(len(facets)), r)
+        if reduce(and_, (facets[k] for k in subset))
+    ]
+
+
+@given(small_ideals(n_max=5, gens_max=6), st.booleans())
+@example(MonomialIdeal.maximal(4), False)  # every complex the boundary of a simplex
+@example(cycle_ideal(5, 2), False)  # squarefree, with a circle at the top
+@settings(max_examples=80, deadline=None)
+def test_facet_kernel_matches_the_face_oracles(ideal, polarize):
+    # random ideals and their polarizations in up to 10 variables, against
+    # the faces of the membership oracle
+    if polarize:
+        ideal, _ = ideal.polarize()
+        if ideal.n_vars > 10:
+            return
+    below = _below_bitsets([g.exponents for g in ideal.gens])
+    member = _membership_oracle(ideal)
+    for a in monomial_lcm_closure(ideal):
+        faces, support, _ = membership_koszul_faces(a.exponents, member)
+        facets = _facets(a.exponents, below)
+        assert len(set(facets)) == len(facets), str(a)
+        assert sorted(facets) == maximal_faces(faces), str(a)
+        # the facets meet iff the face-count oracle finds a cone point
+        assert bool(reduce(and_, facets)) == _is_cone([face_mask(f) for f in faces], support)
+        homology = reduced_homology(faces)
+        # the nerve theorem, and no homology above dimension f - 2
+        assert reduced_homology(nerve_faces(facets)) == homology, str(a)
+        assert all(d <= len(facets) - 2 for d in homology), str(a)
+        # the engine's route at every floor the walk or the table can ask
+        for floor in range(-1, len(support)):
+            got = {d: r for d, r in _strand_homology(a.exponents, below, floor) if r}
+            assert got == {d: r for d, r in homology.items() if d >= floor}, (str(a), floor)
+
+
+def test_no_face_is_built_for_a_cone(monkeypatch):
+    # every face is grown after the facets of its element are read, and
+    # only for an element whose facets share no vertex
+    facets_of = depth_module._facets
+    grow = depth_module._grow_faces
+    last = []
+
+    def reading(exponents, below):
+        facets = facets_of(exponents, below)
+        last[:] = [reduce(and_, facets)]
+        return facets
+
+    def growing(*args):
+        assert last == [0]
+        return grow(*args)
+
+    monkeypatch.setattr(depth_module, "_facets", reading)
+    monkeypatch.setattr(depth_module, "_grow_faces", growing)
+    for ideal in (cycle_ideal(6, 4).power(2), path_ideal(5, 3).power(2), MonomialIdeal.maximal(4)):
+        depth_quotient(ideal)
+        betti(ideal)
+
+
+def test_walk_builds_few_faces_on_the_costliest_ladder_instance(monkeypatch):
+    # J(7,3)^3: the walk reaches 1,297 elements, all of support 7; the
+    # facets of 1,100 of them share a vertex, and the rest take 4,837
+    # faces, where growing every complex before the cone test took 103,538
+    reached = []
+    built = []
+    facets_of = depth_module._facets
+    homology = depth_module._homology_from_top
+
+    def reading(exponents, below):
+        facets = facets_of(exponents, below)
+        reached.append(bool(reduce(and_, facets)))
+        return facets
+
+    def counting(faces, floor=-1):
+        built.append(len(faces))
+        return homology(faces, floor)
+
+    monkeypatch.setattr(depth_module, "_facets", reading)
+    monkeypatch.setattr(depth_module, "_homology_from_top", counting)
+    assert depth_quotient(cycle_ideal(7, 3).power(3)).depth == 2
+    assert (len(reached), sum(reached)) == (1297, 1100)
+    assert sum(built) == 4837
 
 
 def test_depth_ladder_pins():

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathdepth
+from pathdepth import monomials
 from pathdepth.families import cycle_ideal, path_ideal, t0_alpha
 from pathdepth.monomials import (
     AmbientMismatchError,
     Monomial,
     MonomialIdeal,
+    _minimal,
     parse_ideal,
     parse_monomial,
 )
@@ -297,6 +299,48 @@ def test_constructor_matches_the_pairwise_oracle(vectors):
     ideal = MonomialIdeal(3, raw)
     assert ideal.gens == oracle_gens(raw)
     assert all(any(g is m for m in raw) for g in ideal.gens)
+
+
+@st.composite
+def wide_vectors(draw):
+    """Exponent tuples whose columns reach 3, 255, 256 or 50,000, so that
+    columns on the byte path sit beside columns that are ranked first."""
+    tops = draw(st.lists(st.sampled_from([3, 255, 256, 50_000]), min_size=1, max_size=4))
+    column = st.tuples(*[st.integers(0, top) for top in tops])
+    vectors = draw(st.lists(column, max_size=8))
+    # equal values in a wide column, which share a rank
+    return vectors + draw(st.lists(st.sampled_from(vectors), max_size=3)) if vectors else vectors
+
+
+@given(wide_vectors())
+@example([(50_000, 0), (0, 50_000), (49_999, 1), (1, 49_999), (50_000, 50_000), (256, 256)])
+@settings(max_examples=150, deadline=None)
+def test_minimal_ranks_wide_columns_as_the_pairwise_oracle(vectors):
+    raw = [Monomial(v) for v in vectors]
+    assert _minimal(vectors) == [g.exponents for g in oracle_gens(raw)]
+
+
+def test_minimal_builds_rows_no_longer_than_the_vectors(monkeypatch):
+    # a ranked column holds at most one value per vector, so its rows stay
+    # on the byte path, however large its exponents
+    caps = []
+    rows = monomials._below_bitsets
+
+    def recording(vectors, cap=None):
+        caps.append(cap)
+        return rows(vectors, cap)
+
+    monkeypatch.setattr(monomials, "_below_bitsets", recording)
+    vectors = [(50_000, 7, 0), (0, 3, 49_999), (25_000, 200, 1), (1, 0, 50_000), (9, 9, 9), (50_000, 0, 0)]
+    assert _minimal(vectors) == [
+        (0, 3, 49_999), (1, 0, 50_000), (9, 9, 9), (25_000, 200, 1), (50_000, 0, 0)
+    ]
+    # five distinct values in each wide column, ranked 0..4
+    assert caps == [[4, 200, 4]]
+    # columns that fit in a byte keep their exponents
+    caps.clear()
+    assert _minimal([(255, 1), (3, 2)]) == [(3, 2), (255, 1)]
+    assert caps == [[255, 2]]
 
 
 def test_ladder_and_lemma_1_10_powers_match_the_oracle():
