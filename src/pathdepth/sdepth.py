@@ -25,12 +25,14 @@ with the same message, as under them; construction is charged in closed
 form for every point before any list is built, and a point's candidate
 list is built only when the search first branches there.  The search
 pays one node per covering it visits, revisits included: the subtree
-below a covering depends on the covering alone, so a bounded memo, local
-to the call, keeps the nodes of each refuted subtree of at least
-_MEMO_MIN_COST nodes, up to _MEMO_ENTRIES of them, and a revisit is
-charged that count at once instead of being searched again, wherever the
-charge passes neither the pause nor the limit.  Every count, pause and
-message is the one a search without the memo gives.
+below a covering depends on the covering alone, so a memo local to the
+call keeps the nodes of each refuted subtree (`_remember`), and a revisit
+is charged that count at once instead of being searched again, wherever
+the charge passes neither the pause nor the limit.  The memo holds fewer
+than _MEMO_ENTRIES subtrees: when it fills, its floor, the least cost it
+records, doubles and the cheaper entries go, so the costliest subtrees
+stay.  Every count, pause and message is the one a search without the
+memo gives.
 
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
@@ -60,7 +62,8 @@ built by then, that branches on the uncovered point the fewest live
 intervals hold, on node_budget // 10 units out of the search's nodes.  A
 partition it finds decides k, and its None, an exhaustion, refutes k;
 running out of units refutes nothing.  When no tool settles k, the
-search resumes, or its budget error is raised.
+search resumes, without the lists it built only for the pause, or its
+budget error is raised.
 """
 
 from __future__ import annotations
@@ -479,11 +482,29 @@ def _candidate_charge(npts, tops):
 
 
 # the memo of refuted coverings that `_exact_cover` and `_most_constrained`
-# keep for one call: a subtree is recorded only if it cost at least
-# _MEMO_MIN_COST nodes or units, and at most _MEMO_ENTRIES are held, after
-# which nothing more is recorded
-_MEMO_MIN_COST = 32
+# keep for one call holds fewer than _MEMO_ENTRIES of them (`_remember`)
 _MEMO_ENTRIES = 16_384
+
+
+def _remember(sizes, floor, covering, cost):
+    """Record in the memo `sizes` that `covering` was refuted at `cost`
+    nodes or units, if cost >= floor; the floor after.
+
+    A memo that reaches _MEMO_ENTRIES doubles its floor and drops every
+    entry below it, until it holds fewer: the costliest refuted subtrees,
+    whose revisits save the most, are the ones kept.  Each call of a
+    search starts with an empty memo at floor 1.
+    """
+    if cost >= floor:
+        sizes[covering] = cost
+        while len(sizes) >= _MEMO_ENTRIES:
+            floor *= 2
+            # the full table goes before the kept entries fill a new one,
+            # so that the two are never held at once
+            coverings, costs = list(sizes), list(sizes.values())
+            sizes.clear()
+            sizes.update((c, size) for c, size in zip(coverings, costs) if size >= floor)
+    return floor
 
 
 def _admissible_tops(poset, k):
@@ -507,7 +528,8 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     `pause` search nodes, and resumes where it stopped; its answer is its
     return value.  The masks come as one list per point p, the intervals
     [p, b] largest first, ties in the order of the tops; the lists not
-    yet built are built before the pause, so the table is complete.
+    yet built are built before the pause, so the table is complete, and
+    dropped after it, so the search holds only the lists it branches on.
     """
     points = poset.points
     npts = len(points)
@@ -578,14 +600,15 @@ def _exact_cover(candidates, build, nodes, limit, pause, exhausted):
     and the limit, so `nodes` counts search nodes alone.  The search
     pays one node per covering it visits, revisits included, on top of
     the `nodes` it starts with.  On passing `pause` nodes it builds every
-    list left, yields `candidates` once and resumes; past `limit` units it
-    raises SearchBudgetError(exhausted).
+    list left, yields a copy of `candidates` once and resumes without the
+    lists built for the pause; past `limit` units it raises
+    SearchBudgetError(exhausted).
 
     The subtree below a covering depends on the covering alone (its first
     uncovered point and that point's list), so when a frame other than
     the root is exhausted, a memo local to the call records the nodes its
-    subtree took, if at least _MEMO_MIN_COST, while it holds fewer than
-    _MEMO_ENTRIES coverings.  Every list of an exhausted subtree is built,
+    subtree took, at or above a floor that doubles whenever the memo
+    fills (`_remember`).  Every list of an exhausted subtree is built,
     so its nodes are all that searching it again costs, and a revisit is
     charged them at once instead, unless that would pass the node where
     the search stops, which it then reaches by searching as before.
@@ -596,7 +619,7 @@ def _exact_cover(candidates, build, nodes, limit, pause, exhausted):
     covered = nxt = 0
     entry = nodes  # the node count at which the current frame opened
     stack = []  # the (covered, options, entry) of the frames below the current one
-    sizes = {}  # refuted covering -> the nodes below it
+    sizes, floor = {}, 1  # refuted covering -> the nodes below it; the least recorded
     while True:
         # open the frame of `covered` at nxt, its first uncovered point
         options = candidates[nxt]
@@ -616,10 +639,16 @@ def _exact_cover(candidates, build, nodes, limit, pause, exhausted):
                 if nodes > stop:
                     if stop == limit:
                         raise SearchBudgetError(exhausted)
-                    for i, cand in enumerate(candidates):
-                        if cand is None:
-                            limit -= build(i, limit - nodes)
-                    yield candidates
+                    unbuilt = [i for i, cand in enumerate(candidates) if cand is None]
+                    for i in unbuilt:
+                        limit -= build(i, limit - nodes)
+                    yield list(candidates)
+                    # the lists built for the pause go, and are built again
+                    # where the search first branches, which it does at few
+                    # of them; only `_search`, whose lists cost no units,
+                    # pauses
+                    for i in unbuilt:
+                        candidates[i] = None
                     stop = limit
                 child = covered | mask
                 if child == full:
@@ -636,8 +665,7 @@ def _exact_cover(candidates, build, nodes, limit, pause, exhausted):
             else:
                 if not stack:
                     return None, limit - nodes
-                if nodes - entry >= _MEMO_MIN_COST and len(sizes) < _MEMO_ENTRIES:
-                    sizes[covered] = nodes - entry
+                floor = _remember(sizes, floor, covered, nodes - entry)
                 covered, options, entry = stack.pop()
                 continue
             break
@@ -834,9 +862,9 @@ def _most_constrained(points, candidates, units):
     The live intervals are those disjoint from the covering, so the units
     below a covering depend on it alone, not on the cells of the interval
     that led into it.  As in `_search`, a memo local to the call records
-    the units of each refuted subtree of at least _MEMO_MIN_COST, up to
-    _MEMO_ENTRIES coverings, and a revisit is charged the interval's cells
-    plus those units at once, wherever that stays within `units`.
+    the units of each refuted subtree (`_remember`), and a revisit is
+    charged the interval's cells plus those units at once, wherever that
+    stays within `units`.
     """
     masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
     contain = _contain(points, masks)
@@ -844,7 +872,7 @@ def _most_constrained(points, candidates, units):
     live = (1 << len(masks)) - 1
     options, spent = _fewest(full, live, contain)
     stack = [(0, live, _bits(options), 0)]  # (covered, live, options, entry)
-    sizes = {}  # refuted covering -> the units spent below it
+    sizes, floor = {}, 1  # refuted covering -> the units spent below it; the least recorded
     while stack:
         if spent > units:
             raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
@@ -875,8 +903,7 @@ def _most_constrained(points, candidates, units):
                 # live is every interval disjoint from the covering, so the
                 # subtree's units depend on the covering alone; the cells of
                 # the interval that led in depend on the path and stay out
-                if spent - entry >= _MEMO_MIN_COST and len(sizes) < _MEMO_ENTRIES:
-                    sizes[covered] = spent - entry
+                floor = _remember(sizes, floor, covered, spent - entry)
     return None
 
 
@@ -938,6 +965,7 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
             if partition is None:
                 if failure:
                     raise failure
+                table = None  # so the lists built only for it can go
                 _, partition = _advance(search)
         if partition is not None:
             return SdepthResult(k, poset, partition)

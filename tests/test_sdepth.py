@@ -527,19 +527,60 @@ def test_search_kernel_matches_memo_free_oracle():
     )
 
 
-# (_MEMO_MIN_COST, _MEMO_ENTRIES): the defaults; every subtree recorded,
-# even one that cost nothing; every subtree of a node or more; one entry,
-# after which nothing more is recorded; no entry at all
-MEMO_SETTINGS = (None, (0, 1 << 30), (1, 1 << 30), (1, 1), (1, 0))
+# _MEMO_ENTRIES: 1, which evicts every record at once; 2 and 8, which
+# evict in mid-search on the small posets; the default; and a cap no
+# search reaches, so the floor stays at 1
+MEMO_SETTINGS = (1, 2, 8, None, 1 << 30)
 
 
 @contextmanager
 def memo_setting(setting):
     with pytest.MonkeyPatch.context() as patch:
         if setting is not None:
-            patch.setattr(sdepth, "_MEMO_MIN_COST", setting[0])
-            patch.setattr(sdepth, "_MEMO_ENTRIES", setting[1])
+            patch.setattr(sdepth, "_MEMO_ENTRIES", setting)
         yield
+
+
+@given(st.integers(1, 8), st.lists(st.integers(0, 300), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_remember_keeps_the_costliest_entries_under_the_cap(cap, costs):
+    # covering i refuted at costs[i]: after each call the memo holds fewer
+    # than cap entries, exactly those of the costs so far at or above the
+    # floor, and the floor, a power of two, doubled only on a full memo; at
+    # cap 1 every record is evicted at once, and the loop ends
+    with memo_setting(cap):
+        sizes, floor = {}, 1
+        for i, cost in enumerate(costs):
+            floor = sdepth._remember(sizes, floor, i, cost)
+            assert len(sizes) < cap
+            assert sizes == {j: c for j, c in enumerate(costs[: i + 1]) if c >= floor}
+            assert floor & (floor - 1) == 0
+            assert floor == 1 or sum(c >= floor // 2 for c in costs[: i + 1]) >= cap
+            if cap == 1:
+                assert sizes == {} and floor > cost
+
+
+def test_memo_keeps_the_costliest_refuted_subtrees():
+    # every exhausted frame but the root goes through `_remember`: with
+    # the costliest subtrees kept, (J(6,4)^2, x6^2) runs out at k = 2 after
+    # 134,467 of them, where a memo of the first subtrees of 32 nodes or
+    # more searched 354,162
+    exhausted = 0
+    remember = sdepth._remember
+
+    def counted(*args):
+        nonlocal exhausted
+        exhausted += 1
+        return remember(*args)
+
+    x6 = Monomial.variable(6, 6)
+    ideal = cycle_ideal(6, 4).power(2) + MonomialIdeal.principal(x6 ** 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_remember", counted)
+        assert _outcome(lambda: sdepth_quotient(ideal)) == (
+            "budget: exceeded 2000000 search nodes"
+        )
+    assert exhausted == 134_467
 
 
 def _least(holds):
