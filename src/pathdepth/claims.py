@@ -532,13 +532,18 @@ def check_t1(n, t, node_budget=DEFAULT_BUDGET):
     )
 
 
+def _tail_colon(n, m, t):
+    """Lemma 2.3's colon (J(n,m)^t : (x_{n-m+1} ... x_{n-1})^t)."""
+    u = Monomial.from_support(range(n - m + 1, n), n) ** t
+    return cycle_ideal(n, m).power(t).colon(u)
+
+
 def check_inmt2(n, m, t):
     """Colon of J(n,m)^t by the t-th power of the (m-1)-fold tail product."""
     if not (n > m >= 2 and t >= 1):
         raise ValueError("requires n > m >= 2 and t >= 1")
     checks = _Checks()
-    u = Monomial.from_support(range(n - m + 1, n), n) ** t
-    lhs = cycle_ideal(n, m).power(t).colon(u)
+    lhs = _tail_colon(n, m, t)
     pair = MonomialIdeal.variable_prime((n - m, n), n)
     if n <= 2 * m:
         rhs = pair.power(t)
@@ -560,8 +565,7 @@ def check_intermed(n, m, t, node_budget=DEFAULT_BUDGET):
     if not (n >= 2 * m + 1 and m >= 2 and t >= 1):
         raise ValueError("requires n >= 2m+1, m >= 2, t >= 1")
     checks = _Checks(node_budget)
-    u = Monomial.from_support(range(n - m + 1, n), n) ** t
-    V = cycle_ideal(n, m).power(t).colon(u)
+    V = _tail_colon(n, m, t)
     d = _depth(V)
     expected = phi(n, m, t) if t <= n - 2 * m else 2 * (m - 1)
     checks.expect("depth(S/V) = branch value", d == expected)
@@ -693,13 +697,18 @@ def check_inmt(n, m, t, k, node_budget=DEFAULT_BUDGET):
     )
 
 
+def _ladder(I, Jprime, t, first):
+    """{k: I^{t+1-k} J'^{k-1}} for k = first..t, the ideals of the d_k."""
+    return {k: I.power(t + 1 - k) * Jprime.power(k - 1) for k in range(first, t + 1)}
+
+
 def check_obsy(n, m, t, node_budget=DEFAULT_BUDGET):
     """The d_k / s_k inequalities from the colon short exact sequences."""
     checks = _Checks(node_budget)
     J, Jprime, I, xn = _cycle_reduction(n, m)
     Jt = J.power(t)
     colons = [Jt.colon(xn ** k) for k in range(t + 1)]
-    ladder = {k: I.power(t + 1 - k) * Jprime.power(k - 1) for k in range(1, t + 1)}
+    ladder = _ladder(I, Jprime, t, 1)
     colon_depth = [_depth(colon) for colon in colons]
     d = {k: _depth(ideal) for k, ideal in ladder.items()}
     values = {"d_k": d, "colon_depth": colon_depth}
@@ -749,7 +758,7 @@ def check_obsy2(n, m, t, node_budget=DEFAULT_BUDGET):
     sum_ideal = Jt + MonomialIdeal.principal(xn ** t)
     d_sum = _depth(sum_ideal)
     d_full = _depth(Jt)
-    ladder = {k: I.power(t + 1 - k) * Jprime.power(k - 1) for k in range(2, t + 1)}
+    ladder = _ladder(I, Jprime, t, 2)
     d = {k: _depth(ideal) for k, ideal in ladder.items()}
     lower = min([phi(n - 1, m, t)] + list(d.values()))
     checks.expect("depth(S/(J^t,x_n^t)) >= min{phi(n-1,m,t), d_2..d_t}", d_sum >= lower)

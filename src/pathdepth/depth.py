@@ -25,16 +25,17 @@ simplex per generator dividing x^a, so its facets come from splitting
 the bitset of those generators on the support rows.  By the nerve
 theorem it has the reduced homology of the nerve of its facets: when the
 facets share a vertex it is a cone and builds no face, with f facets it
-has no homology above dimension f - 2, and its homology is taken on the
-nerve when f is below the support size.
+has no homology above dimension f - 2, and otherwise its faces are grown
+off the facet-vertex incidence from the smaller side (`_strand_faces`):
+the nerve's when f is below the support size, its own when it is not.
 
 The hot loops run on flat data, per element rather than per pair or per
 face in Python.  The lattice is closed over exponent tuples packed into
 one word each, with every generator in its own lane of one int, so one
 multiply and one guarded subtraction give the lcms of an element with
 all generators, read back through an `array` (`_lcm_closure`).  Faces,
-of a Koszul strand complex or of a nerve, are vertex bitmasks grown off
-bitsets (`_grow_faces`), and the boundary maps flip bits.  The bitsets
+on either side of the incidence, are vertex bitmasks grown off bitsets
+(`_grow_faces`), and the boundary maps flip bits.  The bitsets
 of generators are the kernel layer's rows (`monomials._below_bitsets`
 and `_dividing`), the ones ideal arithmetic minimalizes with.  Monomials
 appear only in what the public functions take and return.
@@ -159,12 +160,6 @@ def _homology_from_top(faces, floor=-1):
         rank_above = rank
 
 
-def _homology(faces):
-    """{dim: rank}, nonzero ranks only, by increasing dimension, of the
-    complex whose nonempty faces are the bitmasks `faces`, each once."""
-    return {d: r for d, r in reversed(list(_homology_from_top(faces))) if r}
-
-
 def reduced_homology(faces):
     """Reduced homology ranks (char 0) of a simplicial complex.
 
@@ -180,7 +175,7 @@ def reduced_homology(faces):
             mask |= 1 << index.setdefault(v, len(index))
         masks.add(mask)
     masks.discard(0)
-    return _homology(masks)
+    return {d: r for d, r in reversed(list(_homology_from_top(masks))) if r}
 
 
 # ---------------------------------------------------------------------
@@ -354,38 +349,39 @@ def _facets(exponents, below):
     return facets
 
 
-def _koszul_faces(exponents, below):
-    """Faces of the Koszul strand complex at a multidegree a of the ideal.
-
-    Faces are bitmasks of variables, bit i for x_{i+1}.  The complex is
-    closed under subsets, so a DFS that extends a face only by larger
-    support indices, and only while the AND of its `_steps` rows stays
-    non-zero, finds every face once.  `a` must lie in the ideal, as every
-    lcm-lattice element does.
-    """
-    bits, support, step = _steps(exponents, below)
-    faces = []
-    _grow_faces(0, 0, bits, [1 << i for i in support], step, faces)
-    return faces
-
-
-def _grow_faces(face, start, current, vertex, step, faces):
+def _grow_faces(face, start, current, vertex, holds, faces):
     """Append to `faces` the faces extending `face` by vertices from `start` on.
 
-    A face is kept while the AND of `current` with the `step` entries of
-    its vertices stays non-zero, and vertex[k] is the bit of the k-th
-    entry: for Koszul faces `current` is the bitset of the generators that
-    still fit below x^(a - face), for the nerve of facets it is the common
-    vertices of the facets in the face.  A module-level recursion, so that
-    no closure refers to itself and the walk leaves no reference cycle
-    behind.
+    The faces are those of one side of an incidence: vertex[k] is the bit
+    of the k-th vertex and holds[k] the bitset of the other side's
+    elements incident to it, so a face is kept while the AND of `current`
+    with the `holds` of its vertices stays non-zero.  A module-level
+    recursion, so that no closure refers to itself and the walk leaves no
+    reference cycle behind.
     """
-    for k in range(start, len(step)):
-        nxt = current & step[k]
+    for k in range(start, len(holds)):
+        nxt = current & holds[k]
         if nxt:
             child = face | vertex[k]
             faces.append(child)
-            _grow_faces(child, k + 1, nxt, vertex, step, faces)
+            _grow_faces(child, k + 1, nxt, vertex, holds, faces)
+
+
+def _strand_faces(facets, support):
+    """The faces of the complex with these facets, or of their nerve when
+    f is below the support size s: the two sides of the facet-vertex
+    incidence, with the same reduced homology by Dowker's theorem.  On the
+    nerve side vertex k is facet k and holds its vertices; on the complex
+    side vertex i is a support index and holds the facets containing it.
+    """
+    if len(facets) < len(support):
+        vertex, holds = [1 << k for k in range(len(facets))], facets
+    else:
+        vertex = [1 << i for i in support]
+        holds = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in support]
+    faces = []
+    _grow_faces(0, 0, -1, vertex, holds, faces)
+    return faces
 
 
 def _strand_homology(exponents, below, floor):
@@ -398,21 +394,14 @@ def _strand_homology(exponents, below, floor):
     are f <= floor + 1 of them: by the nerve theorem the complex has the
     reduced homology of the nerve of its facets, and the nerve, a proper
     subcomplex of the simplex on f vertices, has none above dimension
-    f - 2.  Otherwise the homology is taken on the nerve when f is below
-    the support size, which bounds the complex's vertices, and on the
-    complex's own faces when it is not.  The nerve's faces are the sets
-    of facets that share a vertex, so a generator's one empty facet gives
-    the nerve {empty face}, as the complex is.
+    f - 2.  Otherwise the faces are grown off the facet-vertex incidence
+    from its smaller side (`_strand_faces`).
     """
     facets = _facets(exponents, below)
     if reduce(and_, facets) or len(facets) - 2 < floor:
         return ()
-    if len(facets) < sum(1 for e in exponents if e):
-        faces = []
-        _grow_faces(0, 0, -1, [1 << k for k in range(len(facets))], facets, faces)
-    else:
-        faces = _koszul_faces(exponents, below)
-    return _homology_from_top(faces, floor)
+    support = [i for i, e in enumerate(exponents) if e]
+    return _homology_from_top(_strand_faces(facets, support), floor)
 
 
 def betti(ideal):

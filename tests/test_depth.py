@@ -16,8 +16,8 @@ from pathdepth.depth import (
     PolarizationCapError,
     UnitIdealError,
     _facets,
-    _koszul_faces,
     _lcm_closure,
+    _strand_faces,
     _strand_homology,
     _top_row,
     betti,
@@ -451,11 +451,13 @@ def assert_matches_oracle(ideal):
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
     for a in lattice.elements:
-        faces, _, in_ideal = membership_koszul_faces(a.exponents, member)
+        faces, support, in_ideal = membership_koszul_faces(a.exponents, member)
         assert in_ideal
-        # bitmask faces in the oracle's DFS order
+        # the complex side of the face generator, in the oracle's DFS order:
+        # s empty facets leave the complex as it is and make f >= s
+        facets = _facets(a.exponents, below) + [0] * len(support)
         masks = [face_mask(f) for f in faces]
-        assert _koszul_faces(a.exponents, below) == masks, str(a)
+        assert _strand_faces(facets, support) == masks, str(a)
     # same entries in the same order, not only the same map
     assert list(betti(ideal).entries.items()) == list(oracle_betti_entries(ideal).items())
 
@@ -720,8 +722,9 @@ def nerve_faces(facets):
 
 
 @given(small_ideals(n_max=5, gens_max=6), st.booleans())
-@example(MonomialIdeal.maximal(4), False)  # every complex the boundary of a simplex
+@example(MonomialIdeal.maximal(4), False)  # simplex boundaries, f = s: the complex side
 @example(cycle_ideal(5, 2), False)  # squarefree, with a circle at the top
+@example(parse_ideal("x1*x2, x3*x4", 4), False)  # f = 2 < s = 4 at (1,1,1,1): the nerve side
 @settings(max_examples=80, deadline=None)
 def test_facet_kernel_matches_the_face_oracles(ideal, polarize):
     # random ideals and their polarizations in up to 10 variables, against
