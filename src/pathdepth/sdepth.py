@@ -42,8 +42,9 @@ sweep bound is at least 2, is the largest d with (1-t)^d H(S/I; t)
 nonnegative, which no Stanley decomposition can beat; H is counted off
 the poset's (degree, label) classes, the one shape path that the colon
 bound takes too.  At each k >= 2 the search pauses once, on passing
-node_budget // 100 nodes, or stops if it runs out before, and three
-tools that settle some k cheaply get their turn.
+node_budget // 100 nodes, or stops if it runs out before, and four
+tools that settle some k cheaply get their turn, the last two in each
+other's place.
 The colon-Hilbert bound, computed once per call: sdepth(S/I) <=
 sdepth(S/(I : x^a)) (the paper's Lemma 1.4), and the Hilbert bound of
 each colon is read off the points above a, once per distinct multiset of
@@ -61,9 +62,16 @@ only: an exact cover over the search's candidate masks, with every list
 built by then, that branches on the uncovered point the fewest live
 intervals hold, on node_budget // 10 units out of the search's nodes.  A
 partition it finds decides k, and its None, an exhaustion, refutes k;
-running out of units refutes nothing.  When no tool settles k, the
-search resumes, without the lists it built only for the pause, or its
-budget error is raised.
+running out of units refutes nothing.  The layer finder, at a pause on
+a budget of 100 or more, takes the most-constrained search's turn when
+the poset splits: where x_i^{g_i} lies in I no point reaches g_i, x_i
+adds to no label, and the poset is the disjoint union of its layers
+a_i = c.  A partition of the poset restricts to one of each layer, so
+the poset has a partition at k exactly when every layer has one, and
+the most-constrained search runs over the masks that lie in one layer,
+each layer a component of its own, covered in turn on the same units.
+When no tool settles k, the search resumes, without the lists it built
+only for the pause, or its budget error is raised.
 """
 
 from __future__ import annotations
@@ -843,20 +851,50 @@ def _contain(points, masks):
     return [_dividing(q, low) & _dividing(q, high) for q in points]
 
 
+def _components(masks, contain, points):
+    """The connected components of the bitset `points` under `masks`, as
+    bitsets, lowest point first: two points are connected when a mask
+    holds both.  contain[q] is the bitset of the masks that hold points[q].
+    A component grows until it holds every point left, or stops growing;
+    each point and each mask is read at most once."""
+    while points:
+        part = grow = points & -points
+        held = 0  # the masks read so far
+        while grow and part != points:
+            reached = 0
+            for row in compress(contain, _selectors(grow)):
+                reached |= row
+            reached &= ~held
+            held |= reached
+            grow = 0
+            for mask in compress(masks, _selectors(reached)):
+                grow |= mask
+            grow &= ~part
+            part |= grow
+        yield part
+        points &= ~part
+
+
 def _most_constrained(points, candidates, units):
     """A StanleyPartition made of the intervals in `candidates`, or None.
 
     Most-constrained exact cover (Knuth, "Dancing Links"): branch on the
     uncovered point that the fewest live intervals hold, larger intervals
-    first.  The intervals are `_search`'s candidate masks, indexed largest
-    first; contain[q] is the bitset of the intervals that hold q, built
-    per coordinate by `_contain`, the live intervals are one bitset, and
-    choosing an interval clears contain[q] from it for each of its points
-    q.  Building contain is not charged: it takes a few bitset ANDs per
-    point, where candidate construction has charged every cell.  The
-    search is charged one unit per uncovered point examined and the cell
-    count of each interval chosen.  None is returned only after
-    exhaustion, a complete refutation; past `units` it raises
+    first.  The intervals are `_search`'s candidate masks, or a subset of
+    them, indexed largest first; contain[q] is the bitset of the intervals
+    that hold q, built per coordinate by `_contain`, the live intervals
+    are one bitset, and choosing an interval clears contain[q] from it for
+    each of its points q.  The points fall into the connected components
+    of the intervals (`_components`); an exact cover is one of each, so
+    the components are covered one after another, lowest point first,
+    and a component with no cover ends the search.  A table of all of
+    `_search`'s masks is one component, as every admissible [p, b] meets
+    [0, b].  Building contain and the components is not charged: it
+    takes a few bitset operations per point and per interval, where
+    candidate construction has charged every cell.  The search is
+    charged one unit per uncovered point examined and the cell count of
+    each interval chosen, across the components.  None is returned only
+    after exhaustion, a complete refutation; past `units` it raises
     SearchBudgetError, which refutes nothing.
 
     The live intervals are those disjoint from the covering, so the units
@@ -868,43 +906,95 @@ def _most_constrained(points, candidates, units):
     """
     masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
     contain = _contain(points, masks)
-    full = (1 << len(points)) - 1
-    live = (1 << len(masks)) - 1
-    options, spent = _fewest(full, live, contain)
-    stack = [(0, live, _bits(options), 0)]  # (covered, live, options, entry)
+    spent = 0
     sizes, floor = {}, 1  # refuted covering -> the units spent below it; the least recorded
-    while stack:
-        if spent > units:
-            raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
-        covered, live, options, _ = stack[-1]
-        for i in options:
-            mask = masks[i]
-            child = covered | mask
-            if child == full:
-                return _read_off(points, [frame[0] for frame in stack] + [full])
-            cells = mask.bit_count()
-            size = sizes.get(child)
-            if size is not None and spent + cells + size <= units:
-                # a refuted revisit, charged what searching it again would cost
-                spent += cells + size
-                continue
-            entry = spent + cells
-            dead = 0
-            for q in _bits(mask):
-                dead |= contain[q]
-            live &= ~dead
-            options, examined = _fewest(full ^ child, live, contain)
-            spent = entry + examined
-            stack.append((child, live, _bits(options), entry))
-            break
-        else:
-            covered, _, _, entry = stack.pop()
-            if stack:
-                # live is every interval disjoint from the covering, so the
-                # subtree's units depend on the covering alone; the cells of
-                # the interval that led in depend on the path and stay out
-                floor = _remember(sizes, floor, covered, spent - entry)
-    return None
+
+    def cover(full):
+        """The coverings on the path to the component `full`, or None."""
+        nonlocal spent, floor
+        live = (1 << len(masks)) - 1
+        options, examined = _fewest(full, live, contain)
+        spent += examined
+        stack = [(0, live, _bits(options), 0)]  # (covered, live, options, entry)
+        while stack:
+            if spent > units:
+                raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
+            covered, live, options, _ = stack[-1]
+            for i in options:
+                mask = masks[i]
+                child = covered | mask
+                if child == full:
+                    return [frame[0] for frame in stack] + [full]
+                cells = mask.bit_count()
+                size = sizes.get(child)
+                if size is not None and spent + cells + size <= units:
+                    # a refuted revisit, charged what searching it again would cost
+                    spent += cells + size
+                    continue
+                entry = spent + cells
+                dead = 0
+                for q in _bits(mask):
+                    dead |= contain[q]
+                live &= ~dead
+                options, examined = _fewest(full ^ child, live, contain)
+                spent = entry + examined
+                stack.append((child, live, _bits(options), entry))
+                break
+            else:
+                covered, _, _, entry = stack.pop()
+                if stack:
+                    # live is every interval disjoint from the covering, so the
+                    # subtree's units depend on the covering alone; the cells of
+                    # the interval that led in depend on the path and stay out
+                    floor = _remember(sizes, floor, covered, spent - entry)
+        return None
+
+    intervals = []
+    for part in _components(masks, contain, (1 << len(points)) - 1):
+        coverings = cover(part)
+        if coverings is None:
+            return None
+        intervals.extend(_read_off(points, coverings).intervals)
+    return StanleyPartition(tuple(intervals))
+
+
+def _split_axes(poset):
+    """The coordinates i along which the poset splits into layers a_i = c,
+    c < g_i: no point reaches g_i, as x_i^{g_i} lies in I, and some point
+    has a_i >= 1.  Read off the poset's up rows."""
+    return [i for i, (gi, row) in enumerate(zip(poset.g, poset.up)) if gi and row[1] and not row[gi]]
+
+
+def _layer_partition(poset, table, units):
+    """A partition with every label >= k made of the intervals in `table`,
+    `_search`'s candidate masks at k, that lie in one layer of every split
+    axis; or None, when the poset has no partition at k.
+
+    Along a split axis i no point reaches g_i, so x_i never adds to a
+    label, and the poset is the disjoint union of its layers a_i = c, c <
+    g_i, layer c the poset of S/((I : x_i^c) + (x_i)) shifted by c
+    (Propositions 3.2 and 3.3 walk this colon ladder).  A union of
+    partitions of the layers is a partition of the poset.  Conversely, an
+    interval [p, b] of a partition at k meets layer c in [p, b] with p_i
+    and b_i both set to c, which has the label of b, as neither p_i nor
+    b_i reaches g_i, and its top lies below b: the restriction of a
+    partition at k to a layer is one too, made of table intervals inside
+    the layer.  So the poset has a partition at k exactly when every
+    layer has one, and an exhaustion over the layers refutes k as one
+    over the whole poset does.  Layer c of axis i is the bitset up[i][c]
+    & ~up[i][c + 1]; the intervals kept are the table's masks inside the
+    layers of their bottom, already built and charged, and each layer
+    is a component of `_most_constrained`, which covers the layers one
+    after another on the one allowance of `units`.
+    """
+    points = poset.points
+    blocks = [(1 << len(points)) - 1] * len(points)
+    for i in _split_axes(poset):
+        up = poset.up[i]
+        layers = [row & ~above for row, above in zip(up, up[1:])]
+        blocks = [block & layers[p[i]] for block, p in zip(blocks, points)]
+    inside = [[mask for mask in cand if mask & block == mask] for cand, block in zip(table, blocks)]
+    return _most_constrained(points, inside, units)
 
 
 def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BUDGET):
@@ -914,16 +1004,20 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     bound, and the descent starts at min(sweep, Hilbert), above which no
     k can pass.
     At each k >= 2 the search pauses once, on passing node_budget // 100
-    nodes, or stops when it runs out earlier, and three tools get a turn,
-    in order.  The colon-Hilbert bound (`_colon_bound`, computed once) may
+    nodes, or stops when it runs out earlier, and four tools get a turn,
+    in order, the last two in each other's place.  The colon-Hilbert bound (`_colon_bound`, computed once) may
     show k out of reach, and the descent goes on from the bound.  The
     symmetry finder (`_invariant_partition`) gets node_budget // 20 units
     when the ideal has a symmetry, and a partition it finds decides k.  At
     a pause, the most-constrained search (`_most_constrained`) gets
     node_budget // 10 units over the search's own candidate masks: a
     partition it finds decides k, and its None, an exhaustion, refutes k.
-    The search's nodes stop short by the units of both.  When none of the
-    three settles k, the search resumes, or its budget error is raised.
+    On a poset that splits into layers (`_split_axes`) the layer finder
+    (`_layer_partition`) takes that turn, on those units, over the masks
+    inside the layers, with the same verdicts, once the pause comes past
+    node 0, at a budget of 100 or more.  The search's nodes stop short by
+    the units of the finders.  When none of the tools settles k, the
+    search resumes, or its budget error is raised.
     """
     poset = build_poset(ideal, g, cap)
     top = poset.sweep
@@ -934,12 +1028,13 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     groups = _symmetry_groups(ideal, poset.g) if top >= 2 else []
     share = node_budget // 20 if groups else 0
     units = node_budget // 10
+    pause = node_budget // 100
     bound = None
     k = top
     while k >= 2:
         # the last k's masks go before this k builds its own
         table = None
-        search = _search(poset, k, node_budget, share + units, node_budget // 100)
+        search = _search(poset, k, node_budget, share + units, pause)
         try:
             table, partition = _advance(search)
             failure = None
@@ -956,7 +1051,12 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
                 partition = _invariant_partition(poset, k, groups, share)
             if partition is None and table is not None:
                 try:
-                    partition = _most_constrained(poset.points, table, units)
+                    # under a budget of 100 the pause comes at node 0, and
+                    # the whole-poset search keeps the turn
+                    if pause and _split_axes(poset):
+                        partition = _layer_partition(poset, table, units)
+                    else:
+                        partition = _most_constrained(poset.points, table, units)
                     if partition is None:
                         k -= 1  # an exhaustion: no partition at k
                         continue

@@ -34,12 +34,15 @@ from pathdepth.sdepth import (
     _colon_bound,
     _colon_exponents,
     _colon_shapes,
+    _components,
     _contain,
     _hilbert_bound,
     _invariant_partition,
+    _layer_partition,
     _most_constrained,
     _shape_bound,
     _shape_classes,
+    _split_axes,
     _sweep_bound,
     _symmetry_groups,
     build_poset,
@@ -562,9 +565,8 @@ def test_remember_keeps_the_costliest_entries_under_the_cap(cap, costs):
 
 def test_memo_keeps_the_costliest_refuted_subtrees():
     # every exhausted frame but the root goes through `_remember`: with
-    # the costliest subtrees kept, (J(6,4)^2, x6^2) runs out at k = 2 after
-    # 134,467 of them, where a memo of the first subtrees of 32 nodes or
-    # more searched 354,162
+    # the costliest subtrees kept, the canonical search of (J(6,4)^2, x6^2)
+    # runs out at k = 2 after 136,250 of them
     exhausted = 0
     remember = sdepth._remember
 
@@ -574,13 +576,13 @@ def test_memo_keeps_the_costliest_refuted_subtrees():
         return remember(*args)
 
     x6 = Monomial.variable(6, 6)
-    ideal = cycle_ideal(6, 4).power(2) + MonomialIdeal.principal(x6 ** 2)
+    poset = build_poset(cycle_ideal(6, 4).power(2) + MonomialIdeal.principal(x6 ** 2))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sdepth, "_remember", counted)
-        assert _outcome(lambda: sdepth_quotient(ideal)) == (
+        assert _outcome(lambda: has_partition_min_label(poset, 2)) == (
             "budget: exceeded 2000000 search nodes"
         )
-    assert exhausted == 134_467
+    assert exhausted == 136_250
 
 
 def _least(holds):
@@ -1673,15 +1675,234 @@ def test_most_constrained_exhaustion_refutes_k_without_resuming():
 def test_most_constrained_search_decides_the_colon_ladder():
     # I(5,2)^3 and I(5,4)J'(6,4), J' = (J(6,4) : x6) in five variables, run
     # the canonical search out of its default budget at k = 2, and the
-    # most-constrained search decides both; (J(6,4)^2, x6^2) still runs out
+    # most-constrained search decides both; on (J(6,4)^2, x6^2) it runs
+    # over the layers a6 = 0 and a6 = 1, and decides it too
     x6 = Monomial.variable(6, 6)
     jprime = cycle_ideal(6, 4).colon(x6).restrict(5)
-    for ideal in (path_ideal(5, 2).power(3), path_ideal(5, 4) * jprime):
+    ideals = (
+        path_ideal(5, 2).power(3),
+        path_ideal(5, 4) * jprime,
+        cycle_ideal(6, 4).power(2) + MonomialIdeal.principal(x6 ** 2),
+    )
+    for ideal in ideals:
         result = sdepth_quotient(ideal)
         assert result.sdepth == 2, str(ideal)
         assert verify_partition(build_poset(ideal), result.partition) == (True, "min label 2")
+
+
+# layer finder ----------------------------------------------------------
+
+
+@st.composite
+def split_ideals(draw, n_max=3, gens_max=3):
+    """Small ideals with a pure power x_i^c, c >= 2, among their generators,
+    extended by up to two variables, which raise every label and leave
+    the poset's points as they are."""
+    ideal = draw(small_ideals(n_max=n_max, gens_max=gens_max))
+    n = ideal.n_vars
+    i = draw(st.integers(0, n - 1))
+    power = Monomial(tuple(draw(st.integers(2, 3)) if j == i else 0 for j in range(n)))
+    return MonomialIdeal(n, [*ideal.gens, power]).extend(draw(st.integers(0, 2)))
+
+
+def union_find_components(npts, masks):
+    """Reference components: the points joined mask by mask, as bitsets
+    sorted by their lowest point."""
+    parent = list(range(npts))
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for mask in masks:
+        held = [j for j in range(npts) if mask >> j & 1]
+        for j in held[1:]:
+            parent[root(j)] = root(held[0])
+    parts = {}
+    for j in range(npts):
+        parts[root(j)] = parts.get(root(j), 0) | 1 << j
+    return sorted(parts.values(), key=lambda part: part & -part)
+
+
+def _layers_of(poset):
+    """The nonempty blocks of points on which every split axis is constant,
+    as bitsets sorted by their lowest point."""
+    axes = _split_axes(poset)
+    blocks = {}
+    for j, p in enumerate(poset.points):
+        key = tuple(p[i] for i in axes)
+        blocks[key] = blocks.get(key, 0) | 1 << j
+    return sorted(blocks.values(), key=lambda part: part & -part)
+
+
+@given(small_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_components_match_a_union_find_oracle(ideal, data):
+    # the whole table is one component, as every [p, b] meets [0, b];
+    # any subset of it falls into the components union-find joins
+    poset = build_poset(ideal)
+    full = (1 << len(poset.points)) - 1
+    for k in range(1, ideal.n_vars + 1):
+        table = _candidate_table(poset, k)
+        if table is None:
+            continue
+        masks = _sorted_masks(table)
+        assert list(_components(masks, _contain(poset.points, masks), full)) == [full]
+        kept = [mask for mask in masks if data.draw(st.booleans())]
+        got = list(_components(kept, _contain(poset.points, kept), full))
+        assert got == union_find_components(len(poset.points), kept), (str(ideal), k)
+
+
+@given(split_ideals(), st.sampled_from([0, 5, 50, DEFAULT_BUDGET]))
+@example(parse_ideal("x3^2, x2*x3", 4), DEFAULT_BUDGET)
+@settings(max_examples=60, deadline=None)
+def test_layer_partitions_verify_and_their_none_refutes_k(ideal, units):
+    # every partition the layers give verifies on the whole poset with min
+    # label >= k and keeps each split axis constant on each interval; a
+    # None comes only where the brute-force search finds no partition,
+    # and on the default budget exactly there: the restriction of a
+    # partition to a layer is a partition of the layer
+    poset = build_poset(ideal)
+    points = poset.points
+    axes = _split_axes(poset)
+    assume(axes)
+    for k in range(1, ideal.n_vars + 1):
+        table = _candidate_table(poset, k)
+        if table is None:
+            continue
+        # the table's intervals that keep every split axis fall into the
+        # layers, one component each
+        inside = []
+        for mask in _sorted_masks(table):
+            bottom, top = points[(mask & -mask).bit_length() - 1], points[mask.bit_length() - 1]
+            if all(bottom[i] == top[i] for i in axes):
+                inside.append(mask)
+        full = (1 << len(points)) - 1
+        assert list(_components(inside, _contain(points, inside), full)) == _layers_of(poset)
+        try:
+            partition = _layer_partition(poset, table, units)
+        except SearchBudgetError as error:
+            assert str(error) == "exceeded %d units in the most-constrained search" % units
+            assert units < DEFAULT_BUDGET
+            continue
+        exists = exhaustive_has_partition(poset, k)
+        if partition is None:
+            assert not exists, (str(ideal), k, units)
+        else:
+            assert verify_partition(poset, partition)[0], (str(ideal), k, units)
+            assert partition.min_label(poset) >= k
+            assert all(iv.a[i] == iv.b[i] for iv in partition.intervals for i in axes)
+        if units == DEFAULT_BUDGET:
+            assert (partition is not None) == exists, (str(ideal), k)
+
+
+@given(split_ideals(n_max=4, gens_max=4), st.sampled_from([100, 300, 2000]))
+@example(parse_ideal("x3^2, x2*x3", 4), 100)
+@example(parse_ideal("x4^2, x2*x3*x4", 4), 100)
+@settings(max_examples=40, deadline=None)
+def test_layers_out_of_units_leave_the_canonical_descent(ideal, budget):
+    # running out of units refutes nothing: with the layers out of units,
+    # and the symmetry finder finding nothing, the answer is the canonical
+    # descent's on the nodes the search keeps, wherever that decides
+    lcm = ideal.lcm_of_gens().exponents
+    reserve = budget // 10 + (budget // 20 if _symmetry_groups(ideal, lcm) else 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_invariant_partition", lambda *args: None)
+        patch.setattr(sdepth, "_layer_partition", lambda poset, table, units: _out_of_units(
+            poset.points, table, units
+        ))
+        got = _outcome(lambda: sdepth_quotient(ideal, node_budget=budget))
+    want = _outcome(lambda: max_label_descent(ideal, budget - reserve))
+    if isinstance(want, SdepthResult):
+        assert got == want, str(ideal)
+
+
+def _layer_calls(ideal, node_budget):
+    """The number of `_layer_partition` calls that `sdepth_quotient` makes,
+    and its outcome."""
+    calls = []
+    layers = sdepth._layer_partition
+
+    def counted(*args):
+        calls.append(args)
+        return layers(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_layer_partition", counted)
+        outcome = _outcome(lambda: sdepth_quotient(ideal, node_budget=node_budget))
+    return len(calls), outcome
+
+
+def test_layer_exhaustion_refutes_k_as_the_whole_search_does():
+    # (I(4,2)^2, x5^2): its layers a5 = 0 and a5 = 1 are both the poset
+    # of I(4,2)^2, which has no partition at k = 2; the layers refute
+    # k = 2 on 2,841 units, and the canonical search does by exhaustion
+    # (on 10,000,000 nodes, as its memo charges each revisit)
+    x5 = Monomial.variable(5, 5)
+    ideal = path_ideal(4, 2).power(2).extend(1) + MonomialIdeal.principal(x5 ** 2)
+    poset = build_poset(ideal)
+    assert _split_axes(poset) == [4] and poset.sweep == 2
+    table = _candidate_table(poset, 2)
+    assert _layer_partition(poset, table, 2841) is None
+    assert _outcome(lambda: _layer_partition(poset, table, 2840)) == (
+        "budget: exceeded 2840 units in the most-constrained search"
+    )
+    assert has_partition_min_label(poset, 2, node_budget=10_000_000) is None
+
+
+def test_layer_exhaustion_refutes_k_without_resuming():
+    # (x3^2, x2x3) in four variables has sdepth 2, and at a budget of 100
+    # its search pauses at k = 2 for the layers: their None, an
+    # exhaustion, leaves k = 2 for 1 at once, and their running out of
+    # units leaves it to the search
+    ideal = parse_ideal("x3^2, x2*x3", 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_layer_partition", lambda *args: None)
+        assert sdepth_quotient(ideal, node_budget=100).sdepth == 1
+        patch.setattr(sdepth, "_layer_partition", lambda poset, table, units: _out_of_units(
+            poset.points, table, units
+        ))
+        assert sdepth_quotient(ideal, node_budget=100).sdepth == 2
+
+
+def test_layer_finder_never_runs_on_the_benchmark_ladder():
+    # benchmark/workloads.py::SDEPTH_LADDER: no poset of the eleven
+    # splits, so none pays for the finder at the ladder's budget; the sum
+    # ideal of prop-3.3 at (6,4,2) splits along x6, and the finder runs
+    ladder = [
+        (cycle_ideal if name == "J" else path_ideal)(n, m).power(t)
+        for name, n, m, t in (
+            ("J", 6, 3, 2), ("I", 6, 3, 2), ("I", 4, 2, 3), ("J", 5, 3, 3),
+            ("J", 7, 4, 2), ("J", 5, 4, 4), ("J", 6, 4, 2), ("I", 5, 3, 2),
+            ("I", 5, 2, 3), ("I", 7, 3, 3), ("J", 7, 3, 3),
+        )
+    ]
+    for ideal in ladder:
+        assert _split_axes(build_poset(ideal)) == [], str(ideal)
+        assert _layer_calls(ideal, 500_000)[0] == 0, str(ideal)
+    x6 = Monomial.variable(6, 6)
     ideal = cycle_ideal(6, 4).power(2) + MonomialIdeal.principal(x6 ** 2)
-    assert _outcome(lambda: sdepth_quotient(ideal)) == "budget: exceeded 2000000 search nodes"
+    assert _split_axes(build_poset(ideal)) == [5]
+    calls, result = _layer_calls(ideal, DEFAULT_BUDGET)
+    assert calls == 1 and result.sdepth == 2
+
+
+def test_layers_take_no_turn_under_a_budget_of_100():
+    # under a budget of 100 the search pauses at node 0, and the
+    # whole-poset search keeps the turn: on (x3^2, x2x3) in four variables
+    # it takes [1, x3], across the layers a3 = 0 and a3 = 1; at 100 the
+    # layers take the turn, and every interval keeps a3
+    ideal = parse_ideal("x3^2, x2*x3", 4)
+    poset = build_poset(ideal)
+    assert _split_axes(poset) == [2] and not _symmetry_groups(ideal, poset.g)
+    calls, result = _layer_calls(ideal, 99)
+    assert calls == 0 and result.sdepth == 2
+    assert PosetInterval((0, 0, 0, 0), (0, 0, 1, 0)) in result.partition.intervals
+    calls, result = _layer_calls(ideal, 100)
+    assert calls == 1 and result.sdepth == 2
+    assert all(iv.a[2] == iv.b[2] for iv in result.partition.intervals)
+    assert verify_partition(poset, result.partition) == (True, "min label 2")
 
 
 def test_budget_below_one_is_rejected():
