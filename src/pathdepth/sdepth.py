@@ -42,9 +42,8 @@ sweep bound is at least 2, is the largest d with (1-t)^d H(S/I; t)
 nonnegative, which no Stanley decomposition can beat; H is counted off
 the poset's (degree, label) classes, the one shape path that the colon
 bound takes too.  At each k >= 2 the search pauses once, on passing
-node_budget // 100 nodes, or stops if it runs out before, and four
-tools that settle some k cheaply get their turn, the last two in each
-other's place.
+node_budget // 100 nodes, or stops if it runs out before, and three
+tools that settle some k cheaply get their turn.
 The colon-Hilbert bound, computed once per call: sdepth(S/I) <=
 sdepth(S/(I : x^a)) (the paper's Lemma 1.4), and the Hilbert bound of
 each colon is read off the points above a, once per distinct multiset of
@@ -58,20 +57,19 @@ are built; every list of a refuted subtree is built by then, so its memo
 records search nodes only.  An ideal with such a symmetry gives the
 finder node_budget // 20 units out of the search's nodes.  A finder that
 finds nothing refutes nothing.  The most-constrained search, at a pause
-only: an exact cover over the search's candidate masks, with every list
-built by then, that branches on the uncovered point the fewest live
-intervals hold, on node_budget // 10 units out of the search's nodes.  A
-partition it finds decides k, and its None, an exhaustion, refutes k;
-running out of units refutes nothing.  The layer finder, at a pause on
-a budget of 100 or more, takes the most-constrained search's turn when
-the poset splits: where x_i^{g_i} lies in I no point reaches g_i, x_i
+only: an exact cover over the search's candidate masks, which it builds
+itself, that branches on the uncovered point the fewest live intervals
+hold, on node_budget // 10 units out of the search's nodes.  A partition
+it finds decides k, and its None, an exhaustion, refutes k; running out
+of units refutes nothing.  At a pause on a budget of 100 or more it
+splits the poset: where x_i^{g_i} lies in I no point reaches g_i, x_i
 adds to no label, and the poset is the disjoint union of its layers
 a_i = c.  A partition of the poset restricts to one of each layer, so
-the poset has a partition at k exactly when every layer has one, and
-the most-constrained search runs over the masks that lie in one layer,
-each layer a component of its own, covered in turn on the same units.
-When no tool settles k, the search resumes, without the lists it built
-only for the pause, or its budget error is raised.
+the poset has a partition at k exactly when every layer has one, and the
+search keeps the masks that lie in one layer and covers the layers in
+turn on the same units.  The pause itself is a bare signal: the search
+hands nothing out, and when no tool settles k it resumes, or its budget
+error is raised.
 """
 
 from __future__ import annotations
@@ -470,13 +468,13 @@ def has_partition_min_label(poset, k, node_budget=DEFAULT_BUDGET):
 
 
 def _advance(search):
-    """Run a `_search` generator on: (its candidate masks, None) at its
-    pause, or (None, its answer) at its end."""
+    """Run a `_search` generator on: (True, None) at its pause, or (False,
+    its answer) at its end."""
     try:
-        table = next(search)
+        next(search)
     except StopIteration as end:
-        return None, end.value
-    return table, None
+        return False, end.value
+    return True, None
 
 
 def _candidate_charge(npts, tops):
@@ -526,18 +524,34 @@ def _admissible_tops(poset, k):
     return poset.admissible[k]
 
 
+def _intervals(poset, k, p, downs):
+    """The candidate masks at p: the intervals up(p) & down(b) over p's
+    admissible tops b at k, read off the tops `_admissible_tops` built,
+    largest first, ties in the order of the tops.  `downs` keeps each
+    down(b) built, by the top's index."""
+    tops, top_rows = poset.admissible[k]
+    up = _dividing(p, poset.up)
+    masks = []
+    for j in _bits(_dividing(p, top_rows)):
+        down = downs.get(j)
+        if down is None:
+            down = downs[j] = _dividing(tops[j], poset.below)
+        masks.append(up & down)
+    masks.sort(key=int.bit_count, reverse=True)
+    return masks
+
+
 def _search(poset, k, node_budget, reserve=0, pause=None):
     """`has_partition_min_label` as a generator that may pause once.
 
     The pre-check and candidate construction are charged as in
     `has_partition_min_label`; the search itself stops at
     node_budget - reserve nodes, and the messages name node_budget.
-    When `pause` is given it yields its candidate masks once, on passing
+    When `pause` is given it yields once, a bare signal, on passing
     `pause` search nodes, and resumes where it stopped; its answer is its
-    return value.  The masks come as one list per point p, the intervals
-    [p, b] largest first, ties in the order of the tops; the lists not
-    yet built are built before the pause, so the table is complete, and
-    dropped after it, so the search holds only the lists it branches on.
+    return value.  A point's list of candidate masks is `_intervals`,
+    built when the search first branches there, so the search holds only
+    the lists it branches on.
     """
     points = poset.points
     npts = len(points)
@@ -568,23 +582,13 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     # candidate construction is the quadratic part; it shares the budget
     if work + _candidate_charge(npts, tops) > node_budget:
         raise SearchBudgetError("exceeded %d nodes building interval candidates" % node_budget)
-    below, up_rows = poset.below, poset.up
     downs = {}
     candidates = [None] * npts
 
     def build(i, allowance):
         """The candidate masks at points[i], stored in `candidates`; they
         were charged before the search, so they cost no units here."""
-        p = points[i]
-        up = _dividing(p, up_rows)
-        cand = []
-        for j in _bits(_dividing(p, top_rows)):
-            down = downs.get(j)
-            if down is None:
-                down = downs[j] = _dividing(tops[j], below)
-            cand.append(up & down)
-        cand.sort(key=int.bit_count, reverse=True)
-        candidates[i] = cand
+        candidates[i] = _intervals(poset, k, points[i], downs)
         return 0
 
     # the root is a node; candidate construction has charged more already
@@ -607,9 +611,8 @@ def _exact_cover(candidates, build, nodes, limit, pause, exhausted):
     `allowance` of which it may stop short, and they come off the pause
     and the limit, so `nodes` counts search nodes alone.  The search
     pays one node per covering it visits, revisits included, on top of
-    the `nodes` it starts with.  On passing `pause` nodes it builds every
-    list left, yields a copy of `candidates` once and resumes without the
-    lists built for the pause; past `limit` units it raises
+    the `nodes` it starts with.  On passing `pause` nodes it yields once,
+    with no value, and resumes; past `limit` units it raises
     SearchBudgetError(exhausted).
 
     The subtree below a covering depends on the covering alone (its first
@@ -647,16 +650,7 @@ def _exact_cover(candidates, build, nodes, limit, pause, exhausted):
                 if nodes > stop:
                     if stop == limit:
                         raise SearchBudgetError(exhausted)
-                    unbuilt = [i for i, cand in enumerate(candidates) if cand is None]
-                    for i in unbuilt:
-                        limit -= build(i, limit - nodes)
-                    yield list(candidates)
-                    # the lists built for the pause go, and are built again
-                    # where the search first branches, which it does at few
-                    # of them; only `_search`, whose lists cost no units,
-                    # pauses
-                    for i in unbuilt:
-                        candidates[i] = None
+                    yield
                     stop = limit
                 child = covered | mask
                 if child == full:
@@ -851,50 +845,39 @@ def _contain(points, masks):
     return [_dividing(q, low) & _dividing(q, high) for q in points]
 
 
-def _components(masks, contain, points):
-    """The connected components of the bitset `points` under `masks`, as
-    bitsets, lowest point first: two points are connected when a mask
-    holds both.  contain[q] is the bitset of the masks that hold points[q].
-    A component grows until it holds every point left, or stops growing;
-    each point and each mask is read at most once."""
-    while points:
-        part = grow = points & -points
-        held = 0  # the masks read so far
-        while grow and part != points:
-            reached = 0
-            for row in compress(contain, _selectors(grow)):
-                reached |= row
-            reached &= ~held
-            held |= reached
-            grow = 0
-            for mask in compress(masks, _selectors(reached)):
-                grow |= mask
-            grow &= ~part
-            part |= grow
-        yield part
-        points &= ~part
-
-
-def _most_constrained(points, candidates, units):
-    """A StanleyPartition made of the intervals in `candidates`, or None.
+def _most_constrained(poset, k, units, axes):
+    """A StanleyPartition with every interval label >= k, or None.
 
     Most-constrained exact cover (Knuth, "Dancing Links"): branch on the
     uncovered point that the fewest live intervals hold, larger intervals
-    first.  The intervals are `_search`'s candidate masks, or a subset of
-    them, indexed largest first; contain[q] is the bitset of the intervals
+    first.  The intervals are `_search`'s candidate masks at k, built by
+    `_intervals` and indexed largest first, ties in the order of their
+    bottoms, then of their tops; contain[q] is the bitset of the intervals
     that hold q, built per coordinate by `_contain`, the live intervals
     are one bitset, and choosing an interval clears contain[q] from it for
-    each of its points q.  The points fall into the connected components
-    of the intervals (`_components`); an exact cover is one of each, so
-    the components are covered one after another, lowest point first,
-    and a component with no cover ends the search.  A table of all of
-    `_search`'s masks is one component, as every admissible [p, b] meets
-    [0, b].  Building contain and the components is not charged: it
-    takes a few bitset operations per point and per interval, where
-    candidate construction has charged every cell.  The search is
-    charged one unit per uncovered point examined and the cell count of
-    each interval chosen, across the components.  None is returned only
-    after exhaustion, a complete refutation; past `units` it raises
+    each of its points q.
+
+    Along a split axis i in `axes` (`_split_axes`) no point reaches g_i,
+    x_i adds to no label, and the poset is the disjoint union of its
+    layers a_i = c, c < g_i, layer c the poset of S/((I : x_i^c) + (x_i))
+    shifted by c (Propositions 3.2 and 3.3 walk this colon ladder).  An
+    interval [p, b] of a partition at k meets layer c in [p, b] with p_i
+    and b_i set to c, which has b's label and a top below b.  So a
+    partition at k restricts to one of each block, the points on which
+    every axis is constant, and the poset has one exactly when every block
+    does: the masks kept are those inside the block of their bottom, the
+    blocks are covered one after another, lowest point first, and a block
+    with no cover refutes k as an exhaustion of the whole poset does.
+    With no axes the poset is one block.  Each block is one component of
+    its masks: once every point p has an admissible top b, as after the
+    search's pre-check, the block's restriction of [p, b] is kept, and so
+    is [m, its top], m the block's lowest point, which lies below all of it.
+
+    Building the masks, contain and the blocks is not charged: candidate
+    construction has charged every (point, top) pair and cell.  The search
+    is charged one unit per uncovered point examined and the cell count of
+    each interval chosen, across the blocks.  None is returned only after
+    exhaustion, a complete refutation; past `units` it raises
     SearchBudgetError, which refutes nothing.
 
     The live intervals are those disjoint from the covering, so the units
@@ -904,13 +887,24 @@ def _most_constrained(points, candidates, units):
     charged the interval's cells plus those units at once, wherever that
     stays within `units`.
     """
-    masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
+    points = poset.points
+    _admissible_tops(poset, k)  # the tops that `_intervals` reads
+    blocks = [(1 << len(points)) - 1] * len(points)  # the block of each point
+    for i in axes:
+        up = poset.up[i]
+        layers = [row & ~above for row, above in zip(up, up[1:])]
+        blocks = [block & layers[p[i]] for block, p in zip(blocks, points)]
+    downs = {}
+    kept = (
+        m for p, block in zip(points, blocks) for m in _intervals(poset, k, p, downs) if m & block == m
+    )
+    masks = sorted(kept, key=int.bit_count, reverse=True)
     contain = _contain(points, masks)
     spent = 0
     sizes, floor = {}, 1  # refuted covering -> the units spent below it; the least recorded
 
     def cover(full):
-        """The coverings on the path to the component `full`, or None."""
+        """The coverings on the path to the block `full`, or None."""
         nonlocal spent, floor
         live = (1 << len(masks)) - 1
         options, examined = _fewest(full, live, contain)
@@ -950,8 +944,9 @@ def _most_constrained(points, candidates, units):
         return None
 
     intervals = []
-    for part in _components(masks, contain, (1 << len(points)) - 1):
-        coverings = cover(part)
+    # the blocks in the order of their first point, which is their lowest
+    for block in dict.fromkeys(blocks):
+        coverings = cover(block)
         if coverings is None:
             return None
         intervals.extend(_read_off(points, coverings).intervals)
@@ -965,38 +960,6 @@ def _split_axes(poset):
     return [i for i, (gi, row) in enumerate(zip(poset.g, poset.up)) if gi and row[1] and not row[gi]]
 
 
-def _layer_partition(poset, table, units):
-    """A partition with every label >= k made of the intervals in `table`,
-    `_search`'s candidate masks at k, that lie in one layer of every split
-    axis; or None, when the poset has no partition at k.
-
-    Along a split axis i no point reaches g_i, so x_i never adds to a
-    label, and the poset is the disjoint union of its layers a_i = c, c <
-    g_i, layer c the poset of S/((I : x_i^c) + (x_i)) shifted by c
-    (Propositions 3.2 and 3.3 walk this colon ladder).  A union of
-    partitions of the layers is a partition of the poset.  Conversely, an
-    interval [p, b] of a partition at k meets layer c in [p, b] with p_i
-    and b_i both set to c, which has the label of b, as neither p_i nor
-    b_i reaches g_i, and its top lies below b: the restriction of a
-    partition at k to a layer is one too, made of table intervals inside
-    the layer.  So the poset has a partition at k exactly when every
-    layer has one, and an exhaustion over the layers refutes k as one
-    over the whole poset does.  Layer c of axis i is the bitset up[i][c]
-    & ~up[i][c + 1]; the intervals kept are the table's masks inside the
-    layers of their bottom, already built and charged, and each layer
-    is a component of `_most_constrained`, which covers the layers one
-    after another on the one allowance of `units`.
-    """
-    points = poset.points
-    blocks = [(1 << len(points)) - 1] * len(points)
-    for i in _split_axes(poset):
-        up = poset.up[i]
-        layers = [row & ~above for row, above in zip(up, up[1:])]
-        blocks = [block & layers[p[i]] for block, p in zip(blocks, points)]
-    inside = [[mask for mask in cand if mask & block == mask] for cand, block in zip(table, blocks)]
-    return _most_constrained(points, inside, units)
-
-
 def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BUDGET):
     """Exact sdepth(S/I): largest k admitting an interval partition.
 
@@ -1004,20 +967,19 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     bound, and the descent starts at min(sweep, Hilbert), above which no
     k can pass.
     At each k >= 2 the search pauses once, on passing node_budget // 100
-    nodes, or stops when it runs out earlier, and four tools get a turn,
-    in order, the last two in each other's place.  The colon-Hilbert bound (`_colon_bound`, computed once) may
+    nodes, or stops when it runs out earlier, and three tools get a turn,
+    in order.  The colon-Hilbert bound (`_colon_bound`, computed once) may
     show k out of reach, and the descent goes on from the bound.  The
     symmetry finder (`_invariant_partition`) gets node_budget // 20 units
     when the ideal has a symmetry, and a partition it finds decides k.  At
     a pause, the most-constrained search (`_most_constrained`) gets
-    node_budget // 10 units over the search's own candidate masks: a
-    partition it finds decides k, and its None, an exhaustion, refutes k.
-    On a poset that splits into layers (`_split_axes`) the layer finder
-    (`_layer_partition`) takes that turn, on those units, over the masks
-    inside the layers, with the same verdicts, once the pause comes past
-    node 0, at a budget of 100 or more.  The search's nodes stop short by
-    the units of the finders.  When none of the tools settles k, the
-    search resumes, or its budget error is raised.
+    node_budget // 10 units over the search's candidate masks, which it
+    builds: a partition it finds decides k, and its None, an exhaustion,
+    refutes k.  On a poset that splits into layers (`_split_axes`) it
+    covers the layers one after another, once the pause comes past node
+    0, at a budget of 100 or more.  The search's nodes stop short by the
+    units of the finders.  When none of the tools settles k, the search
+    resumes, or its budget error is raised.
     """
     poset = build_poset(ideal, g, cap)
     top = poset.sweep
@@ -1032,16 +994,14 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
     bound = None
     k = top
     while k >= 2:
-        # the last k's masks go before this k builds its own
-        table = None
         search = _search(poset, k, node_budget, share + units, pause)
         try:
-            table, partition = _advance(search)
+            paused, partition = _advance(search)
             failure = None
         except SearchBudgetError as error:
-            partition, failure = None, error
+            paused, partition, failure = False, None, error
         # at most once per k: the search pauses once, and a failure ends it
-        if table is not None or failure:
+        if paused or failure:
             if bound is None:
                 bound = _colon_bound(poset, k)
             if bound < k:
@@ -1049,14 +1009,12 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
                 continue
             if groups:
                 partition = _invariant_partition(poset, k, groups, share)
-            if partition is None and table is not None:
+            if partition is None and paused:
+                # under a budget of 100 the pause comes at node 0, and the
+                # turn covers the whole poset as one block
+                axes = _split_axes(poset) if pause else ()
                 try:
-                    # under a budget of 100 the pause comes at node 0, and
-                    # the whole-poset search keeps the turn
-                    if pause and _split_axes(poset):
-                        partition = _layer_partition(poset, table, units)
-                    else:
-                        partition = _most_constrained(poset.points, table, units)
+                    partition = _most_constrained(poset, k, units, axes)
                     if partition is None:
                         k -= 1  # an exhaustion: no partition at k
                         continue
@@ -1065,7 +1023,6 @@ def sdepth_quotient(ideal, g=None, cap=DEFAULT_POSET_CAP, node_budget=DEFAULT_BU
             if partition is None:
                 if failure:
                     raise failure
-                table = None  # so the lists built only for it can go
                 _, partition = _advance(search)
         if partition is not None:
             return SdepthResult(k, poset, partition)

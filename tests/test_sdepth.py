@@ -34,11 +34,9 @@ from pathdepth.sdepth import (
     _colon_bound,
     _colon_exponents,
     _colon_shapes,
-    _components,
     _contain,
     _hilbert_bound,
     _invariant_partition,
-    _layer_partition,
     _most_constrained,
     _shape_bound,
     _shape_classes,
@@ -243,10 +241,7 @@ def memo_free_search(poset, k, node_budget, reserve=0, pause=None):
             if nodes > stop:
                 if stop == limit:
                     raise SearchBudgetError("exceeded %d search nodes" % node_budget)
-                for i, cand in enumerate(candidates):
-                    if cand is None:
-                        build(i)
-                yield candidates
+                yield
                 stop = limit
             child = covered | mask
             if child == full:
@@ -599,16 +594,13 @@ def _least(holds):
 
 
 def _trace(search):
-    """A `_search` generator run to its end: [the table it paused with, or
-    None, then its answer], or its budget message where it ran out."""
+    """A `_search` generator run to its end: [whether it paused, then its
+    answer], or its budget message where it ran out."""
     steps = []
     try:
-        table, answer = sdepth._advance(search)
-        steps.append(table)
-        if table is not None:
-            steps.append(sdepth._advance(search)[1])
-        else:
-            steps.append(answer)
+        paused, answer = sdepth._advance(search)
+        steps.append(paused)
+        steps.append(sdepth._advance(search)[1] if paused else answer)
     except SearchBudgetError as e:
         steps.append("budget: %s" % e)
     return steps
@@ -629,7 +621,7 @@ def _search_matches_predecessor(poset, k, fractions):
     if not isinstance(oracle(DEFAULT_BUDGET)[-1], str):
         needed = _least(lambda budget: not isinstance(oracle(budget)[-1], str))
         # the search's nodes: the least pause that the search never reaches
-        nodes = _least(lambda pause: oracle(DEFAULT_BUDGET, 0, pause)[0] is None)
+        nodes = _least(lambda pause: not oracle(DEFAULT_BUDGET, 0, pause)[0])
         pauses = (0, *(int(f * nodes) for f in fractions), nodes - 1, nodes)
         calls += [(budget, 0, None) for budget in {1, max(needed - 1, 1), needed}]
         calls += [(DEFAULT_BUDGET, 0, pause) for pause in pauses]
@@ -1270,7 +1262,7 @@ def test_finder_matches_its_stack_predecessor(ideal):
                 assert got == want, (str(ideal), k, budget, setting)
 
 
-def _out_of_units(points, candidates, units):
+def _out_of_units(poset, k, units, axes):
     raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
 
 
@@ -1342,10 +1334,27 @@ def test_finder_decides_j_6_4_squared_with_the_half_rotation_group():
 
 
 def _candidate_table(poset, k):
-    """`_search`'s candidate masks at k, handed out at a pause on its first
-    node, or None when it decides before any search node."""
-    table, _ = sdepth._advance(sdepth._search(poset, k, DEFAULT_BUDGET, 0, 0))
-    return table
+    """`eager_candidate_table` at k where `_search` pauses on its first
+    node, as it does once its pre-check passes, or None where it decides
+    before any search node."""
+    paused, _ = sdepth._advance(sdepth._search(poset, k, DEFAULT_BUDGET, 0, 0))
+    return eager_candidate_table(poset, k) if paused else None
+
+
+def _turn_masks(poset, k, axes=()):
+    """The masks that `_most_constrained` searches at k, in its order: those
+    it hands to `_contain`."""
+    handed = []
+    contain = sdepth._contain
+
+    def recorded(points, masks):
+        handed.append(masks)
+        return contain(points, masks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdepth, "_contain", recorded)
+        _outcome(lambda: _most_constrained(poset, k, 0, axes))
+    return handed[0]
 
 
 def set_most_constrained(poset, k, units):
@@ -1466,10 +1475,25 @@ def _sorted_masks(table):
 
 @given(small_ideals(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_table_at_a_pause_is_the_eager_table(ideal, data):
-    # lists built on first branch, and the rest at the pause, give the
-    # eager table list for list and in the same order, for g = lcm and for
-    # a g above it, whichever node the search pauses at
+def test_turn_masks_are_the_eager_table_in_order(ideal, data):
+    # the turn builds the eager table's masks, in the order that keeps
+    # every certificate, for g = lcm and for a g above it, wherever the
+    # search pauses
+    lcm = ideal.lcm_of_gens().exponents
+    above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
+    for g in (None, above):
+        poset = build_poset(ideal, g=g)
+        for k in range(1, ideal.n_vars + 1):
+            table = _candidate_table(poset, k)
+            if table is not None:
+                assert _turn_masks(poset, k) == _sorted_masks(table), (str(ideal), g, k)
+
+
+@given(small_ideals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_paused_search_resumes_to_its_unpaused_answer(ideal, data):
+    # the pause is a bare signal: whichever node the search pauses at, it
+    # resumes to the answer it gives unpaused, for g = lcm and a g above it
     lcm = ideal.lcm_of_gens().exponents
     above = Monomial(tuple(e + data.draw(st.integers(0, 1)) for e in lcm))
     pause = data.draw(st.integers(0, 30))
@@ -1477,11 +1501,9 @@ def test_table_at_a_pause_is_the_eager_table(ideal, data):
         poset = build_poset(ideal, g=g)
         for k in range(1, ideal.n_vars + 1):
             search = sdepth._search(poset, k, DEFAULT_BUDGET, 0, pause)
-            table, _ = sdepth._advance(search)
-            if table is not None:
-                assert table == eager_candidate_table(poset, k), (str(ideal), g, k, pause)
-                # and the search resumes on it to the answer it gives unpaused
-                assert sdepth._advance(search) == (None, has_partition_min_label(poset, k))
+            if sdepth._advance(search)[0]:
+                want = (False, has_partition_min_label(poset, k))
+                assert sdepth._advance(search) == want, (str(ideal), g, k, pause)
 
 
 @given(small_ideals(), st.data())
@@ -1518,11 +1540,10 @@ def test_contain_matches_the_bit_transpose(ideal):
 
 def test_lazy_table_and_contain_on_i_5_2_cubed():
     # 538 points and 6,624 intervals at k = 2, where the search pauses
-    # after building 20 of the lists itself
+    # after building 20 of the lists itself and the turn builds its own
     poset = build_poset(path_ideal(5, 2).power(3))
-    table = _candidate_table(poset, 2)
-    assert table == eager_candidate_table(poset, 2)
-    masks = _sorted_masks(table)
+    masks = _turn_masks(poset, 2)
+    assert masks == _sorted_masks(eager_candidate_table(poset, 2))
     assert len(masks) == 6624
     assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
 
@@ -1538,13 +1559,12 @@ def _matches_set_reference(poset, k):
     """Whether the engine and `set_most_constrained` give the same
     partition, None or message at k, at each of the engine's
     `_units_to_test`."""
-    table = _candidate_table(poset, k)
-    if table is None:
+    if _candidate_table(poset, k) is None:
         return True
     return all(
-        _outcome(lambda: _most_constrained(poset.points, table, units))
+        _outcome(lambda: _most_constrained(poset, k, units, ()))
         == _outcome(lambda: set_most_constrained(poset, k, units))
-        for units in _units_to_test(lambda units: _most_constrained(poset.points, table, units))
+        for units in _units_to_test(lambda units: _most_constrained(poset, k, units, ()))
     )
 
 
@@ -1563,7 +1583,7 @@ def _matches_memo_free_predecessor(poset, k):
     for setting in MEMO_SETTINGS:
         with memo_setting(setting):
             for units, outcome in want.items():
-                if _outcome(lambda: _most_constrained(poset.points, table, units)) != outcome:
+                if _outcome(lambda: _most_constrained(poset, k, units, ())) != outcome:
                     return False
     return True
 
@@ -1621,10 +1641,9 @@ def test_most_constrained_search_against_exhaustive_search(ideal):
     # exhaustion, agrees with the brute-force search
     poset = build_poset(ideal)
     for k in range(1, ideal.n_vars + 1):
-        table = _candidate_table(poset, k)
-        if table is None:
+        if _candidate_table(poset, k) is None:
             continue
-        partition = _most_constrained(poset.points, table, DEFAULT_BUDGET)
+        partition = _most_constrained(poset, k, DEFAULT_BUDGET, ())
         if partition is None:
             assert not exhaustive_has_partition(poset, k), (str(ideal), k)
         else:
@@ -1640,11 +1659,10 @@ def test_most_constrained_search_out_of_units_refutes_nothing(ideal, units):
     # poset that is one interval, and never returns None
     poset = build_poset(ideal)
     for k in range(1, ideal.n_vars + 1):
-        table = _candidate_table(poset, k)
-        if table is None:
+        if _candidate_table(poset, k) is None:
             continue
         try:
-            partition = _most_constrained(poset.points, table, units)
+            partition = _most_constrained(poset, k, units, ())
         except SearchBudgetError as error:
             assert str(error) == "exceeded %d units in the most-constrained search" % units
             continue
@@ -1690,7 +1708,7 @@ def test_most_constrained_search_decides_the_colon_ladder():
         assert verify_partition(build_poset(ideal), result.partition) == (True, "min label 2")
 
 
-# layer finder ----------------------------------------------------------
+# split posets: the turn over layers ------------------------------------
 
 
 @st.composite
@@ -1736,22 +1754,37 @@ def _layers_of(poset):
     return sorted(blocks.values(), key=lambda part: part & -part)
 
 
-@given(small_ideals(), st.data())
+def _inside_layers(poset, masks):
+    """The masks whose bottom and top agree on every split axis, in order."""
+    points, axes = poset.points, _split_axes(poset)
+    return [
+        mask
+        for mask in masks
+        if all(points[(mask & -mask).bit_length() - 1][i] == points[mask.bit_length() - 1][i] for i in axes)
+    ]
+
+
+@given(split_ideals())
+@example(parse_ideal("x3^2, x2*x3", 4))
 @settings(max_examples=60, deadline=None)
-def test_components_match_a_union_find_oracle(ideal, data):
-    # the whole table is one component, as every [p, b] meets [0, b];
-    # any subset of it falls into the components union-find joins
+def test_layer_blocks_are_the_components_of_their_masks(ideal):
+    # wherever the search pauses, each block of points on which every
+    # split axis is constant is one component, as union-find joins them,
+    # of the table's masks inside the layers, and the turn searches
+    # exactly those masks in the table's order; the whole table is one
+    # component, as every [p, b] meets [0, b]
     poset = build_poset(ideal)
-    full = (1 << len(poset.points)) - 1
-    for k in range(1, ideal.n_vars + 1):
+    points, axes = poset.points, _split_axes(poset)
+    assume(axes)
+    for k in range(1, poset.sweep + 1):
         table = _candidate_table(poset, k)
         if table is None:
             continue
         masks = _sorted_masks(table)
-        assert list(_components(masks, _contain(poset.points, masks), full)) == [full]
-        kept = [mask for mask in masks if data.draw(st.booleans())]
-        got = list(_components(kept, _contain(poset.points, kept), full))
-        assert got == union_find_components(len(poset.points), kept), (str(ideal), k)
+        assert union_find_components(len(points), masks) == [(1 << len(points)) - 1]
+        inside = _inside_layers(poset, masks)
+        assert union_find_components(len(points), inside) == _layers_of(poset), (str(ideal), k)
+        assert _turn_masks(poset, k, axes) == inside, (str(ideal), k)
 
 
 @given(split_ideals(), st.sampled_from([0, 5, 50, DEFAULT_BUDGET]))
@@ -1764,24 +1797,13 @@ def test_layer_partitions_verify_and_their_none_refutes_k(ideal, units):
     # and on the default budget exactly there: the restriction of a
     # partition to a layer is a partition of the layer
     poset = build_poset(ideal)
-    points = poset.points
     axes = _split_axes(poset)
     assume(axes)
     for k in range(1, ideal.n_vars + 1):
-        table = _candidate_table(poset, k)
-        if table is None:
+        if _candidate_table(poset, k) is None:
             continue
-        # the table's intervals that keep every split axis fall into the
-        # layers, one component each
-        inside = []
-        for mask in _sorted_masks(table):
-            bottom, top = points[(mask & -mask).bit_length() - 1], points[mask.bit_length() - 1]
-            if all(bottom[i] == top[i] for i in axes):
-                inside.append(mask)
-        full = (1 << len(points)) - 1
-        assert list(_components(inside, _contain(points, inside), full)) == _layers_of(poset)
         try:
-            partition = _layer_partition(poset, table, units)
+            partition = _most_constrained(poset, k, units, axes)
         except SearchBudgetError as error:
             assert str(error) == "exceeded %d units in the most-constrained search" % units
             assert units < DEFAULT_BUDGET
@@ -1793,6 +1815,13 @@ def test_layer_partitions_verify_and_their_none_refutes_k(ideal, units):
             assert verify_partition(poset, partition)[0], (str(ideal), k, units)
             assert partition.min_label(poset) >= k
             assert all(iv.a[i] == iv.b[i] for iv in partition.intervals for i in axes)
+            # and the blocks are covered one after another, lowest point first
+            order = {p: j for j, p in enumerate(poset.points)}
+            layers = _layers_of(poset)
+            blocks = [
+                next(n for n, b in enumerate(layers) if b >> order[iv.a] & 1) for iv in partition.intervals
+            ]
+            assert blocks == sorted(blocks), (str(ideal), k, units)
         if units == DEFAULT_BUDGET:
             assert (partition is not None) == exists, (str(ideal), k)
 
@@ -1807,11 +1836,14 @@ def test_layers_out_of_units_leave_the_canonical_descent(ideal, budget):
     # descent's on the nodes the search keeps, wherever that decides
     lcm = ideal.lcm_of_gens().exponents
     reserve = budget // 10 + (budget // 20 if _symmetry_groups(ideal, lcm) else 0)
+    turn = sdepth._most_constrained
+
+    def layers_out_of_units(poset, k, units, axes):
+        return (_out_of_units if axes else turn)(poset, k, units, axes)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sdepth, "_invariant_partition", lambda *args: None)
-        patch.setattr(sdepth, "_layer_partition", lambda poset, table, units: _out_of_units(
-            poset.points, table, units
-        ))
+        patch.setattr(sdepth, "_most_constrained", layers_out_of_units)
         got = _outcome(lambda: sdepth_quotient(ideal, node_budget=budget))
     want = _outcome(lambda: max_label_descent(ideal, budget - reserve))
     if isinstance(want, SdepthResult):
@@ -1819,17 +1851,18 @@ def test_layers_out_of_units_leave_the_canonical_descent(ideal, budget):
 
 
 def _layer_calls(ideal, node_budget):
-    """The number of `_layer_partition` calls that `sdepth_quotient` makes,
-    and its outcome."""
+    """The number of `_most_constrained` turns over split axes that
+    `sdepth_quotient` makes, and its outcome."""
     calls = []
-    layers = sdepth._layer_partition
+    turn = sdepth._most_constrained
 
-    def counted(*args):
-        calls.append(args)
-        return layers(*args)
+    def counted(poset, k, units, axes):
+        if axes:
+            calls.append(axes)
+        return turn(poset, k, units, axes)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sdepth, "_layer_partition", counted)
+        patch.setattr(sdepth, "_most_constrained", counted)
         outcome = _outcome(lambda: sdepth_quotient(ideal, node_budget=node_budget))
     return len(calls), outcome
 
@@ -1843,9 +1876,8 @@ def test_layer_exhaustion_refutes_k_as_the_whole_search_does():
     ideal = path_ideal(4, 2).power(2).extend(1) + MonomialIdeal.principal(x5 ** 2)
     poset = build_poset(ideal)
     assert _split_axes(poset) == [4] and poset.sweep == 2
-    table = _candidate_table(poset, 2)
-    assert _layer_partition(poset, table, 2841) is None
-    assert _outcome(lambda: _layer_partition(poset, table, 2840)) == (
+    assert _most_constrained(poset, 2, 2841, [4]) is None
+    assert _outcome(lambda: _most_constrained(poset, 2, 2840, [4])) == (
         "budget: exceeded 2840 units in the most-constrained search"
     )
     assert has_partition_min_label(poset, 2, node_budget=10_000_000) is None
@@ -1857,13 +1889,22 @@ def test_layer_exhaustion_refutes_k_without_resuming():
     # exhaustion, leaves k = 2 for 1 at once, and their running out of
     # units leaves it to the search
     ideal = parse_ideal("x3^2, x2*x3", 4)
+    turns = []
+
+    def layers_refute(poset, k, units, axes):
+        turns.append(axes)
+        return None
+
+    def layers_out_of_units(poset, k, units, axes):
+        turns.append(axes)
+        return _out_of_units(poset, k, units, axes)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sdepth, "_layer_partition", lambda *args: None)
+        patch.setattr(sdepth, "_most_constrained", layers_refute)
         assert sdepth_quotient(ideal, node_budget=100).sdepth == 1
-        patch.setattr(sdepth, "_layer_partition", lambda poset, table, units: _out_of_units(
-            poset.points, table, units
-        ))
+        patch.setattr(sdepth, "_most_constrained", layers_out_of_units)
         assert sdepth_quotient(ideal, node_budget=100).sdepth == 2
+    assert turns == [[2], [2]]
 
 
 def test_layer_finder_never_runs_on_the_benchmark_ladder():
