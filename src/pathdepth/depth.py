@@ -30,10 +30,18 @@ off the facet-vertex incidence from the smaller side (`_strand_faces`):
 the nerve's when f is below the support size, its own when it is not.
 
 The hot loops run on flat data, per element rather than per pair or per
-face in Python.  The lattice is closed over exponent tuples packed into
-one word each, with every generator in its own lane of one int, so one
-multiply and one guarded subtraction give the lcms of an element with
-all generators, read back through an `array` (`_lcm_closure`).  Faces,
+face in Python.  The lattice is read off one bitset over the box of the
+vectors whose every coordinate is 0 or some generator's exponent there
+(`_box_closure`): a nonzero point is in it iff each of its positive
+coordinates is reached by a generator below it, a test made by ANDs and
+ORs of the generators' up-cones, built from the kernel layer's "x_i >= c"
+patterns (`monomials._at_least_patterns`).  On a few generators, or
+where that box is large, the lattice is instead closed over exponent
+tuples packed into one word each, with every generator in its own lane
+of one int, so one multiply and one guarded subtraction give the lcms of
+an element with all generators, read back through an `array`
+(`_lane_closure`); `_lcm_closure` picks the path from the number of
+generators and the size of the box.  Faces,
 on either side of the incidence, are vertex bitmasks grown off bitsets
 (`_grow_faces`), and the boundary maps flip bits.  The bitsets
 of generators are the kernel layer's rows (`monomials._below_bitsets`
@@ -47,10 +55,11 @@ import sys
 from array import array
 from dataclasses import asdict, dataclass
 from functools import partial, reduce
-from math import gcd
+from itertools import compress, product
+from math import gcd, prod
 from operator import and_
 
-from .monomials import Monomial, _below_bitsets, _dividing
+from .monomials import Monomial, _at_least_patterns, _below_bitsets, _dividing, _selectors
 
 __all__ = [
     "DEFAULT_POLARIZATION_CAP",
@@ -195,6 +204,80 @@ class LcmLattice:
 
 
 def _lcm_closure(exponent_tuples):
+    """Closure of exponent tuples under componentwise max, in lex order.
+
+    It is read off the box of the values the tuples take (`_box_closure`)
+    when there are at least _BOX_MIN_GENS distinct tuples and the box has
+    at most min(_BOX_PER_GEN_PAIR * |G|^2, _BOX_CEILING) points, |G| the
+    number of distinct tuples; otherwise it is grown in lanes
+    (`_lane_closure`).  The rule reads only the number of tuples and of
+    values per coordinate, so a box that fails it builds no pattern.
+    """
+    if len(exponent_tuples) >= _BOX_MIN_GENS:
+        gens = set(exponent_tuples)
+        size = prod(len(set(column) | {0}) for column in zip(*gens))
+        limit = min(_BOX_PER_GEN_PAIR * len(gens) ** 2, _BOX_CEILING)
+        if len(gens) >= _BOX_MIN_GENS and size <= limit:
+            return _box_closure(gens)
+    return _lane_closure(exponent_tuples)
+
+
+# The lanes cost less on a few tuples, where building the box's patterns
+# outweighs the closure, and unlike the box they do not grow with the
+# number of variables and of distinct exponents.
+_BOX_MIN_GENS = 6
+_BOX_PER_GEN_PAIR = 16
+_BOX_CEILING = 1 << 17
+
+
+def _box_closure(exponent_tuples):
+    """Closure of exponent tuples under componentwise max, in lex order,
+    as one bitset over the box B of the vectors whose every coordinate is
+    0 or the value of some tuple there, bit r standing for the point of
+    lex rank r.
+
+    A nonzero a in B is the lcm of the tuples below it iff each positive
+    a_i is reached by one of them, some g <= a with g_i = a_i; the zero
+    vector is in the closure iff it is one of the tuples.  The up-cone of
+    g is an AND of "x_i >= g_i" patterns over its support
+    (`monomials._at_least_patterns`), and the cones are ORed into one row
+    per coordinate and value: row[i][c] holds the points above some g with
+    g_i = c.  The points of coordinate i that pass are those with x_i = 0
+    and, for each c > 0, those of row[i][c] with x_i = c; the closure is
+    the AND of those sets over i, read off the box in lex order through
+    `monomials._selectors`.
+    """
+    gens = set(exponent_tuples)
+    values = [sorted(set(column) | {0}) for column in zip(*gens)]
+    spans = [len(v) for v in values]
+    strides = [prod(spans[i + 1:]) for i in range(len(spans))]
+    size = strides[0] * spans[0]
+    at_least = [
+        _at_least_patterns(range(span + 1), span, step, size)
+        for span, step in zip(spans, strides)
+    ]
+    ranks = [{v: c for c, v in enumerate(vs)} for vs in values]
+    rows = [[0] * span for span in spans]
+    for g in gens:
+        steps = [(i, rank[e]) for i, (rank, e) in enumerate(zip(ranks, g)) if e]
+        cone = -1
+        for i, c in steps:
+            cone &= at_least[i][c]
+        for i, c in steps:
+            rows[i][c] |= cone
+    closure = -1
+    for row, ge in zip(rows, at_least):
+        # ge[c] ^ ge[c + 1]: the points with x_i = c
+        passed = ge[0] ^ ge[1]
+        for c in range(1, len(row)):
+            passed |= row[c] & (ge[c] ^ ge[c + 1])
+        closure &= passed
+    if (0,) * len(values) not in gens:
+        closure &= ~1
+    return list(compress(product(*values), _selectors(closure)))
+
+
+def _lane_closure(exponent_tuples):
     """Closure of exponent tuples under componentwise max, in lex order.
 
     Each tuple is packed into one word, x_1 in the highest field; a field

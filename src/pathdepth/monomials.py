@@ -12,6 +12,12 @@ and intersections pass their candidates once through `_minimal`, which
 keeps a tuple iff the bitset of the candidates below it (`_dividing` over
 `_below_bitsets` rows, which the engines read too) is its own bit.  Maps
 that keep a minimal set minimal only order their tuples.
+
+The engines' boxes of exponent vectors are bitsets too, bit r standing
+for the point of lex rank r: `_at_least_patterns` builds the "x_i >= c"
+patterns that the Stanley-depth box and the lcm-lattice box are made of,
+and `_selectors` turns a bitset into selectors that read its points off
+the box in lex order.
 """
 
 from __future__ import annotations
@@ -183,6 +189,37 @@ def _dividing(exponents, below):
     for row, e in zip(below, exponents):
         bits &= row[e]
     return bits
+
+
+def _at_least_patterns(wanted, span, step, size):
+    """{c: bitset of the points with x_i >= c} for each c in `wanted`, in a
+    box of `size` points, bit r standing for the point of lex rank r,
+    where x_i takes the ranks 0..span-1 and a step +1 in x_i is a shift by
+    `step`; c = span gives 0.
+
+    The patterns have period L = span * step.  With R the bitset of the
+    multiples of L below size, made by doubling in log2(size / L) shifts,
+    x_i >= c is (R << L) - (R << c * step): in each period, the bits from
+    c * step up.  So one coordinate costs one R and each c two shifts and
+    a subtraction, none a step per bit in Python.
+    """
+    period = span * step
+    repeats, covered = 1, period
+    while covered < size:
+        repeats |= repeats << covered
+        covered *= 2
+    repeats &= (1 << size) - 1
+    return {c: (repeats << period) - (repeats << c * step) for c in wanted}
+
+
+# binary digits to the bytes 0 and 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selectors(bits):
+    """One byte per bit of `bits` up to its highest set one, lowest first,
+    1 where it is set: selectors for `itertools.compress`."""
+    return format(bits, "b").encode().translate(_DIGIT_VALUES)[::-1]
 
 
 def _minimal(vectors):

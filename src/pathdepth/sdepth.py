@@ -82,7 +82,7 @@ from itertools import product as _cartesian
 from math import comb, prod
 from operator import eq, itemgetter, lt, xor
 
-from .monomials import Monomial, _below_bitsets, _dividing
+from .monomials import Monomial, _at_least_patterns, _below_bitsets, _dividing, _selectors
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -213,10 +213,11 @@ def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
     bitsets, bit r standing for the point of lex rank r, so a step +1 in
     x_i is a shift by strides[i].
 
-    "x_i >= c" is a periodic pattern, built only at the generators'
-    nonzero exponents and at g_i, so a wide column costs no pattern per
-    value it spans.  `members` holds the points outside I, those under no
-    generator's AND of its patterns, and capped[i] those with x_i = g_i.
+    "x_i >= c" is a periodic pattern (`monomials._at_least_patterns`),
+    built only at the generators' nonzero exponents and at g_i, so a wide
+    column costs no pattern per value it spans.  `members` holds the
+    points outside I, those under no generator's AND of its patterns, and
+    capped[i] those with x_i = g_i.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
@@ -235,13 +236,8 @@ def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
         raise PosetCapError("box of size %d exceeds cap %d" % (size, cap))
     at_least = []  # at_least[i][c]: the points with x_i >= c
     for i, (gi, step) in enumerate(zip(cap_vec, strides)):
-        # a period of x_i is gi + 1 runs of `step` bits, x_i = c on run c;
-        # int() reads the highest bit first
-        periods = size // (step * (gi + 1))
         wanted = {h.exponents[i] for h in ideal.gens if h.exponents[i]} | {gi}
-        at_least.append(
-            {c: int(("1" * ((gi + 1 - c) * step) + "0" * (c * step)) * periods, 2) for c in wanted}
-        )
+        at_least.append(_at_least_patterns(wanted, gi + 1, step, size))
     inside = 0
     for h in ideal.gens:
         cone = -1
@@ -251,16 +247,6 @@ def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
         inside |= cone
     members = ((1 << size) - 1) ^ inside
     return cap_vec, strides, members, [row[gi] for row, gi in zip(at_least, cap_vec)]
-
-
-# binary digits to the bytes 0 and 1
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _selectors(bits):
-    """One byte per bit of `bits` up to its highest set one, lowest first,
-    1 where it is set: selectors for `itertools.compress`."""
-    return format(bits, "b").encode().translate(_DIGIT_VALUES)[::-1]
 
 
 def _leq(a, b):

@@ -1,6 +1,7 @@
 """Exact homology, Betti numbers, and depth."""
 
 import gc
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -15,7 +16,9 @@ from pathdepth.depth import (
     DepthResult,
     PolarizationCapError,
     UnitIdealError,
+    _box_closure,
     _facets,
+    _lane_closure,
     _lcm_closure,
     _strand_faces,
     _strand_homology,
@@ -351,13 +354,25 @@ WIDE = [
 
 
 @st.composite
-def exponent_vectors(draw):
-    n = draw(st.integers(1, 8))
+def exponent_vectors(draw, n_max=8, max_size=7):
+    n = draw(st.integers(1, n_max))
     top = draw(st.sampled_from([1, 3, 9, 200, 255, 256, 300]))
-    vectors = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=7))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=max_size))
     if not any(map(any, vectors)):
         vectors[0] = (top,) * n
     return vectors
+
+
+# the six (base, t, depth) of benchmark/workloads.py::DEPTH_LADDER
+DEPTH_LADDER = (
+    (path_ideal(7, 3), 3, phi(7, 3, 3)),
+    (cycle_ideal(6, 3), 2, 3),
+    (cycle_ideal(6, 4), 2, 1),
+    (cycle_ideal(7, 3), 3, 2),
+    (cycle_ideal(6, 4), 5, 1),
+    (cycle_ideal(6, 5), 5, 0),
+)
+LADDER_VECTORS = [[g.exponents for g in base.power(t).gens] for base, t, _ in DEPTH_LADDER]
 
 
 @given(exponent_vectors())
@@ -369,7 +384,65 @@ def exponent_vectors(draw):
 @example([(1,) * 32, (1, 0) * 16])  # a word of exactly 64 bits, one item
 @settings(max_examples=150, deadline=None)
 def test_lane_closure_matches_scalar_oracle(vectors):
-    assert _lcm_closure(vectors) == scalar_lcm_closure(vectors)
+    assert _lane_closure(vectors) == scalar_lcm_closure(vectors)
+
+
+def with_examples(*cases):
+    """`hypothesis.example` once per case, in the order given."""
+
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+
+    return decorate
+
+
+@given(exponent_vectors(n_max=5, max_size=10))
+@example([(1,), (0,)])  # the zero vector among the inputs
+@example([(0, 0, 0)])  # the zero vector alone
+@example([(0, 0), (1, 2), (2, 1)])
+@example([(3,), (7,), (1,), (4,), (9,), (2,)])  # one variable, six tuples
+@example([(300, 0), (0, 256), (255, 255), (1, 299), (256, 1), (2, 2)])  # exponents above 255
+@example(WIDE)
+@with_examples(*LADDER_VECTORS)  # the depth ladder, each on the box
+@settings(max_examples=150, deadline=None)
+def test_box_closure_matches_scalar_oracle(vectors):
+    # called directly, whichever path `_lcm_closure` would pick
+    assert _box_closure(vectors) == scalar_lcm_closure(vectors)
+
+
+def test_closure_path_choice(monkeypatch):
+    # the box needs >= 6 distinct tuples and at most min(16 |G|^2, 2^17) points;
+    # the depth ladder takes it and small ideals keep the lanes, so the
+    # benchmark runs a workload on each side of the rule
+    taken = []
+
+    def recording(name, closure):
+        def record(vectors):
+            taken.append(name)
+            return closure(vectors)
+
+        return record
+
+    monkeypatch.setattr(depth_module, "_box_closure", recording("box", _box_closure))
+    monkeypatch.setattr(depth_module, "_lane_closure", recording("lanes", lambda vectors: []))
+    for vectors in LADDER_VECTORS:
+        _lcm_closure(vectors)
+    assert taken == ["box"] * 6
+    # 5 generators, and the same 5 twice: the rule counts distinct tuples
+    fewer = [g.exponents for g in cycle_ideal(5, 2).gens]
+    # 8 variables with distinct exponents: 6 tuples, a box of 7^8 points
+    distinct = [tuple(8 * j + i + 1 for i in range(8)) for j in range(6)]
+    # 200 tuples in 8 variables with values 1..4: 5^8 points, at most
+    # 16 |G|^2 = 640,000 but over the ceiling of 2^17
+    rng = random.Random(0)
+    ceiling = rng.sample(list(product(range(1, 5), repeat=8)), 200)
+    assert all(len(set(column)) == 4 for column in zip(*ceiling))
+    taken.clear()
+    for vectors in (fewer, fewer * 2, distinct, ceiling):
+        _lcm_closure(vectors)
+    assert taken == ["lanes"] * 4
 
 
 def monomial_lcm_closure(ideal):
@@ -803,16 +876,8 @@ def test_walk_builds_few_faces_on_the_costliest_ladder_instance(monkeypatch):
 def test_depth_ladder_pins():
     # the six instances and depths pinned by benchmark/workloads.py::DEPTH_LADDER,
     # so that a wrong early stop of the walk fails here before the benchmark
-    ladder = (
-        (path_ideal(7, 3), 3, phi(7, 3, 3)),
-        (cycle_ideal(6, 3), 2, 3),
-        (cycle_ideal(6, 4), 2, 1),
-        (cycle_ideal(7, 3), 3, 2),
-        (cycle_ideal(6, 4), 5, 1),
-        (cycle_ideal(6, 5), 5, 0),
-    )
-    assert [depth_quotient(base.power(t)).depth for base, t, _ in ladder] == [
-        depth for _, _, depth in ladder
+    assert [depth_quotient(base.power(t)).depth for base, t, _ in DEPTH_LADDER] == [
+        depth for _, _, depth in DEPTH_LADDER
     ]
 
 
