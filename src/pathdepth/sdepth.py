@@ -801,34 +801,39 @@ def _bits(mask):
 
 def _fewest(free, live, contain):
     """(the live intervals holding the point of `free` that the fewest of
-    them hold, the number of points examined); the scan stops at a count
-    of 0 or 1."""
+    them hold, the number of points examined); the scan goes up from the
+    lowest point and stops at a count of 0 or 1."""
     best = least = None
     examined = 0
-    for q in _bits(free):
+    while free:
+        low = free & -free
         examined += 1
-        here = contain[q] & live
+        here = contain[low.bit_length() - 1] & live
         count = here.bit_count()
         if best is None or count < least:
             best, least = here, count
             if count <= 1:
                 break
+        free ^= low
     return best, examined
 
 
-def _contain(points, masks):
+def _contain(points, masks, among=None):
     """contain[q]: the bitset of the intervals among `masks` that hold
-    points[q], bit i standing for masks[i].
+    points[q], bit i standing for masks[i], for each index q in `among`,
+    in its order; for every point by default.  The masks must lie among
+    those points.
 
     q lies in [p, b] iff p_i <= q_i <= b_i for every i, so contain[q] is
     an AND over the coordinates of two rows over the intervals: those
     whose bottom (a mask's lowest bit) is <= q_i, and those whose top (its
     highest bit) is >= q_i.
     """
-    caps = [max(column) for column in zip(*points)]
+    held = points if among is None else [points[q] for q in among]
+    caps = [max(column) for column in zip(*held)]
     low = _below_bitsets([points[(m & -m).bit_length() - 1] for m in masks], caps)
     high = _at_least(_below_bitsets([points[m.bit_length() - 1] for m in masks], caps))
-    return [_dividing(q, low) & _dividing(q, high) for q in points]
+    return [_dividing(q, low) & _dividing(q, high) for q in held]
 
 
 def _most_constrained(poset, k, units, axes):
@@ -837,11 +842,7 @@ def _most_constrained(poset, k, units, axes):
     Most-constrained exact cover (Knuth, "Dancing Links"): branch on the
     uncovered point that the fewest live intervals hold, larger intervals
     first.  The intervals are `_search`'s candidate masks at k, built by
-    `_intervals` and indexed largest first, ties in the order of their
-    bottoms, then of their tops; contain[q] is the bitset of the intervals
-    that hold q, built per coordinate by `_contain`, the live intervals
-    are one bitset, and choosing an interval clears contain[q] from it for
-    each of its points q.
+    `_intervals`.
 
     Along a split axis i in `axes` (`_split_axes`) no point reaches g_i,
     x_i adds to no label, and the poset is the disjoint union of its
@@ -859,12 +860,22 @@ def _most_constrained(poset, k, units, axes):
     search's pre-check, the block's restriction of [p, b] is kept, and so
     is [m, its top], m the block's lowest point, which lies below all of it.
 
-    Building the masks, contain and the blocks is not charged: candidate
-    construction has charged every (point, top) pair and cell.  The search
-    is charged one unit per uncovered point examined and the cell count of
-    each interval chosen, across the blocks.  None is returned only after
-    exhaustion, a complete refutation; past `units` it raises
-    SearchBudgetError, which refutes nothing.
+    Each block has its own index: its masks, largest first, ties in the
+    order of their bottoms, then of their tops, which is the order of the
+    masks of every block sorted together, restricted to the block.
+    contain[q] is the bitset of the intervals of q's block that hold q,
+    built per coordinate by `_contain` over the block's points alone; the
+    live intervals are one bitset as wide as the block's list, and
+    choosing an interval keeps the live ones disjoint from it: the
+    complement of its conflict row, the OR of contain[q] over its points
+    q, built the first time the interval is chosen and kept for the call.
+
+    Building the masks, contain, the blocks and the conflict rows is not
+    charged: candidate construction has charged every (point, top) pair
+    and cell.  The search is charged one unit per uncovered point examined
+    and the cell count of each interval chosen, across the blocks.  None
+    is returned only after exhaustion, a complete refutation; past `units`
+    it raises SearchBudgetError, which refutes nothing.
 
     The live intervals are those disjoint from the covering, so the units
     below a covering depend on it alone, not on the cells of the interval
@@ -881,18 +892,25 @@ def _most_constrained(poset, k, units, axes):
         layers = [row & ~above for row, above in zip(up, up[1:])]
         blocks = [block & layers[p[i]] for block, p in zip(blocks, points)]
     downs = {}
-    kept = (
-        m for p, block in zip(points, blocks) for m in _intervals(poset, k, p, downs) if m & block == m
-    )
-    masks = sorted(kept, key=int.bit_count, reverse=True)
-    contain = _contain(points, masks)
+    indices = {}  # block -> (its points' indices, its masks), lowest point first
+    for q, (p, block) in enumerate(zip(points, blocks)):
+        among, masks = indices.setdefault(block, ([], []))
+        among.append(q)
+        masks.extend(m for m in _intervals(poset, k, p, downs) if m & block == m)
+    contain = [0] * len(points)  # each point's row over its own block's masks
+    for among, masks in indices.values():
+        # a stable sort, so each block keeps the order of the global one
+        masks.sort(key=int.bit_count, reverse=True)
+        for q, row in zip(among, _contain(points, masks, among)):
+            contain[q] = row
     spent = 0
     sizes, floor = {}, 1  # refuted covering -> the units spent below it; the least recorded
 
-    def cover(full):
-        """The coverings on the path to the block `full`, or None."""
+    def cover(full, masks):
+        """The coverings on the path to the block `full`, over its `masks`, or None."""
         nonlocal spent, floor
-        live = (1 << len(masks)) - 1
+        every = live = (1 << len(masks)) - 1
+        disjoint = [None] * len(masks)  # i -> the intervals that miss masks[i], once chosen
         options, examined = _fewest(full, live, contain)
         spent += examined
         stack = [(0, live, _bits(options), 0)]  # (covered, live, options, entry)
@@ -912,10 +930,13 @@ def _most_constrained(poset, k, units, axes):
                     spent += cells + size
                     continue
                 entry = spent + cells
-                dead = 0
-                for q in _bits(mask):
-                    dead |= contain[q]
-                live &= ~dead
+                keep = disjoint[i]
+                if keep is None:
+                    dead = 0
+                    for q in _bits(mask):
+                        dead |= contain[q]
+                    keep = disjoint[i] = every ^ dead
+                live &= keep
                 options, examined = _fewest(full ^ child, live, contain)
                 spent = entry + examined
                 stack.append((child, live, _bits(options), entry))
@@ -930,9 +951,8 @@ def _most_constrained(poset, k, units, axes):
         return None
 
     intervals = []
-    # the blocks in the order of their first point, which is their lowest
-    for block in dict.fromkeys(blocks):
-        coverings = cover(block)
+    for block, (_, masks) in indices.items():
+        coverings = cover(block, masks)
         if coverings is None:
             return None
         intervals.extend(_read_off(points, coverings).intervals)

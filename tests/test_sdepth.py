@@ -218,7 +218,7 @@ def memo_free_search(poset, k, node_budget, reserve=0, pause=None):
         for row, v in zip(up_rows, points[i]):
             up &= row[v]
         cand = []
-        for j in sdepth._bits(admissible(points[i])):
+        for j in bit_positions(admissible(points[i])):
             down = full
             for row, v in zip(below, tops[j]):
                 down &= row[v]
@@ -264,16 +264,36 @@ def memo_free_search(poset, k, node_budget, reserve=0, pause=None):
             covered, options = stack.pop()
 
 
+def bit_positions(mask):
+    """The positions of the set bits of `mask`, lowest first, as a list."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def first_fewest(free, live, contain):
+    """The most-constrained point scan over a list of the points of `free`:
+    (the live intervals holding the first point that the fewest of them
+    hold, the number of points examined), stopping at a count of 0 or 1."""
+    best, examined = None, 0
+    for q in bit_positions(free):
+        examined += 1
+        here = contain[q] & live
+        if best is None or here.bit_count() < best.bit_count():
+            best = here
+            if best.bit_count() <= 1:
+                break
+    return best, examined
+
+
 def memo_free_most_constrained(points, candidates, units):
     """`sdepth._most_constrained` as it was when it searched every revisit
-    again: the same order, units and message."""
+    again: the same order, units and message, with its own point scan."""
     masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
     contain = _contain(points, masks)
     full = (1 << len(points)) - 1
     live = (1 << len(masks)) - 1
-    options, spent = sdepth._fewest(full, live, contain)
+    options, spent = first_fewest(full, live, contain)
     chosen = []
-    stack = [(0, live, sdepth._bits(options))]
+    stack = [(0, live, iter(bit_positions(options)))]
     while stack:
         if spent > units:
             raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
@@ -290,12 +310,12 @@ def memo_free_most_constrained(points, candidates, units):
                     )
                 )
             dead = 0
-            for q in sdepth._bits(mask):
+            for q in bit_positions(mask):
                 dead |= contain[q]
             live &= ~dead
-            options, examined = sdepth._fewest(full ^ child, live, contain)
+            options, examined = first_fewest(full ^ child, live, contain)
             spent += mask.bit_count() + examined
-            stack.append((child, live, sdepth._bits(options)))
+            stack.append((child, live, iter(bit_positions(options))))
             break
         else:
             stack.pop()
@@ -1342,19 +1362,20 @@ def _candidate_table(poset, k):
 
 
 def _turn_masks(poset, k, axes=()):
-    """The masks that `_most_constrained` searches at k, in its order: those
-    it hands to `_contain`."""
+    """The masks that `_most_constrained` searches at k, in its order: one
+    list per block, those it hands to `_contain`, blocks in the order of
+    the calls."""
     handed = []
     contain = sdepth._contain
 
-    def recorded(points, masks):
+    def recorded(points, masks, *among):
         handed.append(masks)
-        return contain(points, masks)
+        return contain(points, masks, *among)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sdepth, "_contain", recorded)
         _outcome(lambda: _most_constrained(poset, k, 0, axes))
-    return handed[0]
+    return handed
 
 
 def set_most_constrained(poset, k, units):
@@ -1486,7 +1507,7 @@ def test_turn_masks_are_the_eager_table_in_order(ideal, data):
         for k in range(1, ideal.n_vars + 1):
             table = _candidate_table(poset, k)
             if table is not None:
-                assert _turn_masks(poset, k) == _sorted_masks(table), (str(ideal), g, k)
+                assert _turn_masks(poset, k) == [_sorted_masks(table)], (str(ideal), g, k)
 
 
 @given(small_ideals(), st.data())
@@ -1542,7 +1563,7 @@ def test_lazy_table_and_contain_on_i_5_2_cubed():
     # 538 points and 6,624 intervals at k = 2, where the search pauses
     # after building 20 of the lists itself and the turn builds its own
     poset = build_poset(path_ideal(5, 2).power(3))
-    masks = _turn_masks(poset, 2)
+    [masks] = _turn_masks(poset, 2)
     assert masks == _sorted_masks(eager_candidate_table(poset, 2))
     assert len(masks) == 6624
     assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
@@ -1770,8 +1791,9 @@ def _inside_layers(poset, masks):
 def test_layer_blocks_are_the_components_of_their_masks(ideal):
     # wherever the search pauses, each block of points on which every
     # split axis is constant is one component, as union-find joins them,
-    # of the table's masks inside the layers, and the turn searches
-    # exactly those masks in the table's order; the whole table is one
+    # of the table's masks inside the layers, and the turn searches each
+    # block over its own list, those masks inside it in the table's order,
+    # the lists together exactly those masks; the whole table is one
     # component, as every [p, b] meets [0, b]
     poset = build_poset(ideal)
     points, axes = poset.points, _split_axes(poset)
@@ -1783,8 +1805,12 @@ def test_layer_blocks_are_the_components_of_their_masks(ideal):
         masks = _sorted_masks(table)
         assert union_find_components(len(points), masks) == [(1 << len(points)) - 1]
         inside = _inside_layers(poset, masks)
-        assert union_find_components(len(points), inside) == _layers_of(poset), (str(ideal), k)
-        assert _turn_masks(poset, k, axes) == inside, (str(ideal), k)
+        blocks = _layers_of(poset)
+        assert union_find_components(len(points), inside) == blocks, (str(ideal), k)
+        lists = _turn_masks(poset, k, axes)
+        want = [[mask for mask in inside if mask & block == mask] for block in blocks]
+        assert lists == want, (str(ideal), k)
+        assert sorted(mask for kept in lists for mask in kept) == sorted(inside), (str(ideal), k)
 
 
 @given(split_ideals(), st.sampled_from([0, 5, 50, DEFAULT_BUDGET]))
@@ -1824,6 +1850,121 @@ def test_layer_partitions_verify_and_their_none_refutes_k(ideal, units):
             assert blocks == sorted(blocks), (str(ideal), k, units)
         if units == DEFAULT_BUDGET:
             assert (partition is not None) == exists, (str(ideal), k)
+
+
+def one_index_most_constrained(poset, k, units, axes):
+    """`sdepth._most_constrained` as it was when one index over every
+    block's masks served the whole poset: contain[q] and the live
+    intervals over all of them, sorted together, and an interval's
+    conflict row ORed again at each choice.  The same blocks, order,
+    units, memo and messages, with its own point scan."""
+    points = poset.points
+    _admissible_tops(poset, k)
+    blocks = [(1 << len(points)) - 1] * len(points)
+    for i in axes:
+        up = poset.up[i]
+        layers = [row & ~above for row, above in zip(up, up[1:])]
+        blocks = [block & layers[p[i]] for block, p in zip(blocks, points)]
+    downs = {}
+    kept = (
+        m
+        for p, block in zip(points, blocks)
+        for m in sdepth._intervals(poset, k, p, downs)
+        if m & block == m
+    )
+    masks = sorted(kept, key=int.bit_count, reverse=True)
+    contain = _contain(points, masks)
+    spent = 0
+    sizes, floor = {}, 1
+
+    def cover(full):
+        nonlocal spent, floor
+        live = (1 << len(masks)) - 1
+        options, examined = first_fewest(full, live, contain)
+        spent += examined
+        stack = [(0, live, iter(bit_positions(options)), 0)]
+        while stack:
+            if spent > units:
+                raise SearchBudgetError("exceeded %d units in the most-constrained search" % units)
+            covered, live, options, _ = stack[-1]
+            for i in options:
+                mask = masks[i]
+                child = covered | mask
+                if child == full:
+                    return [frame[0] for frame in stack] + [full]
+                cells = mask.bit_count()
+                size = sizes.get(child)
+                if size is not None and spent + cells + size <= units:
+                    spent += cells + size
+                    continue
+                entry = spent + cells
+                dead = 0
+                for q in bit_positions(mask):
+                    dead |= contain[q]
+                live &= ~dead
+                options, examined = first_fewest(full ^ child, live, contain)
+                spent = entry + examined
+                stack.append((child, live, iter(bit_positions(options)), entry))
+                break
+            else:
+                covered, _, _, entry = stack.pop()
+                if stack:
+                    floor = sdepth._remember(sizes, floor, covered, spent - entry)
+        return None
+
+    intervals = []
+    for block in dict.fromkeys(blocks):
+        coverings = cover(block)
+        if coverings is None:
+            return None
+        intervals.extend(sdepth._read_off(points, coverings).intervals)
+    return StanleyPartition(tuple(intervals))
+
+
+def _matches_one_index_predecessor(poset, k, axes):
+    """Whether the engine and `one_index_most_constrained` give the same
+    partition, None or message at k over `axes`, under every memo setting,
+    at each of the latter's `_units_to_test` under that setting."""
+    if _candidate_table(poset, k) is None:
+        return True
+
+    def oracle(units):
+        return one_index_most_constrained(poset, k, units, axes)
+
+    for setting in MEMO_SETTINGS:
+        with memo_setting(setting):
+            for units in _units_to_test(oracle):
+                got = _outcome(lambda: _most_constrained(poset, k, units, axes))
+                if got != _outcome(lambda: oracle(units)):
+                    return False
+    return True
+
+
+@given(st.one_of(split_ideals(), small_ideals()))
+@example(parse_ideal("x3^2, x2*x3", 4))
+@settings(max_examples=60, deadline=None)
+def test_most_constrained_search_matches_its_one_index_predecessor(ideal):
+    # an index per block, with its conflict rows kept, searches in the
+    # order and at the units of one index over every block, on the split
+    # axes and on none
+    poset = build_poset(ideal)
+    for axes in dict.fromkeys(((), tuple(_split_axes(poset)))):
+        for k in range(1, ideal.n_vars + 1):
+            assert _matches_one_index_predecessor(poset, k, axes), (str(ideal), k, axes)
+
+
+def test_most_constrained_search_matches_its_one_index_predecessor_on_larger_posets():
+    # 29 to 45 points in two or three layers, each covered by several
+    # intervals, so that a block reads conflict rows it built itself
+    for ideal in (
+        path_ideal(4, 2).power(2) + MonomialIdeal.principal(Monomial.variable(4, 4) ** 2),
+        cycle_ideal(4, 2).power(2) + MonomialIdeal.principal(Monomial.variable(4, 4) ** 3),
+        cycle_ideal(5, 3) + MonomialIdeal.principal(Monomial.variable(5, 5) ** 3),
+    ):
+        poset = build_poset(ideal)
+        for axes in ((), tuple(_split_axes(poset))):
+            for k in range(1, ideal.n_vars + 1):
+                assert _matches_one_index_predecessor(poset, k, axes), (str(ideal), k, axes)
 
 
 @given(split_ideals(n_max=4, gens_max=4), st.sampled_from([100, 300, 2000]))
