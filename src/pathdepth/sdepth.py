@@ -818,18 +818,17 @@ def _fewest(free, live, contain):
     return best, examined
 
 
-def _contain(points, masks, among=None):
+def _contain(points, masks, among):
     """contain[q]: the bitset of the intervals among `masks` that hold
     points[q], bit i standing for masks[i], for each index q in `among`,
-    in its order; for every point by default.  The masks must lie among
-    those points.
+    in its order.  The masks must lie among those points.
 
     q lies in [p, b] iff p_i <= q_i <= b_i for every i, so contain[q] is
     an AND over the coordinates of two rows over the intervals: those
     whose bottom (a mask's lowest bit) is <= q_i, and those whose top (its
     highest bit) is >= q_i.
     """
-    held = points if among is None else [points[q] for q in among]
+    held = [points[q] for q in among]
     caps = [max(column) for column in zip(*held)]
     low = _below_bitsets([points[(m & -m).bit_length() - 1] for m in masks], caps)
     high = _at_least(_below_bitsets([points[m.bit_length() - 1] for m in masks], caps))

@@ -1,9 +1,11 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import importlib.util
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from pathdepth.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXPORT_DIALECTS,
+    build_parser,
     export_ideal,
     main,
     parse_exported,
@@ -156,11 +159,15 @@ def test_exit_codes_are_distinguishable():
 
 
 def test_unknown_claim_message_is_printed_without_quotes(capsys):
-    # run_claims raises KeyError, whose str() would be the quoted repr
-    assert main(["verify", "no-such-claim"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: unknown claim ids: no-such-claim\n"
+    # run_claims raises KeyError, whose str() would be the quoted repr;
+    # --all rejects an unknown id beside it too, and `all` is no claim id
+    for argv, unknown in ((["verify", "no-such-claim"], "no-such-claim"),
+                          (["verify", "--all", "nonsense"], "nonsense"),
+                          (["verify", "all"], "all")):
+        assert main(argv) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown claim ids: %s\n" % unknown
 
 
 @pytest.mark.parametrize(
@@ -341,3 +348,20 @@ def test_stdout_closed_by_its_reader_ends_quietly(argv):
         proc.stderr.close()
     assert stderr == b""
     assert code == EXIT_FAIL
+
+
+def test_pinned_output_table_is_well_formed():
+    # each line of the table that `python .github/pins.py` checks: a unique
+    # output name, an exit code, a SHA-256 and arguments the parser takes;
+    # nothing is run
+    runner = pathlib.Path(__file__).resolve().parents[1] / ".github" / "pins.py"
+    spec = importlib.util.spec_from_file_location("pins", runner)
+    pins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pins)
+    table = list(pins.pins())
+    names = [name for name, _, _, _ in table]
+    assert len(set(names)) == len(names) > 0
+    for name, code, digest, args in table:
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET), name
+        assert re.fullmatch("[0-9a-f]{64}", digest), name
+        build_parser().parse_args(args)

@@ -288,7 +288,7 @@ def memo_free_most_constrained(points, candidates, units):
     """`sdepth._most_constrained` as it was when it searched every revisit
     again: the same order, units and message, with its own point scan."""
     masks = sorted((mask for cand in candidates for mask in cand), key=int.bit_count, reverse=True)
-    contain = _contain(points, masks)
+    contain = _contain(points, masks, range(len(points)))
     full = (1 << len(points)) - 1
     live = (1 << len(masks)) - 1
     options, spent = first_fewest(full, live, contain)
@@ -1368,9 +1368,9 @@ def _turn_masks(poset, k, axes=()):
     handed = []
     contain = sdepth._contain
 
-    def recorded(points, masks, *among):
+    def recorded(points, masks, among):
         handed.append(masks)
-        return contain(points, masks, *among)
+        return contain(points, masks, among)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sdepth, "_contain", recorded)
@@ -1556,7 +1556,8 @@ def test_contain_matches_the_bit_transpose(ideal):
         table = _candidate_table(poset, k)
         if table is not None:
             masks = _sorted_masks(table)
-            assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
+            every = range(len(poset.points))
+            assert _contain(poset.points, masks, every) == bit_transpose(poset.points, masks)
 
 
 def test_lazy_table_and_contain_on_i_5_2_cubed():
@@ -1566,7 +1567,7 @@ def test_lazy_table_and_contain_on_i_5_2_cubed():
     [masks] = _turn_masks(poset, 2)
     assert masks == _sorted_masks(eager_candidate_table(poset, 2))
     assert len(masks) == 6624
-    assert _contain(poset.points, masks) == bit_transpose(poset.points, masks)
+    assert _contain(poset.points, masks, range(len(poset.points))) == bit_transpose(poset.points, masks)
 
 
 def _units_to_test(run):
@@ -1744,6 +1745,23 @@ def split_ideals(draw, n_max=3, gens_max=3):
     return MonomialIdeal(n, [*ideal.gens, power]).extend(draw(st.integers(0, 2)))
 
 
+@st.composite
+def layered_ideals(draw, n_max=3):
+    """J + x*(u) + (x^2) in one more variable x, J drawn with a generator
+    in two or more variables and u outside J: the layers a_x = 0 and 1,
+    the posets of S/J and S/(J + (u)), are two different blocks that
+    mostly take several intervals each, so that each block chooses
+    conflict rows of its own, where `split_ideals` mostly draws blocks
+    that one interval covers."""
+    n = draw(st.integers(2, n_max))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    mixed = draw(exponents.filter(lambda e: sum(map(bool, e)) >= 2))
+    inner = MonomialIdeal(n, [Monomial(e) for e in (mixed, draw(exponents)) if any(e)])
+    u = draw(exponents.filter(lambda e: any(e) and not inner.contains(Monomial(e))))
+    x = Monomial.variable(n + 1, n + 1)
+    return inner.extend(1) + MonomialIdeal(n + 1, [Monomial(u + (0,)) * x, x ** 2])
+
+
 def union_find_components(npts, masks):
     """Reference components: the points joined mask by mask, as bitsets
     sorted by their lowest point."""
@@ -1873,7 +1891,7 @@ def one_index_most_constrained(poset, k, units, axes):
         if m & block == m
     )
     masks = sorted(kept, key=int.bit_count, reverse=True)
-    contain = _contain(points, masks)
+    contain = _contain(points, masks, range(len(points)))
     spent = 0
     sizes, floor = {}, 1
 
@@ -1940,13 +1958,16 @@ def _matches_one_index_predecessor(poset, k, axes):
     return True
 
 
-@given(st.one_of(split_ideals(), small_ideals()))
+@given(st.one_of(layered_ideals(), split_ideals(), small_ideals()))
 @example(parse_ideal("x3^2, x2*x3", 4))
+@example(parse_ideal("x3^2, x1*x2*x3, x1*x2^2", 3))
 @settings(max_examples=60, deadline=None)
 def test_most_constrained_search_matches_its_one_index_predecessor(ideal):
     # an index per block, with its conflict rows kept, searches in the
     # order and at the units of one index over every block, on the split
-    # axes and on none
+    # axes and on none; in the second example each of the two layers is
+    # covered by two intervals or more, so a block that read a conflict
+    # row of the other block's index would go wrong at k = 1
     poset = build_poset(ideal)
     for axes in dict.fromkeys(((), tuple(_split_axes(poset)))):
         for k in range(1, ideal.n_vars + 1):
