@@ -11,13 +11,17 @@ cross-check on small inputs.  depth = n - pd by Auslander-Buchsbaum.
 `betti` builds the whole table.  `depth_quotient` needs only the last
 nonzero row, pd = max{i : beta_{i,a} != 0}.  Since beta_{i,a} = 0 for
 i > s = |supp(a)|, and beta_{s,a} != 0 iff the complex at a is the
-boundary of the simplex on the support, a first pass of bitset ANDs over
-the lattice (`_top_row`) finds pd0, the largest s with a non-zero top
-row, with no faces at all.  Only elements of support at least pd + 2 can
-raise pd further: the walk examines those alone, by decreasing support,
-computes only the homology that could raise pd, and stops once no
-element left can.  `max_ideal_associated` reads the row i = n off the
-same top-row test.  Ranks come from fraction-free integer elimination.
+boundary of the simplex on the support, a first pass finds pd0, the
+largest s with a non-zero top row, with no faces at all.  Where the
+lattice is read off its box, that pass is n(n+1)/2 masked shifts of the
+box's bitset of points in I, which test every box point at once, and a
+bit-sliced count of supports (`_box_top_row`); elsewhere it is bitset
+ANDs per lattice element (`_top_row`).  Only elements of support at
+least pd + 2 can raise pd further: the walk examines those alone, by
+decreasing support, computes only the homology that could raise pd, and
+stops once no element left can.  `max_ideal_associated` reads the row
+i = n off the same top rows.  Ranks come from fraction-free integer
+elimination.
 
 Both `betti` and the walk read each Koszul strand complex off its facets
 first (`_facets`, `_strand_homology`).  The complex is the union of one
@@ -57,9 +61,11 @@ from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from itertools import compress, product
 from math import gcd, prod
-from operator import and_
+from operator import and_, methodcaller
 
-from .monomials import Monomial, _at_least_patterns, _below_bitsets, _dividing, _selectors
+from .monomials import (
+    Monomial, _at_least_patterns, _below_bitsets, _count_classes, _dividing, _selectors,
+)
 
 __all__ = [
     "DEFAULT_POLARIZATION_CAP",
@@ -204,14 +210,16 @@ class LcmLattice:
 
 
 def _lcm_closure(exponent_tuples):
-    """Closure of exponent tuples under componentwise max, in lex order.
+    """(elements, top): the closure of exponent tuples under componentwise
+    max, in lex order, and the box's top Betti rows (`_box_closure`), or
+    None for them where the closure is grown in lanes.
 
-    It is read off the box of the values the tuples take (`_box_closure`)
-    when there are at least _BOX_MIN_GENS distinct tuples and the box has
-    at most min(_BOX_PER_GEN_PAIR * |G|^2, _BOX_CEILING) points, |G| the
-    number of distinct tuples; otherwise it is grown in lanes
-    (`_lane_closure`).  The rule reads only the number of tuples and of
-    values per coordinate, so a box that fails it builds no pattern.
+    It is read off the box of the values the tuples take when there are
+    at least _BOX_MIN_GENS distinct tuples and the box has at most
+    min(_BOX_PER_GEN_PAIR * |G|^2, _BOX_CEILING) points, |G| the number of
+    distinct tuples; otherwise it is grown in lanes (`_lane_closure`).
+    The rule reads only the number of tuples and of values per
+    coordinate, so a box that fails it builds no pattern.
     """
     if len(exponent_tuples) >= _BOX_MIN_GENS:
         gens = set(exponent_tuples)
@@ -219,7 +227,7 @@ def _lcm_closure(exponent_tuples):
         limit = min(_BOX_PER_GEN_PAIR * len(gens) ** 2, _BOX_CEILING)
         if len(gens) >= _BOX_MIN_GENS and size <= limit:
             return _box_closure(gens)
-    return _lane_closure(exponent_tuples)
+    return _lane_closure(exponent_tuples), None
 
 
 # The lanes cost less on a few tuples, where building the box's patterns
@@ -231,10 +239,11 @@ _BOX_CEILING = 1 << 17
 
 
 def _box_closure(exponent_tuples):
-    """Closure of exponent tuples under componentwise max, in lex order,
-    as one bitset over the box B of the vectors whose every coordinate is
-    0 or the value of some tuple there, bit r standing for the point of
-    lex rank r.
+    """(elements, top): the closure of exponent tuples under componentwise
+    max, in lex order, read off one bitset over the box B of the vectors
+    whose every coordinate is 0 or the value of some tuple there, bit r
+    standing for the point of lex rank r, and top[s], s = 0..n, the points
+    of B of support s where the top Betti row is non-zero (`_box_top_row`).
 
     A nonzero a in B is the lcm of the tuples below it iff each positive
     a_i is reached by one of them, some g <= a with g_i = a_i; the zero
@@ -245,7 +254,8 @@ def _box_closure(exponent_tuples):
     g_i = c.  The points of coordinate i that pass are those with x_i = 0
     and, for each c > 0, those of row[i][c] with x_i = c; the closure is
     the AND of those sets over i, read off the box in lex order through
-    `monomials._selectors`.
+    `monomials._selectors`.  The OR of the cones is the set of points in
+    the ideal, which the top rows are read off.
     """
     gens = set(exponent_tuples)
     values = [sorted(set(column) | {0}) for column in zip(*gens)]
@@ -258,13 +268,15 @@ def _box_closure(exponent_tuples):
     ]
     ranks = [{v: c for c, v in enumerate(vs)} for vs in values]
     rows = [[0] * span for span in spans]
+    inside = 0
     for g in gens:
         steps = [(i, rank[e]) for i, (rank, e) in enumerate(zip(ranks, g)) if e]
-        cone = -1
+        cone = at_least[0][0]
         for i, c in steps:
             cone &= at_least[i][c]
         for i, c in steps:
             rows[i][c] |= cone
+        inside |= cone
     closure = -1
     for row, ge in zip(rows, at_least):
         # ge[c] ^ ge[c + 1]: the points with x_i = c
@@ -274,7 +286,48 @@ def _box_closure(exponent_tuples):
         closure &= passed
     if (0,) * len(values) not in gens:
         closure &= ~1
-    return list(compress(product(*values), _selectors(closure)))
+    elements = list(compress(product(*values), _selectors(closure)))
+    return elements, _box_top_row(values, strides, at_least, inside)
+
+
+def _box_top_row(values, strides, at_least, inside):
+    """top[s], s = 0..n: the points a of the box, in lex order, of support
+    size s with beta_{s,a}(S/I) != 0, given the "x_i >= c" patterns by rank
+    and `inside`, the box points in I.
+
+    With sigma the support of a, beta_{s,a} != 0 iff x^(a - 1_sigma) is
+    not in I and x^(a - 1_sigma + e_j) is for every j in sigma (`_top_row`).
+    Every generator's exponents are values of the box, so a vector is in I
+    iff the box point that rounds each of its coordinates down is, and
+    a_i - 1 rounds down to the value one rank below a_i.  So let L_i X
+    hold a iff X holds a one rank lower in x_i where a_i > 0, and a itself
+    where a_i = 0: X shifted by strides[i] where "x_i >= 1", X elsewhere.
+    With U = `inside` and P_k = L_1 ... L_k U, a passes iff P_n misses it
+    and, for each j with a_j > 0, L_(j+1) ... L_n P_(j-1) holds it:
+    n(n+1)/2 masked shifts in all.  The support sizes are a bit-sliced
+    count of the "x_i >= 1" patterns (`monomials._count_classes`).
+    """
+    positive = [ge[1] for ge in at_least]
+    lowered = [inside]
+    for step, ge1 in zip(strides, positive):
+        bits = lowered[-1]
+        lowered.append(bits ^ ((bits ^ (bits << step)) & ge1))
+    passing = ~lowered.pop()
+    for j, ge in enumerate(at_least):
+        bits = lowered[j]
+        for step, ge1 in zip(strides[j + 1:], positive[j + 1:]):
+            bits ^= (bits ^ (bits << step)) & ge1
+        # ge[0] ^ ge[1]: the points with x_j = 0, which pass whatever bits holds
+        passing &= bits | (ge[0] ^ ge[1])
+    top = []
+    for bits in _count_classes(positive, passing):
+        points = []
+        while bits:
+            r = bits.bit_length() - 1
+            bits ^= 1 << r
+            points.append(tuple(v[r // step % len(v)] for v, step in zip(values, strides)))
+        top.append(points[::-1])
+    return top
 
 
 def _lane_closure(exponent_tuples):
@@ -340,7 +393,7 @@ def build_lcm_lattice(ideal):
     """Closure of the minimal generators under pairwise lcm."""
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("lcm lattice needs a proper nonzero ideal")
-    elements = _lcm_closure([g.exponents for g in ideal.gens])
+    elements, _ = _lcm_closure([g.exponents for g in ideal.gens])
     return LcmLattice(ideal.n_vars, tuple(Monomial(e) for e in elements))
 
 
@@ -530,11 +583,13 @@ def depth_quotient(ideal):
 
     pd = max{i : beta_{i,a} != 0} is read off the top of the Betti table
     without building the rest of it.  beta_{i,a} = 0 for i > s = |supp(a)|,
-    and beta_{s,a} needs no homology (`_top_row`), so a first pass over the
-    lcm-lattice elements by decreasing support size finds pd0, the largest
-    s whose top row is non-zero (at least 1, from the generators).  Only
-    an element with support at least pd + 2 can raise pd further, so the
-    walk examines those alone, again by decreasing support, and asks
+    and beta_{s,a} needs no homology, so a first pass finds pd0, the
+    largest s whose top row is non-zero (at least 1, from the generators):
+    on the box, the largest support class of its top rows
+    (`_box_top_row`); in lanes, the first lcm-lattice element by
+    decreasing support size that passes `_top_row`.  Only an element with
+    support at least pd + 2 can raise pd further, so the walk examines
+    those alone, by decreasing support and in lex order within one, and asks
     `_strand_homology` only for the dimensions >= pd - 1 (Betti index
     > pd), which builds no face for a cone or for a complex with at most
     pd facets.
@@ -546,18 +601,22 @@ def depth_quotient(ideal):
         return DepthResult(n, 0, n, "lattice")
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
-    elements = sorted(
-        ((sum(1 for e in a if e), a) for a in _lcm_closure(vectors)),
-        key=lambda pair: -pair[0],
-    )
+    elements, top = _lcm_closure(vectors)
+    # by decreasing support size, lex order within one: the sort is stable
+    elements.sort(key=methodcaller("count", 0))
     pd = 1
-    for size, a in elements:
-        if size <= pd:
-            break
-        if _top_row(a, below):
-            pd = size
-            break
-    for size, a in elements:
+    if top is not None:
+        pd = max([pd] + [s for s, points in enumerate(top) if points])
+    else:
+        for a in elements:
+            size = n - a.count(0)
+            if size <= pd:
+                break
+            if _top_row(a, below):
+                pd = size
+                break
+    for a in elements:
+        size = n - a.count(0)
         if size <= pd + 1:
             break
         d = next((d for d, r in _strand_homology(a, below, pd - 1) if r), None)
@@ -601,20 +660,22 @@ def max_ideal_associated(ideal):
     beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
     so the top row of the Betti table lists every monomial w with w not
     in I and x_j*w in I for all j, and each a = w + 1 lies in the lcm
-    lattice.  `_top_row` makes those two tests, as ANDs of `_below_bitsets`
-    rows, at the full-support lattice elements, with no homology: the
-    answer is (False, None) when no element passes, and otherwise (True, w)
-    for the w of largest degree, ties going to the smallest exponent tuple.
+    lattice.  Those a are the box's full-support top row (`_box_top_row`),
+    or, in lanes, the full-support lattice elements that pass `_top_row`,
+    with no homology either way: the answer is (False, None) when there
+    are none, and otherwise (True, w) for the w of largest degree, ties
+    going to the smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
     vectors = [g.exponents for g in ideal.gens]
-    below = _below_bitsets(vectors)
-    socle = [
-        tuple(e - 1 for e in a)
-        for a in _lcm_closure(vectors)
-        if all(a) and _top_row(a, below)
-    ]
+    elements, top = _lcm_closure(vectors)
+    if top is None:
+        below = _below_bitsets(vectors)
+        full = [a for a in elements if all(a) and _top_row(a, below)]
+    else:
+        full = top[ideal.n_vars]
+    socle = [tuple(e - 1 for e in a) for a in full]
     if not socle:
         return False, None
     return True, Monomial(min(socle, key=lambda w: (-sum(w), w)))

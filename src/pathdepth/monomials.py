@@ -16,8 +16,10 @@ that keep a minimal set minimal only order their tuples.
 The engines' boxes of exponent vectors are bitsets too, bit r standing
 for the point of lex rank r: `_at_least_patterns` builds the "x_i >= c"
 patterns that the Stanley-depth box and the lcm-lattice box are made of,
-and `_selectors` turns a bitset into selectors that read its points off
-the box in lex order.
+`_count_classes` sorts a bitset's points by how many of some patterns
+hold them (a poset point's label, an lcm point's support size), and
+`_selectors` turns a bitset into selectors that read its points off the
+box in lex order.
 """
 
 from __future__ import annotations
@@ -210,6 +212,17 @@ def _at_least_patterns(wanted, span, step, size):
         covered *= 2
     repeats &= (1 << size) - 1
     return {c: (repeats << period) - (repeats << c * step) for c in wanted}
+
+
+def _count_classes(patterns, among):
+    """exactly[k], k = 0..len(patterns): the bits of `among` set in exactly
+    k of the bitsets `patterns`, a bit-sliced count."""
+    exactly = [among] + [0] * len(patterns)
+    for i, bits in enumerate(patterns):
+        for k in range(i + 1, 0, -1):
+            exactly[k] = (exactly[k] & ~bits) | (exactly[k - 1] & bits)
+        exactly[0] &= ~bits
+    return exactly
 
 
 # binary digits to the bytes 0 and 1

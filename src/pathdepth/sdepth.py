@@ -82,7 +82,9 @@ from itertools import product as _cartesian
 from math import comb, prod
 from operator import eq, itemgetter, lt, xor
 
-from .monomials import Monomial, _at_least_patterns, _below_bitsets, _dividing, _selectors
+from .monomials import (
+    Monomial, _at_least_patterns, _below_bitsets, _count_classes, _dividing, _selectors,
+)
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -137,7 +139,7 @@ class CharacteristicPoset:
         """label_classes[L], L = 0..n_vars: the bitset of the points of
         label L, a bit-sliced count of the up rows at g_i, built once."""
         capped = [row[gi] for row, gi in zip(self.up, self.g)]
-        return _label_classes(capped, (1 << len(self.points)) - 1)
+        return _count_classes(capped, (1 << len(self.points)) - 1)
 
     @cached_property
     def below(self):
@@ -263,25 +265,14 @@ def _sweep_bound(box):
 
     It is computed bit-parallel over the box: a point is maximal when no
     step up in an uncapped coordinate stays outside I, and its label
-    counts the capped coordinates, whose classes `_label_classes` sorts
-    out.
+    counts the capped coordinates, whose classes `monomials._count_classes`
+    sorts out.
     """
     _, strides, members, capped = box
     blocked = 0
     for row, step in zip(capped, strides):
         blocked |= (members >> step) & ~row
-    return next(label for label, bits in enumerate(_label_classes(capped, members & ~blocked)) if bits)
-
-
-def _label_classes(capped, among):
-    """exactly[L], L = 0..len(capped): the bits of `among` set in exactly L
-    of the bitsets `capped`, a bit-sliced count."""
-    exactly = [among] + [0] * len(capped)
-    for i, bits in enumerate(capped):
-        for label in range(i + 1, 0, -1):
-            exactly[label] = (exactly[label] & ~bits) | (exactly[label - 1] & bits)
-        exactly[0] &= ~bits
-    return exactly
+    return next(label for label, bits in enumerate(_count_classes(capped, members & ~blocked)) if bits)
 
 
 def _hilbert_bound(poset, upto):

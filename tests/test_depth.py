@@ -9,7 +9,7 @@ from math import comb
 from operator import and_
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pathdepth.depth import (
@@ -398,18 +398,45 @@ def with_examples(*cases):
     return decorate
 
 
+BOX_EXAMPLES = (
+    [(1,), (0,)],  # the zero vector among the inputs
+    [(0, 0, 0)],  # the zero vector alone
+    [(0, 0), (1, 2), (2, 1)],
+    [(3,), (7,), (1,), (4,), (9,), (2,)],  # one variable, six tuples
+    [(300, 0), (0, 256), (255, 255), (1, 299), (256, 1), (2, 2)],  # exponents above 255
+    WIDE,
+    *LADDER_VECTORS,  # the depth ladder, each on the box
+)
+
+
 @given(exponent_vectors(n_max=5, max_size=10))
-@example([(1,), (0,)])  # the zero vector among the inputs
-@example([(0, 0, 0)])  # the zero vector alone
-@example([(0, 0), (1, 2), (2, 1)])
-@example([(3,), (7,), (1,), (4,), (9,), (2,)])  # one variable, six tuples
-@example([(300, 0), (0, 256), (255, 255), (1, 299), (256, 1), (2, 2)])  # exponents above 255
-@example(WIDE)
-@with_examples(*LADDER_VECTORS)  # the depth ladder, each on the box
+@with_examples(*BOX_EXAMPLES)
 @settings(max_examples=150, deadline=None)
 def test_box_closure_matches_scalar_oracle(vectors):
     # called directly, whichever path `_lcm_closure` would pick
-    assert _box_closure(vectors) == scalar_lcm_closure(vectors)
+    elements, _ = _box_closure(vectors)
+    assert elements == scalar_lcm_closure(vectors)
+
+
+@given(exponent_vectors(n_max=5, max_size=10))
+@with_examples(*BOX_EXAMPLES)
+@settings(max_examples=150, deadline=None)
+def test_box_top_row_matches_the_per_element_scan(vectors):
+    # called directly, whichever path `_lcm_closure` would pick, against
+    # `_top_row` over the scalar closure: the same passing points, so the
+    # same pd0 and the same full-support points, the witnesses' a = w + 1
+    _, top = _box_closure(vectors)
+    n = len(vectors[0])
+    below = _below_bitsets(vectors)
+    passing = [a for a in scalar_lcm_closure(vectors) if any(a) and _top_row(a, below)]
+    assert len(top) == n + 1
+    assert top[0] == ([] if (0,) * n in vectors else [(0,) * n])  # beta_0 at the unit
+    assert sorted(a for points in top[1:] for a in points) == passing
+    for s, points in enumerate(top):
+        assert points == sorted(points) and {support_size(a) for a in points} <= {s}
+    pd0 = max([1] + [support_size(a) for a in passing])
+    assert max([1] + [s for s, points in enumerate(top) if points]) == pd0
+    assert top[n] == [a for a in passing if all(a)]
 
 
 def test_closure_path_choice(monkeypatch):
@@ -443,6 +470,30 @@ def test_closure_path_choice(monkeypatch):
     for vectors in (fewer, fewer * 2, distinct, ceiling):
         _lcm_closure(vectors)
     assert taken == ["lanes"] * 4
+    # on the box both depth readers take the top rows from the closure and
+    # scan no element with `_top_row`; in lanes they still scan
+    scanned = []
+
+    def scanning(exponents, below):
+        scanned.append(exponents)
+        return _top_row(exponents, below)
+
+    monkeypatch.setattr(depth_module, "_lane_closure", recording("lanes", _lane_closure))
+    monkeypatch.setattr(depth_module, "_top_row", scanning)
+    taken.clear()
+    for base, t, depth in DEPTH_LADDER:
+        ideal = base.power(t)
+        assert depth_quotient(ideal).depth == depth
+        assert max_ideal_associated(ideal)[0] == (depth == 0)
+    assert taken == ["box"] * 12
+    assert scanned == []
+    taken.clear()
+    assert depth_quotient(cycle_ideal(5, 2)).depth == 2
+    assert scanned
+    scanned.clear()
+    assert max_ideal_associated(cycle_ideal(5, 2)) == (False, None)
+    assert scanned
+    assert taken == ["lanes"] * 2
 
 
 def monomial_lcm_closure(ideal):
@@ -520,7 +571,8 @@ def assert_matches_oracle(ideal):
     lattice = build_lcm_lattice(ideal)
     assert lattice.elements == monomial_lcm_closure(ideal)
     vectors = [g.exponents for g in ideal.gens]
-    assert _lcm_closure(vectors) == scalar_lcm_closure(vectors)
+    elements, _ = _lcm_closure(vectors)
+    assert elements == scalar_lcm_closure(vectors)
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
     for a in lattice.elements:
@@ -680,7 +732,23 @@ def small_ideals(draw, n_max=6, gens_max=6, exponent_max=3):
     return MonomialIdeal(n, gens or [Monomial.variable(1, n)])
 
 
-@given(small_ideals())
+@st.composite
+def box_ideals(draw):
+    """Ideals that the box rule takes, with at least 6 minimal generators:
+    6 to 12 distinct vectors of one degree d, which no other divides, and
+    up to 4 of larger degree, in 3 to 5 variables with exponents <= 3.
+    `small_ideals` reaches the box in about 1 draw of 150."""
+    n = draw(st.integers(3, 5))
+    vectors = list(product(range(4), repeat=n))
+    d = draw(st.integers(3, 3 * n - 3))
+    gens = draw(st.lists(st.sampled_from([v for v in vectors if sum(v) == d]),
+                         min_size=6, max_size=12, unique=True))
+    gens += draw(st.lists(st.sampled_from([v for v in vectors if sum(v) > d]), max_size=4))
+    assume(_lcm_closure(gens)[1] is not None)
+    return MonomialIdeal(n, [Monomial(v) for v in gens])
+
+
+@given(st.one_of(small_ideals(), box_ideals()))
 @settings(max_examples=80, deadline=None)
 def test_walk_pd_matches_full_betti_table(ideal):
     assert depth_quotient(ideal).pd == betti(ideal).projective_dimension()
@@ -739,7 +807,7 @@ def walk(ideal):
     return examined, pd
 
 
-@given(small_ideals(n_max=5, gens_max=5))
+@given(st.one_of(small_ideals(n_max=5, gens_max=5), box_ideals()))
 @settings(max_examples=60, deadline=None)
 def test_walk_examines_only_elements_that_can_raise_pd(ideal):
     assert walk(ideal) == walk_oracle(ideal)
@@ -1004,7 +1072,7 @@ def test_max_ideal_associated_matches_box_scan(data):
     assert (w is not None) == (depth_quotient(I).depth == 0)
 
 
-@given(small_ideals())
+@given(st.one_of(small_ideals(), box_ideals()))
 @settings(max_examples=80, deadline=None)
 def test_max_ideal_associated_matches_top_betti_row(ideal):
     n = ideal.n_vars
