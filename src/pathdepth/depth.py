@@ -12,16 +12,16 @@ cross-check on small inputs.  depth = n - pd by Auslander-Buchsbaum.
 nonzero row, pd = max{i : beta_{i,a} != 0}.  Since beta_{i,a} = 0 for
 i > s = |supp(a)|, and beta_{s,a} != 0 iff the complex at a is the
 boundary of the simplex on the support, a first pass finds pd0, the
-largest s with a non-zero top row, with no faces at all.  Where the
-lattice is read off its box, that pass is n(n+1)/2 masked shifts of the
-box's bitset of points in I, which test every box point at once, and a
-bit-sliced count of supports (`_box_top_row`); elsewhere it is bitset
-ANDs per lattice element (`_top_row`).  Only elements of support at
-least pd + 2 can raise pd further: the walk examines those alone, by
-decreasing support, computes only the homology that could raise pd, and
-stops once no element left can.  `max_ideal_associated` reads the row
-i = n off the same top rows.  Ranks come from fraction-free integer
-elimination.
+largest s with a non-zero top row, with no faces at all (`_top_rows`).
+Where the lattice is read off its box, that pass is n(n+1)/2 masked
+shifts of the box's bitset of points in I, which test every box point at
+once, and a bit-sliced count of supports (`_box_top_row`); elsewhere it
+is bitset ANDs per lattice element (`_top_row`).  Only elements of
+support at least pd + 2 can raise pd further: the walk examines those
+alone, by decreasing support, computes only the homology that could
+raise pd, and stops once no element left can.  `max_ideal_associated`
+reads the row i = n off the same top rows.  Ranks come from
+fraction-free integer elimination.
 
 Both `betti` and the walk read each Koszul strand complex off its facets
 first (`_facets`, `_strand_homology`).  The complex is the union of one
@@ -33,32 +33,28 @@ has no homology above dimension f - 2, and otherwise its faces are grown
 off the facet-vertex incidence from the smaller side (`_strand_faces`):
 the nerve's when f is below the support size, its own when it is not.
 
-The hot loops run on flat data, per element rather than per pair or per
-face in Python.  The lattice is read off one bitset over the box of the
-vectors whose every coordinate is 0 or some generator's exponent there
-(`_box_closure`): a nonzero point is in it iff each of its positive
-coordinates is reached by a generator below it, a test made by ANDs and
-ORs of the generators' up-cones, built from the kernel layer's "x_i >= c"
-patterns (`monomials._at_least_patterns`).  On a few generators, or
-where that box is large, the lattice is instead closed over exponent
-tuples packed into one word each, with every generator in its own lane
-of one int, so one multiply and one guarded subtraction give the lcms of
-an element with all generators, read back through an `array`
-(`_lane_closure`); `_lcm_closure` picks the path from the number of
-generators and the size of the box.  Faces,
-on either side of the incidence, are vertex bitmasks grown off bitsets
-(`_grow_faces`), and the boundary maps flip bits.  The bitsets
-of generators are the kernel layer's rows (`monomials._below_bitsets`
-and `_dividing`), the ones ideal arithmetic minimalizes with.  Monomials
-appear only in what the public functions take and return.
+The hot loops run on flat data: bitsets and exponent tuples.  The
+lattice is read off one bitset over the box of the vectors whose every
+coordinate is 0 or some generator's exponent there (`_box_closure`): a
+nonzero point is in it iff each of its positive coordinates is reached
+by a generator below it, a test made by ANDs and ORs of the generators'
+up-cones, built from the kernel layer's "x_i >= c" patterns
+(`monomials._at_least_patterns`).  On a few generators, or where that
+box is large for their number, the lattice is instead grown one
+generator at a time, each new one lcm-ed with every element so far
+(`_plain_closure`); `_lcm_closure` picks the path from the number of
+generators and the size of the box.  Faces, on either side of the
+incidence, are vertex bitmasks grown off bitsets (`_grow_faces`), and
+the boundary maps flip bits.  The bitsets of generators are the kernel
+layer's rows (`monomials._below_bitsets` and `_dividing`), the ones ideal
+arithmetic minimalizes with.  Monomials appear only in what the public
+functions take and return.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import asdict, dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress, product
 from math import gcd, prod
 from operator import and_, methodcaller
@@ -212,30 +208,42 @@ class LcmLattice:
 def _lcm_closure(exponent_tuples):
     """(elements, top): the closure of exponent tuples under componentwise
     max, in lex order, and the box's top Betti rows (`_box_closure`), or
-    None for them where the closure is grown in lanes.
+    None for them where the closure is grown plainly (`_plain_closure`).
 
     It is read off the box of the values the tuples take when there are
     at least _BOX_MIN_GENS distinct tuples and the box has at most
-    min(_BOX_PER_GEN_PAIR * |G|^2, _BOX_CEILING) points, |G| the number of
-    distinct tuples; otherwise it is grown in lanes (`_lane_closure`).
-    The rule reads only the number of tuples and of values per
-    coordinate, so a box that fails it builds no pattern.
+    min(2^(|G| + _BOX_SHIFT), _BOX_CEILING) points, |G| the number of
+    distinct tuples.  The lattice has at most 2^|G| - 1 elements, so the
+    plain closure takes at most |G| * 2^|G| lcms.  The rule reads only the
+    number of tuples and of values per coordinate, so a box that fails it
+    builds no pattern.
     """
-    if len(exponent_tuples) >= _BOX_MIN_GENS:
-        gens = set(exponent_tuples)
+    gens = set(exponent_tuples)
+    if len(gens) >= _BOX_MIN_GENS:
         size = prod(len(set(column) | {0}) for column in zip(*gens))
-        limit = min(_BOX_PER_GEN_PAIR * len(gens) ** 2, _BOX_CEILING)
-        if len(gens) >= _BOX_MIN_GENS and size <= limit:
+        if size <= min(1 << len(gens) + _BOX_SHIFT, _BOX_CEILING):
             return _box_closure(gens)
-    return _lane_closure(exponent_tuples), None
+    return _plain_closure(gens), None
 
 
-# The lanes cost less on a few tuples, where building the box's patterns
-# outweighs the closure, and unlike the box they do not grow with the
+# The plain closure costs less on a few tuples, where building the box's
+# patterns outweighs it, and unlike the box it does not grow with the
 # number of variables and of distinct exponents.
 _BOX_MIN_GENS = 6
-_BOX_PER_GEN_PAIR = 16
-_BOX_CEILING = 1 << 17
+_BOX_SHIFT = 4
+_BOX_CEILING = 1 << 24
+
+
+def _plain_closure(exponent_tuples):
+    """Closure of exponent tuples under componentwise max, in lex order,
+    grown one tuple g at a time: C becomes C + {g} + {lcm(c, g) : c in C},
+    which keeps C closed, and a g already in C adds nothing."""
+    closure = set()
+    for g in exponent_tuples:
+        if g not in closure:
+            closure |= {tuple(map(max, c, g)) for c in closure}
+            closure.add(g)
+    return sorted(closure)
 
 
 def _box_closure(exponent_tuples):
@@ -330,65 +338,6 @@ def _box_top_row(values, strides, at_least, inside):
     return top
 
 
-def _lane_closure(exponent_tuples):
-    """Closure of exponent tuples under componentwise max, in lex order.
-
-    Each tuple is packed into one word, x_1 in the highest field; a field
-    holds w = max_exponent.bit_length() value bits under one guard bit G.
-    Per field, (a | G) - b keeps its guard bit iff a_i >= b_i and never
-    borrows from the next field, so one subtraction compares every pair
-    of exponents and the guards, spread over the value bits, select the
-    larger of each.  Integer order on the words is lex order on the tuples.
-
-    The generators sit side by side in one int, one lane each, a lane
-    being the smallest array item that holds a word, or a run of 64-bit
-    items for a wider word.  Multiplying a frontier element by
-    R = sum of 1 << (j * lane) copies it into every lane, so one
-    subtraction takes its lcm with every generator at once, and the lanes
-    are read back straight into the element set, through an `array` or,
-    for a wide word, with `int.from_bytes` on each lane's bytes, with no
-    step per pair in Python.
-    """
-    n = len(exponent_tuples[0])
-    w = max(max(t) for t in exponent_tuples).bit_length()
-    shifts = [(n - 1 - i) * (w + 1) for i in range(n)]
-    guard = sum(1 << (s + w) for s in shifts)
-    gens = {sum(e << s for e, s in zip(t, shifts)) for t in exponent_tuples}
-    width = n * (w + 1)
-    item, code = next((b, c) for b, c in _ITEMS if b >= width or c == "Q")
-    lane = -(-width // item) * item
-    size = len(gens) * lane // 8
-    spread = ((1 << len(gens) * lane) - 1) // ((1 << lane) - 1)
-    packed = sum(g << j * lane for j, g in enumerate(gens))
-    guards = guard * spread
-    order = sys.byteorder
-    if lane == item:
-        read = partial(array, code)
-    else:
-        step = lane // 8
-
-        def read(raw):
-            return [int.from_bytes(raw[j:j + step], order) for j in range(0, size, step)]
-
-    elements = set(gens)
-    frontier = gens
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            spread_a = (a | guard) * spread
-            ge = (spread_a - packed) & guards
-            lcms = packed ^ ((spread_a ^ packed) & (ge - (ge >> w)))
-            fresh.update(read(lcms.to_bytes(size, order)))
-        frontier = fresh - elements
-        elements |= frontier
-    mask = (1 << w) - 1
-    return [tuple((m >> s) & mask for s in shifts) for m in sorted(elements)]
-
-
-# (bits, typecode) of the array items that lanes are read back through
-_ITEMS = tuple((8 * array(c).itemsize, c) for c in "BHIQ")
-
-
 def build_lcm_lattice(ideal):
     """Closure of the minimal generators under pairwise lcm."""
     if ideal.is_zero() or ideal.is_whole_ring():
@@ -449,6 +398,25 @@ def _top_row(exponents, below):
             return False
         suffix &= step[k]
     return True
+
+
+def _top_rows(ideal):
+    """(elements, top, below): the lcm lattice of a proper nonzero ideal in
+    lex order, top[s] the lattice points of support size s >= 1 with
+    beta_{s,a}(S/I) != 0 in lex order, and the generators' `_below_bitsets`
+    rows.  The top rows are the box's (`_box_top_row`) where the lattice is
+    read off the box, and otherwise each element's `_top_row`; top[0] is
+    not read.  `betti` takes the lattice from `_lcm_closure` and scans
+    nothing."""
+    vectors = [g.exponents for g in ideal.gens]
+    below = _below_bitsets(vectors)
+    elements, top = _lcm_closure(vectors)
+    if top is None:
+        top = [[] for _ in range(ideal.n_vars + 1)]
+        for a in elements:
+            if _top_row(a, below):
+                top[len(a) - a.count(0)].append(a)
+    return elements, top, below
 
 
 def _facets(exponents, below):
@@ -584,37 +552,23 @@ def depth_quotient(ideal):
     pd = max{i : beta_{i,a} != 0} is read off the top of the Betti table
     without building the rest of it.  beta_{i,a} = 0 for i > s = |supp(a)|,
     and beta_{s,a} needs no homology, so a first pass finds pd0, the
-    largest s whose top row is non-zero (at least 1, from the generators):
-    on the box, the largest support class of its top rows
-    (`_box_top_row`); in lanes, the first lcm-lattice element by
-    decreasing support size that passes `_top_row`.  Only an element with
-    support at least pd + 2 can raise pd further, so the walk examines
-    those alone, by decreasing support and in lex order within one, and asks
-    `_strand_homology` only for the dimensions >= pd - 1 (Betti index
-    > pd), which builds no face for a cone or for a complex with at most
-    pd facets.
+    largest s whose top row is non-zero (at least 1, from the generators),
+    the largest support class of the top rows (`_top_rows`).  Only an
+    element with support at least pd + 2 can raise pd further, so the walk
+    examines those alone, by decreasing support and in lex order within
+    one, and asks `_strand_homology` only for the dimensions >= pd - 1
+    (Betti index > pd), which builds no face for a cone or for a complex
+    with at most pd facets.
     """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
     n = ideal.n_vars
     if ideal.is_zero():
         return DepthResult(n, 0, n, "lattice")
-    vectors = [g.exponents for g in ideal.gens]
-    below = _below_bitsets(vectors)
-    elements, top = _lcm_closure(vectors)
+    elements, top, below = _top_rows(ideal)
+    pd = max([1] + [s for s, points in enumerate(top) if points])
     # by decreasing support size, lex order within one: the sort is stable
     elements.sort(key=methodcaller("count", 0))
-    pd = 1
-    if top is not None:
-        pd = max([pd] + [s for s, points in enumerate(top) if points])
-    else:
-        for a in elements:
-            size = n - a.count(0)
-            if size <= pd:
-                break
-            if _top_row(a, below):
-                pd = size
-                break
     for a in elements:
         size = n - a.count(0)
         if size <= pd + 1:
@@ -660,22 +614,15 @@ def max_ideal_associated(ideal):
     beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
     so the top row of the Betti table lists every monomial w with w not
     in I and x_j*w in I for all j, and each a = w + 1 lies in the lcm
-    lattice.  Those a are the box's full-support top row (`_box_top_row`),
-    or, in lanes, the full-support lattice elements that pass `_top_row`,
-    with no homology either way: the answer is (False, None) when there
-    are none, and otherwise (True, w) for the w of largest degree, ties
-    going to the smallest exponent tuple.
+    lattice.  Those a are the full-support top row (`_top_rows`), read
+    with no homology: the answer is (False, None) when there are none, and
+    otherwise (True, w) for the w of largest degree, ties going to the
+    smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
-    vectors = [g.exponents for g in ideal.gens]
-    elements, top = _lcm_closure(vectors)
-    if top is None:
-        below = _below_bitsets(vectors)
-        full = [a for a in elements if all(a) and _top_row(a, below)]
-    else:
-        full = top[ideal.n_vars]
-    socle = [tuple(e - 1 for e in a) for a in full]
+    _, top, _ = _top_rows(ideal)
+    socle = [tuple(e - 1 for e in a) for a in top[ideal.n_vars]]
     if not socle:
         return False, None
     return True, Monomial(min(socle, key=lambda w: (-sum(w), w)))

@@ -18,11 +18,12 @@ from pathdepth.depth import (
     UnitIdealError,
     _box_closure,
     _facets,
-    _lane_closure,
     _lcm_closure,
+    _plain_closure,
     _strand_faces,
     _strand_homology,
     _top_row,
+    _top_rows,
     betti,
     build_lcm_lattice,
     depth_quotient,
@@ -309,7 +310,7 @@ def test_open_interval_agrees_with_koszul_betti():
             assert got == expected, (str(I), str(a))
 
 
-# packed lcm closure and bitset Koszul strands against the Monomial oracle
+# lcm closures and bitset Koszul strands against the Monomial oracle
 
 
 def scalar_lcm_closure(exponent_tuples):
@@ -343,7 +344,8 @@ def scalar_lcm_closure(exponent_tuples):
     return [tuple((m >> s) & mask for s in shifts) for m in sorted(elements)]
 
 
-# 8 variables with exponents up to 200: 8 fields of 9 bits, a 72-bit word
+# 8 variables with exponents up to 200: in the oracle's packing, 8 fields
+# of 9 bits, a 72-bit word
 WIDE = [
     (200, 3, 0, 0, 0, 0, 0, 1),
     (0, 0, 150, 2, 0, 0, 0, 1),
@@ -381,10 +383,11 @@ LADDER_VECTORS = [[g.exponents for g in base.power(t).gens] for base, t, _ in DE
 @example([(3,), (7,), (1,)])  # one variable
 @example([(300, 0), (0, 256), (255, 255)])  # exponents above 255
 @example(WIDE)  # a word wider than 64 bits
-@example([(1,) * 32, (1, 0) * 16])  # a word of exactly 64 bits, one item
+@example([(1,) * 32, (1, 0) * 16])  # a word of exactly 64 bits
 @settings(max_examples=150, deadline=None)
-def test_lane_closure_matches_scalar_oracle(vectors):
-    assert _lane_closure(vectors) == scalar_lcm_closure(vectors)
+def test_plain_closure_matches_scalar_oracle(vectors):
+    # called directly, whichever path `_lcm_closure` would pick
+    assert _plain_closure(vectors) == scalar_lcm_closure(vectors)
 
 
 def with_examples(*cases):
@@ -440,9 +443,11 @@ def test_box_top_row_matches_the_per_element_scan(vectors):
 
 
 def test_closure_path_choice(monkeypatch):
-    # the box needs >= 6 distinct tuples and at most min(16 |G|^2, 2^17) points;
-    # the depth ladder takes it and small ideals keep the lanes, so the
-    # benchmark runs a workload on each side of the rule
+    # the box needs >= 6 distinct tuples and at most min(2^(|G| + 4), 2^24)
+    # points; the depth ladder takes it and small ideals the plain closure,
+    # so the benchmark runs a workload on each side of the rule.  It takes
+    # every box of at most min(16 |G|^2, 2^17) points for |G| >= 6
+    assert all(min(16 * g * g, 1 << 17) <= min(1 << g + 4, 1 << 24) for g in range(6, 100))
     taken = []
 
     def recording(name, closure):
@@ -452,33 +457,40 @@ def test_closure_path_choice(monkeypatch):
 
         return record
 
-    monkeypatch.setattr(depth_module, "_box_closure", recording("box", _box_closure))
-    monkeypatch.setattr(depth_module, "_lane_closure", recording("lanes", lambda vectors: []))
+    monkeypatch.setattr(depth_module, "_box_closure", recording("box", lambda vectors: ([], [])))
+    monkeypatch.setattr(depth_module, "_plain_closure", recording("plain", lambda vectors: []))
     for vectors in LADDER_VECTORS:
         _lcm_closure(vectors)
     assert taken == ["box"] * 6
-    # 5 generators, and the same 5 twice: the rule counts distinct tuples
-    fewer = [g.exponents for g in cycle_ideal(5, 2).gens]
-    # 8 variables with distinct exponents: 6 tuples, a box of 7^8 points
-    distinct = [tuple(8 * j + i + 1 for i in range(8)) for j in range(6)]
-    # 200 tuples in 8 variables with values 1..4: 5^8 points, at most
-    # 16 |G|^2 = 640,000 but over the ceiling of 2^17
+    # 200 tuples in 8 variables with values 1..4: 5^8 points, under the ceiling
     rng = random.Random(0)
     ceiling = rng.sample(list(product(range(1, 5), repeat=8)), 200)
     assert all(len(set(column)) == 4 for column in zip(*ceiling))
     taken.clear()
-    for vectors in (fewer, fewer * 2, distinct, ceiling):
+    _lcm_closure(ceiling)
+    assert taken == ["box"]
+    # 5 generators, and the same 5 twice: the rule counts distinct tuples
+    fewer = [g.exponents for g in cycle_ideal(5, 2).gens]
+    # 8 variables with distinct exponents: 6 tuples, a box of 7^8 > 2^10 points
+    distinct = [tuple(8 * j + i + 1 for i in range(8)) for j in range(6)]
+    # a chain of 24 tuples, so the ceiling binds: a box of 25^6 > 2^24 points
+    # around a lattice that is the chain itself
+    chain = [(j,) * 6 for j in range(1, 25)]
+    taken.clear()
+    for vectors in (fewer, fewer * 2, distinct, chain):
         _lcm_closure(vectors)
-    assert taken == ["lanes"] * 4
+    assert taken == ["plain"] * 4
     # on the box both depth readers take the top rows from the closure and
-    # scan no element with `_top_row`; in lanes they still scan
+    # scan no element with `_top_row`; on the plain closure they scan, and
+    # `betti` scans on neither path
     scanned = []
 
     def scanning(exponents, below):
         scanned.append(exponents)
         return _top_row(exponents, below)
 
-    monkeypatch.setattr(depth_module, "_lane_closure", recording("lanes", _lane_closure))
+    monkeypatch.setattr(depth_module, "_box_closure", recording("box", _box_closure))
+    monkeypatch.setattr(depth_module, "_plain_closure", recording("plain", _plain_closure))
     monkeypatch.setattr(depth_module, "_top_row", scanning)
     taken.clear()
     for base, t, depth in DEPTH_LADDER:
@@ -493,7 +505,14 @@ def test_closure_path_choice(monkeypatch):
     scanned.clear()
     assert max_ideal_associated(cycle_ideal(5, 2)) == (False, None)
     assert scanned
-    assert taken == ["lanes"] * 2
+    assert taken == ["plain"] * 2
+    scanned.clear()
+    taken.clear()
+    assert betti(cycle_ideal(6, 4).power(2)).projective_dimension() == 5
+    assert betti(cycle_ideal(5, 2)).projective_dimension() == 3
+    assert depth_via_polarization(cycle_ideal(6, 3)).depth == 3
+    assert taken == ["box", "plain", "box"]
+    assert scanned == []
 
 
 def monomial_lcm_closure(ideal):
@@ -656,7 +675,7 @@ def test_packed_engine_matches_oracle_on_wide_fields():
     # 7 value bits per field
     assert_matches_oracle(parse_ideal("x1^100, x2^100, x3^100", 3))
     assert_matches_oracle(parse_ideal("x1^100*x2, x2^64*x3^127, x1^63*x3", 3))
-    # 8 fields of 9 bits: a 72-bit word, two 64-bit items per lane
+    # exponents up to 200 in 8 variables, a 72-bit word in the scalar oracle
     assert_matches_oracle(MonomialIdeal(8, [Monomial(t) for t in WIDE]))
 
 
@@ -737,7 +756,7 @@ def box_ideals(draw):
     """Ideals that the box rule takes, with at least 6 minimal generators:
     6 to 12 distinct vectors of one degree d, which no other divides, and
     up to 4 of larger degree, in 3 to 5 variables with exponents <= 3.
-    `small_ideals` reaches the box in about 1 draw of 150."""
+    `small_ideals` reaches the box in about 1 draw of 100."""
     n = draw(st.integers(3, 5))
     vectors = list(product(range(4), repeat=n))
     d = draw(st.integers(3, 3 * n - 3))
@@ -746,6 +765,25 @@ def box_ideals(draw):
     gens += draw(st.lists(st.sampled_from([v for v in vectors if sum(v) > d]), max_size=4))
     assume(_lcm_closure(gens)[1] is not None)
     return MonomialIdeal(n, [Monomial(v) for v in gens])
+
+
+@given(st.one_of(small_ideals(), box_ideals()))
+@settings(max_examples=80, deadline=None)
+def test_closure_paths_agree(ideal):
+    # each path forced through the rule's constants: the box on every input,
+    # then the plain closure on every input, with the same lattice, top rows
+    # (top[0] is not read), depth and witness
+    vectors = [g.exponents for g in ideal.gens]
+    seen = []
+    for ceiling in (1 << 64, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(depth_module, "_BOX_MIN_GENS", 1)
+            patch.setattr(depth_module, "_BOX_SHIFT", 64)
+            patch.setattr(depth_module, "_BOX_CEILING", ceiling)
+            assert (_lcm_closure(vectors)[1] is None) == (ceiling == 0)
+            elements, top, _ = _top_rows(ideal)
+            seen.append((elements, top[1:], depth_quotient(ideal), max_ideal_associated(ideal)))
+    assert seen[0] == seen[1]
 
 
 @given(st.one_of(small_ideals(), box_ideals()))
@@ -951,9 +989,9 @@ def test_depth_ladder_pins():
 
 def test_depth_quotient_leaves_no_reference_cycle():
     # the Koszul faces are grown by a module-level recursion, not a closure
-    # that refers to itself, and the closure's lanes are read back through
-    # plain arrays, so with the collector off none of the three entry points
-    # leaves anything behind for it to collect
+    # that refers to itself, so with the collector off none of the three
+    # entry points leaves anything behind for it to collect, on the box
+    # (J(6,4)^2) or on the plain closure (`WIDE`)
     ideal = cycle_ideal(6, 4).power(2)
     wide = MonomialIdeal(8, [Monomial(t) for t in WIDE])
     gc.collect()
