@@ -17,7 +17,11 @@ from pathdepth.depth import (
     PolarizationCapError,
     UnitIdealError,
     _box_closure,
+    _box_cones,
+    _box_points,
+    _box_top_row,
     _facets,
+    _lcm_box,
     _lcm_closure,
     _plain_closure,
     _strand_faces,
@@ -417,8 +421,8 @@ BOX_EXAMPLES = (
 @settings(max_examples=150, deadline=None)
 def test_box_closure_matches_scalar_oracle(vectors):
     # called directly, whichever path `_lcm_closure` would pick
-    elements, _ = _box_closure(vectors)
-    assert elements == scalar_lcm_closure(vectors)
+    box = _box_closure(vectors)
+    assert _box_points(box, box.closure) == scalar_lcm_closure(vectors)
 
 
 @given(exponent_vectors(n_max=5, max_size=10))
@@ -428,7 +432,7 @@ def test_box_top_row_matches_the_per_element_scan(vectors):
     # called directly, whichever path `_lcm_closure` would pick, against
     # `_top_row` over the scalar closure: the same passing points, so the
     # same pd0 and the same full-support points, the witnesses' a = w + 1
-    _, top = _box_closure(vectors)
+    top = _box_top_row(_box_closure(vectors))
     n = len(vectors[0])
     below = _below_bitsets(vectors)
     passing = [a for a in scalar_lcm_closure(vectors) if any(a) and _top_row(a, below)]
@@ -457,17 +461,16 @@ def test_closure_path_choice(monkeypatch):
 
         return record
 
-    monkeypatch.setattr(depth_module, "_box_closure", recording("box", lambda vectors: ([], [])))
-    monkeypatch.setattr(depth_module, "_plain_closure", recording("plain", lambda vectors: []))
+    monkeypatch.setattr(depth_module, "_box_closure", recording("box", lambda vectors: "box"))
     for vectors in LADDER_VECTORS:
-        _lcm_closure(vectors)
+        assert _lcm_box(vectors) == "box"
     assert taken == ["box"] * 6
     # 200 tuples in 8 variables with values 1..4: 5^8 points, under the ceiling
     rng = random.Random(0)
     ceiling = rng.sample(list(product(range(1, 5), repeat=8)), 200)
     assert all(len(set(column)) == 4 for column in zip(*ceiling))
     taken.clear()
-    _lcm_closure(ceiling)
+    assert _lcm_box(ceiling) == "box"
     assert taken == ["box"]
     # 5 generators, and the same 5 twice: the rule counts distinct tuples
     fewer = [g.exponents for g in cycle_ideal(5, 2).gens]
@@ -478,8 +481,8 @@ def test_closure_path_choice(monkeypatch):
     chain = [(j,) * 6 for j in range(1, 25)]
     taken.clear()
     for vectors in (fewer, fewer * 2, distinct, chain):
-        _lcm_closure(vectors)
-    assert taken == ["plain"] * 4
+        assert _lcm_box(vectors) is None
+    assert taken == []
     # on the box both depth readers take the top rows from the closure and
     # scan no element with `_top_row`; on the plain closure they scan, and
     # `betti` scans on neither path
@@ -808,18 +811,26 @@ def walk_oracle(ideal):
     Lattice elements then go by decreasing support size, ties in lex
     order; each with support at least pd + 2 is examined and may raise
     pd, and the walk stops at the first element with a smaller support.
+    Where the box rule takes the lattice, the walk knows its cones before
+    it reads any facet, so it examines none of the elements whose Koszul
+    strand complex the membership oracle finds to be a cone.
     """
     top = {}
     for (i, a), _ in betti(ideal).entries.items():
         top[a.exponents] = max(top.get(a.exponents, 0), i)
-    elements = sorted(
-        scalar_lcm_closure([g.exponents for g in ideal.gens]), key=lambda a: -support_size(a)
-    )
+    vectors = [g.exponents for g in ideal.gens]
+    elements = sorted(scalar_lcm_closure(vectors), key=lambda a: -support_size(a))
+    on_box = _lcm_closure(vectors)[1] is not None
+    member = _membership_oracle(ideal)
     pd = max([1] + [i for a, i in top.items() if i == support_size(a)])
     examined = []
     for a in elements:
         if support_size(a) < pd + 2:
             break
+        if on_box:
+            faces, support, _ = membership_koszul_faces(a, member)
+            if _is_cone([face_mask(f) for f in faces], support):
+                continue
         examined.append(a)
         pd = max(pd, top.get(a, 0))
     return examined, pd
@@ -829,7 +840,8 @@ def walk(ideal):
     """The multidegrees depth_quotient examines, in order, and its pd.
 
     An element is examined when its facets are read, the first step for
-    every element the walk reaches, cone or not."""
+    every element the walk reaches: on the plain closure cone or not, on
+    the box only where the box's cone mask does not hold it."""
     examined = []
     original = depth_module._facets
 
@@ -849,6 +861,45 @@ def walk(ideal):
 @settings(max_examples=60, deadline=None)
 def test_walk_examines_only_elements_that_can_raise_pd(ideal):
     assert walk(ideal) == walk_oracle(ideal)
+
+
+@given(st.one_of(small_ideals(), box_ideals()))
+@example(cycle_ideal(7, 3).power(3))  # the walk's costliest ladder instance
+@example(cycle_ideal(6, 5).power(5))  # pd0 = n: depth_quotient builds no mask
+@settings(max_examples=60, deadline=None)
+def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
+    # every input forced onto the box: on each lattice element the mask
+    # holds a iff its facets share a vertex and iff the membership oracle's
+    # faces make a cone; depth_quotient builds the mask once where the walk
+    # has work (pd0 + 2 <= n) and never elsewhere, and no other reader does
+    vectors = [g.exponents for g in ideal.gens]
+    below = _below_bitsets(vectors)
+    member = _membership_oracle(ideal)
+    built = []
+
+    def building(box):
+        built.append(box)
+        return _box_cones(box)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depth_module, "_BOX_MIN_GENS", 1)
+        patch.setattr(depth_module, "_BOX_SHIFT", 64)
+        patch.setattr(depth_module, "_BOX_CEILING", 1 << 64)
+        box = _lcm_box(vectors)
+        cones = set(_box_points(box, box.closure & _box_cones(box)))
+        for a in _box_points(box, box.closure):
+            faces, support, _ = membership_koszul_faces(a, member)
+            on_facets = bool(reduce(and_, _facets(a, below)))
+            assert (a in cones) == on_facets == _is_cone([face_mask(f) for f in faces], support), a
+        patch.setattr(depth_module, "_box_cones", building)
+        pd0 = max([1] + [s for s, points in enumerate(_box_top_row(box)) if points])
+        depth_quotient(ideal)
+        assert len(built) == (pd0 + 2 <= ideal.n_vars)
+        built.clear()
+        max_ideal_associated(ideal)
+        build_lcm_lattice(ideal)
+        betti(ideal)
+        assert built == []
 
 
 def test_walk_stops_at_the_largest_support():
@@ -955,9 +1006,10 @@ def test_no_face_is_built_for_a_cone(monkeypatch):
 
 
 def test_walk_builds_few_faces_on_the_costliest_ladder_instance(monkeypatch):
-    # J(7,3)^3: the walk reaches 1,297 elements, all of support 7; the
-    # facets of 1,100 of them share a vertex, and the rest take 4,837
-    # faces, where growing every complex before the cone test took 103,538
+    # J(7,3)^3: the walk reaches 1,297 elements, all of support 7, and the
+    # box's cone mask holds 1,100 of them, so it reads the facets of the
+    # other 197 alone, none a cone, which take 4,837 faces; growing every
+    # complex before any cone test took 103,538
     reached = []
     built = []
     facets_of = depth_module._facets
@@ -975,7 +1027,7 @@ def test_walk_builds_few_faces_on_the_costliest_ladder_instance(monkeypatch):
     monkeypatch.setattr(depth_module, "_facets", reading)
     monkeypatch.setattr(depth_module, "_homology_from_top", counting)
     assert depth_quotient(cycle_ideal(7, 3).power(3)).depth == 2
-    assert (len(reached), sum(reached)) == (1297, 1100)
+    assert (len(reached), sum(reached)) == (197, 0)
     assert sum(built) == 4837
 
 
