@@ -10,22 +10,27 @@ cross-check on small inputs.  depth = n - pd by Auslander-Buchsbaum.
 
 `betti` builds the whole table.  `depth_quotient` needs only the last
 nonzero row, pd = max{i : beta_{i,a} != 0}.  Since beta_{i,a} = 0 for
-i > s = |supp(a)|, and beta_{s,a} != 0 iff the complex at a is the
-boundary of the simplex on the support, a first pass finds pd0, the
-largest s with a non-zero top row, with no faces at all (`_reader_rows`).
-Where the lattice is read off its box, that pass is n(n+1)/2 masked
-shifts of the box's bitset of points in I, which test every box point at
-once, and a bit-sliced count of supports (`_box_top_row`); elsewhere it
-is bitset ANDs per lattice element (`_top_row`).  Only elements of
-support at least pd + 2 can raise pd further: the walk examines those
-alone, by decreasing support, computes only the homology that could
-raise pd, and stops once no element left can.  On the box the cones,
-whose Betti numbers all vanish, are found first for every point at once,
-by n^2 masked shifts of the same bitset (`_box_cones`), and only the
-other lattice points are decoded and walked: on J(7,3)^3 the walk reads
-the facets of 197 elements where it read 1,297, 1,100 of them cones.
-`max_ideal_associated` reads the row i = n off the same top rows.  Ranks
-come from fraction-free integer elimination.
+i > s = |supp(a)|, the walk examines the lattice elements by decreasing
+support, computes only the homology that could raise pd, and stops once
+no element left can.  beta_{s,a}, the top row at a, is non-zero iff the
+complex at a is the boundary of the simplex on the support.  Where the
+lattice is grown plainly, the walk starts at pd = 1, from the
+generators, and examines every element of support at least pd + 1, its
+top row among the dimensions it asks.  Where the lattice is read off its
+box, a first pass finds pd0, the largest s with a non-zero top row, with
+no faces at all: n(n+1)/2 masked shifts of the box's bitset of points in
+I, which test every box point at once, and a bit-sliced count of
+supports (`_box_top_row`).  Then only elements of support at least
+pd + 2 can raise pd further, and the cones, whose Betti numbers all
+vanish, are found first for every point at once, by n^2 masked shifts
+of the same bitset (`_box_cones`): only the other lattice points are
+decoded and walked.  On J(7,3)^3 the walk reads the facets of 197
+elements where it read 1,297, 1,100 of them cones.
+`max_ideal_associated` reads the row i = n with no homology either: off
+the box's top rows, or, where the lattice is grown plainly, off the
+facets of each full-support element, the complex being that boundary
+iff it has exactly n facets of n - 1 vertices each (`_socle_row`).
+Ranks come from fraction-free integer elimination.
 
 Both `betti` and the walk read each Koszul strand complex off its facets
 first (`_facets`, `_strand_homology`).  The complex is the union of one
@@ -345,8 +350,11 @@ def _box_top_row(box):
     """top[s], s = 0..n: the points a of the box, in lex order, of support
     size s with beta_{s,a}(S/I) != 0.
 
-    With sigma the support of a, beta_{s,a} != 0 iff x^(a - 1_sigma) is
-    not in I and x^(a - 1_sigma + e_j) is for every j in sigma (`_top_row`).
+    With sigma the support of a, beta_{s,a} != 0 iff the Koszul strand
+    complex at a is the boundary of the simplex on sigma: every
+    (s-1)-subset of sigma is a face and sigma is not, that is,
+    x^(a - 1_sigma) is not in I and x^(a - 1_sigma + e_j) is for every j
+    in sigma.
     With U = `inside`, L_i the lowering of `_lower` and
     P_k = L_1 ... L_k U, a passes iff P_n misses it and, for each j with
     a_j > 0, L_(j+1) ... L_n P_(j-1) holds it: n(n+1)/2 masked shifts in
@@ -425,90 +433,24 @@ class BettiTable:
         return max(i for (i, _) in self.entries)
 
 
-def _steps(exponents, below):
-    """The bitset of the generators dividing x^a, the support of a
-    (0-indexed), and for each support index i the row below[i][a_i - 1].
-
-    A squarefree tau (a subset of the support) is a face of the Koszul
-    strand complex at a iff x^(a - tau) lies in the ideal, i.e. iff the
-    first bitset ANDed with the rows of tau is non-zero."""
-    support = [i for i, e in enumerate(exponents) if e]
-    return _dividing(exponents, below), support, [below[i][exponents[i] - 1] for i in support]
-
-
-def _top_row(exponents, below):
-    """Whether beta_{s,a}(S/I) != 0 for s = |supp(a)|, the top index at a.
-
-    The Koszul strand complex at a lives on the s vertices of the support,
-    so its homology in dimension s - 2 is non-zero (and then 1) iff it is
-    the boundary of the simplex: every (s-1)-subset of the support is a
-    face and the support is not.  For a = w + 1 of full support that is
-    the socle test: w is not in I, and x_j*w is for every j.  Prefix ANDs
-    of the rows and one suffix AND test all s subsets with 2s ANDs.
-    """
-    bits, support, step = _steps(exponents, below)
-    prefix = [bits]
-    for row in step:
-        bits &= row
-        prefix.append(bits)
-    if bits:
-        return False
-    suffix = -1
-    for k in range(len(step) - 1, -1, -1):
-        if not prefix[k] & suffix:
-            return False
-        suffix &= step[k]
-    return True
-
-
-def _reader_rows(ideal):
-    """(box, elements, top, below), what the depth readers start from, for
-    a proper nonzero ideal: `box` the `_LcmBox` where the lattice is read
-    off it (`_lcm_box`) and `elements` None, so that a reader decodes only
-    the points it reads (`_box_points`), or `box` None and `elements` the
-    plainly grown lattice in lex order; top[s], s >= 1, the lattice points
-    of support size s with beta_{s,a}(S/I) != 0 in lex order, off the box
-    (`_box_top_row`) or by `_top_row` on each plain element, top[0] not
-    read; and the generators' `_below_bitsets` rows."""
-    vectors = [g.exponents for g in ideal.gens]
-    below = _below_bitsets(vectors)
-    box = _lcm_box(vectors)
-    if box is not None:
-        return box, None, _box_top_row(box), below
-    elements = _plain_closure(vectors)
-    top = [[] for _ in range(ideal.n_vars + 1)]
-    for a in elements:
-        if _top_row(a, below):
-            top[len(a) - a.count(0)].append(a)
-    return None, elements, top, below
-
-
-def _top_rows(ideal):
-    """(elements, top, below): `_reader_rows` with the whole lattice
-    decoded, in lex order, what the box and the plain closure must agree
-    on."""
-    box, elements, top, below = _reader_rows(ideal)
-    if box is not None:
-        elements = _box_points(box, box.closure)
-    return elements, top, below
-
-
 def _facets(exponents, below):
     """The facets of the Koszul strand complex at a, as vertex bitmasks.
 
     tau is a face iff some generator m dividing x^a has m_i <= a_i - 1 for
     every i in tau, so the complex is the union of the simplices
-    T(m) = {i : m_i < a_i}.  Splitting the bitset of those generators on
-    each `_steps` row below[i][a_i - 1], the generators in the row first,
-    groups them by T(m), with one step per group and row, and lists the
-    T(m) in decreasing lex order on the support, so every simplex comes
-    after all of its supersets: it is a facet iff it lies in no facet
-    listed before it.  The complex of a generator is {empty face}, whose
-    one facet is 0.
+    T(m) = {i : m_i < a_i}.  Splitting the bitset of those generators
+    (`monomials._dividing`) on the row below[i][a_i - 1] of each support
+    index i, the generators in the row first, groups them by T(m), with
+    one step per group and row, and lists the T(m) in decreasing lex order
+    on the support, so every simplex comes after all of its supersets: it
+    is a facet iff it lies in no facet listed before it.  The complex of a
+    generator is {empty face}, whose one facet is 0.
     """
-    bits, support, step = _steps(exponents, below)
-    groups = [(0, bits)]
-    for i, row in zip(support, step):
+    groups = [(0, _dividing(exponents, below))]
+    for i, e in enumerate(exponents):
+        if not e:
+            continue
+        row = below[i][e - 1]
         split = []
         for simplex, gens in groups:
             inside = gens & row
@@ -582,6 +524,42 @@ def _strand_homology(exponents, below, floor):
     return _homology_from_top(_strand_faces(facets, support), floor)
 
 
+def _reader_rows(ideal):
+    """(box, elements, below), what the depth readers start from, for a
+    proper nonzero ideal: `box` the `_LcmBox` where the lattice is read
+    off it (`_lcm_box`) and `elements` None, so that a reader decodes only
+    the points it reads (`_box_points`), or `box` None and `elements` the
+    plainly grown lattice in lex order; and the generators'
+    `_below_bitsets` rows.  On the box both readers read the top rows off
+    it (`_box_top_row`); off it neither makes a top-row pass, as the walk
+    reads each element's top row itself and the socle is read off the
+    facets (`_socle_row`)."""
+    vectors = [g.exponents for g in ideal.gens]
+    below = _below_bitsets(vectors)
+    box = _lcm_box(vectors)
+    elements = _plain_closure(vectors) if box is None else None
+    return box, elements, below
+
+
+def _socle_row(elements, below):
+    """The elements a of full support n = len(a) with beta_{n,a}(S/I) != 0,
+    in their order.
+
+    beta_{n,a} != 0 iff the Koszul strand complex at a is the boundary of
+    the simplex on [n]: every (n-1)-subset is a face and [n] is not, the
+    socle test x^(a - 1) not in I and x^(a - 1 + e_j) in I for every j.
+    Read off the facets (`_facets`), that is exactly n facets of n - 1
+    vertices each, so no face is built."""
+    socle = []
+    for a in elements:
+        if all(a):
+            facets = _facets(a, below)
+            n = len(a)
+            if len(facets) == n and all(f.bit_count() == n - 1 for f in facets):
+                socle.append(a)
+    return socle
+
+
 def betti(ideal):
     """Multigraded Betti table of S/I; beta_0 = 1 at the unit multidegree."""
     if ideal.is_whole_ring():
@@ -625,15 +603,18 @@ def depth_quotient(ideal):
 
     pd = max{i : beta_{i,a} != 0} is read off the top of the Betti table
     without building the rest of it.  beta_{i,a} = 0 for i > s = |supp(a)|,
-    and beta_{s,a} needs no homology, so a first pass finds pd0, the
-    largest s whose top row is non-zero (at least 1, from the generators),
-    the largest support class of the top rows (`_reader_rows`).  Only an
-    element with support at least pd + 2 can raise pd further, so the walk
-    examines those alone, by decreasing support and in lex order within
-    one, and asks `_strand_homology` only for the dimensions >= pd - 1
-    (Betti index > pd), which builds no face for a cone or for a complex
-    with at most pd facets.  Where the lattice is read off its box, the
-    cones are found for every point at once (`_box_cones`) and the walk
+    so the walk goes over the lattice by decreasing support, in lex order
+    within one, examines only the elements whose support could raise pd,
+    and asks `_strand_homology` only for the dimensions >= pd - 1 (Betti
+    index > pd), which builds no face for a cone or for a complex with at
+    most pd facets; it stops at the first element whose support cannot
+    raise pd.  Off the box pd starts at 1, from the generators, and every
+    element of support at least pd + 1 is examined, its top row among the
+    dimensions asked.  Where the lattice is read off its box, the top rows
+    of every point come first, with no homology (`_box_top_row`): pd
+    starts at pd0, the largest s whose top row is non-zero (at least 1),
+    only elements of support at least pd + 2 are examined, and the cones
+    are found for every point at once (`_box_cones`), so that the walk
     reads the facets of the other elements only.
     """
     if ideal.is_whole_ring():
@@ -641,17 +622,19 @@ def depth_quotient(ideal):
     n = ideal.n_vars
     if ideal.is_zero():
         return DepthResult(n, 0, n, "lattice")
-    box, elements, top, below = _reader_rows(ideal)
-    pd = max([1] + [s for s, points in enumerate(top) if points])
+    box, elements, below = _reader_rows(ideal)
+    # an element is examined while its support is at least pd + bar
+    pd, bar = 1, 1
     if box is not None:
+        pd = max([1] + [s for s, points in enumerate(_box_top_row(box)) if points])
+        bar = 2
         # the walk reads no cone, so none is decoded, and no point at all
         # where none has the support to raise pd
         elements = _box_points(box, box.closure & ~_box_cones(box)) if pd + 2 <= n else []
     # by decreasing support size, lex order within one: the sort is stable
     elements.sort(key=methodcaller("count", 0))
     for a in elements:
-        size = n - a.count(0)
-        if size <= pd + 1:
+        if n - a.count(0) < pd + bar:
             break
         d = next((d for d, r in _strand_homology(a, below, pd - 1) if r), None)
         if d is not None:
@@ -694,15 +677,18 @@ def max_ideal_associated(ideal):
     beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
     so the top row of the Betti table lists every monomial w with w not
     in I and x_j*w in I for all j, and each a = w + 1 lies in the lcm
-    lattice.  Those a are the full-support top row (`_reader_rows`), read
-    with no homology: the answer is (False, None) when there are none, and
+    lattice.  Those a are read with no homology: on the box as its
+    full-support top row (`_box_top_row`), off it as the full-support
+    elements whose facets make the boundary of the simplex
+    (`_socle_row`).  The answer is (False, None) when there are none, and
     otherwise (True, w) for the w of largest degree, ties going to the
     smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
-    _, _, top, _ = _reader_rows(ideal)
-    socle = [tuple(e - 1 for e in a) for a in top[ideal.n_vars]]
+    box, elements, below = _reader_rows(ideal)
+    full = _box_top_row(box)[ideal.n_vars] if box is not None else _socle_row(elements, below)
+    socle = [tuple(e - 1 for e in a) for a in full]
     if not socle:
         return False, None
     return True, Monomial(min(socle, key=lambda w: (-sum(w), w)))

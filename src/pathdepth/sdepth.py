@@ -501,12 +501,12 @@ def _admissible_tops(poset, k):
     return poset.admissible[k]
 
 
-def _intervals(poset, k, p, downs):
+def _intervals(poset, admissible, p, downs):
     """The candidate masks at p: the intervals up(p) & down(b) over p's
-    admissible tops b at k, read off the tops `_admissible_tops` built,
-    largest first, ties in the order of the tops.  `downs` keeps each
-    down(b) built, by the top's index."""
-    tops, top_rows = poset.admissible[k]
+    admissible tops b, read off `admissible`, the (tops, top_rows) of
+    `_admissible_tops` at k, largest first, ties in the order of the
+    tops.  `downs` keeps each down(b) built, by the top's index."""
+    tops, top_rows = admissible
     up = _dividing(p, poset.up)
     masks = []
     for j in _bits(_dividing(p, top_rows)):
@@ -538,7 +538,7 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
         raise ValueError("k out of range")
     if k == 0:
         return StanleyPartition(tuple(PosetInterval(a, a) for a in points))
-    tops, top_rows = _admissible_tops(poset, k)
+    admissible = tops, top_rows = _admissible_tops(poset, k)
     if not tops:
         # no point has an admissible top
         return None
@@ -565,7 +565,7 @@ def _search(poset, k, node_budget, reserve=0, pause=None):
     def build(i, allowance):
         """The candidate masks at points[i], stored in `candidates`; they
         were charged before the search, so they cost no units here."""
-        candidates[i] = _intervals(poset, k, points[i], downs)
+        candidates[i] = _intervals(poset, admissible, points[i], downs)
         return 0
 
     # the root is a node; candidate construction has charged more already
@@ -875,7 +875,7 @@ def _most_constrained(poset, k, units, axes):
     stays within `units`.
     """
     points = poset.points
-    _admissible_tops(poset, k)  # the tops that `_intervals` reads
+    admissible = _admissible_tops(poset, k)
     blocks = [(1 << len(points)) - 1] * len(points)  # the block of each point
     for i in axes:
         up = poset.up[i]
@@ -886,7 +886,7 @@ def _most_constrained(poset, k, units, axes):
     for q, (p, block) in enumerate(zip(points, blocks)):
         among, masks = indices.setdefault(block, ([], []))
         among.append(q)
-        masks.extend(m for m in _intervals(poset, k, p, downs) if m & block == m)
+        masks.extend(m for m in _intervals(poset, admissible, p, downs) if m & block == m)
     contain = [0] * len(points)  # each point's row over its own block's masks
     for among, masks in indices.values():
         # a stable sort, so each block keeps the order of the global one

@@ -82,3 +82,40 @@ def test_no_module_level_mutable_container_in_library():
             if _is_mutable_container(node.value) and not targets <= allowed:
                 found.append("%s:%d %s" % (name, node.lineno, ", ".join(sorted(targets))))
     assert found == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_module_name_is_used_in_the_library():
+    # a private helper that only the tests call is code the library keeps
+    # for nothing: every module-level private def, class or assignment must
+    # be referenced somewhere in the library outside its own definition
+    trees = _library_trees()
+    defined = []  # (module, name, the top-level statement defining it)
+    for name, tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for target in node.targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined.extend((name, private, node) for private in names if _private(private))
+    used = {}  # referenced name -> the (module, top-level statement) pairs it appears in
+    for name, tree in trees:
+        for statement in tree.body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.setdefault(node.id, set()).add((name, id(statement)))
+                elif isinstance(node, ast.Attribute):
+                    used.setdefault(node.attr, set()).add((name, id(statement)))
+    unused = [
+        "%s:%d %s" % (module, node.lineno, private)
+        for module, private, node in defined
+        if not used.get(private, set()) - {(module, id(node))}
+    ]
+    assert unused == []

@@ -24,10 +24,10 @@ from pathdepth.depth import (
     _lcm_box,
     _lcm_closure,
     _plain_closure,
+    _reader_rows,
+    _socle_row,
     _strand_faces,
     _strand_homology,
-    _top_row,
-    _top_rows,
     betti,
     build_lcm_lattice,
     depth_quotient,
@@ -38,7 +38,7 @@ from pathdepth.depth import (
 )
 from pathdepth import depth as depth_module
 from pathdepth.families import cycle_ideal, path_ideal, phi
-from pathdepth.monomials import Monomial, MonomialIdeal, _below_bitsets, parse_ideal
+from pathdepth.monomials import Monomial, MonomialIdeal, _below_bitsets, _dividing, parse_ideal
 
 # linear algebra ------------------------------------------------------
 
@@ -425,17 +425,63 @@ def test_box_closure_matches_scalar_oracle(vectors):
     assert _box_points(box, box.closure) == scalar_lcm_closure(vectors)
 
 
+def top_row(exponents, below):
+    """Reference: whether beta_{s,a}(S/I) != 0 for s = |supp(a)|, the top
+    index at a, one lattice element at a time.
+
+    The Koszul strand complex at a lives on the s vertices of the support,
+    so its homology in dimension s - 2 is non-zero (and then 1) iff it is
+    the boundary of the simplex: every (s-1)-subset of the support is a
+    face and the support is not.  tau is a face iff the bitset of the
+    generators dividing x^a ANDed with the rows below[i][a_i - 1] of tau is
+    non-zero; prefix ANDs of those rows and one suffix AND test all s
+    subsets with 2s ANDs.
+    """
+    bits = _dividing(exponents, below)
+    step = [below[i][e - 1] for i, e in enumerate(exponents) if e]
+    prefix = [bits]
+    for row in step:
+        bits &= row
+        prefix.append(bits)
+    if bits:
+        return False
+    suffix = -1
+    for k in range(len(step) - 1, -1, -1):
+        if not prefix[k] & suffix:
+            return False
+        suffix &= step[k]
+    return True
+
+
+def top_rows(ideal):
+    """Reference: (elements, top), the lcm lattice in lex order and top[s],
+    s >= 1, its points of support size s with beta_{s,a}(S/I) != 0, in
+    lex order, read off the box (`_box_top_row`) where `_lcm_closure`
+    takes it and by `top_row` on each element where it does not; top[0]
+    is not read."""
+    vectors = [g.exponents for g in ideal.gens]
+    elements, box = _lcm_closure(vectors)
+    if box is not None:
+        return elements, _box_top_row(box)
+    below = _below_bitsets(vectors)
+    top = [[] for _ in range(ideal.n_vars + 1)]
+    for a in elements:
+        if top_row(a, below):
+            top[support_size(a)].append(a)
+    return elements, top
+
+
 @given(exponent_vectors(n_max=5, max_size=10))
 @with_examples(*BOX_EXAMPLES)
 @settings(max_examples=150, deadline=None)
 def test_box_top_row_matches_the_per_element_scan(vectors):
     # called directly, whichever path `_lcm_closure` would pick, against
-    # `_top_row` over the scalar closure: the same passing points, so the
+    # `top_row` over the scalar closure: the same passing points, so the
     # same pd0 and the same full-support points, the witnesses' a = w + 1
     top = _box_top_row(_box_closure(vectors))
     n = len(vectors[0])
     below = _below_bitsets(vectors)
-    passing = [a for a in scalar_lcm_closure(vectors) if any(a) and _top_row(a, below)]
+    passing = [a for a in scalar_lcm_closure(vectors) if any(a) and top_row(a, below)]
     assert len(top) == n + 1
     assert top[0] == ([] if (0,) * n in vectors else [(0,) * n])  # beta_0 at the unit
     assert sorted(a for points in top[1:] for a in points) == passing
@@ -483,39 +529,37 @@ def test_closure_path_choice(monkeypatch):
     for vectors in (fewer, fewer * 2, distinct, chain):
         assert _lcm_box(vectors) is None
     assert taken == []
-    # on the box both depth readers take the top rows from the closure and
-    # scan no element with `_top_row`; on the plain closure they scan, and
-    # `betti` scans on neither path
-    scanned = []
+    # on the box both depth readers read its top rows, once each; on the
+    # plain closure neither makes a top-row pass, and `betti` reads the
+    # box's top rows on neither path
+    read = []
 
-    def scanning(exponents, below):
-        scanned.append(exponents)
-        return _top_row(exponents, below)
+    def reading(box):
+        read.append(box)
+        return _box_top_row(box)
 
     monkeypatch.setattr(depth_module, "_box_closure", recording("box", _box_closure))
     monkeypatch.setattr(depth_module, "_plain_closure", recording("plain", _plain_closure))
-    monkeypatch.setattr(depth_module, "_top_row", scanning)
+    monkeypatch.setattr(depth_module, "_box_top_row", reading)
     taken.clear()
     for base, t, depth in DEPTH_LADDER:
         ideal = base.power(t)
         assert depth_quotient(ideal).depth == depth
         assert max_ideal_associated(ideal)[0] == (depth == 0)
     assert taken == ["box"] * 12
-    assert scanned == []
+    assert len(read) == 12
+    read.clear()
     taken.clear()
     assert depth_quotient(cycle_ideal(5, 2)).depth == 2
-    assert scanned
-    scanned.clear()
     assert max_ideal_associated(cycle_ideal(5, 2)) == (False, None)
-    assert scanned
     assert taken == ["plain"] * 2
-    scanned.clear()
+    assert read == []
     taken.clear()
     assert betti(cycle_ideal(6, 4).power(2)).projective_dimension() == 5
     assert betti(cycle_ideal(5, 2)).projective_dimension() == 3
     assert depth_via_polarization(cycle_ideal(6, 3)).depth == 3
     assert taken == ["box", "plain", "box"]
-    assert scanned == []
+    assert read == []
 
 
 def monomial_lcm_closure(ideal):
@@ -784,7 +828,7 @@ def test_closure_paths_agree(ideal):
             patch.setattr(depth_module, "_BOX_SHIFT", 64)
             patch.setattr(depth_module, "_BOX_CEILING", ceiling)
             assert (_lcm_closure(vectors)[1] is None) == (ceiling == 0)
-            elements, top, _ = _top_rows(ideal)
+            elements, top = top_rows(ideal)
             seen.append((elements, top[1:], depth_quotient(ideal), max_ideal_associated(ideal)))
     assert seen[0] == seen[1]
 
@@ -806,14 +850,16 @@ def support_size(exponents):
 def walk_oracle(ideal):
     """The multidegrees the walk must examine, and its pd, from the full table.
 
+    Lattice elements go by decreasing support size, ties in lex order.
+    Where the plain closure takes the lattice, pd starts at 1 (the
+    generators), each element with support at least pd + 1 is examined
+    and may raise pd, its top row included, and the walk stops at the
+    first element with a smaller support.  Where the box rule takes it,
     pd starts at pd0, the largest s with beta_{s,a} != 0 for an a of
-    support size s (the top rows), and at least 1 (the generators).
-    Lattice elements then go by decreasing support size, ties in lex
-    order; each with support at least pd + 2 is examined and may raise
-    pd, and the walk stops at the first element with a smaller support.
-    Where the box rule takes the lattice, the walk knows its cones before
-    it reads any facet, so it examines none of the elements whose Koszul
-    strand complex the membership oracle finds to be a cone.
+    support size s (the top rows), and at least 1; the bar is support
+    pd + 2, and the walk knows its cones before it reads any facet, so it
+    examines none of the elements whose Koszul strand complex the
+    membership oracle finds to be a cone.
     """
     top = {}
     for (i, a), _ in betti(ideal).entries.items():
@@ -822,10 +868,13 @@ def walk_oracle(ideal):
     elements = sorted(scalar_lcm_closure(vectors), key=lambda a: -support_size(a))
     on_box = _lcm_closure(vectors)[1] is not None
     member = _membership_oracle(ideal)
-    pd = max([1] + [i for a, i in top.items() if i == support_size(a)])
+    pd, bar = 1, 1
+    if on_box:
+        pd = max([1] + [i for a, i in top.items() if i == support_size(a)])
+        bar = 2
     examined = []
     for a in elements:
-        if support_size(a) < pd + 2:
+        if support_size(a) < pd + bar:
             break
         if on_box:
             faces, support, _ = membership_koszul_faces(a, member)
@@ -903,14 +952,16 @@ def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
 
 
 def test_walk_stops_at_the_largest_support():
-    # the top element's top row gives pd = n: no facets are read
-    assert walk(MonomialIdeal.maximal(4)) == ([], 4)
-    # two disjoint edges: no top row passes above the generators (pd0 = 1),
-    # the top gives pd 2, and the edges, of support 2 < 2 + 2, are not examined
+    # off the box pd starts at 1: the top element's top row gives pd = n,
+    # and no element of smaller support is examined after it
+    assert walk(MonomialIdeal.maximal(4)) == ([(1, 1, 1, 1)], 4)
+    # two disjoint edges: the top gives pd 2, and the edges, of support
+    # 2 < 2 + 1, are not examined
     assert walk(parse_ideal("x1*x2, x3*x4", 4)) == ([(1, 1, 1, 1)], 2)
-    # (2, 2, 2)'s top row gives pd = n: (2, 2, 1), which the walk once
-    # examined first, is never reached
-    assert walk(parse_ideal("x1^2*x3, x2^2, x3^2", 3)) == ([], 3)
+    # (2, 2, 1), first in lex order, gives pd 2 and (2, 2, 2)'s top row pd = n
+    assert walk(parse_ideal("x1^2*x3, x2^2, x3^2", 3)) == ([(2, 2, 1), (2, 2, 2)], 3)
+    # on the box the top element's top row gives pd0 = n: no facets are read
+    assert walk(cycle_ideal(6, 5).power(5)) == ([], 6)
 
 
 @given(small_ideals(n_max=4, gens_max=5), st.booleans())
@@ -927,7 +978,35 @@ def test_top_row_is_the_homology_in_the_top_dimension(ideal, polarize):
     for a in monomial_lcm_closure(ideal):
         faces, support, _ = membership_koszul_faces(a.exponents, member)
         top = reduced_homology(faces).get(len(support) - 2, 0)
-        assert _top_row(a.exponents, below) == bool(top), str(a)
+        assert top_row(a.exponents, below) == bool(top), str(a)
+
+
+@given(st.one_of(small_ideals(), box_ideals()))
+@settings(max_examples=80, deadline=None)
+def test_socle_off_the_facets_matches_the_top_row_oracle(ideal):
+    # every input forced off the box: on each full-support lattice element
+    # the facet test (n facets of n - 1 vertices each) is the top row, and
+    # max_ideal_associated reads the facets of those elements alone
+    n = ideal.n_vars
+    read = []
+    facets_of = depth_module._facets
+
+    def reading(exponents, below):
+        read.append(exponents)
+        return facets_of(exponents, below)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depth_module, "_BOX_CEILING", 0)
+        box, elements, below = _reader_rows(ideal)
+        assert box is None
+        full = [a for a in elements if all(a)]
+        for a in full:
+            assert (_socle_row([a], below) == [a]) == top_row(a, below), a
+        assert _socle_row(elements, below) == [a for a in full if top_row(a, below)]
+        patch.setattr(depth_module, "_facets", reading)
+        assoc, _ = max_ideal_associated(ideal)
+    assert read == full
+    assert assoc == any(top_row(a, below) for a in full) == (depth_quotient(ideal).depth == 0)
 
 
 # facets and nerves of the Koszul strand complexes

@@ -1877,7 +1877,7 @@ def one_index_most_constrained(poset, k, units, axes):
     conflict row ORed again at each choice.  The same blocks, order,
     units, memo and messages, with its own point scan."""
     points = poset.points
-    _admissible_tops(poset, k)
+    admissible = _admissible_tops(poset, k)
     blocks = [(1 << len(points)) - 1] * len(points)
     for i in axes:
         up = poset.up[i]
@@ -1887,7 +1887,7 @@ def one_index_most_constrained(poset, k, units, axes):
     kept = (
         m
         for p, block in zip(points, blocks)
-        for m in sdepth._intervals(poset, k, p, downs)
+        for m in sdepth._intervals(poset, admissible, p, downs)
         if m & block == m
     )
     masks = sorted(kept, key=int.bit_count, reverse=True)
