@@ -16,20 +16,30 @@ no element left can.  beta_{s,a}, the top row at a, is non-zero iff the
 complex at a is the boundary of the simplex on the support.  Where the
 lattice is grown plainly, the walk starts at pd = 1, from the
 generators, and examines every element of support at least pd + 1, its
-top row among the dimensions it asks.  Where the lattice is read off its
-box, a first pass finds pd0, the largest s with a non-zero top row, with
-no faces at all: n(n+1)/2 masked shifts of the box's bitset of points in
-I, which test every box point at once, and a bit-sliced count of
-supports (`_box_top_row`).  Then only elements of support at least
-pd + 2 can raise pd further, and the cones, whose Betti numbers all
-vanish, are found first for every point at once, by n^2 masked shifts
-of the same bitset (`_box_cones`): only the other lattice points are
-decoded and walked.  On J(7,3)^3 the walk reads the facets of 197
-elements where it read 1,297, 1,100 of them cones.
-`max_ideal_associated` reads the row i = n with no homology either: off
-the box's top rows, or, where the lattice is grown plainly, off the
-facets of each full-support element, the complex being that boundary
-iff it has exactly n facets of n - 1 vertices each (`_socle_row`).
+top row among the dimensions it asks.
+
+Where the lattice is read off its box, depth is first looked at from
+below, by local cohomology, with no lattice, face or rank: depth =
+min{i : H^i_m(S/I) != 0}, and by Takayama's formula every degree of H^0
+and H^1 is a box point whose degree complex is {empty face} or, for H^1,
+disconnected, all tested at once by masked shifts of the box's bitset of
+points in I (`_box_low_depth`).  A depth of 0 or 1 ends the call there;
+J(8,6)^7, depth 1 on a box of 2^24 points, takes about 1 s where the
+walk took 25 s.  Otherwise pd <= n - 2, and the walk runs with that
+cap: a first pass finds pd0, the largest s with a non-zero top row, by
+n(n+1)/2 masked shifts and a bit-sliced count of supports
+(`_box_top_row`); only elements of support at least pd + 2 can raise pd
+further, the cones, whose Betti numbers all vanish, are found first for
+every point at once by n^2 masked shifts (`_box_cones`), only the other
+lattice points are decoded and walked, no homology above Betti index
+n - 2 is asked, and the walk stops once pd reaches n - 2.  On J(7,3)^3
+it reads the facets of 165 elements where it read 1,297, 1,100 of them
+cones, and on J(8,2)^4 of 20 where it read 873.
+`max_ideal_associated` reads no homology either: on the box the degrees
+of H^0, the socle's w being the tops of their ranges, and where the
+lattice is grown plainly the row i = n, off the facets of each
+full-support element, the complex being the boundary of the simplex iff
+it has exactly n facets of n - 1 vertices each (`_socle_row`).
 Ranks come from fraction-free integer elimination.
 
 Both `betti` and the walk read each Koszul strand complex off its facets
@@ -44,12 +54,14 @@ the nerve's when f is below the support size, its own when it is not.
 
 The hot loops run on flat data: bitsets and exponent tuples.  The
 lattice is read off one bitset over the box of the vectors whose every
-coordinate is 0 or some generator's exponent there (`_box_closure`): a
-nonzero point is in it iff each of its positive coordinates is reached
-by a generator below it, a test made by ANDs and ORs of the generators'
-up-cones, built from the kernel layer's "x_i >= c" patterns
-(`monomials._at_least_patterns`).  A reader decodes off the box only the
-points it reads (`_box_points`).  On a few generators, or where that
+coordinate is 0 or some generator's exponent there (`_box_closure`),
+made of the kernel layer's "x_i >= c" patterns
+(`monomials._at_least_patterns`).  The box points in I are one bit per
+generator closed upward by a few masked shifts per axis; a nonzero point
+is in the lattice iff each of its positive coordinates is reached by a
+generator below it, a test made by ANDs and ORs of the generators'
+up-cones, only where a reader asks for the lattice.  A reader decodes
+off the box only the points it reads (`_box_points`).  On a few generators, or where that
 box is large for their number, the lattice is instead grown one
 generator at a time, each new one lcm-ed with every element so far
 (`_plain_closure`); `_lcm_box` picks the path from the number of
@@ -64,11 +76,10 @@ functions take and return.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import reduce
-from itertools import compress, product
+from functools import cached_property, reduce
+from itertools import combinations, compress, product
 from math import gcd, prod
-from operator import and_, methodcaller
-from typing import NamedTuple
+from operator import and_, methodcaller, mul
 
 from .monomials import (
     Monomial, _at_least_patterns, _below_bitsets, _count_classes, _dividing, _selectors,
@@ -163,20 +174,24 @@ def _boundary_rank(faces, lower):
     return rank_exact(columns)
 
 
-def _homology_from_top(faces, floor=-1):
+def _homology_from_top(faces, floor=-1, ceiling=None):
     """(d, reduced homology rank in dimension d), char 0, for d from the
-    top dimension of the complex down to floor.
+    top dimension of the complex, or from `ceiling` where that is lower,
+    down to floor.
 
     `faces` holds the nonempty faces as vertex bitmasks, each once.  Each
     boundary rank is taken once, as its dimension is reached, so a caller
     that stops early computes no rank below the last dimension it read,
-    and the empty face, whose boundary is zero, takes none.
+    and the empty face, whose boundary is zero, takes none.  Under a
+    ceiling c the first rank taken is that of the boundary out of
+    dimension c + 1, which the rank at c needs; none above it is taken.
     """
     by_dim = {-1: [0]}
     for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    rank_above = 0
-    for d in range(max(by_dim), floor - 1, -1):
+    top = max(by_dim) if ceiling is None else min(max(by_dim), ceiling)
+    rank_above = _boundary_rank(by_dim[top + 1], by_dim[top]) if top + 1 in by_dim else 0
+    for d in range(top, floor - 1, -1):
         rank = _boundary_rank(by_dim[d], by_dim[d - 1]) if d >= 0 else 0
         yield d, len(by_dim[d]) - rank - rank_above
         rank_above = rank
@@ -266,35 +281,69 @@ def _plain_closure(exponent_tuples):
     return sorted(closure)
 
 
-class _LcmBox(NamedTuple):
+@dataclass(frozen=True)
+class _LcmBox:
     """The box B of the vectors whose every coordinate is 0 or the value of
     some generator there, as bitsets over B, bit r standing for the point
     of lex rank r: values[i] the sorted values of coordinate i, 0 among
     them, strides[i] the shift of a step +1 in its rank, at_least[i][c]
-    the points with x_i at rank c or above, `inside` the points in the
-    ideal and `closure` the points of the lcm lattice."""
+    the points with x_i at rank c or above, `ranked` the generators as
+    tuples of ranks and `inside` the points in the ideal.
+
+    `closure`, the points of the lcm lattice, is built on its first read:
+    a depth reader that the local cohomology of the box answers
+    (`_box_low_depth`) reads `inside` alone and never builds it.
+
+    A nonzero a in B is the lcm of the generators below it iff each
+    positive a_i is reached by one of them, some g <= a with g_i = a_i;
+    the zero vector is in the closure iff it is a generator.  The up-cone
+    of g is an AND of "x_i >= g_i" patterns over its support, and the
+    cones are ORed into one row per coordinate and value: row[i][c] holds
+    the points above some g with g_i = c.  The points of coordinate i that
+    pass are those with x_i = 0 and, for each c > 0, those of row[i][c]
+    with x_i = c; the closure is the AND of those sets over i.
+    """
 
     values: list
     strides: list
     at_least: list
+    ranked: list
     inside: int
-    closure: int
+
+    @cached_property
+    def closure(self):
+        rows = [[0] * len(vs) for vs in self.values]
+        for g in self.ranked:
+            steps = [(i, c) for i, c in enumerate(g) if c]
+            cone = self.at_least[0][0]
+            for i, c in steps:
+                cone &= self.at_least[i][c]
+            for i, c in steps:
+                rows[i][c] |= cone
+        closure = -1
+        for row, ge in zip(rows, self.at_least):
+            # ge[c] ^ ge[c + 1]: the points with x_i = c
+            passed = ge[0] ^ ge[1]
+            for c in range(1, len(row)):
+                passed |= row[c] & (ge[c] ^ ge[c + 1])
+            closure &= passed
+        if all(map(any, self.ranked)):
+            closure &= ~1
+        return closure
 
 
 def _box_closure(exponent_tuples):
-    """The `_LcmBox` of exponent tuples: their closure under componentwise
-    max as one bitset over the box B, and the points of B in the ideal.
+    """The `_LcmBox` of exponent tuples, whose `closure` is their closure
+    under componentwise max.
 
-    A nonzero a in B is the lcm of the tuples below it iff each positive
-    a_i is reached by one of them, some g <= a with g_i = a_i; the zero
-    vector is in the closure iff it is one of the tuples.  The up-cone of
-    g is an AND of "x_i >= g_i" patterns over its support
-    (`monomials._at_least_patterns`), and the cones are ORed into one row
-    per coordinate and value: row[i][c] holds the points above some g with
-    g_i = c.  The points of coordinate i that pass are those with x_i = 0
-    and, for each c > 0, those of row[i][c] with x_i = c; the closure is
-    the AND of those sets over i.  The OR of the cones is the set of points
-    in the ideal, which the top rows and the cones are read off.
+    The "x_i >= c" patterns come from `monomials._at_least_patterns`.
+    `inside`, the points in the ideal, is the up-closure of one bit per
+    distinct tuple, set in a `bytearray` at its point: along each axis i,
+    X |= (X << k * strides[i]) & at_least[i][k] for k = 1, 2, 4, ... below
+    the number of ranks makes X hold every point with a set bit at most
+    2k - 1 ranks below it in x_i, and the mask drops what a shift carries
+    into the next run of x_i.  So U costs a few masked shifts per axis,
+    none a step per tuple on the whole box.
     """
     gens = set(exponent_tuples)
     values = [sorted(set(column) | {0}) for column in zip(*gens)]
@@ -306,26 +355,18 @@ def _box_closure(exponent_tuples):
         for span, step in zip(spans, strides)
     ]
     ranks = [{v: c for c, v in enumerate(vs)} for vs in values]
-    rows = [[0] * span for span in spans]
-    inside = 0
-    for g in gens:
-        steps = [(i, rank[e]) for i, (rank, e) in enumerate(zip(ranks, g)) if e]
-        cone = at_least[0][0]
-        for i, c in steps:
-            cone &= at_least[i][c]
-        for i, c in steps:
-            rows[i][c] |= cone
-        inside |= cone
-    closure = -1
-    for row, ge in zip(rows, at_least):
-        # ge[c] ^ ge[c + 1]: the points with x_i = c
-        passed = ge[0] ^ ge[1]
-        for c in range(1, len(row)):
-            passed |= row[c] & (ge[c] ^ ge[c + 1])
-        closure &= passed
-    if (0,) * len(values) not in gens:
-        closure &= ~1
-    return _LcmBox(values, strides, at_least, inside, closure)
+    ranked = [tuple(rank[e] for rank, e in zip(ranks, g)) for g in gens]
+    seed = bytearray(size + 7 >> 3)
+    for g in ranked:
+        r = sum(map(mul, g, strides))
+        seed[r >> 3] |= 1 << (r & 7)
+    inside = int.from_bytes(seed, "little")
+    for span, step, ge in zip(spans, strides, at_least):
+        k = 1
+        while k < span:
+            inside |= (inside << k * step) & ge[k]
+            k *= 2
+    return _LcmBox(values, strides, at_least, ranked, inside)
 
 
 def _box_points(box, bits):
@@ -405,6 +446,107 @@ def _box_cones(box):
             refuted |= _lower(refuted, *other)
         cones |= ge1 & ~refuted
     return cones
+
+
+def _raise(box, bits, i):
+    """R_i(bits), for a bitset over the box: a is held iff bits holds a
+    with x_i moved to its top rank, the top slice copied down to every
+    rank of x_i.
+
+    The top slice is moved to rank 0 and copied upward: a copy that holds
+    ranks 0..k-1 shifted by k ranks holds k..2k-1, and the last shift,
+    by span - k, ends at the top rank, so no shift leaves its run of x_i
+    and none needs a mask."""
+    span, step = len(box.values[i]), box.strides[i]
+    bits = (bits & box.at_least[i][span - 1]) >> (span - 1) * step
+    k = 1
+    while 2 * k <= span:
+        bits |= bits << k * step
+        k *= 2
+    if k < span:
+        bits |= bits << (span - k) * step
+    return bits
+
+
+def _box_void_degrees(box):
+    """(zero, one, raised): the box points a with no top coordinate (zero)
+    and with exactly one (one) whose degree complex is {empty face}, and
+    raised[j] = R_j, `inside` raised in x_j (`_raise`).
+
+    By Takayama's formula, in the degree-complex form of Minh and Trung,
+    dim H^i_m(S/I)_a = dim H~_(i - |G_a| - 1)(Delta_a) for a in Z^n, where
+    G_a = {j : a_j < 0} and F, off G_a, is a face of Delta_a iff x^a is not
+    in I localized at the x_j with j in F + G_a.  Delta_a depends on a_j
+    only through which generator exponents exceed it, and it is a cone
+    where a_j is at least the largest exponent of x_j.  So every degree
+    that counts is a box point, rank c of x_j below the top standing for
+    the exponents from the c-th value up to one below the next, and the
+    top rank for a_j < 0: F is a face iff a is outside R_(F + G_a), and
+    R_j is the identity at a point whose x_j is at the top.  Delta_a =
+    {empty face} iff a is outside U and inside R_j for every j off G_a:
+    with G_a empty the degrees of H^0 = H^0_m(S/I), with |G_a| = 1 some of
+    those of H^1.
+    """
+    raised = [_raise(box, box.inside, i) for i in range(len(box.values))]
+    void = box.at_least[0][0] & ~box.inside
+    # zero: the points with no top coordinate so far, one: exactly one
+    zero, one = box.at_least[0][0], 0
+    for bits, vs, ge in zip(raised, box.values, box.at_least):
+        top = ge[len(vs) - 1]
+        void &= bits | top
+        one = (one & ~top) | (zero & top)
+        zero &= ~top
+    return void & zero, void & one, raised
+
+
+def _box_disconnected(box, raised):
+    """Whether some box point a with no top coordinate has a disconnected
+    degree complex Delta_a (`_box_void_degrees`), a non-zero H^1_m(S/I)_a.
+
+    The vertices of Delta_a are the j with a outside R_j, and its edges the
+    {j, k} with a outside R_jk, R_j raised in x_k; an edge is built only
+    where some point has both its ends.  Every point starts from its
+    lowest vertex, and what it reaches grows along its edges, for all
+    points at once, until it holds every vertex or a round adds nothing:
+    at most n rounds."""
+    inner = box.at_least[0][0]
+    for vs, ge in zip(box.values, box.at_least):
+        inner &= ~ge[len(vs) - 1]
+    vertices = [inner & ~bits for bits in raised]
+    # neighbours[k]: (j, the points where {j, k} is an edge)
+    neighbours = [[] for _ in vertices]
+    for j, k in combinations(range(len(vertices)), 2):
+        if vertices[j] & vertices[k]:
+            edge = ~_raise(box, raised[j], k)
+            neighbours[j].append((k, edge))
+            neighbours[k].append((j, edge))
+    reach, seen = [], 0
+    for bits in vertices:
+        reach.append(bits & ~seen)
+        seen |= bits
+    while reach != vertices:
+        grown = False
+        for k, around in enumerate(neighbours):
+            bits = reach[k]
+            for j, edge in around:
+                bits |= reach[j] & edge
+            if bits != reach[k]:
+                reach[k], grown = bits, True
+        if not grown:
+            return True
+    return False
+
+
+def _box_low_depth(box):
+    """min(depth(S/I), 2), from the box's local cohomology in degrees 0
+    and 1, with no lattice, facet or rank: depth 0 iff H^0 != 0, and depth
+    1 iff not and H^1 != 0, that is, some point with one top coordinate
+    has Delta_a = {empty face} or some point with none has a disconnected
+    Delta_a (`_box_void_degrees`, `_box_disconnected`)."""
+    zero, one, raised = _box_void_degrees(box)
+    if zero:
+        return 0
+    return 1 if one or _box_disconnected(box, raised) else 2
 
 
 def build_lcm_lattice(ideal):
@@ -504,10 +646,11 @@ def _strand_faces(facets, support):
     return faces
 
 
-def _strand_homology(exponents, below, floor):
+def _strand_homology(exponents, below, floor, ceiling=None):
     """(d, reduced homology rank in dimension d) of the Koszul strand complex
-    at a, char 0, from its top dimension down to floor, or none at all
-    where its facets show that every such rank vanishes.
+    at a, char 0, from its top dimension, or from `ceiling` where that is
+    lower (`_homology_from_top`), down to floor, or none at all where its
+    facets show that every such rank vanishes.
 
     The facets come first (`_facets`), and no face is built when they
     meet in a vertex, since the complex is then a cone, nor when there
@@ -521,7 +664,7 @@ def _strand_homology(exponents, below, floor):
     if reduce(and_, facets) or len(facets) - 2 < floor:
         return ()
     support = [i for i, e in enumerate(exponents) if e]
-    return _homology_from_top(_strand_faces(facets, support), floor)
+    return _homology_from_top(_strand_faces(facets, support), floor, ceiling)
 
 
 def _reader_rows(ideal):
@@ -530,10 +673,11 @@ def _reader_rows(ideal):
     off it (`_lcm_box`) and `elements` None, so that a reader decodes only
     the points it reads (`_box_points`), or `box` None and `elements` the
     plainly grown lattice in lex order; and the generators'
-    `_below_bitsets` rows.  On the box both readers read the top rows off
-    it (`_box_top_row`); off it neither makes a top-row pass, as the walk
-    reads each element's top row itself and the socle is read off the
-    facets (`_socle_row`)."""
+    `_below_bitsets` rows.  On the box both readers start from its local
+    cohomology (`_box_void_degrees`), and only `depth_quotient`, where
+    depth >= 2, reads its top rows (`_box_top_row`); off it neither makes
+    a top-row pass, as the walk reads each element's top row itself and
+    the socle is read off the facets (`_socle_row`)."""
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
     box = _lcm_box(vectors)
@@ -610,12 +754,16 @@ def depth_quotient(ideal):
     most pd facets; it stops at the first element whose support cannot
     raise pd.  Off the box pd starts at 1, from the generators, and every
     element of support at least pd + 1 is examined, its top row among the
-    dimensions asked.  Where the lattice is read off its box, the top rows
-    of every point come first, with no homology (`_box_top_row`): pd
-    starts at pd0, the largest s whose top row is non-zero (at least 1),
-    only elements of support at least pd + 2 are examined, and the cones
-    are found for every point at once (`_box_cones`), so that the walk
-    reads the facets of the other elements only.
+    dimensions asked.  Where the lattice is read off its box, the local
+    cohomology of S/I in degrees 0 and 1 comes first (`_box_low_depth`),
+    and depth 0 or 1 is returned with no lattice built.  Otherwise
+    pd <= n - 2: the top rows of every point come next, with no homology
+    (`_box_top_row`), pd starts at pd0, the largest s whose top row is
+    non-zero (at least 1), only elements of support at least pd + 2 are
+    examined, the cones are found for every point at once (`_box_cones`),
+    so that the walk reads the facets of the other elements only, no
+    dimension above n - 4 (Betti index n - 2) is asked, and the walk stops
+    once pd reaches n - 2.
     """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
@@ -623,20 +771,25 @@ def depth_quotient(ideal):
     if ideal.is_zero():
         return DepthResult(n, 0, n, "lattice")
     box, elements, below = _reader_rows(ideal)
-    # an element is examined while its support is at least pd + bar
-    pd, bar = 1, 1
+    # an element is examined while its support is at least pd + bar and pd
+    # is below `most`, the largest pd left possible
+    pd, bar, most = 1, 1, n
     if box is not None:
+        low = _box_low_depth(box)
+        if low < 2:
+            return DepthResult(low, n - low, n, "lattice")
         pd = max([1] + [s for s, points in enumerate(_box_top_row(box)) if points])
-        bar = 2
+        bar, most = 2, n - 2
         # the walk reads no cone, so none is decoded, and no point at all
-        # where none has the support to raise pd
-        elements = _box_points(box, box.closure & ~_box_cones(box)) if pd + 2 <= n else []
+        # where pd cannot rise
+        elements = _box_points(box, box.closure & ~_box_cones(box)) if pd < most else []
     # by decreasing support size, lex order within one: the sort is stable
     elements.sort(key=methodcaller("count", 0))
     for a in elements:
-        if n - a.count(0) < pd + bar:
+        if n - a.count(0) < pd + bar or pd == most:
             break
-        d = next((d for d, r in _strand_homology(a, below, pd - 1) if r), None)
+        # Betti index at most `most`: homology in dimension most - 2 and below
+        d = next((d for d, r in _strand_homology(a, below, pd - 1, most - 2) if r), None)
         if d is not None:
             pd = d + 2
     return DepthResult(n - pd, pd, n, "lattice")
@@ -677,18 +830,27 @@ def max_ideal_associated(ideal):
     beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
     so the top row of the Betti table lists every monomial w with w not
     in I and x_j*w in I for all j, and each a = w + 1 lies in the lcm
-    lattice.  Those a are read with no homology: on the box as its
-    full-support top row (`_box_top_row`), off it as the full-support
-    elements whose facets make the boundary of the simplex
-    (`_socle_row`).  The answer is (False, None) when there are none, and
+    lattice.  Off the box those a are read with no homology, as the
+    full-support elements whose facets make the boundary of the simplex
+    (`_socle_row`).  On the box the socle is read off H^0_m(S/I), the
+    torsion of S/I, whose degrees come in ranges, one per box point
+    (`_box_void_degrees`): a torsion monomial of largest degree is in the
+    socle, as x_j*w outside I would be torsion of larger degree, and a
+    socle monomial is the top of its range, so the tops of the ranges
+    give the same w.  The answer is (False, None) when there are none, and
     otherwise (True, w) for the w of largest degree, ties going to the
     smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
     box, elements, below = _reader_rows(ideal)
-    full = _box_top_row(box)[ideal.n_vars] if box is not None else _socle_row(elements, below)
-    socle = [tuple(e - 1 for e in a) for a in full]
+    if box is None:
+        socle = [tuple(e - 1 for e in a) for a in _socle_row(elements, below)]
+    else:
+        # each torsion range read at its top, one below the next value of
+        # each coordinate; the top rank, a_j < 0, holds no torsion
+        highest = [[v - 1 for v in vs[1:]] + [None] for vs in box.values]
+        socle = list(compress(product(*highest), _selectors(_box_void_degrees(box)[0])))
     if not socle:
         return False, None
     return True, Monomial(min(socle, key=lambda w: (-sum(w), w)))

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from math import comb
-from operator import and_
+from operator import and_, or_
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,12 +18,15 @@ from pathdepth.depth import (
     UnitIdealError,
     _box_closure,
     _box_cones,
+    _box_low_depth,
     _box_points,
     _box_top_row,
     _facets,
+    _homology_from_top,
     _lcm_box,
     _lcm_closure,
     _plain_closure,
+    _raise,
     _reader_rows,
     _socle_row,
     _strand_faces,
@@ -529,8 +532,9 @@ def test_closure_path_choice(monkeypatch):
     for vectors in (fewer, fewer * 2, distinct, chain):
         assert _lcm_box(vectors) is None
     assert taken == []
-    # on the box both depth readers read its top rows, once each; on the
-    # plain closure neither makes a top-row pass, and `betti` reads the
+    # on the box `depth_quotient` reads its top rows where the local
+    # cohomology leaves depth >= 2, and `max_ideal_associated` never; on
+    # the plain closure neither makes a top-row pass, and `betti` reads the
     # box's top rows on neither path
     read = []
 
@@ -547,7 +551,7 @@ def test_closure_path_choice(monkeypatch):
         assert depth_quotient(ideal).depth == depth
         assert max_ideal_associated(ideal)[0] == (depth == 0)
     assert taken == ["box"] * 12
-    assert len(read) == 12
+    assert len(read) == sum(depth >= 2 for _, _, depth in DEPTH_LADDER) == 3
     read.clear()
     taken.clear()
     assert depth_quotient(cycle_ideal(5, 2)).depth == 2
@@ -859,7 +863,9 @@ def walk_oracle(ideal):
     support size s (the top rows), and at least 1; the bar is support
     pd + 2, and the walk knows its cones before it reads any facet, so it
     examines none of the elements whose Koszul strand complex the
-    membership oracle finds to be a cone.
+    membership oracle finds to be a cone.  There it examines nothing where
+    depth <= 1, which the box's local cohomology decides first, and it
+    stops once pd reaches n - 2, the largest pd of depth >= 2.
     """
     top = {}
     for (i, a), _ in betti(ideal).entries.items():
@@ -868,13 +874,16 @@ def walk_oracle(ideal):
     elements = sorted(scalar_lcm_closure(vectors), key=lambda a: -support_size(a))
     on_box = _lcm_closure(vectors)[1] is not None
     member = _membership_oracle(ideal)
-    pd, bar = 1, 1
+    n = ideal.n_vars
+    pd, bar, most = 1, 1, n
     if on_box:
+        if n - max(top.values()) <= 1:
+            return [], max(top.values())
         pd = max([1] + [i for a, i in top.items() if i == support_size(a)])
-        bar = 2
+        bar, most = 2, n - 2
     examined = []
     for a in elements:
-        if support_size(a) < pd + bar:
+        if support_size(a) < pd + bar or pd == most:
             break
         if on_box:
             faces, support, _ = membership_koszul_faces(a, member)
@@ -920,7 +929,8 @@ def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
     # every input forced onto the box: on each lattice element the mask
     # holds a iff its facets share a vertex and iff the membership oracle's
     # faces make a cone; depth_quotient builds the mask once where the walk
-    # has work (pd0 + 2 <= n) and never elsewhere, and no other reader does
+    # has work (depth >= 2 and pd0 < n - 2) and never elsewhere, and no
+    # other reader does
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
@@ -942,8 +952,8 @@ def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
             assert (a in cones) == on_facets == _is_cone([face_mask(f) for f in faces], support), a
         patch.setattr(depth_module, "_box_cones", building)
         pd0 = max([1] + [s for s, points in enumerate(_box_top_row(box)) if points])
-        depth_quotient(ideal)
-        assert len(built) == (pd0 + 2 <= ideal.n_vars)
+        depth = depth_quotient(ideal).depth
+        assert len(built) == (depth >= 2 and pd0 < ideal.n_vars - 2)
         built.clear()
         max_ideal_associated(ideal)
         build_lcm_lattice(ideal)
@@ -1007,6 +1017,115 @@ def test_socle_off_the_facets_matches_the_top_row_oracle(ideal):
         assoc, _ = max_ideal_associated(ideal)
     assert read == full
     assert assoc == any(top_row(a, below) for a in full) == (depth_quotient(ideal).depth == 0)
+
+
+# local cohomology on the box
+
+
+def cone_union(box, vectors):
+    """Reference U: the OR over the generators of their up-cones in the
+    box, each an AND of "x_i >= g_i" patterns, one generator at a time."""
+    inside = 0
+    for g in vectors:
+        cone = box.at_least[0][0]
+        for i, e in enumerate(g):
+            if e:
+                cone &= box.at_least[i][box.values[i].index(e)]
+        inside |= cone
+    return inside
+
+
+def raised_by_ranks(bits, span, step, ge):
+    """Reference R_i: the top slice of x_i shifted down to each rank c of
+    x_i in turn and cut to the points with x_i = c."""
+    top = bits & ge[span - 1]
+    return reduce(or_, ((top >> (span - 1 - c) * step) & (ge[c] ^ ge[c + 1]) for c in range(span)))
+
+
+@given(exponent_vectors(n_max=5, max_size=10))
+@with_examples(*BOX_EXAMPLES)
+@settings(max_examples=150, deadline=None)
+def test_box_inside_matches_the_per_generator_cones(vectors):
+    # called directly, whichever path `_lcm_closure` would pick: U against
+    # the generators' cones, and each axis's raise of U and of the points
+    # outside U against the shift of its top slice to every rank
+    box = _box_closure(vectors)
+    assert box.inside == cone_union(box, vectors)
+    outside = box.at_least[0][0] & ~box.inside
+    for i, (values, step, ge) in enumerate(zip(box.values, box.strides, box.at_least)):
+        for bits in (box.inside, outside):
+            assert _raise(box, bits, i) == raised_by_ranks(bits, len(values), step, ge)
+
+
+# the box rule's constants that send every input to the box
+ON_THE_BOX = (("_BOX_MIN_GENS", 1), ("_BOX_SHIFT", 64), ("_BOX_CEILING", 1 << 64))
+
+
+def top_row_witness(box, n):
+    """Reference witness: the socle monomial w = a - 1 of largest degree,
+    ties to the smallest tuple, over the box's full-support top row."""
+    socle = [tuple(e - 1 for e in a) for a in _box_top_row(box)[n]]
+    return Monomial(min(socle, key=lambda w: (-sum(w), w))) if socle else None
+
+
+def assert_low_depth_matches_the_walk(ideal):
+    """The box's local cohomology against the Betti walk over the plainly
+    grown lattice, and `max_ideal_associated` on the box against the
+    box's top row; returns min(depth, 2)."""
+    box = _box_closure([g.exponents for g in ideal.gens])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depth_module, "_BOX_CEILING", 0)
+        depth = min(depth_quotient(ideal).depth, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in ON_THE_BOX:
+            patch.setattr(depth_module, name, value)
+        witness = max_ideal_associated(ideal)
+    assert _box_low_depth(box) == depth, str(ideal)
+    w = top_row_witness(box, ideal.n_vars)
+    assert witness == (w is not None, w), str(ideal)
+    return depth
+
+
+def test_box_low_depth_matches_the_walk_on_random_ideals():
+    # 2,000 ideals in 1-6 variables with 1-10 generators and exponents <= 3,
+    # each forced onto the box: 584 of depth 0, 516 of depth 1, 900 deeper
+    rng = random.Random(0)
+    seen = [0, 0, 0]
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 10))]
+        gens = [Monomial(g) for g in gens if any(g)] or [Monomial.variable(1, n)]
+        seen[assert_low_depth_matches_the_walk(MonomialIdeal(n, gens))] += 1
+    assert seen == [584, 516, 900]
+
+
+def test_box_low_depth_matches_the_walk_on_the_family_powers():
+    # every I(n,m)^t and J(n,m)^t with n <= 7 and t <= 3 that the box rule takes
+    seen = [0, 0, 0]
+    for n in range(2, 8):
+        bases = [path_ideal(n, m) for m in range(1, n + 1)]
+        bases += [cycle_ideal(n, m) for m in range(2, n)]
+        for base, t in product(bases, (1, 2, 3)):
+            ideal = base.power(t)
+            if _lcm_box([g.exponents for g in ideal.gens]) is not None:
+                seen[assert_low_depth_matches_the_walk(ideal)] += 1
+    assert sum(seen) == 72 and min(seen) > 0, seen
+
+
+@given(st.sets(st.frozensets(st.integers(0, 6), min_size=1, max_size=5), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_homology_under_a_ceiling_is_the_uncapped_homology_below_it(gen_faces):
+    # `_homology_from_top` with a ceiling yields the uncapped (d, rank) for
+    # every d from the ceiling down, at every floor; `betti` asks no ceiling
+    masks = list({
+        face_mask(c) for f in gen_faces for r in range(1, len(f) + 1) for c in combinations(f, r)
+    })
+    whole = list(_homology_from_top(masks))
+    top = whole[0][0]
+    for ceiling in range(-1, top + 2):
+        for floor in range(-1, ceiling + 1):
+            got = list(_homology_from_top(masks, floor, ceiling))
+            assert got == [(d, r) for d, r in whole if floor <= d <= ceiling], (ceiling, floor)
 
 
 # facets and nerves of the Koszul strand complexes
@@ -1086,9 +1205,10 @@ def test_no_face_is_built_for_a_cone(monkeypatch):
 
 def test_walk_builds_few_faces_on_the_costliest_ladder_instance(monkeypatch):
     # J(7,3)^3: the walk reaches 1,297 elements, all of support 7, and the
-    # box's cone mask holds 1,100 of them, so it reads the facets of the
-    # other 197 alone, none a cone, which take 4,837 faces; growing every
-    # complex before any cone test took 103,538
+    # box's cone mask holds 1,100 of them; of the other 197, none a cone,
+    # it reads the facets of 165 before pd reaches n - 2 = 5, the most that
+    # depth >= 2 leaves, which take 3,646 faces; the whole 197 took 4,837,
+    # and growing every complex before any cone test took 103,538
     reached = []
     built = []
     facets_of = depth_module._facets
@@ -1099,15 +1219,21 @@ def test_walk_builds_few_faces_on_the_costliest_ladder_instance(monkeypatch):
         reached.append(bool(reduce(and_, facets)))
         return facets
 
-    def counting(faces, floor=-1):
+    def counting(faces, floor=-1, ceiling=None):
         built.append(len(faces))
-        return homology(faces, floor)
+        return homology(faces, floor, ceiling)
 
     monkeypatch.setattr(depth_module, "_facets", reading)
     monkeypatch.setattr(depth_module, "_homology_from_top", counting)
     assert depth_quotient(cycle_ideal(7, 3).power(3)).depth == 2
-    assert (len(reached), sum(reached)) == (197, 0)
-    assert sum(built) == 4837
+    assert (len(reached), sum(reached)) == (165, 0)
+    assert sum(built) == 3646
+    # J(8,2)^4 (depth 2): 20 facet reads and 1,531 faces, where the walk
+    # without the cap read 873 and built 118,992
+    reached.clear()
+    built.clear()
+    assert depth_quotient(cycle_ideal(8, 2).power(4)).depth == 2
+    assert (len(reached), sum(built)) == (20, 1531)
 
 
 def test_depth_ladder_pins():
