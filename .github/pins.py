@@ -1,6 +1,7 @@
 """Run each pathdepth command pinned in pins.txt, print its exit code, wall
-time and SHA-256, and exit 1 when any differs from its pin or a verify --all
-header gate fails.  Usage, from the repository root: python .github/pins.py"""
+time, peak RSS and SHA-256, and exit 1 when any differs from its pin or a
+verify --all header gate fails; the times and sizes gate nothing.  Usage,
+from the repository root: python .github/pins.py"""
 import hashlib, json, os, shlex, subprocess, sys, tempfile, time
 from pathlib import Path
 
@@ -22,9 +23,14 @@ def main():
         for name, code, digest, args in pins():
             path, start = Path(tmp, name), time.perf_counter()
             with open(path, "wb") as out:
-                got = subprocess.run(cli + args, stdout=out, env=env).returncode
+                child = subprocess.Popen(cli + args, stdout=out, env=env)
+                # that one child's rusage; ru_maxrss is in KiB on Linux
+                _, status, usage = os.wait4(child.pid, 0)
+                got = child.returncode = os.waitstatus_to_exitcode(status)
+            wall = time.perf_counter() - start
             sha = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{name}: exit {got}, wall_s {time.perf_counter() - start:.2f}, SHA-256 {sha}")
+            print(f"{name}: exit {got}, wall_s {wall:.2f}, peak_rss_mb {usage.ru_maxrss / 1024:.0f},",
+                  f"SHA-256 {sha}")
             if got != code:
                 bad.append(f"{name}: exit {got}, expected {code}")
             if sha != digest:

@@ -54,35 +54,38 @@ the nerve's when f is below the support size, its own when it is not.
 
 The hot loops run on flat data: bitsets and exponent tuples.  The
 lattice is read off one bitset over the box of the vectors whose every
-coordinate is 0 or some generator's exponent there (`_box_closure`),
-made of the kernel layer's "x_i >= c" patterns
-(`monomials._at_least_patterns`).  The box points in I are one bit per
-generator closed upward by a few masked shifts per axis; a nonzero point
-is in the lattice iff each of its positive coordinates is reached by a
-generator below it, a test made by ANDs and ORs of the generators'
-up-cones, only where a reader asks for the lattice.  A reader decodes
-off the box only the points it reads (`_box_points`).  On a few generators, or where that
-box is large for their number, the lattice is instead grown one
-generator at a time, each new one lcm-ed with every element so far
-(`_plain_closure`); `_lcm_box` picks the path from the number of
-generators and the size of the box.  Faces, on either side of the
-incidence, are vertex bitmasks grown off bitsets (`_grow_faces`), and
-the boundary maps flip bits.  The bitsets of generators are the kernel
-layer's rows (`monomials._below_bitsets` and `_dividing`), the ones ideal
-arithmetic minimalizes with.  Monomials appear only in what the public
-functions take and return.
+coordinate is 0 or some generator's exponent there (`_lcm_box`), the
+kernel layer's box record that the Stanley-depth engine builds too
+(`monomials._build_box`): one seed bit per generator, the only step per
+generator, and the points in I that seed closed upward by a few masked
+shifts per axis (`monomials._up`).  A nonzero point is in the lattice
+iff each of its positive coordinates is reached by a generator below
+it, that is, iff for every i its x_i is 0 or it lies in the seed closed
+along every axis but i; those closures share their prefixes and are
+made only where a reader asks for the lattice (`_box_lattice`).  A
+reader decodes off the box only the points it reads
+(`monomials._box_points`).  On a few generators, or where that box is
+large for their number, the lattice is instead grown one generator at a
+time, each new one lcm-ed with every element so far (`_plain_closure`);
+`_lcm_box` picks the path from the number of generators and the size of
+the box.  Faces, on either side of the incidence, are vertex bitmasks
+grown off bitsets (`_grow_faces`), and the boundary maps flip bits.  The
+bitsets of generators are the kernel layer's rows
+(`monomials._below_bitsets` and `_dividing`), the ones ideal arithmetic
+minimalizes with.  Monomials appear only in what the public functions
+take and return.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, compress, product
 from math import gcd, prod
-from operator import and_, methodcaller, mul
+from operator import and_, methodcaller
 
 from .monomials import (
-    Monomial, _at_least_patterns, _below_bitsets, _count_classes, _dividing, _selectors,
+    Monomial, _below_bitsets, _box_points, _build_box, _count_classes, _dividing, _selectors, _up,
 )
 
 __all__ = [
@@ -232,9 +235,12 @@ class LcmLattice:
 
 
 def _lcm_box(exponent_tuples):
-    """The `_LcmBox` of exponent tuples where the lattice is read off its
-    box (`_box_closure`), or None where the closure is grown plainly
-    (`_plain_closure`).
+    """The box of exponent tuples where the lattice is read off it, or None
+    where the closure is grown plainly (`_plain_closure`): the
+    `monomials._Box` of the vectors whose every coordinate is 0 or some
+    tuple's value there, coordinate i taking the sorted values[i] as its
+    ranks, seeded at the distinct tuples, so that `inside` holds the
+    points in the ideal.
 
     The box is taken when there are at least _BOX_MIN_GENS distinct tuples
     and it has at most min(2^(|G| + _BOX_SHIFT), _BOX_CEILING) points, |G|
@@ -245,9 +251,10 @@ def _lcm_box(exponent_tuples):
     """
     gens = set(exponent_tuples)
     if len(gens) >= _BOX_MIN_GENS:
-        size = prod(len(set(column) | {0}) for column in zip(*gens))
-        if size <= min(1 << len(gens) + _BOX_SHIFT, _BOX_CEILING):
-            return _box_closure(gens)
+        values = [sorted(set(column) | {0}) for column in zip(*gens)]
+        if prod(map(len, values)) <= min(1 << len(gens) + _BOX_SHIFT, _BOX_CEILING):
+            ranks = [{v: c for c, v in enumerate(vs)} for vs in values]
+            return _build_box(values, [tuple(map(dict.__getitem__, ranks, g)) for g in gens])
     return None
 
 
@@ -261,12 +268,12 @@ _BOX_CEILING = 1 << 24
 
 def _lcm_closure(exponent_tuples):
     """(elements, box): the closure of exponent tuples under componentwise
-    max, in lex order, and the `_LcmBox` it was read off, or None where it
-    was grown plainly (`_lcm_box`)."""
+    max, in lex order, and the box it was read off (`_box_lattice`), or
+    None where it was grown plainly (`_lcm_box`)."""
     box = _lcm_box(exponent_tuples)
     if box is None:
         return _plain_closure(exponent_tuples), None
-    return _box_points(box, box.closure), box
+    return _box_points(box, _box_lattice(box)), box
 
 
 def _plain_closure(exponent_tuples):
@@ -281,98 +288,26 @@ def _plain_closure(exponent_tuples):
     return sorted(closure)
 
 
-@dataclass(frozen=True)
-class _LcmBox:
-    """The box B of the vectors whose every coordinate is 0 or the value of
-    some generator there, as bitsets over B, bit r standing for the point
-    of lex rank r: values[i] the sorted values of coordinate i, 0 among
-    them, strides[i] the shift of a step +1 in its rank, at_least[i][c]
-    the points with x_i at rank c or above, `ranked` the generators as
-    tuples of ranks and `inside` the points in the ideal.
+def _box_lattice(box):
+    """The bitset of the lcm lattice's points in the box of `_lcm_box`.
 
-    `closure`, the points of the lcm lattice, is built on its first read:
-    a depth reader that the local cohomology of the box answers
-    (`_box_low_depth`) reads `inside` alone and never builds it.
-
-    A nonzero a in B is the lcm of the generators below it iff each
-    positive a_i is reached by one of them, some g <= a with g_i = a_i;
-    the zero vector is in the closure iff it is a generator.  The up-cone
-    of g is an AND of "x_i >= g_i" patterns over its support, and the
-    cones are ORed into one row per coordinate and value: row[i][c] holds
-    the points above some g with g_i = c.  The points of coordinate i that
-    pass are those with x_i = 0 and, for each c > 0, those of row[i][c]
-    with x_i = c; the closure is the AND of those sets over i.
+    A nonzero a in the box is the lcm of the generators below it iff each
+    positive a_i is reached by one of them, some g <= a with g_i = a_i,
+    that is, iff for every i, a_i = 0 or a lies in T_i, the seed closed
+    upward along every axis but i (`monomials._up`).  The T_i share their
+    prefix closures: the seed closed along the axes below i is kept and
+    closed along i once more for the next.  The zero vector passes every
+    i, and it is in the lattice iff it is a generator, a seed bit.  A
+    reader that the box's local cohomology answers (`_box_low_depth`)
+    never builds it.
     """
-
-    values: list
-    strides: list
-    at_least: list
-    ranked: list
-    inside: int
-
-    @cached_property
-    def closure(self):
-        rows = [[0] * len(vs) for vs in self.values]
-        for g in self.ranked:
-            steps = [(i, c) for i, c in enumerate(g) if c]
-            cone = self.at_least[0][0]
-            for i, c in steps:
-                cone &= self.at_least[i][c]
-            for i, c in steps:
-                rows[i][c] |= cone
-        closure = -1
-        for row, ge in zip(rows, self.at_least):
-            # ge[c] ^ ge[c + 1]: the points with x_i = c
-            passed = ge[0] ^ ge[1]
-            for c in range(1, len(row)):
-                passed |= row[c] & (ge[c] ^ ge[c + 1])
-            closure &= passed
-        if all(map(any, self.ranked)):
-            closure &= ~1
-        return closure
-
-
-def _box_closure(exponent_tuples):
-    """The `_LcmBox` of exponent tuples, whose `closure` is their closure
-    under componentwise max.
-
-    The "x_i >= c" patterns come from `monomials._at_least_patterns`.
-    `inside`, the points in the ideal, is the up-closure of one bit per
-    distinct tuple, set in a `bytearray` at its point: along each axis i,
-    X |= (X << k * strides[i]) & at_least[i][k] for k = 1, 2, 4, ... below
-    the number of ranks makes X hold every point with a set bit at most
-    2k - 1 ranks below it in x_i, and the mask drops what a shift carries
-    into the next run of x_i.  So U costs a few masked shifts per axis,
-    none a step per tuple on the whole box.
-    """
-    gens = set(exponent_tuples)
-    values = [sorted(set(column) | {0}) for column in zip(*gens)]
-    spans = [len(v) for v in values]
-    strides = [prod(spans[i + 1:]) for i in range(len(spans))]
-    size = strides[0] * spans[0]
-    at_least = [
-        _at_least_patterns(range(span + 1), span, step, size)
-        for span, step in zip(spans, strides)
-    ]
-    ranks = [{v: c for c, v in enumerate(vs)} for vs in values]
-    ranked = [tuple(rank[e] for rank, e in zip(ranks, g)) for g in gens]
-    seed = bytearray(size + 7 >> 3)
-    for g in ranked:
-        r = sum(map(mul, g, strides))
-        seed[r >> 3] |= 1 << (r & 7)
-    inside = int.from_bytes(seed, "little")
-    for span, step, ge in zip(spans, strides, at_least):
-        k = 1
-        while k < span:
-            inside |= (inside << k * step) & ge[k]
-            k *= 2
-    return _LcmBox(values, strides, at_least, ranked, inside)
-
-
-def _box_points(box, bits):
-    """The points of the box in `bits`, as exponent tuples in lex order,
-    read off the box through `monomials._selectors`."""
-    return list(compress(product(*box.values), _selectors(bits)))
+    n = len(box.values)
+    lattice, prefix = box.every, box.seed
+    for i, ge in enumerate(box.at_least):
+        # box.every ^ ge[1]: the points with x_i = 0
+        lattice &= _up(box, prefix, range(i + 1, n)) | (box.every ^ ge[1])
+        prefix = _up(box, prefix, (i,))
+    return lattice & ~1 | box.seed & 1
 
 
 def _lower(bits, step, positive):
@@ -407,12 +342,12 @@ def _box_top_row(box):
     for step, ge1 in zip(box.strides, positive):
         lowered.append(_lower(lowered[-1], step, ge1))
     passing = ~lowered.pop()
-    for j, ge in enumerate(box.at_least):
+    for j, ge1 in enumerate(positive):
         bits = lowered[j]
-        for step, ge1 in zip(box.strides[j + 1:], positive[j + 1:]):
-            bits = _lower(bits, step, ge1)
-        # ge[0] ^ ge[1]: the points with x_j = 0, which pass whatever bits holds
-        passing &= bits | (ge[0] ^ ge[1])
+        for step, up1 in zip(box.strides[j + 1:], positive[j + 1:]):
+            bits = _lower(bits, step, up1)
+        # box.every ^ ge1: the points with x_j = 0, which pass whatever bits holds
+        passing &= bits | (box.every ^ ge1)
     top = []
     for bits in _count_classes(positive, passing):
         points = []
@@ -488,9 +423,9 @@ def _box_void_degrees(box):
     those of H^1.
     """
     raised = [_raise(box, box.inside, i) for i in range(len(box.values))]
-    void = box.at_least[0][0] & ~box.inside
+    void = box.every & ~box.inside
     # zero: the points with no top coordinate so far, one: exactly one
-    zero, one = box.at_least[0][0], 0
+    zero, one = box.every, 0
     for bits, vs, ge in zip(raised, box.values, box.at_least):
         top = ge[len(vs) - 1]
         void &= bits | top
@@ -509,7 +444,7 @@ def _box_disconnected(box, raised):
     lowest vertex, and what it reaches grows along its edges, for all
     points at once, until it holds every vertex or a round adds nothing:
     at most n rounds."""
-    inner = box.at_least[0][0]
+    inner = box.every
     for vs, ge in zip(box.values, box.at_least):
         inner &= ~ge[len(vs) - 1]
     vertices = [inner & ~bits for bits in raised]
@@ -669,15 +604,16 @@ def _strand_homology(exponents, below, floor, ceiling=None):
 
 def _reader_rows(ideal):
     """(box, elements, below), what the depth readers start from, for a
-    proper nonzero ideal: `box` the `_LcmBox` where the lattice is read
-    off it (`_lcm_box`) and `elements` None, so that a reader decodes only
-    the points it reads (`_box_points`), or `box` None and `elements` the
-    plainly grown lattice in lex order; and the generators'
-    `_below_bitsets` rows.  On the box both readers start from its local
-    cohomology (`_box_void_degrees`), and only `depth_quotient`, where
-    depth >= 2, reads its top rows (`_box_top_row`); off it neither makes
-    a top-row pass, as the walk reads each element's top row itself and
-    the socle is read off the facets (`_socle_row`)."""
+    proper nonzero ideal: `box` the box where the lattice is read off it
+    (`_lcm_box`) and `elements` None, so that a reader decodes only the
+    points it reads (`monomials._box_points`), or `box` None and
+    `elements` the plainly grown lattice in lex order; and the
+    generators' `_below_bitsets` rows.  On the box both readers start
+    from its local cohomology (`_box_void_degrees`), and only
+    `depth_quotient`, where depth >= 2, reads its top rows
+    (`_box_top_row`) and its lattice (`_box_lattice`); off it neither
+    makes a top-row pass, as the walk reads each element's top row itself
+    and the socle is read off the facets (`_socle_row`)."""
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
     box = _lcm_box(vectors)
@@ -782,7 +718,7 @@ def depth_quotient(ideal):
         bar, most = 2, n - 2
         # the walk reads no cone, so none is decoded, and no point at all
         # where pd cannot rise
-        elements = _box_points(box, box.closure & ~_box_cones(box)) if pd < most else []
+        elements = _box_points(box, _box_lattice(box) & ~_box_cones(box)) if pd < most else []
     # by decreasing support size, lex order within one: the sort is stable
     elements.sort(key=methodcaller("count", 0))
     for a in elements:

@@ -14,20 +14,24 @@ keeps a tuple iff the bitset of the candidates below it (`_dividing` over
 that keep a minimal set minimal only order their tuples.
 
 The engines' boxes of exponent vectors are bitsets too, bit r standing
-for the point of lex rank r: `_at_least_patterns` builds the "x_i >= c"
-patterns that the Stanley-depth box and the lcm-lattice box are made of,
-`_count_classes` sorts a bitset's points by how many of some patterns
-hold them (a poset point's label, an lcm point's support size), and
-`_selectors` turns a bitset into selectors that read its points off the
-box in lex order.
+for the point of lex rank r, and one record (`_Box`) and one builder
+(`_build_box`) serve both: the lcm-lattice box of the depth engine and the
+Stanley-depth box.  Each given point sets one seed bit, the only step per
+point; the points above some seed are the seed closed upward by a few
+masked shifts per axis (`_up`), over "x_i >= c" patterns
+(`_at_least_patterns`) built only at the ranks that the shifts and the
+engines read.  `_count_classes` sorts a bitset's points by how many of
+some patterns hold them (a poset point's label, an lcm point's support
+size), and `_box_points` reads a bitset's points off the box in lex order
+through `_selectors`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, index, sub
+from itertools import accumulate, chain, compress, product
+from operator import add, index, mul, sub
 
 __all__ = [
     "AmbientMismatchError",
@@ -212,6 +216,79 @@ def _at_least_patterns(wanted, span, step, size):
         covered *= 2
     repeats &= (1 << size) - 1
     return {c: (repeats << period) - (repeats << c * step) for c in wanted}
+
+
+@dataclass
+class _Box:
+    """A box of vectors as bitsets, bit r standing for the point of lex
+    rank r: coordinate i takes values[i], a step +1 in its rank is a
+    shift by strides[i], `every` holds all points, at_least[i][c] those
+    with x_i at rank c or above for c = 1, the powers of two below the
+    span and the top rank, `seed` one bit per given point and `inside`
+    the points above some seed point (`_build_box`)."""
+
+    values: list
+    strides: list
+    every: int
+    at_least: list
+    seed: int
+    inside: int
+
+
+def _build_box(values, seeds):
+    """The `_Box` over values[i] in coordinate i, seeded at the points of
+    rank tuples `seeds`.
+
+    Each seed sets one bit of a `bytearray`, the only step per seed.
+    `inside` is the seed closed upward along every axis (`_up`), so no
+    bitset over the box is built per seed, and the "x_i >= c" patterns
+    (`_at_least_patterns`) are built only at the ranks that `_up` and the
+    engines read, about log2(span) of them per coordinate.
+    """
+    spans = [len(vs) for vs in values]
+    strides = list(accumulate(spans[:0:-1], mul, initial=1))[::-1]
+    size = strides[0] * spans[0]
+    at_least = []
+    for span, step in zip(spans, strides):
+        wanted, k = {1, span - 1}, 2
+        while k < span:
+            wanted.add(k)
+            k *= 2
+        at_least.append(_at_least_patterns(wanted, span, step, size))
+    seed = bytearray(size + 7 >> 3)
+    for g in seeds:
+        r = sum(map(mul, g, strides))
+        seed[r >> 3] |= 1 << (r & 7)
+    seed = int.from_bytes(seed, "little")
+    # `inside` starts as the seed, which `_up` closes
+    box = _Box(values, strides, (1 << size) - 1, at_least, seed, seed)
+    box.inside = _up(box, seed, range(len(spans)))
+    return box
+
+
+def _up(box, bits, axes):
+    """`bits` closed upward along each axis i in `axes`: a point is held
+    iff bits holds it or one below it in x_i with the other coordinates
+    equal.
+
+    X |= (X << k * strides[i]) & at_least[i][k] for k = 1, 2, 4, ...
+    below the span makes X hold every point with a set bit at most 2k - 1
+    ranks below it in x_i, and the mask drops what a shift carries into
+    the next run of x_i: a few masked shifts per axis.
+    """
+    for i in axes:
+        span, step, ge = len(box.values[i]), box.strides[i], box.at_least[i]
+        k = 1
+        while k < span:
+            bits |= (bits << k * step) & ge[k]
+            k *= 2
+    return bits
+
+
+def _box_points(box, bits):
+    """The points of the box in `bits`, as tuples of values in lex order,
+    read off the box through `_selectors`."""
+    return list(compress(product(*box.values), _selectors(bits)))
 
 
 def _count_classes(patterns, among):

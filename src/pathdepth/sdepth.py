@@ -7,13 +7,15 @@ into intervals [a, b] whose label |{i : b_i = g_i}| is at least k; the
 search is an exact cover over interval candidates, decided from high k
 downward.  A budget exhaustion is an error, never a wrong answer.
 
-The kernel runs on bitsets.  One pass over the box (`_box`) makes the
-bitset of its points outside I, in lex order, from "x_i >= c" patterns
-built only at the generators' exponents and at g_i; `build_poset`, the
-one route to a poset, reads the points off it with its bits as
-selectors, sorted stably by degree, and the sweep bound, which the poset
-carries (`CharacteristicPoset.sweep`).  Each poset builds its rows over
-its points (`CharacteristicPoset.below` and `.up`), its label classes and
+The kernel runs on bitsets.  The box of the vectors a <= g (`_box`) is
+the kernel layer's box record, the one the depth engine's lcm lattice is
+read off too (`monomials._build_box`): one seed bit per generator, the
+only step per generator, closed upward by a few masked shifts per axis
+into the points in I, whose complement is the poset.  `build_poset`, the
+one route to a poset, reads the points off it in lex order
+(`monomials._box_points`), sorted stably by degree, and the sweep bound,
+which the poset carries (`CharacteristicPoset.sweep`).  Each poset
+builds its rows over its points (`CharacteristicPoset.below` and `.up`), its label classes and
 each k's admissible tops once, and every k's search, the bounds and the
 symmetry finder read them.  Admissible tops and interval cells are ANDs
 of such rows (`monomials._dividing`, the kernel layer's), and one
@@ -83,7 +85,7 @@ from math import comb, prod
 from operator import eq, itemgetter, lt, xor
 
 from .monomials import (
-    Monomial, _at_least_patterns, _below_bitsets, _count_classes, _dividing, _selectors,
+    Monomial, _below_bitsets, _box_points, _build_box, _count_classes, _dividing, _selectors,
 )
 
 __all__ = [
@@ -196,30 +198,25 @@ def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
     their sweep bound.
 
     g must be a multiple of lcm(G(I)); it defaults to the lcm.  The points
-    and the sweep bound are both read off the bitset of the box points
-    outside I (`_box`): the box in lex order, filtered with the bits as
-    selectors, then sorted stably by degree.  The poset builds its rows
-    and its label classes, one bitset of points per label, once, when
-    first read.
+    and the sweep bound are both read off the box (`_box`): its points
+    outside I in lex order (`monomials._box_points`), then sorted stably
+    by degree.  The poset builds its rows and its label classes, one
+    bitset of points per label, once, when first read.
     """
     box = _box(ideal, g, cap)
-    g, _, members, _ = box
-    box_order = _cartesian(*(range(e + 1) for e in g))
+    g = tuple(vs[-1] for vs in box.values)
+    points = _box_points(box, box.every ^ box.inside)
     # lex order within a degree: the box's order, and the sort is stable
-    points = sorted(compress(box_order, _selectors(members)), key=sum)
+    points.sort(key=sum)
     return CharacteristicPoset(len(g), g, tuple(points), _sweep_bound(box))
 
 
 def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
-    """(g, strides, members, capped): the box of the vectors a <= g as
-    bitsets, bit r standing for the point of lex rank r, so a step +1 in
-    x_i is a shift by strides[i].
+    """The `monomials._Box` of the vectors a <= g, x_i taking the values
+    0..g_i, which are their own ranks, seeded at the generators: `inside`
+    holds the points in I and every ^ inside those of the poset.
 
-    "x_i >= c" is a periodic pattern (`monomials._at_least_patterns`),
-    built only at the generators' nonzero exponents and at g_i, so a wide
-    column costs no pattern per value it spans.  `members` holds the
-    points outside I, those under no generator's AND of its patterns, and
-    capped[i] those with x_i = g_i.
+    The cap is checked on the box's size before anything is built.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
@@ -232,23 +229,10 @@ def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):
     if any(map(lt, cap_vec, lcm.exponents)):
         # below the lcm a point no longer decides membership of its cone
         raise ValueError("g = %s is not a multiple of lcm(G(I)) = %s" % (g, lcm))
-    strides = [prod(e + 1 for e in cap_vec[i + 1:]) for i in range(len(cap_vec))]
-    size = strides[0] * (cap_vec[0] + 1)
+    size = prod(e + 1 for e in cap_vec)
     if size > cap:
         raise PosetCapError("box of size %d exceeds cap %d" % (size, cap))
-    at_least = []  # at_least[i][c]: the points with x_i >= c
-    for i, (gi, step) in enumerate(zip(cap_vec, strides)):
-        wanted = {h.exponents[i] for h in ideal.gens if h.exponents[i]} | {gi}
-        at_least.append(_at_least_patterns(wanted, gi + 1, step, size))
-    inside = 0
-    for h in ideal.gens:
-        cone = -1
-        for row, c in zip(at_least, h.exponents):
-            if c:
-                cone &= row[c]
-        inside |= cone
-    members = ((1 << size) - 1) ^ inside
-    return cap_vec, strides, members, [row[gi] for row, gi in zip(at_least, cap_vec)]
+    return _build_box([range(e + 1) for e in cap_vec], [h.exponents for h in ideal.gens])
 
 
 def _leq(a, b):
@@ -256,7 +240,7 @@ def _leq(a, b):
 
 
 def _sweep_bound(box):
-    """Smallest label of a maximal point of the poset of a `_box`.
+    """Smallest label of a maximal point of the poset of a box (`_box`).
 
     A maximal point is its own only admissible top, and every point lies
     below a maximal one, so this is the largest k at which every point
@@ -268,9 +252,11 @@ def _sweep_bound(box):
     counts the capped coordinates, whose classes `monomials._count_classes`
     sorts out.
     """
-    _, strides, members, capped = box
+    members = box.every ^ box.inside
+    # the points with x_i = g_i, its top rank
+    capped = [ge[len(vs) - 1] for vs, ge in zip(box.values, box.at_least)]
     blocked = 0
-    for row, step in zip(capped, strides):
+    for row, step in zip(capped, box.strides):
         blocked |= (members >> step) & ~row
     return next(label for label, bits in enumerate(_count_classes(capped, members & ~blocked)) if bits)
 

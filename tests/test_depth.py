@@ -16,10 +16,9 @@ from pathdepth.depth import (
     DepthResult,
     PolarizationCapError,
     UnitIdealError,
-    _box_closure,
     _box_cones,
+    _box_lattice,
     _box_low_depth,
-    _box_points,
     _box_top_row,
     _facets,
     _homology_from_top,
@@ -41,7 +40,16 @@ from pathdepth.depth import (
 )
 from pathdepth import depth as depth_module
 from pathdepth.families import cycle_ideal, path_ideal, phi
-from pathdepth.monomials import Monomial, MonomialIdeal, _below_bitsets, _dividing, parse_ideal
+from pathdepth.monomials import (
+    Monomial,
+    MonomialIdeal,
+    _at_least_patterns,
+    _below_bitsets,
+    _box_points,
+    _build_box,
+    _dividing,
+    parse_ideal,
+)
 
 # linear algebra ------------------------------------------------------
 
@@ -419,13 +427,74 @@ BOX_EXAMPLES = (
 )
 
 
+# the box rule's constants that send every input to the box
+ON_THE_BOX = (("_BOX_MIN_GENS", 1), ("_BOX_SHIFT", 64), ("_BOX_CEILING", 1 << 64))
+
+
+def lcm_box(vectors):
+    """The box of `_lcm_box` built whichever path `_lcm_closure` would pick."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in ON_THE_BOX:
+            patch.setattr(depth_module, name, value)
+        return _lcm_box(vectors)
+
+
+def every_rank_patterns(box):
+    """at_least[i][c], the points with x_i at rank c or above, for every
+    rank c = 0..span of every axis, where the box itself builds only the
+    ranks its readers need."""
+    size = box.every.bit_length()
+    return [
+        _at_least_patterns(range(len(vs) + 1), len(vs), step, size)
+        for vs, step in zip(box.values, box.strides)
+    ]
+
+
+def row_loop_lattice(box, vectors):
+    """Reference lattice, one up-cone bitset per generator: the lattice
+    read before the seed's prefix closures.
+
+    A nonzero a in the box is the lcm of the generators below it iff each
+    positive a_i is reached by one of them, some g <= a with g_i = a_i.
+    The up-cone of g is an AND of "x_i >= g_i" patterns over its support,
+    and the cones are ORed into one row per coordinate and rank: row[i][c]
+    holds the points above some g with g_i at rank c.  The points of
+    coordinate i that pass are those with x_i = 0 and, for each c > 0,
+    those of row[i][c] with x_i at rank c; the lattice is the AND of those
+    sets over i, the zero vector in it iff it is a generator.
+    """
+    at_least = every_rank_patterns(box)
+    rows = [[0] * len(vs) for vs in box.values]
+    for g in set(vectors):
+        steps = [(i, box.values[i].index(e)) for i, e in enumerate(g) if e]
+        cone = box.every
+        for i, c in steps:
+            cone &= at_least[i][c]
+        for i, c in steps:
+            rows[i][c] |= cone
+    lattice = -1
+    for row, ge in zip(rows, at_least):
+        # ge[c] ^ ge[c + 1]: the points with x_i at rank c
+        passed = ge[0] ^ ge[1]
+        for c in range(1, len(row)):
+            passed |= row[c] & (ge[c] ^ ge[c + 1])
+        lattice &= passed
+    if all(map(any, vectors)):
+        lattice &= ~1
+    return lattice
+
+
 @given(exponent_vectors(n_max=5, max_size=10))
 @with_examples(*BOX_EXAMPLES)
 @settings(max_examples=150, deadline=None)
 def test_box_closure_matches_scalar_oracle(vectors):
-    # called directly, whichever path `_lcm_closure` would pick
-    box = _box_closure(vectors)
-    assert _box_points(box, box.closure) == scalar_lcm_closure(vectors)
+    # on the box whichever path `_lcm_closure` would pick: the prefix
+    # closures against the per-generator row loop, and the points against
+    # the scalar closure
+    box = lcm_box(vectors)
+    lattice = _box_lattice(box)
+    assert lattice == row_loop_lattice(box, vectors)
+    assert _box_points(box, lattice) == scalar_lcm_closure(vectors)
 
 
 def top_row(exponents, below):
@@ -478,10 +547,10 @@ def top_rows(ideal):
 @with_examples(*BOX_EXAMPLES)
 @settings(max_examples=150, deadline=None)
 def test_box_top_row_matches_the_per_element_scan(vectors):
-    # called directly, whichever path `_lcm_closure` would pick, against
+    # on the box whichever path `_lcm_closure` would pick, against
     # `top_row` over the scalar closure: the same passing points, so the
     # same pd0 and the same full-support points, the witnesses' a = w + 1
-    top = _box_top_row(_box_closure(vectors))
+    top = _box_top_row(lcm_box(vectors))
     n = len(vectors[0])
     below = _below_bitsets(vectors)
     passing = [a for a in scalar_lcm_closure(vectors) if any(a) and top_row(a, below)]
@@ -503,14 +572,14 @@ def test_closure_path_choice(monkeypatch):
     assert all(min(16 * g * g, 1 << 17) <= min(1 << g + 4, 1 << 24) for g in range(6, 100))
     taken = []
 
-    def recording(name, closure):
-        def record(vectors):
+    def recording(name, build):
+        def record(*args):
             taken.append(name)
-            return closure(vectors)
+            return build(*args)
 
         return record
 
-    monkeypatch.setattr(depth_module, "_box_closure", recording("box", lambda vectors: "box"))
+    monkeypatch.setattr(depth_module, "_build_box", recording("box", lambda *args: "box"))
     for vectors in LADDER_VECTORS:
         assert _lcm_box(vectors) == "box"
     assert taken == ["box"] * 6
@@ -532,26 +601,31 @@ def test_closure_path_choice(monkeypatch):
     for vectors in (fewer, fewer * 2, distinct, chain):
         assert _lcm_box(vectors) is None
     assert taken == []
-    # on the box `depth_quotient` reads its top rows where the local
-    # cohomology leaves depth >= 2, and `max_ideal_associated` never; on
-    # the plain closure neither makes a top-row pass, and `betti` reads the
-    # box's top rows on neither path
-    read = []
+    # on the box `depth_quotient` reads its top rows and its lattice where
+    # the local cohomology leaves depth >= 2, and `max_ideal_associated`
+    # neither; on the plain closure neither makes a top-row pass, and
+    # `betti` reads the box's top rows on neither path
+    read, lattices = [], []
 
     def reading(box):
         read.append(box)
         return _box_top_row(box)
 
-    monkeypatch.setattr(depth_module, "_box_closure", recording("box", _box_closure))
+    def building(box):
+        lattices.append(box)
+        return _box_lattice(box)
+
+    monkeypatch.setattr(depth_module, "_build_box", recording("box", _build_box))
     monkeypatch.setattr(depth_module, "_plain_closure", recording("plain", _plain_closure))
     monkeypatch.setattr(depth_module, "_box_top_row", reading)
+    monkeypatch.setattr(depth_module, "_box_lattice", building)
     taken.clear()
     for base, t, depth in DEPTH_LADDER:
         ideal = base.power(t)
         assert depth_quotient(ideal).depth == depth
         assert max_ideal_associated(ideal)[0] == (depth == 0)
     assert taken == ["box"] * 12
-    assert len(read) == sum(depth >= 2 for _, _, depth in DEPTH_LADDER) == 3
+    assert len(read) == len(lattices) == sum(depth >= 2 for _, _, depth in DEPTH_LADDER) == 3
     read.clear()
     taken.clear()
     assert depth_quotient(cycle_ideal(5, 2)).depth == 2
@@ -928,34 +1002,43 @@ def test_walk_examines_only_elements_that_can_raise_pd(ideal):
 def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
     # every input forced onto the box: on each lattice element the mask
     # holds a iff its facets share a vertex and iff the membership oracle's
-    # faces make a cone; depth_quotient builds the mask once where the walk
-    # has work (depth >= 2 and pd0 < n - 2) and never elsewhere, and no
-    # other reader does
+    # faces make a cone; depth_quotient builds the mask and the lattice
+    # once where the walk has work (depth >= 2 and pd0 < n - 2) and never
+    # elsewhere, so no lattice at depth <= 1, and `max_ideal_associated`
+    # builds neither
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
-    built = []
+    built, read = [], []
 
     def building(box):
         built.append(box)
         return _box_cones(box)
+
+    def reading(box):
+        read.append(box)
+        return _box_lattice(box)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_module, "_BOX_MIN_GENS", 1)
         patch.setattr(depth_module, "_BOX_SHIFT", 64)
         patch.setattr(depth_module, "_BOX_CEILING", 1 << 64)
         box = _lcm_box(vectors)
-        cones = set(_box_points(box, box.closure & _box_cones(box)))
-        for a in _box_points(box, box.closure):
+        lattice = _box_lattice(box)
+        cones = set(_box_points(box, lattice & _box_cones(box)))
+        for a in _box_points(box, lattice):
             faces, support, _ = membership_koszul_faces(a, member)
             on_facets = bool(reduce(and_, _facets(a, below)))
             assert (a in cones) == on_facets == _is_cone([face_mask(f) for f in faces], support), a
         patch.setattr(depth_module, "_box_cones", building)
+        patch.setattr(depth_module, "_box_lattice", reading)
         pd0 = max([1] + [s for s, points in enumerate(_box_top_row(box)) if points])
         depth = depth_quotient(ideal).depth
-        assert len(built) == (depth >= 2 and pd0 < ideal.n_vars - 2)
+        assert len(built) == len(read) == (depth >= 2 and pd0 < ideal.n_vars - 2)
         built.clear()
+        read.clear()
         max_ideal_associated(ideal)
+        assert read == []
         build_lcm_lattice(ideal)
         betti(ideal)
         assert built == []
@@ -1024,20 +1107,23 @@ def test_socle_off_the_facets_matches_the_top_row_oracle(ideal):
 
 def cone_union(box, vectors):
     """Reference U: the OR over the generators of their up-cones in the
-    box, each an AND of "x_i >= g_i" patterns, one generator at a time."""
+    box, each an AND of "x_i >= g_i" patterns, one generator at a time,
+    on patterns built at every rank (`every_rank_patterns`)."""
+    at_least = every_rank_patterns(box)
     inside = 0
     for g in vectors:
-        cone = box.at_least[0][0]
+        cone = box.every
         for i, e in enumerate(g):
             if e:
-                cone &= box.at_least[i][box.values[i].index(e)]
+                cone &= at_least[i][box.values[i].index(e)]
         inside |= cone
     return inside
 
 
 def raised_by_ranks(bits, span, step, ge):
     """Reference R_i: the top slice of x_i shifted down to each rank c of
-    x_i in turn and cut to the points with x_i = c."""
+    x_i in turn and cut to the points with x_i = c, on patterns `ge` built
+    at every rank (`every_rank_patterns`)."""
     top = bits & ge[span - 1]
     return reduce(or_, ((top >> (span - 1 - c) * step) & (ge[c] ^ ge[c + 1]) for c in range(span)))
 
@@ -1046,19 +1132,16 @@ def raised_by_ranks(bits, span, step, ge):
 @with_examples(*BOX_EXAMPLES)
 @settings(max_examples=150, deadline=None)
 def test_box_inside_matches_the_per_generator_cones(vectors):
-    # called directly, whichever path `_lcm_closure` would pick: U against
-    # the generators' cones, and each axis's raise of U and of the points
+    # on the box whichever path `_lcm_closure` would pick: U against the
+    # generators' cones, and each axis's raise of U and of the points
     # outside U against the shift of its top slice to every rank
-    box = _box_closure(vectors)
+    box = lcm_box(vectors)
     assert box.inside == cone_union(box, vectors)
-    outside = box.at_least[0][0] & ~box.inside
-    for i, (values, step, ge) in enumerate(zip(box.values, box.strides, box.at_least)):
+    outside = box.every & ~box.inside
+    ranks = every_rank_patterns(box)
+    for i, (values, step, ge) in enumerate(zip(box.values, box.strides, ranks)):
         for bits in (box.inside, outside):
             assert _raise(box, bits, i) == raised_by_ranks(bits, len(values), step, ge)
-
-
-# the box rule's constants that send every input to the box
-ON_THE_BOX = (("_BOX_MIN_GENS", 1), ("_BOX_SHIFT", 64), ("_BOX_CEILING", 1 << 64))
 
 
 def top_row_witness(box, n):
@@ -1072,7 +1155,7 @@ def assert_low_depth_matches_the_walk(ideal):
     """The box's local cohomology against the Betti walk over the plainly
     grown lattice, and `max_ideal_associated` on the box against the
     box's top row; returns min(depth, 2)."""
-    box = _box_closure([g.exponents for g in ideal.gens])
+    box = lcm_box([g.exponents for g in ideal.gens])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_module, "_BOX_CEILING", 0)
         depth = min(depth_quotient(ideal).depth, 2)

@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 from pathdepth import sdepth
 from pathdepth.depth import betti, depth_quotient
 from pathdepth.families import cycle_ideal, path_ideal
-from pathdepth.monomials import Monomial, MonomialIdeal, _below_bitsets, parse_ideal
+from pathdepth.monomials import (
+    Monomial,
+    MonomialIdeal,
+    _at_least_patterns,
+    _below_bitsets,
+    parse_ideal,
+)
 from pathdepth.sdepth import (
     DEFAULT_BUDGET,
     CharacteristicPoset,
@@ -491,17 +497,43 @@ def small_ideals(draw, n_max=4, exp_max=2, gens_max=4):
     return MonomialIdeal(n, gens)
 
 
-@given(small_ideals(), st.data())
+def cone_loop_members(ideal, g):
+    """Reference poset bitset over the box of the vectors a <= g, bit r
+    standing for the point of lex rank r: the points under no generator's
+    up-cone, each cone an AND of "x_i >= h_i" patterns over the support of
+    h, one generator at a time, the box's members before the seed's
+    closure."""
+    spans = [e + 1 for e in g]
+    strides = [prod(spans[i + 1:]) for i in range(len(spans))]
+    size = prod(spans)
+    inside = 0
+    for h in ideal.gens:
+        cone = (1 << size) - 1
+        for i, e in enumerate(h.exponents):
+            if e:
+                cone &= _at_least_patterns({e}, spans[i], strides[i], size)[e]
+        inside |= cone
+    return ((1 << size) - 1) ^ inside
+
+
+@given(small_ideals(), st.lists(st.integers(0, 1), min_size=4, max_size=4))
+@example(parse_ideal("x1*x2, x2^2", 3), [0, 0, 0])  # x3 in no generator: a span of 1
+@example(parse_ideal("x1^4*x2, x2^8", 2), [1, 0])  # spans 6 and 9
+@example(parse_ideal("x1^6, x2^5*x3, x1*x3^4", 3), [0, 0, 0])  # spans 7, 6 and 5
+@example(parse_ideal("x1^257*x2, x2^2", 2), [0, 1])  # an exponent above 255
+@example(parse_ideal("x1*x2, x2^2*x3", 3), [3, 0, 2])  # g 3 and 2 above the lcm
 @settings(max_examples=60, deadline=None)
-def test_bitset_kernel_matches_tuple_scan_oracles(ideal, data):
-    # identical points, in the same order, for g = lcm and for a g above it
+def test_bitset_kernel_matches_tuple_scan_oracles(ideal, bump):
+    # identical points, in the same order, for g = lcm and for a g above
+    # it, and the box's members against the per-generator cones
     lcm = ideal.lcm_of_gens().exponents
-    bump = tuple(data.draw(st.integers(0, 1)) for _ in lcm)
     above = Monomial(tuple(e + b for e, b in zip(lcm, bump)))
     posets = []
     for g in (None, above):
         poset = build_poset(ideal, g=g)
         assert poset == box_scan_poset(ideal, g=g)
+        box = _box(ideal, g)
+        assert box.every ^ box.inside == cone_loop_members(ideal, poset.g)
         posets.append(poset)
     # the same partition, the same None or the same budget message, at
     # every k and at budgets that stop each phase
@@ -792,7 +824,9 @@ def test_bounds_match_their_scan_oracles_on_ladder_instances():
     # colons repeat an earlier one's shapes, and I(7,3)^3 (12,550)
     for ideal in (cycle_ideal(7, 3).power(3), path_ideal(7, 3).power(3)):
         poset = build_poset(ideal)
-        assert _sweep_bound(_box(ideal)) == scan_sweep_bound(poset), str(ideal)
+        box = _box(ideal)
+        assert box.every ^ box.inside == cone_loop_members(ideal, poset.g), str(ideal)
+        assert _sweep_bound(box) == scan_sweep_bound(poset), str(ideal)
         assert _hilbert_bound(poset, 6) == counter_hilbert_bound(poset, 6), str(ideal)
         assert _colon_bound(poset, 6) == scan_colon_bound(poset, 6), str(ideal)
 
@@ -838,10 +872,10 @@ def test_labels_in_many_variables():
 
 
 def test_sweep_bound_with_one_wide_exponent_builds_few_patterns():
-    # x1^20000*x2: a box of 40,002 points.  Patterns only at the
-    # generators' exponents and at g keep the box pass and the sweep to a
-    # few 40,002-bit ints, where one pattern per value of x1 would take
-    # about 100 MB
+    # x1^20000*x2: a box of 40,002 points.  Patterns only at rank 1, the
+    # powers of two below the span and the top rank, 16 for x1, keep the
+    # box pass and the sweep to a few dozen 40,002-bit ints, where one
+    # pattern per value of x1 would take about 100 MB
     ideal = MonomialIdeal(2, [Monomial((20000, 1))])
     tracemalloc.start()
     try:
@@ -852,6 +886,7 @@ def test_sweep_bound_with_one_wide_exponent_builds_few_patterns():
         tracemalloc.stop()
     assert bound == scan_sweep_bound(build_poset(ideal)) == 1
     assert peak < 4_000_000, peak
+    assert box.every ^ box.inside == cone_loop_members(ideal, (20000, 1))
 
 
 def test_colon_bound_bounds_each_shape_multiset_once(monkeypatch):
@@ -879,7 +914,7 @@ def test_rows_are_built_once_per_poset(monkeypatch):
     # and decided by the finder at k = 2: one box pass gives its points and
     # its sweep bound, and one set of rows over its points serves them all
     built, boxes = [], []
-    rows, box = sdepth._below_bitsets, sdepth._box
+    rows, box = sdepth._below_bitsets, sdepth._build_box
 
     def counted(vectors, caps=None):
         built.append(vectors)
@@ -890,7 +925,7 @@ def test_rows_are_built_once_per_poset(monkeypatch):
         return box(*args)
 
     monkeypatch.setattr(sdepth, "_below_bitsets", counted)
-    monkeypatch.setattr(sdepth, "_box", counted_box)
+    monkeypatch.setattr(sdepth, "_build_box", counted_box)
     ideal = cycle_ideal(6, 4).power(2)
     assert sdepth_quotient(ideal).sdepth == 2
     assert len(boxes) == 1
