@@ -12,11 +12,10 @@ cross-check on small inputs.  depth = n - pd by Auslander-Buchsbaum.
 nonzero row, pd = max{i : beta_{i,a} != 0}.  Since beta_{i,a} = 0 for
 i > s = |supp(a)|, the walk examines the lattice elements by decreasing
 support, computes only the homology that could raise pd, and stops once
-no element left can.  beta_{s,a}, the top row at a, is non-zero iff the
-complex at a is the boundary of the simplex on the support.  Where the
-lattice is grown plainly, the walk starts at pd = 1, from the
-generators, and examines every element of support at least pd + 1, its
-top row among the dimensions it asks.
+no element left can.  It starts at pd = 1, from the generators, and
+examines every element of support at least pd + 1, its top row
+beta_{s,a} among the dimensions it asks; that row is non-zero iff the
+complex at a is the boundary of the simplex on the support.
 
 Where the lattice is read off its box, depth is first looked at from
 below, by local cohomology, with no lattice, face or rank: depth =
@@ -25,11 +24,8 @@ and H^1 is a box point whose degree complex is {empty face} or, for H^1,
 disconnected, all tested at once by masked shifts of the box's bitset of
 points in I (`_box_low_depth`).  A depth of 0 or 1 ends the call there;
 J(8,6)^7, depth 1 on a box of 2^24 points, takes about 1 s where the
-walk took 25 s.  Otherwise pd <= n - 2, and the walk runs with that
-cap: a first pass finds pd0, the largest s with a non-zero top row, by
-n(n+1)/2 masked shifts and a bit-sliced count of supports
-(`_box_top_row`); only elements of support at least pd + 2 can raise pd
-further, the cones, whose Betti numbers all vanish, are found first for
+walk took 25 s.  Otherwise pd <= n - 2, and the same walk runs with that
+cap: the cones, whose Betti numbers all vanish, are found first for
 every point at once by n^2 masked shifts (`_box_cones`), only the other
 lattice points are decoded and walked, no homology above Betti index
 n - 2 is asked, and the walk stops once pd reaches n - 2.  On J(7,3)^3
@@ -85,7 +81,7 @@ from math import gcd, prod
 from operator import and_, methodcaller
 
 from .monomials import (
-    Monomial, _below_bitsets, _box_points, _build_box, _count_classes, _dividing, _selectors, _up,
+    Monomial, _below_bitsets, _box_points, _build_box, _dividing, _selectors, _up,
 )
 
 __all__ = [
@@ -320,43 +316,6 @@ def _lower(bits, step, positive):
     a_i - 1 rounds down to the value one rank below a_i: with U the points
     in I, L_i U holds a iff x^(a - e_i) is in I where a_i > 0."""
     return bits ^ ((bits ^ (bits << step)) & positive)
-
-
-def _box_top_row(box):
-    """top[s], s = 0..n: the points a of the box, in lex order, of support
-    size s with beta_{s,a}(S/I) != 0.
-
-    With sigma the support of a, beta_{s,a} != 0 iff the Koszul strand
-    complex at a is the boundary of the simplex on sigma: every
-    (s-1)-subset of sigma is a face and sigma is not, that is,
-    x^(a - 1_sigma) is not in I and x^(a - 1_sigma + e_j) is for every j
-    in sigma.
-    With U = `inside`, L_i the lowering of `_lower` and
-    P_k = L_1 ... L_k U, a passes iff P_n misses it and, for each j with
-    a_j > 0, L_(j+1) ... L_n P_(j-1) holds it: n(n+1)/2 masked shifts in
-    all.  The support sizes are a bit-sliced count of the "x_i >= 1"
-    patterns (`monomials._count_classes`).
-    """
-    positive = [ge[1] for ge in box.at_least]
-    lowered = [box.inside]
-    for step, ge1 in zip(box.strides, positive):
-        lowered.append(_lower(lowered[-1], step, ge1))
-    passing = ~lowered.pop()
-    for j, ge1 in enumerate(positive):
-        bits = lowered[j]
-        for step, up1 in zip(box.strides[j + 1:], positive[j + 1:]):
-            bits = _lower(bits, step, up1)
-        # box.every ^ ge1: the points with x_j = 0, which pass whatever bits holds
-        passing &= bits | (box.every ^ ge1)
-    top = []
-    for bits in _count_classes(positive, passing):
-        points = []
-        while bits:
-            r = bits.bit_length() - 1
-            bits ^= 1 << r
-            points.append(tuple(v[r // step % len(v)] for v, step in zip(box.values, box.strides)))
-        top.append(points[::-1])
-    return top
 
 
 def _box_cones(box):
@@ -610,10 +569,10 @@ def _reader_rows(ideal):
     `elements` the plainly grown lattice in lex order; and the
     generators' `_below_bitsets` rows.  On the box both readers start
     from its local cohomology (`_box_void_degrees`), and only
-    `depth_quotient`, where depth >= 2, reads its top rows
-    (`_box_top_row`) and its lattice (`_box_lattice`); off it neither
-    makes a top-row pass, as the walk reads each element's top row itself
-    and the socle is read off the facets (`_socle_row`)."""
+    `depth_quotient`, where depth >= 2, reads its lattice (`_box_lattice`);
+    neither reader makes a top-row pass on either path, as the walk reads
+    each element's top row itself and off the box the socle is read off
+    the facets (`_socle_row`)."""
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
     box = _lcm_box(vectors)
@@ -688,18 +647,14 @@ def depth_quotient(ideal):
     and asks `_strand_homology` only for the dimensions >= pd - 1 (Betti
     index > pd), which builds no face for a cone or for a complex with at
     most pd facets; it stops at the first element whose support cannot
-    raise pd.  Off the box pd starts at 1, from the generators, and every
-    element of support at least pd + 1 is examined, its top row among the
-    dimensions asked.  Where the lattice is read off its box, the local
-    cohomology of S/I in degrees 0 and 1 comes first (`_box_low_depth`),
-    and depth 0 or 1 is returned with no lattice built.  Otherwise
-    pd <= n - 2: the top rows of every point come next, with no homology
-    (`_box_top_row`), pd starts at pd0, the largest s whose top row is
-    non-zero (at least 1), only elements of support at least pd + 2 are
-    examined, the cones are found for every point at once (`_box_cones`),
-    so that the walk reads the facets of the other elements only, no
-    dimension above n - 4 (Betti index n - 2) is asked, and the walk stops
-    once pd reaches n - 2.
+    raise pd.  pd starts at 1, from the generators, and every element of
+    support at least pd + 1 is examined, its top row among the dimensions
+    asked.  Where the lattice is read off its box, the local cohomology of
+    S/I in degrees 0 and 1 comes first (`_box_low_depth`), and depth 0 or
+    1 is returned with no lattice built.  Otherwise pd <= n - 2: the cones
+    are found for every point at once (`_box_cones`), so that the walk
+    reads the facets of the other elements only, no dimension above n - 4
+    (Betti index n - 2) is asked, and the walk stops once pd reaches n - 2.
     """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
@@ -707,22 +662,21 @@ def depth_quotient(ideal):
     if ideal.is_zero():
         return DepthResult(n, 0, n, "lattice")
     box, elements, below = _reader_rows(ideal)
-    # an element is examined while its support is at least pd + bar and pd
-    # is below `most`, the largest pd left possible
-    pd, bar, most = 1, 1, n
+    # an element is examined while its support is above pd and pd is below
+    # `most`, the largest pd left possible
+    pd, most = 1, n
     if box is not None:
         low = _box_low_depth(box)
         if low < 2:
             return DepthResult(low, n - low, n, "lattice")
-        pd = max([1] + [s for s, points in enumerate(_box_top_row(box)) if points])
-        bar, most = 2, n - 2
+        most = n - 2
         # the walk reads no cone, so none is decoded, and no point at all
         # where pd cannot rise
         elements = _box_points(box, _box_lattice(box) & ~_box_cones(box)) if pd < most else []
     # by decreasing support size, lex order within one: the sort is stable
     elements.sort(key=methodcaller("count", 0))
     for a in elements:
-        if n - a.count(0) < pd + bar or pd == most:
+        if n - a.count(0) <= pd or pd == most:
             break
         # Betti index at most `most`: homology in dimension most - 2 and below
         d = next((d for d, r in _strand_homology(a, below, pd - 1, most - 2) if r), None)

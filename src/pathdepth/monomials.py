@@ -21,9 +21,8 @@ point; the points above some seed are the seed closed upward by a few
 masked shifts per axis (`_up`), over "x_i >= c" patterns
 (`_at_least_patterns`) built only at the ranks that the shifts and the
 engines read.  `_count_classes` sorts a bitset's points by how many of
-some patterns hold them (a poset point's label, an lcm point's support
-size), and `_box_points` reads a bitset's points off the box in lex order
-through `_selectors`.
+some patterns hold them (a poset point's label), and `_box_points` reads
+a bitset's points off the box in lex order through `_selectors`.
 """
 
 from __future__ import annotations

@@ -204,11 +204,11 @@ def build_poset(ideal, g=None, cap=DEFAULT_POSET_CAP):
     bitset of points per label, once, when first read.
     """
     box = _box(ideal, g, cap)
-    g = tuple(vs[-1] for vs in box.values)
+    g, bound = tuple(vs[-1] for vs in box.values), _sweep_bound(box)
     points = _box_points(box, box.every ^ box.inside)
-    # lex order within a degree: the box's order, and the sort is stable
+    del box  # its bitsets go before the sort's keys come
     points.sort(key=sum)
-    return CharacteristicPoset(len(g), g, tuple(points), _sweep_bound(box))
+    return CharacteristicPoset(len(g), g, tuple(points), bound)
 
 
 def _box(ideal, g=None, cap=DEFAULT_POSET_CAP):

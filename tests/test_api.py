@@ -1,5 +1,6 @@
 """Every exported name resolves; the library holds no assert statement, no
-module-level mutable container and no read of the environment."""
+module-level mutable container, no read of the environment, no unused
+private name and no unused import."""
 
 import ast
 import importlib
@@ -119,3 +120,27 @@ def test_every_private_module_name_is_used_in_the_library():
         if not used.get(private, set()) - {(module, id(node))}
     ]
     assert unused == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # an import that its module never loads is a dependency kept for
+    # nothing, and the private-name guard above cannot see one; `from
+    # __future__` and the re-exports that `__all__` lists are exempt
+    found = []
+    for name, tree in _library_trees():
+        loaded = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in {ast.unparse(t) for t in node.targets}:
+                exported = set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded | exported:
+                        found.append("%s:%d %s" % (name, node.lineno, bound))
+    assert found == []

@@ -19,7 +19,6 @@ from pathdepth.depth import (
     _box_cones,
     _box_lattice,
     _box_low_depth,
-    _box_top_row,
     _facets,
     _homology_from_top,
     _lcm_box,
@@ -528,40 +527,16 @@ def top_row(exponents, below):
 def top_rows(ideal):
     """Reference: (elements, top), the lcm lattice in lex order and top[s],
     s >= 1, its points of support size s with beta_{s,a}(S/I) != 0, in
-    lex order, read off the box (`_box_top_row`) where `_lcm_closure`
-    takes it and by `top_row` on each element where it does not; top[0]
-    is not read."""
+    lex order, by `top_row` on each element on either path of
+    `_lcm_closure`; top[0] is not read."""
     vectors = [g.exponents for g in ideal.gens]
-    elements, box = _lcm_closure(vectors)
-    if box is not None:
-        return elements, _box_top_row(box)
+    elements, _ = _lcm_closure(vectors)
     below = _below_bitsets(vectors)
     top = [[] for _ in range(ideal.n_vars + 1)]
     for a in elements:
         if top_row(a, below):
             top[support_size(a)].append(a)
     return elements, top
-
-
-@given(exponent_vectors(n_max=5, max_size=10))
-@with_examples(*BOX_EXAMPLES)
-@settings(max_examples=150, deadline=None)
-def test_box_top_row_matches_the_per_element_scan(vectors):
-    # on the box whichever path `_lcm_closure` would pick, against
-    # `top_row` over the scalar closure: the same passing points, so the
-    # same pd0 and the same full-support points, the witnesses' a = w + 1
-    top = _box_top_row(lcm_box(vectors))
-    n = len(vectors[0])
-    below = _below_bitsets(vectors)
-    passing = [a for a in scalar_lcm_closure(vectors) if any(a) and top_row(a, below)]
-    assert len(top) == n + 1
-    assert top[0] == ([] if (0,) * n in vectors else [(0,) * n])  # beta_0 at the unit
-    assert sorted(a for points in top[1:] for a in points) == passing
-    for s, points in enumerate(top):
-        assert points == sorted(points) and {support_size(a) for a in points} <= {s}
-    pd0 = max([1] + [support_size(a) for a in passing])
-    assert max([1] + [s for s, points in enumerate(top) if points]) == pd0
-    assert top[n] == [a for a in passing if all(a)]
 
 
 def test_closure_path_choice(monkeypatch):
@@ -601,15 +576,11 @@ def test_closure_path_choice(monkeypatch):
     for vectors in (fewer, fewer * 2, distinct, chain):
         assert _lcm_box(vectors) is None
     assert taken == []
-    # on the box `depth_quotient` reads its top rows and its lattice where
-    # the local cohomology leaves depth >= 2, and `max_ideal_associated`
-    # neither; on the plain closure neither makes a top-row pass, and
-    # `betti` reads the box's top rows on neither path
-    read, lattices = [], []
-
-    def reading(box):
-        read.append(box)
-        return _box_top_row(box)
+    # on the box `depth_quotient` reads its lattice where the local
+    # cohomology leaves depth >= 2, and `max_ideal_associated` never; on the
+    # plain closure neither reads a box; `betti` reads the lattice of each
+    # box it takes
+    lattices = []
 
     def building(box):
         lattices.append(box)
@@ -617,7 +588,6 @@ def test_closure_path_choice(monkeypatch):
 
     monkeypatch.setattr(depth_module, "_build_box", recording("box", _build_box))
     monkeypatch.setattr(depth_module, "_plain_closure", recording("plain", _plain_closure))
-    monkeypatch.setattr(depth_module, "_box_top_row", reading)
     monkeypatch.setattr(depth_module, "_box_lattice", building)
     taken.clear()
     for base, t, depth in DEPTH_LADDER:
@@ -625,19 +595,19 @@ def test_closure_path_choice(monkeypatch):
         assert depth_quotient(ideal).depth == depth
         assert max_ideal_associated(ideal)[0] == (depth == 0)
     assert taken == ["box"] * 12
-    assert len(read) == len(lattices) == sum(depth >= 2 for _, _, depth in DEPTH_LADDER) == 3
-    read.clear()
+    assert len(lattices) == sum(depth >= 2 for _, _, depth in DEPTH_LADDER) == 3
+    lattices.clear()
     taken.clear()
     assert depth_quotient(cycle_ideal(5, 2)).depth == 2
     assert max_ideal_associated(cycle_ideal(5, 2)) == (False, None)
     assert taken == ["plain"] * 2
-    assert read == []
+    assert lattices == []
     taken.clear()
     assert betti(cycle_ideal(6, 4).power(2)).projective_dimension() == 5
     assert betti(cycle_ideal(5, 2)).projective_dimension() == 3
     assert depth_via_polarization(cycle_ideal(6, 3)).depth == 3
     assert taken == ["box", "plain", "box"]
-    assert read == []
+    assert len(lattices) == 2
 
 
 def monomial_lcm_closure(ideal):
@@ -896,8 +866,8 @@ def box_ideals(draw):
 @settings(max_examples=80, deadline=None)
 def test_closure_paths_agree(ideal):
     # each path forced through the rule's constants: the box on every input,
-    # then the plain closure on every input, with the same lattice, top rows
-    # (top[0] is not read), depth and witness
+    # then the plain closure on every input, with the same lattice, depth
+    # and witness
     vectors = [g.exponents for g in ideal.gens]
     seen = []
     for ceiling in (1 << 64, 0):
@@ -905,9 +875,9 @@ def test_closure_paths_agree(ideal):
             patch.setattr(depth_module, "_BOX_MIN_GENS", 1)
             patch.setattr(depth_module, "_BOX_SHIFT", 64)
             patch.setattr(depth_module, "_BOX_CEILING", ceiling)
-            assert (_lcm_closure(vectors)[1] is None) == (ceiling == 0)
-            elements, top = top_rows(ideal)
-            seen.append((elements, top[1:], depth_quotient(ideal), max_ideal_associated(ideal)))
+            elements, box = _lcm_closure(vectors)
+            assert (box is None) == (ceiling == 0)
+            seen.append((elements, depth_quotient(ideal), max_ideal_associated(ideal)))
     assert seen[0] == seen[1]
 
 
@@ -929,17 +899,15 @@ def walk_oracle(ideal):
     """The multidegrees the walk must examine, and its pd, from the full table.
 
     Lattice elements go by decreasing support size, ties in lex order.
-    Where the plain closure takes the lattice, pd starts at 1 (the
-    generators), each element with support at least pd + 1 is examined
-    and may raise pd, its top row included, and the walk stops at the
-    first element with a smaller support.  Where the box rule takes it,
-    pd starts at pd0, the largest s with beta_{s,a} != 0 for an a of
-    support size s (the top rows), and at least 1; the bar is support
-    pd + 2, and the walk knows its cones before it reads any facet, so it
-    examines none of the elements whose Koszul strand complex the
-    membership oracle finds to be a cone.  There it examines nothing where
-    depth <= 1, which the box's local cohomology decides first, and it
-    stops once pd reaches n - 2, the largest pd of depth >= 2.
+    On either path pd starts at 1 (the generators), each element with
+    support at least pd + 1 is examined and may raise pd, its top row
+    included, and the walk stops at the first element with a smaller
+    support.  Where the box rule takes the lattice, the walk knows its
+    cones before it reads any facet, so it examines none of the elements
+    whose Koszul strand complex the membership oracle finds to be a cone;
+    there it examines nothing where depth <= 1, which the box's local
+    cohomology decides first, and it stops once pd reaches n - 2, the
+    largest pd of depth >= 2.
     """
     top = {}
     for (i, a), _ in betti(ideal).entries.items():
@@ -949,15 +917,14 @@ def walk_oracle(ideal):
     on_box = _lcm_closure(vectors)[1] is not None
     member = _membership_oracle(ideal)
     n = ideal.n_vars
-    pd, bar, most = 1, 1, n
+    pd, most = 1, n
     if on_box:
         if n - max(top.values()) <= 1:
             return [], max(top.values())
-        pd = max([1] + [i for a, i in top.items() if i == support_size(a)])
-        bar, most = 2, n - 2
+        most = n - 2
     examined = []
     for a in elements:
-        if support_size(a) < pd + bar or pd == most:
+        if support_size(a) <= pd or pd == most:
             break
         if on_box:
             faces, support, _ = membership_koszul_faces(a, member)
@@ -990,6 +957,11 @@ def walk(ideal):
 
 
 @given(st.one_of(small_ideals(n_max=5, gens_max=5), box_ideals()))
+# box walks that read more facets than they would if they examined only
+# support pd + 2 and up: random draws rarely tell the two rules apart
+@example(path_ideal(7, 3).power(3))
+@example(cycle_ideal(6, 3).power(2))
+@example(cycle_ideal(7, 3).power(3))
 @settings(max_examples=60, deadline=None)
 def test_walk_examines_only_elements_that_can_raise_pd(ideal):
     assert walk(ideal) == walk_oracle(ideal)
@@ -997,15 +969,15 @@ def test_walk_examines_only_elements_that_can_raise_pd(ideal):
 
 @given(st.one_of(small_ideals(), box_ideals()))
 @example(cycle_ideal(7, 3).power(3))  # the walk's costliest ladder instance
-@example(cycle_ideal(6, 5).power(5))  # pd0 = n: depth_quotient builds no mask
+@example(cycle_ideal(6, 5).power(5))  # depth 0: depth_quotient builds no mask
 @settings(max_examples=60, deadline=None)
 def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
     # every input forced onto the box: on each lattice element the mask
     # holds a iff its facets share a vertex and iff the membership oracle's
     # faces make a cone; depth_quotient builds the mask and the lattice
-    # once where the walk has work (depth >= 2 and pd0 < n - 2) and never
-    # elsewhere, so no lattice at depth <= 1, and `max_ideal_associated`
-    # builds neither
+    # once where the walk has work (depth >= 2 and n > 3, so that pd = 1
+    # is below n - 2) and never elsewhere, so no lattice at depth <= 1, and
+    # `max_ideal_associated` builds neither
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
@@ -1032,9 +1004,8 @@ def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
             assert (a in cones) == on_facets == _is_cone([face_mask(f) for f in faces], support), a
         patch.setattr(depth_module, "_box_cones", building)
         patch.setattr(depth_module, "_box_lattice", reading)
-        pd0 = max([1] + [s for s, points in enumerate(_box_top_row(box)) if points])
         depth = depth_quotient(ideal).depth
-        assert len(built) == len(read) == (depth >= 2 and pd0 < ideal.n_vars - 2)
+        assert len(built) == len(read) == (depth >= 2 and ideal.n_vars > 3)
         built.clear()
         read.clear()
         max_ideal_associated(ideal)
@@ -1053,7 +1024,8 @@ def test_walk_stops_at_the_largest_support():
     assert walk(parse_ideal("x1*x2, x3*x4", 4)) == ([(1, 1, 1, 1)], 2)
     # (2, 2, 1), first in lex order, gives pd 2 and (2, 2, 2)'s top row pd = n
     assert walk(parse_ideal("x1^2*x3, x2^2, x3^2", 3)) == ([(2, 2, 1), (2, 2, 2)], 3)
-    # on the box the top element's top row gives pd0 = n: no facets are read
+    # on the box J(6,5)^5 has depth 0, which the local cohomology decides
+    # before any top row is reached: no facets are read
     assert walk(cycle_ideal(6, 5).power(5)) == ([], 6)
 
 
@@ -1144,17 +1116,17 @@ def test_box_inside_matches_the_per_generator_cones(vectors):
             assert _raise(box, bits, i) == raised_by_ranks(bits, len(values), step, ge)
 
 
-def top_row_witness(box, n):
+def top_row_witness(ideal):
     """Reference witness: the socle monomial w = a - 1 of largest degree,
-    ties to the smallest tuple, over the box's full-support top row."""
-    socle = [tuple(e - 1 for e in a) for a in _box_top_row(box)[n]]
+    ties to the smallest tuple, over the full-support top row (`top_rows`)."""
+    socle = [tuple(e - 1 for e in a) for a in top_rows(ideal)[1][ideal.n_vars]]
     return Monomial(min(socle, key=lambda w: (-sum(w), w))) if socle else None
 
 
 def assert_low_depth_matches_the_walk(ideal):
     """The box's local cohomology against the Betti walk over the plainly
     grown lattice, and `max_ideal_associated` on the box against the
-    box's top row; returns min(depth, 2)."""
+    full-support top row; returns min(depth, 2)."""
     box = lcm_box([g.exponents for g in ideal.gens])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_module, "_BOX_CEILING", 0)
@@ -1164,7 +1136,7 @@ def assert_low_depth_matches_the_walk(ideal):
             patch.setattr(depth_module, name, value)
         witness = max_ideal_associated(ideal)
     assert _box_low_depth(box) == depth, str(ideal)
-    w = top_row_witness(box, ideal.n_vars)
+    w = top_row_witness(ideal)
     assert witness == (w is not None, w), str(ideal)
     return depth
 
