@@ -17,20 +17,21 @@ examines every element of support at least pd + 1, its top row
 beta_{s,a} among the dimensions it asks; that row is non-zero iff the
 complex at a is the boundary of the simplex on the support.
 
-Where the lattice is read off its box, depth is first looked at from
-below, by local cohomology, with no lattice, face or rank: depth =
-min{i : H^i_m(S/I) != 0}, and by Takayama's formula every degree of H^0
-and H^1 is a box point whose degree complex is {empty face} or, for H^1,
-disconnected, all tested at once by masked shifts of the box's bitset of
-points in I (`_box_low_depth`).  A depth of 0 or 1 ends the call there;
-J(8,6)^7, depth 1 on a box of 2^24 points, takes about 1 s where the
-walk took 25 s.  Otherwise pd <= n - 2, and the same walk runs with that
-cap: the cones, whose Betti numbers all vanish, are found first for
-every point at once by n^2 masked shifts (`_box_cones`), only the other
-lattice points are decoded and walked, no homology above Betti index
-n - 2 is asked, and the walk stops once pd reaches n - 2.  On J(7,3)^3
-it reads the facets of 165 elements where it read 1,297, 1,100 of them
-cones, and on J(8,2)^4 of 20 where it read 873.
+Where the box rule takes the generators (`_lcm_box`), depth is first
+looked at from below, by local cohomology, with no lattice, face or
+rank: depth = min{i : H^i_m(S/I) != 0}, and by Takayama's formula every
+degree of H^0 and H^1 is a box point whose degree complex is {empty
+face} or, for H^1, disconnected, all tested at once by masked shifts of
+the box's bitset U of points in I (`_box_low_depth`).  A depth of 0 or 1
+ends the call there; J(8,6)^7, depth 1 on a box of 2^24 points, takes
+under 1 s.  Otherwise pd <= n - 2, and the same walk runs with that cap:
+the cones, whose Betti numbers all vanish, are found first for every
+point at once by n^2 masked shifts (`_box_cones`), and only the points of
+U outside them are decoded and walked.  A point of U off the lattice is
+always a cone, so those are the lattice's non-cones, and no lattice is
+built.  No homology above Betti index n - 2 is asked, and the walk stops
+once pd reaches n - 2.  On J(7,3)^3 it reads the facets of 165 elements,
+and on J(8,2)^4 of 20.
 `max_ideal_associated` reads no homology either: on the box the degrees
 of H^0, the socle's w being the tops of their ranges, and where the
 lattice is grown plainly the row i = n, off the facets of each
@@ -57,19 +58,19 @@ generator, and the points in I that seed closed upward by a few masked
 shifts per axis (`monomials._up`).  A nonzero point is in the lattice
 iff each of its positive coordinates is reached by a generator below
 it, that is, iff for every i its x_i is 0 or it lies in the seed closed
-along every axis but i; those closures share their prefixes and are
-made only where a reader asks for the lattice (`_box_lattice`).  A
-reader decodes off the box only the points it reads
-(`monomials._box_points`).  On a few generators, or where that box is
-large for their number, the lattice is instead grown one generator at a
-time, each new one lcm-ed with every element so far (`_plain_closure`);
-`_lcm_box` picks the path from the number of generators and the size of
-the box.  Faces, on either side of the incidence, are vertex bitmasks
-grown off bitsets (`_grow_faces`), and the boundary maps flip bits.  The
-bitsets of generators are the kernel layer's rows
-(`monomials._below_bitsets` and `_dividing`), the ones ideal arithmetic
-minimalizes with.  Monomials appear only in what the public functions
-take and return.
+along every axis but i; those closures share their prefixes
+(`_box_lattice`), and only `build_lcm_lattice`, with `betti` through
+it, makes them, as the depth readers read U.  A reader decodes off the
+box only the points it reads (`monomials._box_points`).  On a few
+generators, or where that box is large for their number, the lattice is
+instead grown one generator at a time, each new one lcm-ed with every
+element so far (`_plain_closure`); `_lcm_box` picks the path from the
+number of generators and the size of the box.  Faces, on either side of
+the incidence, are vertex bitmasks grown off bitsets (`_grow_faces`),
+and the boundary maps flip bits.  The bitsets of generators are the
+kernel layer's rows (`monomials._below_bitsets` and `_dividing`), the
+ones ideal arithmetic minimalizes with.  Monomials appear only in what
+the public functions take and return.
 """
 
 from __future__ import annotations
@@ -231,8 +232,8 @@ class LcmLattice:
 
 
 def _lcm_box(exponent_tuples):
-    """The box of exponent tuples where the lattice is read off it, or None
-    where the closure is grown plainly (`_plain_closure`): the
+    """The box of exponent tuples, or None where the lattice is grown
+    plainly (`_plain_closure`) and no reader looks at a box: the
     `monomials._Box` of the vectors whose every coordinate is 0 or some
     tuple's value there, coordinate i taking the sorted values[i] as its
     ranks, seeded at the distinct tuples, so that `inside` holds the
@@ -262,16 +263,6 @@ _BOX_SHIFT = 4
 _BOX_CEILING = 1 << 24
 
 
-def _lcm_closure(exponent_tuples):
-    """(elements, box): the closure of exponent tuples under componentwise
-    max, in lex order, and the box it was read off (`_box_lattice`), or
-    None where it was grown plainly (`_lcm_box`)."""
-    box = _lcm_box(exponent_tuples)
-    if box is None:
-        return _plain_closure(exponent_tuples), None
-    return _box_points(box, _box_lattice(box)), box
-
-
 def _plain_closure(exponent_tuples):
     """Closure of exponent tuples under componentwise max, in lex order,
     grown one tuple g at a time: C becomes C + {g} + {lcm(c, g) : c in C},
@@ -293,9 +284,9 @@ def _box_lattice(box):
     upward along every axis but i (`monomials._up`).  The T_i share their
     prefix closures: the seed closed along the axes below i is kept and
     closed along i once more for the next.  The zero vector passes every
-    i, and it is in the lattice iff it is a generator, a seed bit.  A
-    reader that the box's local cohomology answers (`_box_low_depth`)
-    never builds it.
+    i, and it is in the lattice iff it is a generator, a seed bit.  Only
+    `build_lcm_lattice`, and `betti` through it, builds it: the depth
+    readers read U and its cones instead (`_box_low_depth`, `_box_cones`).
     """
     n = len(box.values)
     lattice, prefix = box.every, box.seed
@@ -331,6 +322,11 @@ def _box_cones(box):
     under X -> X | L_j X once for each j != i: each j once, as tau is a
     set, and L_j at a with a_j = 0 is the identity.  a is a cone iff it
     lies outside that closure for some i with a_i > 0: n^2 masked shifts.
+
+    A point of U off the lcm lattice has a positive a_i that no generator
+    below it reaches (`_box_lattice`), so every generator dividing x^(a -
+    tau) divides x^(a - tau - e_i) and i is an apex: the points of U
+    outside the mask are the lattice's non-cones, all the walk reads.
     """
     axes = [(step, ge[1]) for step, ge in zip(box.strides, box.at_least)]
     cones = 0
@@ -447,7 +443,9 @@ def build_lcm_lattice(ideal):
     """Closure of the minimal generators under pairwise lcm."""
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("lcm lattice needs a proper nonzero ideal")
-    elements, _ = _lcm_closure([g.exponents for g in ideal.gens])
+    vectors = [g.exponents for g in ideal.gens]
+    box = _lcm_box(vectors)
+    elements = _plain_closure(vectors) if box is None else _box_points(box, _box_lattice(box))
     return LcmLattice(ideal.n_vars, tuple(Monomial(e) for e in elements))
 
 
@@ -561,25 +559,6 @@ def _strand_homology(exponents, below, floor, ceiling=None):
     return _homology_from_top(_strand_faces(facets, support), floor, ceiling)
 
 
-def _reader_rows(ideal):
-    """(box, elements, below), what the depth readers start from, for a
-    proper nonzero ideal: `box` the box where the lattice is read off it
-    (`_lcm_box`) and `elements` None, so that a reader decodes only the
-    points it reads (`monomials._box_points`), or `box` None and
-    `elements` the plainly grown lattice in lex order; and the
-    generators' `_below_bitsets` rows.  On the box both readers start
-    from its local cohomology (`_box_void_degrees`), and only
-    `depth_quotient`, where depth >= 2, reads its lattice (`_box_lattice`);
-    neither reader makes a top-row pass on either path, as the walk reads
-    each element's top row itself and off the box the socle is read off
-    the facets (`_socle_row`)."""
-    vectors = [g.exponents for g in ideal.gens]
-    below = _below_bitsets(vectors)
-    box = _lcm_box(vectors)
-    elements = _plain_closure(vectors) if box is None else None
-    return box, elements, below
-
-
 def _socle_row(elements, below):
     """The elements a of full support n = len(a) with beta_{n,a}(S/I) != 0,
     in their order.
@@ -649,30 +628,38 @@ def depth_quotient(ideal):
     most pd facets; it stops at the first element whose support cannot
     raise pd.  pd starts at 1, from the generators, and every element of
     support at least pd + 1 is examined, its top row among the dimensions
-    asked.  Where the lattice is read off its box, the local cohomology of
-    S/I in degrees 0 and 1 comes first (`_box_low_depth`), and depth 0 or
-    1 is returned with no lattice built.  Otherwise pd <= n - 2: the cones
-    are found for every point at once (`_box_cones`), so that the walk
-    reads the facets of the other elements only, no dimension above n - 4
+    asked.  On the box (`_lcm_box`) the local cohomology of S/I in
+    degrees 0 and 1 comes first (`_box_low_depth`), and depth 0 or 1 is
+    returned there.  Otherwise pd <= n - 2: the cones are found for every
+    point at once (`_box_cones`), and the walk reads the facets of the
+    points of U, the box points in I, outside them, which are the
+    lattice's non-cones, so no lattice is built; no dimension above n - 4
     (Betti index n - 2) is asked, and the walk stops once pd reaches n - 2.
+    The generator rows (`monomials._below_bitsets`), which only the walk
+    reads, are built past that exit.
     """
     if ideal.is_whole_ring():
         raise UnitIdealError("depth of S/S is undefined")
     n = ideal.n_vars
     if ideal.is_zero():
         return DepthResult(n, 0, n, "lattice")
-    box, elements, below = _reader_rows(ideal)
+    vectors = [g.exponents for g in ideal.gens]
+    box = _lcm_box(vectors)
     # an element is examined while its support is above pd and pd is below
     # `most`, the largest pd left possible
     pd, most = 1, n
-    if box is not None:
+    if box is None:
+        elements = _plain_closure(vectors)
+    else:
         low = _box_low_depth(box)
         if low < 2:
             return DepthResult(low, n - low, n, "lattice")
         most = n - 2
         # the walk reads no cone, so none is decoded, and no point at all
-        # where pd cannot rise
-        elements = _box_points(box, _box_lattice(box) & ~_box_cones(box)) if pd < most else []
+        # where pd cannot rise; every point of U off the lattice is a cone,
+        # so U's non-cones are the lattice's
+        elements = _box_points(box, box.inside & ~_box_cones(box)) if pd < most else []
+    below = _below_bitsets(vectors)
     # by decreasing support size, lex order within one: the sort is stable
     elements.sort(key=methodcaller("count", 0))
     for a in elements:
@@ -733,9 +720,11 @@ def max_ideal_associated(ideal):
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
-    box, elements, below = _reader_rows(ideal)
+    vectors = [g.exponents for g in ideal.gens]
+    box = _lcm_box(vectors)
     if box is None:
-        socle = [tuple(e - 1 for e in a) for a in _socle_row(elements, below)]
+        row = _socle_row(_plain_closure(vectors), _below_bitsets(vectors))
+        socle = [tuple(e - 1 for e in a) for a in row]
     else:
         # each torsion range read at its top, one below the next value of
         # each coordinate; the top rank, a_j < 0, holds no torsion

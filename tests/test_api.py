@@ -1,10 +1,12 @@
 """Every exported name resolves; the library holds no assert statement, no
 module-level mutable container, no read of the environment, no unused
-private name and no unused import."""
+private name and no unused import; and the docs name no private name that
+the library does not define."""
 
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -144,3 +146,36 @@ def test_every_imported_name_is_used_in_its_module():
                     if bound not in loaded | exported:
                         found.append("%s:%d %s" % (name, node.lineno, bound))
     assert found == []
+
+
+# a backticked private name, `_name` or `module._name`, alone or followed by
+# a call or an index
+PRIVATE_REFERENCE = re.compile(r"(?:(\w+)\.)?(_\w+)(?:[(\[].*)?")
+
+
+def test_every_private_name_in_the_docs_is_defined():
+    # README.md and the library's docstrings name helpers that a change can
+    # delete or rename; each name must still be defined, `module._name` by
+    # that module and `_name` by some module (CHANGES.md and ROADMAP.md are
+    # history and keep the old names)
+    root = pathlib.Path(pathdepth.__file__).parent
+    modules = {
+        path.stem: importlib.import_module("pathdepth." + path.stem)
+        for path in root.glob("*.py")
+        if path.stem != "__init__"
+    }
+    texts = [("README.md", (pathlib.Path(__file__).parents[1] / "README.md").read_text())]
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                texts.append((name, ast.get_docstring(node) or ""))
+    stale = set()
+    for name, text in texts:
+        for span in re.findall(r"`([^`\n]+)`", text):
+            match = PRIVATE_REFERENCE.fullmatch(span)
+            if match and not match.group(2).startswith("__"):
+                owner, private = match.groups()
+                owners = [modules[owner]] if owner in modules else modules.values()
+                if not any(hasattr(module, private) for module in owners):
+                    stale.add("%s: `%s`" % (name, span))
+    assert sorted(stale) == []

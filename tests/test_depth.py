@@ -22,10 +22,8 @@ from pathdepth.depth import (
     _facets,
     _homology_from_top,
     _lcm_box,
-    _lcm_closure,
     _plain_closure,
     _raise,
-    _reader_rows,
     _socle_row,
     _strand_faces,
     _strand_homology,
@@ -400,7 +398,7 @@ LADDER_VECTORS = [[g.exponents for g in base.power(t).gens] for base, t, _ in DE
 @example([(1,) * 32, (1, 0) * 16])  # a word of exactly 64 bits
 @settings(max_examples=150, deadline=None)
 def test_plain_closure_matches_scalar_oracle(vectors):
-    # called directly, whichever path `_lcm_closure` would pick
+    # called directly, whichever path `_lcm_box` would pick
     assert _plain_closure(vectors) == scalar_lcm_closure(vectors)
 
 
@@ -431,7 +429,7 @@ ON_THE_BOX = (("_BOX_MIN_GENS", 1), ("_BOX_SHIFT", 64), ("_BOX_CEILING", 1 << 64
 
 
 def lcm_box(vectors):
-    """The box of `_lcm_box` built whichever path `_lcm_closure` would pick."""
+    """The box of `_lcm_box`, built whichever path its rule would pick."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in ON_THE_BOX:
             patch.setattr(depth_module, name, value)
@@ -483,17 +481,26 @@ def row_loop_lattice(box, vectors):
     return lattice
 
 
+def assert_walk_reads_the_lattice_non_cones(box):
+    """The walk reads the points of U outside the cone mask: every point of
+    U off the lcm lattice must be a cone, so that those are the lattice's
+    non-cones."""
+    cones = _box_cones(box)
+    assert box.inside & ~cones == _box_lattice(box) & ~cones
+
+
 @given(exponent_vectors(n_max=5, max_size=10))
 @with_examples(*BOX_EXAMPLES)
 @settings(max_examples=150, deadline=None)
 def test_box_closure_matches_scalar_oracle(vectors):
-    # on the box whichever path `_lcm_closure` would pick: the prefix
+    # on the box whichever path `_lcm_box` would pick: the prefix
     # closures against the per-generator row loop, and the points against
     # the scalar closure
     box = lcm_box(vectors)
     lattice = _box_lattice(box)
     assert lattice == row_loop_lattice(box, vectors)
     assert _box_points(box, lattice) == scalar_lcm_closure(vectors)
+    assert_walk_reads_the_lattice_non_cones(box)
 
 
 def top_row(exponents, below):
@@ -525,18 +532,16 @@ def top_row(exponents, below):
 
 
 def top_rows(ideal):
-    """Reference: (elements, top), the lcm lattice in lex order and top[s],
-    s >= 1, its points of support size s with beta_{s,a}(S/I) != 0, in
-    lex order, by `top_row` on each element on either path of
-    `_lcm_closure`; top[0] is not read."""
+    """Reference: top[s], s >= 1, the lcm lattice's points of support size
+    s with beta_{s,a}(S/I) != 0, in lex order, by `top_row` on each
+    element of the scalar closure; top[0] is not read."""
     vectors = [g.exponents for g in ideal.gens]
-    elements, _ = _lcm_closure(vectors)
     below = _below_bitsets(vectors)
     top = [[] for _ in range(ideal.n_vars + 1)]
-    for a in elements:
+    for a in scalar_lcm_closure(vectors):
         if top_row(a, below):
             top[support_size(a)].append(a)
-    return elements, top
+    return top
 
 
 def test_closure_path_choice(monkeypatch):
@@ -576,10 +581,9 @@ def test_closure_path_choice(monkeypatch):
     for vectors in (fewer, fewer * 2, distinct, chain):
         assert _lcm_box(vectors) is None
     assert taken == []
-    # on the box `depth_quotient` reads its lattice where the local
-    # cohomology leaves depth >= 2, and `max_ideal_associated` never; on the
-    # plain closure neither reads a box; `betti` reads the lattice of each
-    # box it takes
+    # on the box neither depth reader builds the lattice, as the walk reads
+    # U's non-cones; on the plain closure neither reads a box; `betti`
+    # builds the lattice of each box it takes
     lattices = []
 
     def building(box):
@@ -595,8 +599,7 @@ def test_closure_path_choice(monkeypatch):
         assert depth_quotient(ideal).depth == depth
         assert max_ideal_associated(ideal)[0] == (depth == 0)
     assert taken == ["box"] * 12
-    assert len(lattices) == sum(depth >= 2 for _, _, depth in DEPTH_LADDER) == 3
-    lattices.clear()
+    assert lattices == []
     taken.clear()
     assert depth_quotient(cycle_ideal(5, 2)).depth == 2
     assert max_ideal_associated(cycle_ideal(5, 2)) == (False, None)
@@ -685,8 +688,7 @@ def assert_matches_oracle(ideal):
     lattice = build_lcm_lattice(ideal)
     assert lattice.elements == monomial_lcm_closure(ideal)
     vectors = [g.exponents for g in ideal.gens]
-    elements, _ = _lcm_closure(vectors)
-    assert elements == scalar_lcm_closure(vectors)
+    assert [a.exponents for a in lattice.elements] == scalar_lcm_closure(vectors)
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
     for a in lattice.elements:
@@ -858,7 +860,7 @@ def box_ideals(draw):
     gens = draw(st.lists(st.sampled_from([v for v in vectors if sum(v) == d]),
                          min_size=6, max_size=12, unique=True))
     gens += draw(st.lists(st.sampled_from([v for v in vectors if sum(v) > d]), max_size=4))
-    assume(_lcm_closure(gens)[1] is not None)
+    assume(_lcm_box(gens) is not None)
     return MonomialIdeal(n, [Monomial(v) for v in gens])
 
 
@@ -875,9 +877,8 @@ def test_closure_paths_agree(ideal):
             patch.setattr(depth_module, "_BOX_MIN_GENS", 1)
             patch.setattr(depth_module, "_BOX_SHIFT", 64)
             patch.setattr(depth_module, "_BOX_CEILING", ceiling)
-            elements, box = _lcm_closure(vectors)
-            assert (box is None) == (ceiling == 0)
-            seen.append((elements, depth_quotient(ideal), max_ideal_associated(ideal)))
+            assert (_lcm_box(vectors) is None) == (ceiling == 0)
+            seen.append((build_lcm_lattice(ideal), depth_quotient(ideal), max_ideal_associated(ideal)))
     assert seen[0] == seen[1]
 
 
@@ -914,7 +915,7 @@ def walk_oracle(ideal):
         top[a.exponents] = max(top.get(a.exponents, 0), i)
     vectors = [g.exponents for g in ideal.gens]
     elements = sorted(scalar_lcm_closure(vectors), key=lambda a: -support_size(a))
-    on_box = _lcm_closure(vectors)[1] is not None
+    on_box = _lcm_box(vectors) is not None
     member = _membership_oracle(ideal)
     n = ideal.n_vars
     pd, most = 1, n
@@ -974,10 +975,11 @@ def test_walk_examines_only_elements_that_can_raise_pd(ideal):
 def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
     # every input forced onto the box: on each lattice element the mask
     # holds a iff its facets share a vertex and iff the membership oracle's
-    # faces make a cone; depth_quotient builds the mask and the lattice
-    # once where the walk has work (depth >= 2 and n > 3, so that pd = 1
-    # is below n - 2) and never elsewhere, so no lattice at depth <= 1, and
-    # `max_ideal_associated` builds neither
+    # faces make a cone, and U's non-cones are the lattice's;
+    # depth_quotient builds the mask once where the walk has work (depth
+    # >= 2 and n > 3, so that pd = 1 is below n - 2) and never elsewhere;
+    # neither depth reader builds the lattice, which `build_lcm_lattice`
+    # and `betti` build once each
     vectors = [g.exponents for g in ideal.gens]
     below = _below_bitsets(vectors)
     member = _membership_oracle(ideal)
@@ -996,6 +998,7 @@ def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
         patch.setattr(depth_module, "_BOX_SHIFT", 64)
         patch.setattr(depth_module, "_BOX_CEILING", 1 << 64)
         box = _lcm_box(vectors)
+        assert_walk_reads_the_lattice_non_cones(box)
         lattice = _box_lattice(box)
         cones = set(_box_points(box, lattice & _box_cones(box)))
         for a in _box_points(box, lattice):
@@ -1005,14 +1008,14 @@ def test_box_cones_match_the_facet_and_membership_cone_tests(ideal):
         patch.setattr(depth_module, "_box_cones", building)
         patch.setattr(depth_module, "_box_lattice", reading)
         depth = depth_quotient(ideal).depth
-        assert len(built) == len(read) == (depth >= 2 and ideal.n_vars > 3)
+        assert len(built) == (depth >= 2 and ideal.n_vars > 3)
         built.clear()
-        read.clear()
         max_ideal_associated(ideal)
         assert read == []
         build_lcm_lattice(ideal)
         betti(ideal)
         assert built == []
+        assert len(read) == 2
 
 
 def test_walk_stops_at_the_largest_support():
@@ -1062,8 +1065,9 @@ def test_socle_off_the_facets_matches_the_top_row_oracle(ideal):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_module, "_BOX_CEILING", 0)
-        box, elements, below = _reader_rows(ideal)
-        assert box is None
+        vectors = [g.exponents for g in ideal.gens]
+        assert _lcm_box(vectors) is None
+        elements, below = _plain_closure(vectors), _below_bitsets(vectors)
         full = [a for a in elements if all(a)]
         for a in full:
             assert (_socle_row([a], below) == [a]) == top_row(a, below), a
@@ -1104,7 +1108,7 @@ def raised_by_ranks(bits, span, step, ge):
 @with_examples(*BOX_EXAMPLES)
 @settings(max_examples=150, deadline=None)
 def test_box_inside_matches_the_per_generator_cones(vectors):
-    # on the box whichever path `_lcm_closure` would pick: U against the
+    # on the box whichever path `_lcm_box` would pick: U against the
     # generators' cones, and each axis's raise of U and of the points
     # outside U against the shift of its top slice to every rank
     box = lcm_box(vectors)
@@ -1119,7 +1123,7 @@ def test_box_inside_matches_the_per_generator_cones(vectors):
 def top_row_witness(ideal):
     """Reference witness: the socle monomial w = a - 1 of largest degree,
     ties to the smallest tuple, over the full-support top row (`top_rows`)."""
-    socle = [tuple(e - 1 for e in a) for a in top_rows(ideal)[1][ideal.n_vars]]
+    socle = [tuple(e - 1 for e in a) for a in top_rows(ideal)[ideal.n_vars]]
     return Monomial(min(socle, key=lambda w: (-sum(w), w))) if socle else None
 
 
@@ -1155,14 +1159,17 @@ def test_box_low_depth_matches_the_walk_on_random_ideals():
 
 
 def test_box_low_depth_matches_the_walk_on_the_family_powers():
-    # every I(n,m)^t and J(n,m)^t with n <= 7 and t <= 3 that the box rule takes
+    # every I(n,m)^t and J(n,m)^t with n <= 7 and t <= 3 that the box rule
+    # takes; the walk's points on each of them forced onto the box
     seen = [0, 0, 0]
     for n in range(2, 8):
         bases = [path_ideal(n, m) for m in range(1, n + 1)]
         bases += [cycle_ideal(n, m) for m in range(2, n)]
         for base, t in product(bases, (1, 2, 3)):
             ideal = base.power(t)
-            if _lcm_box([g.exponents for g in ideal.gens]) is not None:
+            vectors = [g.exponents for g in ideal.gens]
+            assert_walk_reads_the_lattice_non_cones(lcm_box(vectors))
+            if _lcm_box(vectors) is not None:
                 seen[assert_low_depth_matches_the_walk(ideal)] += 1
     assert sum(seen) == 72 and min(seen) > 0, seen
 
