@@ -1,7 +1,8 @@
 """Run each pathdepth command pinned in pins.txt, print its exit code, wall
 time, peak RSS and SHA-256, and exit 1 when any differs from its pin or a
 verify --all header gate fails; the times and sizes gate nothing.  Usage,
-from the repository root: python .github/pins.py"""
+from the repository root: python .github/pins.py, or python -O .github/pins.py
+to run every pinned command under -O too."""
 import hashlib, json, os, shlex, subprocess, sys, tempfile, time
 from pathlib import Path
 
@@ -17,7 +18,9 @@ def pins():
 
 
 def main():
-    cli, env = [sys.executable, "-m", "pathdepth.cli"], dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # a run under -O (or -OO) starts each pinned command under it too
+    cli = [sys.executable] + ["-O"] * sys.flags.optimize + ["-m", "pathdepth.cli"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     bad = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, code, digest, args in pins():

@@ -21,10 +21,15 @@ Where the box rule takes the generators (`_lcm_box`), depth is first
 looked at from below, by local cohomology, with no lattice, face or
 rank: depth = min{i : H^i_m(S/I) != 0}, and by Takayama's formula every
 degree of H^0 and H^1 is a box point whose degree complex is {empty
-face} or, for H^1, disconnected, all tested at once by masked shifts of
-the box's bitset U of points in I (`_box_low_depth`).  A depth of 0 or 1
-ends the call there; J(8,6)^7, depth 1 on a box of 2^24 points, takes
-under 1 s.  Otherwise pd <= n - 2, and the same walk runs with that cap:
+face} or, for H^1, disconnected (`_box_void_degrees`).  The {empty face}
+degrees are decided by one reader, the maximal points outside the box's
+bitset U of points in I (`monomials._maximal`), split by their number of
+top coordinates: with none they are the socle of S/I, the monomials w
+not in I with x_j*w in I for every j, so depth 0; with one, depth 1.
+Only past those are U's raises built, for the disconnected degree
+complexes, by masked shifts (`_box_low_depth`).  A depth of 0 or 1 ends
+the call there; J(8,6)^7, depth 1 on a box of 2^24 points, takes under
+1 s.  Otherwise pd <= n - 2, and the same walk runs with that cap:
 the cones, whose Betti numbers all vanish, are found first for every
 point at once by n^2 masked shifts (`_box_cones`), and only the points of
 U outside them are decoded and walked.  A point of U off the lattice is
@@ -32,11 +37,12 @@ always a cone, so those are the lattice's non-cones, and no lattice is
 built.  No homology above Betti index n - 2 is asked, and the walk stops
 once pd reaches n - 2.  On J(7,3)^3 it reads the facets of 165 elements,
 and on J(8,2)^4 of 20.
-`max_ideal_associated` reads no homology either: on the box the degrees
-of H^0, the socle's w being the tops of their ranges, and where the
-lattice is grown plainly the row i = n, off the facets of each
-full-support element, the complex being the boundary of the simplex iff
-it has exactly n facets of n - 1 vertices each (`_socle_row`).
+`max_ideal_associated` reads no homology either: it tests the socle by
+its definition, on the box as the same maximal points with no top
+coordinate, read at the tops of their ranges, and where the lattice is
+grown plainly on each full-support element a, w = a - 1, with the
+generator rows (`_socle_row`).  The Stanley-depth engine's sweep bound
+reads the same maximal points (`sdepth._sweep_bound`).
 Ranks come from fraction-free integer elimination.
 
 Both `betti` and the walk read each Koszul strand complex off its facets
@@ -82,7 +88,7 @@ from math import gcd, prod
 from operator import and_, methodcaller
 
 from .monomials import (
-    Monomial, _below_bitsets, _box_points, _build_box, _dividing, _selectors, _up,
+    Monomial, _below_bitsets, _box_points, _build_box, _dividing, _maximal, _selectors, _up,
 )
 
 __all__ = [
@@ -359,9 +365,10 @@ def _raise(box, bits, i):
 
 
 def _box_void_degrees(box):
-    """(zero, one, raised): the box points a with no top coordinate (zero)
-    and with exactly one (one) whose degree complex is {empty face}, and
-    raised[j] = R_j, `inside` raised in x_j (`_raise`).
+    """(zero, one): the maximal points outside U (`monomials._maximal`)
+    with no top coordinate (zero) and with exactly one (one), the box's
+    witnesses that H^0_m(S/I) and, through a degree with one negative
+    coordinate, H^1_m(S/I) are non-zero.
 
     By Takayama's formula, in the degree-complex form of Minh and Trung,
     dim H^i_m(S/I)_a = dim H~_(i - |G_a| - 1)(Delta_a) for a in Z^n, where
@@ -376,29 +383,41 @@ def _box_void_degrees(box):
     {empty face} iff a is outside U and inside R_j for every j off G_a:
     with G_a empty the degrees of H^0 = H^0_m(S/I), with |G_a| = 1 some of
     those of H^1.
+
+    A maximal point a is such a degree, as its step up in each x_j off G_a
+    lies in U and below a raised in x_j.  Every such degree lies below a
+    maximal point with the same top coordinates: climb off G_a, below the
+    top ranks, while the point stays outside U; where it stops, a step up
+    below the top rank lands in U, and a step to the top rank of x_k lies
+    above a raised in x_k, which is in U.  So the maximal points decide
+    both classes, with no R_j.  Read at the tops of its ranges, a maximal
+    point with no top coordinate is a socle monomial w of S/I, w not in I
+    and x_j*w in I for every j, and every socle monomial is read so
+    (`max_ideal_associated`).
     """
-    raised = [_raise(box, box.inside, i) for i in range(len(box.values))]
-    void = box.every & ~box.inside
-    # zero: the points with no top coordinate so far, one: exactly one
-    zero, one = box.every, 0
-    for bits, vs, ge in zip(raised, box.values, box.at_least):
+    # zero: the maximal points with no top coordinate so far, one: exactly
+    # one; the two are disjoint, so XORs move the points at the top of x_j
+    # out of one and from zero into one, with no negative mask
+    zero, one = _maximal(box), 0
+    for vs, ge in zip(box.values, box.at_least):
         top = ge[len(vs) - 1]
-        void &= bits | top
-        one = (one & ~top) | (zero & top)
-        zero &= ~top
-    return void & zero, void & one, raised
+        moved = zero & top
+        one ^= (one & top) | moved
+        zero ^= moved
+    return zero, one
 
 
-def _box_disconnected(box, raised):
+def _box_disconnected(box):
     """Whether some box point a with no top coordinate has a disconnected
     degree complex Delta_a (`_box_void_degrees`), a non-zero H^1_m(S/I)_a.
 
-    The vertices of Delta_a are the j with a outside R_j, and its edges the
-    {j, k} with a outside R_jk, R_j raised in x_k; an edge is built only
-    where some point has both its ends.  Every point starts from its
-    lowest vertex, and what it reaches grows along its edges, for all
-    points at once, until it holds every vertex or a round adds nothing:
-    at most n rounds."""
+    The vertices of Delta_a are the j with a outside R_j, U raised in x_j
+    (`_raise`), and its edges the {j, k} with a outside R_jk, R_j raised
+    in x_k; an edge is built only where some point has both its ends.
+    Every point starts from its lowest vertex, and what it reaches grows
+    along its edges, for all points at once, until it holds every vertex
+    or a round adds nothing: at most n rounds."""
+    raised = [_raise(box, box.inside, i) for i in range(len(box.values))]
     inner = box.every
     for vs, ge in zip(box.values, box.at_least):
         inner &= ~ge[len(vs) - 1]
@@ -429,14 +448,16 @@ def _box_disconnected(box, raised):
 
 def _box_low_depth(box):
     """min(depth(S/I), 2), from the box's local cohomology in degrees 0
-    and 1, with no lattice, facet or rank: depth 0 iff H^0 != 0, and depth
-    1 iff not and H^1 != 0, that is, some point with one top coordinate
-    has Delta_a = {empty face} or some point with none has a disconnected
-    Delta_a (`_box_void_degrees`, `_box_disconnected`)."""
-    zero, one, raised = _box_void_degrees(box)
+    and 1, with no lattice, facet or rank (`_box_void_degrees`): depth 0
+    iff H^0 != 0, that is, iff S/I has a socle monomial, a maximal point
+    outside U with no top coordinate; depth 1 iff not and H^1 != 0, that
+    is, iff some maximal point has one top coordinate or some point with
+    none has a disconnected Delta_a (`_box_disconnected`).  The R_j are
+    raised only for that last test."""
+    zero, one = _box_void_degrees(box)
     if zero:
         return 0
-    return 1 if one or _box_disconnected(box, raised) else 2
+    return 1 if one or _box_disconnected(box) else 2
 
 
 def build_lcm_lattice(ideal):
@@ -560,20 +581,20 @@ def _strand_homology(exponents, below, floor, ceiling=None):
 
 
 def _socle_row(elements, below):
-    """The elements a of full support n = len(a) with beta_{n,a}(S/I) != 0,
-    in their order.
+    """The elements a of full support whose w = a - 1 is a socle monomial
+    of S/I, w not in I and x_j*w in I for every j, in their order.
 
-    beta_{n,a} != 0 iff the Koszul strand complex at a is the boundary of
-    the simplex on [n]: every (n-1)-subset is a face and [n] is not, the
-    socle test x^(a - 1) not in I and x^(a - 1 + e_j) in I for every j.
-    Read off the facets (`_facets`), that is exactly n facets of n - 1
-    vertices each, so no face is built."""
+    Each membership is an AND of the generator rows (`monomials._dividing`),
+    no facet or face read.  Every socle monomial is met so: a generator
+    dividing x_j*w but not w has x_j exponent w_j + 1, so the lcm of one
+    such generator per j is w + 1, a full-support lattice element."""
     socle = []
     for a in elements:
         if all(a):
-            facets = _facets(a, below)
-            n = len(a)
-            if len(facets) == n and all(f.bit_count() == n - 1 for f in facets):
+            w = tuple(e - 1 for e in a)
+            if not _dividing(w, below) and all(
+                _dividing(w[:j] + (e,) + w[j + 1:], below) for j, e in enumerate(a)
+            ):
                 socle.append(a)
     return socle
 
@@ -704,19 +725,14 @@ def depth_via_polarization(ideal, cap=DEFAULT_POLARIZATION_CAP):
 def max_ideal_associated(ideal):
     """Whether the maximal ideal is associated to S/I (depth 0), with a witness.
 
-    beta_{n,a}(S/I) is the dimension of the socle of S/I in degree a - 1,
-    so the top row of the Betti table lists every monomial w with w not
-    in I and x_j*w in I for all j, and each a = w + 1 lies in the lcm
-    lattice.  Off the box those a are read with no homology, as the
-    full-support elements whose facets make the boundary of the simplex
-    (`_socle_row`).  On the box the socle is read off H^0_m(S/I), the
-    torsion of S/I, whose degrees come in ranges, one per box point
-    (`_box_void_degrees`): a torsion monomial of largest degree is in the
-    socle, as x_j*w outside I would be torsion of larger degree, and a
-    socle monomial is the top of its range, so the tops of the ranges
-    give the same w.  The answer is (False, None) when there are none, and
-    otherwise (True, w) for the w of largest degree, ties going to the
-    smallest exponent tuple.
+    m is associated iff S/I has a socle monomial, w not in I and x_j*w in
+    I for every j.  On the box the socle is the box's maximal points
+    outside U with no top coordinate, each read at the tops of its ranges
+    (`_box_void_degrees`, over `monomials._maximal`).  Off it each
+    full-support element a of the lcm lattice is tested with w = a - 1
+    by its definition (`_socle_row`).  The answer is (False, None) when
+    there is none, and otherwise (True, w) for the w of largest degree,
+    ties going to the smallest exponent tuple.
     """
     if ideal.is_zero() or ideal.is_whole_ring():
         raise ValueError("needs a proper nonzero ideal")
@@ -726,8 +742,8 @@ def max_ideal_associated(ideal):
         row = _socle_row(_plain_closure(vectors), _below_bitsets(vectors))
         socle = [tuple(e - 1 for e in a) for a in row]
     else:
-        # each torsion range read at its top, one below the next value of
-        # each coordinate; the top rank, a_j < 0, holds no torsion
+        # each range read at its top, one below the next value of each
+        # coordinate; no socle point has a top rank
         highest = [[v - 1 for v in vs[1:]] + [None] for vs in box.values]
         socle = list(compress(product(*highest), _selectors(_box_void_degrees(box)[0])))
     if not socle:

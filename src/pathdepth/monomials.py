@@ -20,7 +20,10 @@ Stanley-depth box.  Each given point sets one seed bit, the only step per
 point; the points above some seed are the seed closed upward by a few
 masked shifts per axis (`_up`), over "x_i >= c" patterns
 (`_at_least_patterns`) built only at the ranks that the shifts and the
-engines read.  `_count_classes` sorts a bitset's points by how many of
+engines read.  `_maximal` is the library's one maximality test: the
+points outside `inside` whose every step up below the top rank lands in
+it, which the sweep bound, depth's H^0 and H^1 on the box and the box's
+socle all read.  `_count_classes` sorts a bitset's points by how many of
 some patterns hold them (a poset point's label), and `_box_points` reads
 a bitset's points off the box in lex order through `_selectors`.
 """
@@ -282,6 +285,22 @@ def _up(box, bits, axes):
             bits |= (bits << k * step) & ge[k]
             k *= 2
     return bits
+
+
+def _maximal(box):
+    """The bitset of the maximal points outside `inside`: those whose every
+    step up, in a coordinate below its top rank, lands in `inside`.
+
+    A shift down by strides[i] puts the point one rank above a at a, and
+    the mask, the points below x_i's top rank, drops those where that
+    shift comes from the next run of x_i: one shift and mask per axis.
+    The masks are non-negative, as Python ANDs those faster than the
+    negative ints of ~."""
+    outside = box.every ^ box.inside
+    blocked = 0
+    for vs, step, ge in zip(box.values, box.strides, box.at_least):
+        blocked |= (outside >> step) & (box.every ^ ge[len(vs) - 1])
+    return outside ^ (outside & blocked)
 
 
 def _box_points(box, bits):

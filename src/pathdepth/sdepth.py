@@ -39,13 +39,14 @@ memo gives.
 The descent starts at min(sweep, Hilbert): the sweep bound is the
 smallest label of a maximal point, above which no k can pass, so a
 depth-0 quotient gets sdepth 0 with no search; it is read off the box
-bitset the points come from.  The Hilbert bound, computed only when the
-sweep bound is at least 2, is the largest d with (1-t)^d H(S/I; t)
-nonnegative, which no Stanley decomposition can beat; H is counted off
-the poset's (degree, label) classes, the one shape path that the colon
-bound takes too.  At each k >= 2 the search pauses once, on passing
-node_budget // 100 nodes, or stops if it runs out before, and three
-tools that settle some k cheaply get their turn.
+bitset the points come from, by the kernel's one maximality test, which
+the depth engine's socle reads too (`monomials._maximal`).  The Hilbert
+bound, computed only when the sweep bound is at least 2, is the largest
+d with (1-t)^d H(S/I; t) nonnegative, which no Stanley decomposition can
+beat; H is counted off the poset's (degree, label) classes, the one
+shape path that the colon bound takes too.  At each k >= 2 the search
+pauses once, on passing node_budget // 100 nodes, or stops if it runs
+out before, and three tools that settle some k cheaply get their turn.
 The colon-Hilbert bound, computed once per call: sdepth(S/I) <=
 sdepth(S/(I : x^a)) (the paper's Lemma 1.4), and the Hilbert bound of
 each colon is read off the points above a, once per distinct multiset of
@@ -85,7 +86,8 @@ from math import comb, prod
 from operator import eq, itemgetter, lt, xor
 
 from .monomials import (
-    Monomial, _below_bitsets, _box_points, _build_box, _count_classes, _dividing, _selectors,
+    Monomial, _below_bitsets, _box_points, _build_box, _count_classes, _dividing, _maximal,
+    _selectors,
 )
 
 __all__ = [
@@ -245,20 +247,16 @@ def _sweep_bound(box):
     A maximal point is its own only admissible top, and every point lies
     below a maximal one, so this is the largest k at which every point
     has an admissible top: no partition reaches a larger min label.  It is
-    0 exactly when a socle monomial of S/I exists, i.e. when depth is 0.
+    0 exactly when some maximal point has no capped coordinate, a socle
+    monomial w of S/I (w not in I, x_j*w in I for every j), that is, when
+    depth is 0.
 
-    It is computed bit-parallel over the box: a point is maximal when no
-    step up in an uncapped coordinate stays outside I, and its label
-    counts the capped coordinates, whose classes `monomials._count_classes`
-    sorts out.
+    The maximal points are the kernel's one maximality test
+    (`monomials._maximal`), and a point's label counts its capped
+    coordinates, whose classes `monomials._count_classes` sorts out.
     """
-    members = box.every ^ box.inside
-    # the points with x_i = g_i, its top rank
     capped = [ge[len(vs) - 1] for vs, ge in zip(box.values, box.at_least)]
-    blocked = 0
-    for row, step in zip(capped, box.strides):
-        blocked |= (members >> step) & ~row
-    return next(label for label, bits in enumerate(_count_classes(capped, members & ~blocked)) if bits)
+    return next(label for label, bits in enumerate(_count_classes(capped, _maximal(box))) if bits)
 
 
 def _hilbert_bound(poset, upto):

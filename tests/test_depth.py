@@ -4,7 +4,7 @@ import gc
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
 from operator import and_, or_
 
@@ -19,6 +19,7 @@ from pathdepth.depth import (
     _box_cones,
     _box_lattice,
     _box_low_depth,
+    _box_void_degrees,
     _facets,
     _homology_from_top,
     _lcm_box,
@@ -44,9 +45,14 @@ from pathdepth.monomials import (
     _below_bitsets,
     _box_points,
     _build_box,
+    _count_classes,
     _dividing,
+    _maximal,
+    _selectors,
     parse_ideal,
 )
+from pathdepth.sdepth import _box as sdepth_box
+from pathdepth.sdepth import _sweep_bound
 
 # linear algebra ------------------------------------------------------
 
@@ -1051,11 +1057,10 @@ def test_top_row_is_the_homology_in_the_top_dimension(ideal, polarize):
 
 @given(st.one_of(small_ideals(), box_ideals()))
 @settings(max_examples=80, deadline=None)
-def test_socle_off_the_facets_matches_the_top_row_oracle(ideal):
+def test_socle_by_definition_matches_the_top_row_oracle(ideal):
     # every input forced off the box: on each full-support lattice element
-    # the facet test (n facets of n - 1 vertices each) is the top row, and
-    # max_ideal_associated reads the facets of those elements alone
-    n = ideal.n_vars
+    # the socle test of w = a - 1 by its definition is the top row, and
+    # max_ideal_associated reads no facet
     read = []
     facets_of = depth_module._facets
 
@@ -1074,7 +1079,7 @@ def test_socle_off_the_facets_matches_the_top_row_oracle(ideal):
         assert _socle_row(elements, below) == [a for a in full if top_row(a, below)]
         patch.setattr(depth_module, "_facets", reading)
         assoc, _ = max_ideal_associated(ideal)
-    assert read == full
+    assert read == []
     assert assoc == any(top_row(a, below) for a in full) == (depth_quotient(ideal).depth == 0)
 
 
@@ -1118,6 +1123,105 @@ def test_box_inside_matches_the_per_generator_cones(vectors):
     for i, (values, step, ge) in enumerate(zip(box.values, box.strides, ranks)):
         for bits in (box.inside, outside):
             assert _raise(box, bits, i) == raised_by_ranks(bits, len(values), step, ge)
+
+
+def brute_force_maximal(box, vectors):
+    """Reference `_maximal`, one box point at a time: the bitset of the
+    points a, as values, with x^a not in I and x^(a + e_i) in I, a_i raised
+    to the next value, wherever a_i is below its top value."""
+    def member(a):
+        return any(all(map(int.__le__, g, a)) for g in vectors)
+
+    bits = 0
+    for r, ranks in enumerate(product(*(range(len(vs)) for vs in box.values))):
+        a = [vs[c] for vs, c in zip(box.values, ranks)]
+        if not member(a) and all(
+            member(a[:i] + [vs[c + 1]] + a[i + 1:])
+            for i, (vs, c) in enumerate(zip(box.values, ranks)) if c + 1 < len(vs)
+        ):
+            bits |= 1 << r
+    return bits
+
+
+def brute_force_socle(vectors):
+    """Reference socle: every w below the lcm with w not in I and x_j*w in
+    I for every j, in lex order; a socle monomial has each w_j below the
+    largest exponent of x_j."""
+    def member(w):
+        return any(all(map(int.__le__, g, w)) for g in vectors)
+
+    n = len(vectors[0])
+    return [
+        w for w in product(*(range(max(column)) for column in zip(*vectors)))
+        if not member(w) and all(member(w[:j] + (w[j] + 1,) + w[j + 1:]) for j in range(n))
+    ]
+
+
+@st.composite
+def small_vectors(draw):
+    """1 to 7 exponent vectors in 1 to 4 variables, exponents <= 3, not all
+    zero, so that every box of them is small enough to walk point by point."""
+    n = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=7))
+    return [v for v in vectors if any(v)] or [(1,) * n]
+
+
+@given(small_vectors(), st.integers(0, 15))
+@example([(2,)], 1)  # one variable, g above the lcm
+@example([(1, 2), (2, 1)], 3)
+@example([(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)], 0)  # a socle of 3 monomials
+@example([(1, 0), (0, 2)], 2)  # g above the lcm in x2 only
+@settings(max_examples=150, deadline=None)
+def test_maximal_points_match_the_brute_force_on_both_boxes(vectors, lift):
+    # the kernel's one maximality test on the lcm box, forced onto it, and
+    # on the Stanley-depth box with g the lcm raised by 1 in the
+    # coordinates of the bitmask `lift`; and the lcm box's no-top class,
+    # read at its range tops, is the socle
+    box = lcm_box(vectors)
+    assert _maximal(box) == brute_force_maximal(box, vectors)
+    ideal = MonomialIdeal(len(vectors[0]), [Monomial(v) for v in vectors])
+    lcm = ideal.lcm_of_gens().exponents
+    poset_box = sdepth_box(ideal, Monomial(tuple(e + (lift >> i & 1) for i, e in enumerate(lcm))))
+    gens = [h.exponents for h in ideal.gens]
+    assert _maximal(poset_box) == brute_force_maximal(poset_box, gens)
+    tops = [ge[len(vs) - 1] for vs, ge in zip(box.values, box.at_least)]
+    zero, one = _box_void_degrees(box)
+    assert [zero, one] == _count_classes(tops, _maximal(box))[:2]
+    highest = [[v - 1 for v in vs[1:]] + [None] for vs in box.values]
+    socle = list(compress(product(*highest), _selectors(zero)))
+    assert socle == brute_force_socle(gens), str(ideal)
+
+
+def test_sweep_bound_is_the_fewest_top_coordinates_of_a_maximal_lcm_box_point():
+    # 1,000 ideals in 2-6 variables with 1-10 generators and exponents <=
+    # 3: the Stanley-depth box's sweep bound is the smallest number of top
+    # coordinates among the lcm box's maximal points, forced onto the box,
+    # and depth is at most it, a maximal point with c top coordinates
+    # being a degree of H^c_m(S/I)
+    rng = random.Random(5)
+    for _ in range(1000):
+        n = rng.randint(2, 6)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 10))]
+        gens = [Monomial(g) for g in gens if any(g)] or [Monomial.variable(1, n)]
+        ideal = MonomialIdeal(n, gens)
+        box = lcm_box([h.exponents for h in ideal.gens])
+        tops = [ge[len(vs) - 1] for vs, ge in zip(box.values, box.at_least)]
+        fewest = next(c for c, bits in enumerate(_count_classes(tops, _maximal(box))) if bits)
+        assert _sweep_bound(sdepth_box(ideal)) == fewest, str(ideal)
+        assert depth_quotient(ideal).depth <= fewest, str(ideal)
+
+
+def test_depth_zero_on_the_box_raises_nothing(monkeypatch):
+    # J(6,5)^5 and J(4,3)^3 have depth 0 on the box: the maximal points
+    # decide both depth readers there, and no U is raised
+    raises = []
+    raise_ = depth_module._raise
+    monkeypatch.setattr(depth_module, "_raise", lambda *a: raises.append(a[2]) or raise_(*a))
+    for ideal in (cycle_ideal(6, 5).power(5), cycle_ideal(4, 3).power(3)):
+        assert _lcm_box([g.exponents for g in ideal.gens]) is not None
+        assert depth_quotient(ideal).depth == 0
+        assert max_ideal_associated(ideal)[0]
+    assert raises == []
 
 
 def top_row_witness(ideal):
